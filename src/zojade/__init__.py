@@ -11,7 +11,6 @@ output, and a verification suite for the method's quantitative bounds.
 
 from .algorithms import (
     ALGORITHMS,
-    AgentState,
     BaselineConfig,
     JadeConfig,
     NetworkState,
@@ -92,6 +91,7 @@ from .oracle import (
     gradient_lipschitz_bound,
     hessian_error_bound,
     hessian_lipschitz_bound,
+    mu2,
 )
 from .rng import Xoshiro256, splitmix64_stream
 

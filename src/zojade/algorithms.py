@@ -27,7 +27,9 @@ reading under which g and h describe one parabola fit per agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,17 +39,6 @@ from .metrics import RunTrace, TraceRow, ef_mode, loss_metric
 from .objectives import ProblemInstance
 from .oracle import estimate_both, estimate_gradient
 from .rng import Xoshiro256
-
-
-@dataclass
-class AgentState:
-    """One agent's view: iterate, parabola stats, and tracked averages."""
-
-    x: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
 
 
 @dataclass
@@ -61,34 +52,11 @@ class NetworkState:
     z: np.ndarray
     P: ConsensusMatrix
     iteration: int = 0
-    total_queries: int = 0
     clamp_count: int = 0
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def agents(self) -> list:
-        return [
-            AgentState(self.x[i], self.g[i], self.h[i], self.y[i], self.z[i])
-            for i in range(self.n)
-        ]
-
-    def x_mean(self) -> np.ndarray:
-        """Network mean of the iterates."""
-        return self.x.mean(axis=0)
-
-    def x_disp(self) -> np.ndarray:
-        """Per-agent displacement from the mean iterate."""
-        return self.x - self.x_mean()
-
     def consensus_error(self) -> float:
-        return float(np.linalg.norm(self.x_disp()))
+        """Norm of the agents' displacement from their mean iterate."""
+        return float(np.linalg.norm(self.x - self.x.mean(axis=0)))
 
     def tracking_residuals(self) -> tuple:
         """Relative conservation residuals of (y vs g) and (z vs h) node sums."""
@@ -117,139 +85,124 @@ def initial_state(x0: np.ndarray, P: ConsensusMatrix) -> NetworkState:
     )
 
 
+def _check(name: str, value, requirement: str, ok=lambda v: True, integer=False) -> None:
+    """Reject `value` unless it is a finite number (an integer if `integer`,
+    never a bool) for which ok(value) holds."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or not math.isfinite(value)
+        or not ok(value)
+    ):
+        raise ConfigurationError(f"{name} must be {requirement}, got {value!r}")
+
+
 @dataclass
-class JadeConfig:
+class _RunConfig:
+    """Parameters every algorithm takes: the absolute finite-difference step
+    mu, the per-agent query budget, the trace stride and the scale of the
+    seeded initial iterates."""
+
+    mu: float
+    budget: int = 10_000
+    record_every: int = 10
+    x0_scale: float = 1.0
+
+    def __post_init__(self):
+        _check("mu", self.mu, "a positive number", lambda v: v > 0.0)
+        _check("budget", self.budget, "a positive integer", lambda v: v > 0, integer=True)
+        _check(
+            "record_every", self.record_every, "a positive integer", lambda v: v > 0, integer=True
+        )
+        _check("x0_scale", self.x0_scale, "a finite number")
+
+
+@dataclass
+class JadeConfig(_RunConfig):
     """Parameters of the curvature-tracking update.
 
     epsilon is the convex-combination weight of the local Newton-type
     target; the convergence theory needs it small, and epsilon = 1 is the
     degenerate pure-jump variant (useful in single-agent sanity checks).
-    mu is the absolute finite-difference step.  z entries are clamped
-    below at z_floor before dividing.
+    z entries are clamped below at z_floor before dividing.
     """
 
-    mu: float
     epsilon: float = 0.05
     z_floor: float = 1e-8
-    budget: int = 10_000
-    record_every: int = 10
-    x0_scale: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ConfigurationError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.mu <= 0.0:
-            raise ConfigurationError(f"mu must be positive, got {self.mu}")
-        if self.z_floor <= 0.0:
-            raise ConfigurationError(f"z_floor must be positive, got {self.z_floor}")
+        super().__post_init__()
+        _check("epsilon", self.epsilon, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+        _check("z_floor", self.z_floor, "a positive number", lambda v: v > 0.0)
 
 
 @dataclass
-class BaselineConfig:
+class BaselineConfig(_RunConfig):
     """Parameters of the gradient-estimate baselines (step size eta)."""
 
-    mu: float
     eta: float = 0.1
-    budget: int = 10_000
-    record_every: int = 10
-    x0_scale: float = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ConfigurationError(f"mu must be positive, got {self.mu}")
-        if self.eta < 0.0:
-            raise ConfigurationError(f"eta must be nonnegative, got {self.eta}")
+        super().__post_init__()
+        _check("eta", self.eta, "a nonnegative number", lambda v: v >= 0.0)
 
 
-def _check_finite_update(x_new: np.ndarray, iteration: int) -> None:
-    if np.isfinite(x_new).all():
-        return
-    bad = np.argwhere(~np.isfinite(x_new))[0]
-    i, k = int(bad[0]), int(bad[1])
-    raise RunAborted(
-        f"non-finite iterate at step {iteration}: agent {i}, coordinate {k} "
-        f"became {x_new[i, k]!r}"
-    )
+def _advance(state: NetworkState, x_new: np.ndarray, **changes) -> NetworkState:
+    """The next state: `x_new` after a finite check, plus the other `changes`."""
+    iteration = state.iteration + 1
+    if not np.isfinite(x_new).all():
+        i, k = (int(v) for v in np.argwhere(~np.isfinite(x_new))[0])
+        raise RunAborted(
+            f"non-finite iterate at step {iteration}: agent {i}, coordinate {k} "
+            f"became {x_new[i, k]!r}"
+        )
+    return replace(state, x=x_new, iteration=iteration, **changes)
 
 
 def jade_step(state: NetworkState, instance: ProblemInstance, cfg: JadeConfig) -> NetworkState:
     """One synchronous round of the curvature-tracking Jacobi update."""
-    n, d = state.x.shape
     P = state.P.weights
-    grads = np.empty((n, d))
-    hdiags = np.empty((n, d))
+    grads = np.empty(state.x.shape)
+    hdiags = np.empty(state.x.shape)
     for i, obj in enumerate(instance.objectives):
         out = estimate_both(obj, state.x[i], cfg.mu)
         grads[i] = out.grad_estimate
         hdiags[i] = out.hessian_diag_estimate
     g_new = hdiags * state.x - grads
-    h_new = hdiags
     y_new = P @ (state.y + g_new - state.g)
-    z_new = P @ (state.z + h_new - state.h)
-    clamped = int(np.count_nonzero(z_new < cfg.z_floor))
+    z_new = P @ (state.z + hdiags - state.h)
+    clamp_count = state.clamp_count + int(np.count_nonzero(z_new < cfg.z_floor))
     z_safe = np.maximum(z_new, cfg.z_floor)
     x_new = (1.0 - cfg.epsilon) * (P @ state.x) + cfg.epsilon * (y_new / z_safe)
-    _check_finite_update(x_new, state.iteration + 1)
-    return NetworkState(
-        x=x_new,
-        g=g_new,
-        h=h_new,
-        y=y_new,
-        z=z_new,
-        P=state.P,
-        iteration=state.iteration + 1,
-        total_queries=state.total_queries + n * (2 * d + 1),
-        clamp_count=state.clamp_count + clamped,
-    )
+    return _advance(state, x_new, g=g_new, h=hdiags, y=y_new, z=z_new, clamp_count=clamp_count)
+
+
+def _gradient_estimates(
+    state: NetworkState, instance: ProblemInstance, cfg: BaselineConfig
+) -> np.ndarray:
+    grads = np.empty(state.x.shape)
+    for i, obj in enumerate(instance.objectives):
+        grads[i] = estimate_gradient(obj, state.x[i], cfg.mu)
+    return grads
 
 
 def gradient_tracking_step(
     state: NetworkState, instance: ProblemInstance, cfg: BaselineConfig
 ) -> NetworkState:
     """Consensus + tracked-average gradient step (generic tracking baseline)."""
-    n, d = state.x.shape
     P = state.P.weights
-    grads = np.empty((n, d))
-    for i, obj in enumerate(instance.objectives):
-        grads[i] = estimate_gradient(obj, state.x[i], cfg.mu)
+    grads = _gradient_estimates(state, instance, cfg)
     y_new = P @ (state.y + grads - state.g)
-    x_new = P @ state.x - cfg.eta * y_new
-    _check_finite_update(x_new, state.iteration + 1)
-    return NetworkState(
-        x=x_new,
-        g=grads,
-        h=state.h,
-        y=y_new,
-        z=state.z,
-        P=state.P,
-        iteration=state.iteration + 1,
-        total_queries=state.total_queries + n * 2 * d,
-        clamp_count=state.clamp_count,
-    )
+    return _advance(state, P @ state.x - cfg.eta * y_new, g=grads, y=y_new)
 
 
 def consensus_gd_step(
     state: NetworkState, instance: ProblemInstance, cfg: BaselineConfig
 ) -> NetworkState:
     """Plain consensus plus a local gradient-estimate step (naive baseline)."""
-    n, d = state.x.shape
-    P = state.P.weights
-    grads = np.empty((n, d))
-    for i, obj in enumerate(instance.objectives):
-        grads[i] = estimate_gradient(obj, state.x[i], cfg.mu)
-    x_new = P @ state.x - cfg.eta * grads
-    _check_finite_update(x_new, state.iteration + 1)
-    return NetworkState(
-        x=x_new,
-        g=state.g,
-        h=state.h,
-        y=state.y,
-        z=state.z,
-        P=state.P,
-        iteration=state.iteration + 1,
-        total_queries=state.total_queries + n * 2 * d,
-        clamp_count=state.clamp_count,
-    )
+    grads = _gradient_estimates(state, instance, cfg)
+    return _advance(state, state.P.weights @ state.x - cfg.eta * grads)
 
 
 #: name -> (step function, per-agent queries per iteration as a function of d)
@@ -284,8 +237,6 @@ def run(
         raise ConfigurationError(
             f"unknown algorithm '{algorithm}'; expected one of {sorted(ALGORITHMS)}"
         )
-    if cfg.budget <= 0:
-        raise ConfigurationError(f"query budget must be positive, got {cfg.budget}")
     if P.n != instance.n:
         raise ConfigurationError(
             f"consensus matrix is {P.n}x{P.n} but the instance has {instance.n} agents"
@@ -301,7 +252,6 @@ def run(
         seed=seed,
         label=label or algorithm,
         ef_mode=ef_mode(inst),
-        queries_per_iteration=per_step,
     )
 
     def record():

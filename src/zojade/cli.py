@@ -49,8 +49,6 @@ def _cmd_run(args) -> int:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError as exc:
             raise ConfigurationError(f"bad --seeds value: {exc}") from exc
-        if not seeds:
-            raise ConfigurationError("--seeds must list at least one integer")
     result = run_experiment(cfg, out_dir=args.out, seeds=seeds)
     if not result.ok:
         for label, seed, diagnostic in result.failures:

@@ -2,29 +2,32 @@
 
 A JSON config file describes one experiment: a topology, a problem
 instance, a probe step mu, a per-agent query budget, a list of seeds and
-a list of algorithm entries.  All defaults are explicit in
-:data:`DEFAULTS`; unknown keys anywhere in the file are rejected.  The
+a list of algorithm entries.  Unknown keys anywhere in the file are
+rejected, and so are malformed values, before anything is built.  The
 sha256 hash of the fully defaulted config is stamped into every output
 file, and re-running a config reproduces every CSV byte for byte.
 
-Schema (defaults in parentheses; `(*)` marks values that are package
-defaults rather than anything prescribed by the problem setting):
+Schema (each default lives in one place, named in parentheses):
 
     topology    name: complete | ring | path | grid | erdos_renyi
                 n: agent count; p, seed: erdos_renyi only
     instance    family: separable_quadratic | ridge_synthetic |
                         synthetic_classification | ridge_csv |
                         logistic_csv | quartic
-                plus family parameters, see _INSTANCE_SCHEMAS; the agent
-                count always comes from the topology
-    mu          finite-difference step (*)
+                plus family parameters, see _INSTANCE_SCHEMAS; only the
+                keys a config sets are passed to the family's builder, so
+                the builder signature holds the defaults (the CSV families
+                default to standardize = true and lambda / w = 0.1); the
+                agent count always comes from the topology
+    mu          finite-difference step
     budget      max queries per agent
-    seeds       list of integers
-    record_every  trace stride (10)
-    x0_scale    scale of the seeded initial iterates (1.0)
+    seeds       list of distinct integers
+    record_every  trace stride (JadeConfig / BaselineConfig)
+    x0_scale    scale of the seeded initial iterates (JadeConfig / BaselineConfig)
     out_dir     output directory ("results")
-    algorithms  list of {name, label?, epsilon? (0.05 *), z_floor? (1e-8),
-                eta? (0.1 *), mu?}
+    algorithms  list of {name, label?, mu?, and the algorithm's own
+                parameters: epsilon?, z_floor? (JadeConfig) or eta?
+                (BaselineConfig)}
 
 Outputs: one `<label>_seed<seed>.csv` trace per run and one
 `<label>_aggregate.csv` per algorithm entry with columns
@@ -38,7 +41,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -77,46 +80,39 @@ from .oracle import (
     estimate_both,
     estimate_gradient,
     gradient_lipschitz_bound,
+    mu2,
 )
 from .rng import Xoshiro256
 
 DEFAULTS = {
-    "record_every": 10,
-    "x0_scale": 1.0,
+    "record_every": BaselineConfig.record_every,
+    "x0_scale": BaselineConfig.x0_scale,
     "out_dir": "results",
 }
 
-_ALGO_DEFAULTS = {
-    "zo_jade": {"epsilon": 0.05, "z_floor": 1e-8},
-    "gradient_tracking": {"eta": 0.1},
-    "consensus_gd": {"eta": 0.1},
+#: algorithm name -> the config class that holds its parameters and their defaults
+_CONFIG_CLASS = {
+    "zo_jade": JadeConfig,
+    "gradient_tracking": BaselineConfig,
+    "consensus_gd": BaselineConfig,
 }
 
 _TOPOLOGY_KEYS = {"name", "n", "p", "seed"}
 
+#: family -> (required keys, optional keys)
 _INSTANCE_SCHEMAS = {
-    "separable_quadratic": {"d", "seed", "curvature_range", "b_scale"},
-    "ridge_synthetic": {
-        "d",
-        "per_agent",
-        "seed",
-        "lambda",
-        "noise",
-        "scale_spread",
-        "standardize",
-    },
-    "synthetic_classification": {
-        "d",
-        "per_agent",
-        "seed",
-        "w",
-        "separation",
-        "scale_spread",
-        "standardize",
-    },
-    "ridge_csv": {"path", "lambda", "has_header", "standardize"},
-    "logistic_csv": {"path", "w", "has_header", "standardize"},
-    "quartic": {"d", "quartic", "quad", "b_mean", "b_spread", "box"},
+    "separable_quadratic": ({"d", "seed"}, {"curvature_range", "b_scale"}),
+    "ridge_synthetic": (
+        {"d", "per_agent", "seed"},
+        {"lambda", "noise", "scale_spread", "standardize"},
+    ),
+    "synthetic_classification": (
+        {"d", "per_agent", "seed"},
+        {"w", "separation", "scale_spread", "standardize"},
+    ),
+    "ridge_csv": ({"path"}, {"lambda", "has_header", "standardize"}),
+    "logistic_csv": ({"path"}, {"w", "has_header", "standardize"}),
+    "quartic": (set(), {"d", "quartic", "quad", "b_mean", "b_spread", "box"}),
 }
 
 _TOP_KEYS = {
@@ -138,8 +134,8 @@ def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
         raise ConfigurationError(f"{context}: unknown keys {unknown}")
 
 
-def _require(mapping: dict, keys: list, context: str) -> None:
-    missing = [k for k in keys if k not in mapping]
+def _require(mapping: dict, keys, context: str) -> None:
+    missing = sorted(k for k in keys if k not in mapping)
     if missing:
         raise ConfigurationError(f"{context}: missing required keys {missing}")
 
@@ -153,6 +149,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.data = _validate_config(self.data)
+        for entry in self.data["algorithms"]:
+            algorithm_config(self, entry)  # the algorithm config checks every parameter
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         self.config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -188,6 +186,8 @@ def _validate_config(raw: dict) -> dict:
         raise ConfigurationError("topology must be an object")
     _reject_unknown(topo, _TOPOLOGY_KEYS, "topology")
     _require(topo, ["name", "n"], "topology")
+    if not _is_int(topo["n"]) or topo["n"] < 1:
+        raise ConfigurationError(f"topology.n must be a positive integer, got {topo['n']!r}")
 
     inst = cfg["instance"]
     if not isinstance(inst, dict):
@@ -197,18 +197,10 @@ def _validate_config(raw: dict) -> dict:
         raise ConfigurationError(
             f"instance.family must be one of {sorted(_INSTANCE_SCHEMAS)}, got {family!r}"
         )
-    _reject_unknown(inst, _INSTANCE_SCHEMAS[family] | {"family"}, f"instance[{family}]")
-
-    if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
-        raise ConfigurationError("seeds must be a non-empty list of integers")
-    if not all(isinstance(s, int) for s in cfg["seeds"]):
-        raise ConfigurationError("seeds must be integers")
-    if not isinstance(cfg["budget"], int) or cfg["budget"] <= 0:
-        raise ConfigurationError("budget must be a positive integer")
-    if not isinstance(cfg["mu"], (int, float)) or cfg["mu"] <= 0:
-        raise ConfigurationError("mu must be a positive number")
-    if not isinstance(cfg["record_every"], int) or cfg["record_every"] < 1:
-        raise ConfigurationError("record_every must be a positive integer")
+    required, optional = _INSTANCE_SCHEMAS[family]
+    _reject_unknown(inst, required | optional | {"family"}, f"instance[{family}]")
+    _require(inst, required, f"instance[{family}]")
+    _validate_seeds(cfg["seeds"])
 
     algos = cfg["algorithms"]
     if not isinstance(algos, list) or not algos:
@@ -222,15 +214,32 @@ def _validate_config(raw: dict) -> dict:
             raise ConfigurationError(
                 f"algorithm name must be one of {sorted(ALGORITHMS)}, got {name!r}"
             )
-        allowed = {"name", "label", "mu"} | set(_ALGO_DEFAULTS[name])
-        _reject_unknown(entry, allowed, f"algorithms[{name}]")
-        for key, default in _ALGO_DEFAULTS[name].items():
+        defaults = _algorithm_defaults(name)
+        _reject_unknown(entry, {"name", "label", "mu"} | set(defaults), f"algorithms[{name}]")
+        for key, default in defaults.items():
             entry.setdefault(key, default)
         entry.setdefault("label", name)
         if entry["label"] in labels:
             raise ConfigurationError(f"duplicate algorithm label '{entry['label']}'")
         labels.add(entry["label"])
     return cfg
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_seeds(seeds) -> None:
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
+        raise ConfigurationError(f"seeds must be a non-empty list of integers, got {seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError(f"seeds must be distinct, got {seeds!r}")
+
+
+def _algorithm_defaults(name: str) -> dict:
+    """An algorithm's own parameters with their defaults: the fields of its
+    config class that are not top-level config keys."""
+    return {f.name: f.default for f in fields(_CONFIG_CLASS[name]) if f.name not in _TOP_KEYS}
 
 
 def build_topology(cfg: ExperimentConfig) -> tuple:
@@ -242,82 +251,42 @@ def build_topology(cfg: ExperimentConfig) -> tuple:
 
 
 def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
-    inst = cfg.data["instance"]
-    family = inst["family"]
+    """Call the family's builder with the instance keys the config sets."""
+    params = {"lam" if k == "lambda" else k: v for k, v in cfg.data["instance"].items()}
+    family = params.pop("family")
     n = cfg.data["topology"]["n"]
     if family == "separable_quadratic":
-        return separable_quadratic_instance(
-            n,
-            inst["d"],
-            inst["seed"],
-            curvature_range=tuple(inst.get("curvature_range", (0.5, 4.0))),
-            b_scale=inst.get("b_scale", 1.0),
-        )
+        return separable_quadratic_instance(n, **params)
     if family == "ridge_synthetic":
-        return ridge_synthetic(
-            inst["d"],
-            inst["per_agent"],
-            n,
-            inst["seed"],
-            lam=inst.get("lambda", 0.1),
-            noise=inst.get("noise", 0.1),
-            scale_spread=inst.get("scale_spread", 10.0),
-            standardize=inst.get("standardize", False),
-        )
+        return ridge_synthetic(n=n, **params)
     if family == "synthetic_classification":
-        return synthetic_classification(
-            inst["d"],
-            inst["per_agent"],
-            n,
-            inst["seed"],
-            w=inst.get("w", 0.1),
-            separation=inst.get("separation", 2.0),
-            scale_spread=inst.get("scale_spread", 1.0),
-            standardize=inst.get("standardize", False),
-        )
-    if family == "ridge_csv":
-        features, targets = load_csv(inst["path"], has_header=inst.get("has_header", False))
-        return ridge_instance_from_shards(
-            features,
-            targets,
-            n,
-            lam=inst.get("lambda", 0.1),
-            standardize=inst.get("standardize", True),
-        )
-    if family == "logistic_csv":
-        features, labels = load_csv(inst["path"], has_header=inst.get("has_header", False))
-        return logistic_instance(
-            features,
-            labels,
-            n,
-            w=inst.get("w", 0.1),
-            standardize=inst.get("standardize", True),
-        )
+        return synthetic_classification(n=n, **params)
     if family == "quartic":
-        return quartic_instance(
-            n,
-            d=inst.get("d", 1),
-            quartic=inst.get("quartic", 1.0),
-            quad=inst.get("quad", 1.0),
-            b_mean=inst.get("b_mean", -1.0),
-            b_spread=inst.get("b_spread", 0.5),
-            box=inst.get("box", 1.5),
-        )
-    raise ConfigurationError(f"unhandled instance family {family!r}")
+        return quartic_instance(n, **params)
+    # ridge_csv or logistic_csv: real data is standardized unless the config says not
+    features, targets = load_csv(params.pop("path"), has_header=params.pop("has_header", False))
+    params.setdefault("standardize", True)
+    if family == "ridge_csv":
+        params.setdefault("lam", 0.1)
+        return ridge_instance_from_shards(features, targets, n, **params)
+    params.setdefault("w", 0.1)
+    return logistic_instance(features, targets, n, **params)
 
 
 def algorithm_config(cfg: ExperimentConfig, entry: dict):
-    """Materialize the per-run config for one algorithm entry."""
-    mu = entry.get("mu", cfg.data["mu"])
-    common = dict(
-        mu=mu,
+    """Materialize the per-run config for one algorithm entry.
+
+    The config is built with the top-level mu first, so that value is
+    checked even when the entry overrides it.
+    """
+    config = _CONFIG_CLASS[entry["name"]](
+        mu=cfg.data["mu"],
         budget=cfg.data["budget"],
         record_every=cfg.data["record_every"],
         x0_scale=cfg.data["x0_scale"],
+        **{key: entry[key] for key in _algorithm_defaults(entry["name"])},
     )
-    if entry["name"] == "zo_jade":
-        return JadeConfig(epsilon=entry["epsilon"], z_floor=entry["z_floor"], **common)
-    return BaselineConfig(eta=entry["eta"], **common)
+    return replace(config, mu=entry["mu"]) if "mu" in entry else config
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +382,8 @@ def run_experiment(
     if every seed of an algorithm failed, no aggregate is written.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
-    seed_list = seeds if seeds is not None else cfg.seeds
+    seed_list = cfg.seeds if seeds is None else list(seeds)
+    _validate_seeds(seed_list)
     os.makedirs(out, exist_ok=True)
     _, P = build_topology(cfg)
     instance = build_instance(cfg)
@@ -981,17 +951,13 @@ def _check_lyapunov(report: VerifyReport) -> None:
 def _check_descent_sign_flip(report: VerifyReport) -> None:
     quart = quartic_instance(4)
     c = quart.constants
-    mu2 = math.sqrt(
-        3.0
-        * (math.hypot(2 * quart.d * c.L1 + c.m, c.m * math.sqrt(8 * quart.d)) - 2 * quart.d * c.L1 - c.m)
-        / (quart.d * c.L3)
-    )
-    below = descent_coefficient(mu2 * 0.98, c.m, c.L1, c.L3, quart.d)
-    above = descent_coefficient(mu2 * 1.02, c.m, c.L1, c.L3, quart.d)
+    flip = mu2(c.m, c.L1, c.L3, quart.d)
+    below = descent_coefficient(flip * 0.98, c.m, c.L1, c.L3, quart.d)
+    above = descent_coefficient(flip * 1.02, c.m, c.L1, c.L3, quart.d)
     report.add(
         "descent_coefficient_sign_flip",
         below < 0.0 < above,
-        f"alpha({mu2 * 0.98:.4f}) = {below:.4f}, alpha({mu2 * 1.02:.4f}) = {above:.4f}",
+        f"alpha({flip * 0.98:.4f}) = {below:.4f}, alpha({flip * 1.02:.4f}) = {above:.4f}",
     )
 
 

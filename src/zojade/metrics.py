@@ -68,7 +68,6 @@ class RunTrace:
     failed: bool = False
     diagnostic: str = ""
     final_x: np.ndarray | None = None
-    queries_per_iteration: int = 0
 
     def queries(self) -> np.ndarray:
         return np.array([r.queries_per_agent for r in self.rows], dtype=float)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,15 +163,7 @@ class ProblemInstance:
 
     def fresh(self) -> "ProblemInstance":
         """Same problem with zeroed query counters (one per run)."""
-        return ProblemInstance(
-            objectives=[o.fresh() for o in self.objectives],
-            models=self.models,
-            d=self.d,
-            x_star=self.x_star,
-            f_star=self.f_star,
-            constants=self.constants,
-            name=self.name,
-        )
+        return replace(self, objectives=[o.fresh() for o in self.objectives])
 
     # Averaged-cost diagnostics; none of these touch the query counters.
     def global_value_many(self, X: np.ndarray) -> np.ndarray:
@@ -214,23 +206,34 @@ class ProblemInstance:
         )
 
 
-def _wrap(model, d: int, constants: SmoothnessConstants, name: str) -> BlackBoxObjective:
-    return BlackBoxObjective(
-        model.value_many,
-        d,
-        analytic_gradient=model.gradient,
-        analytic_hessian_diag=model.hessian_diag,
-        constants=constants,
-        name=name,
-    )
-
-
-def _check_x_star(instance: ProblemInstance) -> None:
-    grad_norm = float(np.linalg.norm(instance.global_gradient(instance.x_star)))
+def _instance(
+    models: list,
+    local_constants: list,
+    d: int,
+    x_star: np.ndarray,
+    constants: SmoothnessConstants,
+    name: str,
+) -> ProblemInstance:
+    """Wrap each model as a query-counted objective, set f(x*), check x*."""
+    objectives = [
+        BlackBoxObjective(
+            model.value_many,
+            d,
+            analytic_gradient=model.gradient,
+            analytic_hessian_diag=model.hessian_diag,
+            constants=k,
+            name=f"{name}[{i}]",
+        )
+        for i, (model, k) in enumerate(zip(models, local_constants))
+    ]
+    instance = ProblemInstance(objectives, models, d, x_star, 0.0, constants, name)
+    instance.f_star = instance.global_value(x_star)
+    grad_norm = float(np.linalg.norm(instance.global_gradient(x_star)))
     if grad_norm > _GRAD_TOL:
         raise InstanceConstructionError(
-            f"{instance.name}: ||grad f(x_star)|| = {grad_norm:.3e} exceeds {_GRAD_TOL}"
+            f"{name}: ||grad f(x_star)|| = {grad_norm:.3e} exceeds {_GRAD_TOL}"
         )
+    return instance
 
 
 def shard_round_robin(count: int, n: int) -> list:
@@ -292,25 +295,11 @@ def ridge_instance_from_shards(
     eigs = np.linalg.eigvalsh(A_bar)
     constants = SmoothnessConstants(m=float(eigs[0]), L1=float(eigs[-1]), L2=0.0, L3=0.0)
 
-    locals_constants = []
+    local_constants = []
     for m in models:
         e = np.linalg.eigvalsh(m.A)
-        locals_constants.append(SmoothnessConstants(float(e[0]), float(e[-1]), 0.0, 0.0))
-    instance = ProblemInstance(
-        objectives=[
-            _wrap(m, d, k, f"{name}[{i}]")
-            for i, (m, k) in enumerate(zip(models, locals_constants))
-        ],
-        models=models,
-        d=d,
-        x_star=x_star,
-        f_star=0.0,
-        constants=constants,
-        name=name,
-    )
-    instance.f_star = instance.global_value(x_star)
-    _check_x_star(instance)
-    return instance
+        local_constants.append(SmoothnessConstants(float(e[0]), float(e[-1]), 0.0, 0.0))
+    return _instance(models, local_constants, d, x_star, constants, name)
 
 
 def _logistic_constants(U_list: list, weights: list, w: float, d: int) -> SmoothnessConstants:
@@ -400,27 +389,15 @@ def logistic_instance(
     weights = [0.0 if len(idx) == 0 else 1.0 / (n * len(idx)) for idx in shards]
     constants = _logistic_constants(U_list, weights, w, d)
 
-    instance = ProblemInstance(
-        objectives=[],
-        models=models,
-        d=d,
-        x_star=np.zeros(d),
-        f_star=0.0,
-        constants=constants,
-        name=name,
-    )
-    local_consts = [
+    local_constants = [
         _logistic_constants([Ui], [1.0 / max(len(Ui), 1)], w, d) for Ui in U_list
     ]
-    instance.objectives = [
-        _wrap(m, d, k, f"{name}[{i}]") for i, (m, k) in enumerate(zip(models, local_consts))
-    ]
-    instance.x_star = _damped_newton(
-        instance.global_value, instance.global_gradient, instance.global_hessian, np.zeros(d)
+    # the averaged cost's value, gradient and Hessian, before any objective exists
+    averaged = ProblemInstance([], models, d, np.zeros(d), 0.0, constants, name)
+    x_star = _damped_newton(
+        averaged.global_value, averaged.global_gradient, averaged.global_hessian, np.zeros(d)
     )
-    instance.f_star = instance.global_value(instance.x_star)
-    _check_x_star(instance)
-    return instance
+    return _instance(models, local_constants, d, x_star, constants, name)
 
 
 def synthetic_classification(
@@ -542,18 +519,7 @@ def quartic_instance(
         L2=6.0 * quartic * box,
         L3=6.0 * quartic,
     )
-    instance = ProblemInstance(
-        objectives=[_wrap(m, d, constants, f"{name}[{i}]") for i, m in enumerate(models)],
-        models=models,
-        d=d,
-        x_star=x_star,
-        f_star=0.0,
-        constants=constants,
-        name=name,
-    )
-    instance.f_star = instance.global_value(x_star)
-    _check_x_star(instance)
-    return instance
+    return _instance(models, [constants] * n, d, x_star, constants, name)
 
 
 def separable_quadratic_instance(
@@ -580,25 +546,11 @@ def separable_quadratic_instance(
     constants = SmoothnessConstants(
         m=float(a_bar.min()), L1=float(a_bar.max()), L2=0.0, L3=0.0
     )
-    local_consts = [
+    local_constants = [
         SmoothnessConstants(float(np.diag(m.A).min()), float(np.diag(m.A).max()), 0.0, 0.0)
         for m in models
     ]
-    instance = ProblemInstance(
-        objectives=[
-            _wrap(m, d, k, f"{name}[{i}]")
-            for i, (m, k) in enumerate(zip(models, local_consts))
-        ],
-        models=models,
-        d=d,
-        x_star=x_star,
-        f_star=0.0,
-        constants=constants,
-        name=name,
-    )
-    instance.f_star = instance.global_value(x_star)
-    _check_x_star(instance)
-    return instance
+    return _instance(models, local_constants, d, x_star, constants, name)
 
 
 def load_csv(path: str, has_header: bool = False) -> tuple:

@@ -48,9 +48,9 @@ class BlackBoxObjective:
     Evaluations go through :meth:`evaluate` (one query) or
     :meth:`evaluate_many` (one query per row); both share the same
     underlying vectorized implementation so a batch and a loop produce
-    bit-identical values.  `raw_value`/`raw_many` skip the counter and are
-    reserved for diagnostics and ground-truth work, as are the optional
-    analytic derivative callbacks.
+    bit-identical values.  `raw_value` skips the counter and is reserved
+    for diagnostics and ground-truth work, as are the optional analytic
+    derivative callbacks.
     """
 
     def __init__(
@@ -70,15 +70,6 @@ class BlackBoxObjective:
         self.constants = constants if constants is not None else SmoothnessConstants()
         self.name = name
         self.query_count = 0
-
-    @classmethod
-    def from_scalar(cls, fn, dim: int, **kwargs) -> "BlackBoxObjective":
-        """Wrap a plain x -> float callable (batched by looping)."""
-
-        def batch(X):
-            return np.array([fn(np.asarray(row)) for row in X], dtype=float)
-
-        return cls(batch, dim, **kwargs)
 
     def fresh(self) -> "BlackBoxObjective":
         """Copy with the same function but a zeroed query counter."""
@@ -104,9 +95,6 @@ class BlackBoxObjective:
     def raw_value(self, x: np.ndarray) -> float:
         return float(self._batch_fn(np.asarray(x, dtype=float)[None, :])[0])
 
-    def raw_many(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self._batch_fn(np.asarray(X, dtype=float)), dtype=float)
-
 
 @dataclass
 class OracleOutput:
@@ -118,33 +106,31 @@ class OracleOutput:
     queries_used: int
 
 
-def _check_finite(values: np.ndarray, points: np.ndarray, f: BlackBoxObjective) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        k = int(bad[0])
+def _probe_values(
+    f: BlackBoxObjective, x: np.ndarray, mu: float, with_center: bool
+) -> np.ndarray:
+    """Values of f at x + mu e_k, x - mu e_k for k = 0..d-1, then at x itself
+    if `with_center`; a non-finite value raises, naming its probe point."""
+    if mu <= 0.0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    x = np.asarray(x, dtype=float)
+    d = x.shape[0]
+    points = np.tile(x, (2 * d + 1 if with_center else 2 * d, 1))
+    for k in range(d):
+        points[2 * k, k] += mu
+        points[2 * k + 1, k] -= mu
+    values = f.evaluate_many(points)
+    if not np.isfinite(values).all():
+        k = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EvaluationError(
             f"objective '{f.name}' returned {values[k]!r} at probe point {points[k].tolist()}"
         )
-
-
-def _probe_points(x: np.ndarray, mu: float, with_center: bool) -> np.ndarray:
-    d = x.shape[0]
-    count = 2 * d + 1 if with_center else 2 * d
-    P = np.tile(x, (count, 1))
-    for k in range(d):
-        P[2 * k, k] += mu
-        P[2 * k + 1, k] -= mu
-    return P
+    return values
 
 
 def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu: float) -> np.ndarray:
     """Central-difference gradient estimate; consumes exactly 2d queries."""
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    x = np.asarray(x, dtype=float)
-    points = _probe_points(x, mu, with_center=False)
-    values = f.evaluate_many(points)
-    _check_finite(values, points, f)
+    values = _probe_values(f, x, mu, with_center=False)
     return (values[0::2] - values[1::2]) / (2.0 * mu)
 
 
@@ -152,12 +138,7 @@ def estimate_hessian_diag(
     f: BlackBoxObjective, x: np.ndarray, mu: float, center: float
 ) -> np.ndarray:
     """Hessian-diagonal estimate around a known center value f(x); 2d queries."""
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    x = np.asarray(x, dtype=float)
-    points = _probe_points(x, mu, with_center=False)
-    values = f.evaluate_many(points)
-    _check_finite(values, points, f)
+    values = _probe_values(f, x, mu, with_center=False)
     return (values[0::2] - 2.0 * center + values[1::2]) / (mu * mu)
 
 
@@ -168,19 +149,13 @@ def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> OracleOutpu
     extra center evaluation completes the second difference, 2d + 1
     queries in total.
     """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    points = _probe_points(x, mu, with_center=True)
-    values = f.evaluate_many(points)
-    _check_finite(values, points, f)
-    plus = values[0 : 2 * d : 2]
-    minus = values[1 : 2 * d : 2]
+    values = _probe_values(f, x, mu, with_center=True)
+    plus = values[0:-1:2]
+    minus = values[1:-1:2]
     center = float(values[-1])
     grad = (plus - minus) / (2.0 * mu)
     hdiag = (plus - 2.0 * center + minus) / (mu * mu)
-    return OracleOutput(grad, hdiag, center, queries_used=2 * d + 1)
+    return OracleOutput(grad, hdiag, center, queries_used=values.shape[0])
 
 
 def gradient_error_bound(L2: float, mu: float, d: int) -> float:
@@ -210,9 +185,9 @@ def descent_coefficient(mu: float, m: float, L1: float, L3: float, d: int) -> fl
 
     Negative alpha certifies that rescaling the gradient estimate by the
     inverse curvature estimate still decreases the squared-gradient
-    Lyapunov function; alpha crosses zero exactly at mu_2 (see
-    :func:`admissible_mu`).  Requires mu^2 < 12 m / L3 so the curvature
-    estimate cannot be driven nonpositive by estimation error.
+    Lyapunov function; alpha crosses zero exactly at :func:`mu2`.
+    Requires mu^2 < 12 m / L3 so the curvature estimate cannot be driven
+    nonpositive by estimation error.
     """
     if L3 == 0.0:
         return -m / L1
@@ -225,6 +200,18 @@ def descent_coefficient(mu: float, m: float, L1: float, L3: float, d: int) -> fl
     )
 
 
+def mu2(m: float, L1: float, L3: float, d: int) -> float:
+    """Probe step at which the descent coefficient alpha(mu) changes sign.
+
+        mu_2 = sqrt(3 (sqrt((2 d L1 + m)^2 + 8 m^2 d) - 2 d L1 - m) / (d L3))
+
+    evaluated in the cancellation-free form 24 m^2 / (L3 (S + 2 d L1 + m))
+    for mu_2^2, with S the square root above.  Requires L3 > 0.
+    """
+    s = math.hypot(2.0 * d * L1 + m, m * math.sqrt(8.0 * d))
+    return math.sqrt(24.0 * m * m / (L3 * (s + 2.0 * d * L1 + m)))
+
+
 def admissible_mu(m: float, L1: float, L3: float, d: int) -> float:
     """Largest probe step for which the squared-gradient analysis is usable.
 
@@ -233,10 +220,10 @@ def admissible_mu(m: float, L1: float, L3: float, d: int) -> float:
     descent-direction coefficient negative:
 
         mu_1 = sqrt(6 (sqrt(L1^2 + m^2) - L1) / (d L3))
-        mu_2 = sqrt(3 (sqrt((2 d L1 + m)^2 + 8 m^2 d) - 2 d L1 - m) / (d L3))
 
-    Both are evaluated in cancellation-free form.  With L3 = 0 (quadratic
-    costs, exact estimators) there is no constraint and +inf is returned.
+    and mu_2 is :func:`mu2`.  Both are evaluated in cancellation-free
+    form.  With L3 = 0 (quadratic costs, exact estimators) there is no
+    constraint and +inf is returned.
     """
     if m <= 0.0:
         raise ValueError(f"strong convexity constant must be positive, got m={m}")
@@ -250,8 +237,4 @@ def admissible_mu(m: float, L1: float, L3: float, d: int) -> float:
         return math.inf
     # mu_1^2 = 6 (hypot(L1,m) - L1) / (d L3) = 6 m^2 / (d L3 (hypot(L1,m) + L1))
     mu1 = math.sqrt(6.0 * m * m / (d * L3 * (math.hypot(L1, m) + L1)))
-    # mu_2^2 = 3 (S - 2dL1 - m) / (d L3) with S = sqrt((2dL1+m)^2 + 8 m^2 d),
-    # rewritten as 24 m^2 / (L3 (S + 2dL1 + m)).
-    s = math.hypot(2.0 * d * L1 + m, m * math.sqrt(8.0 * d))
-    mu2 = math.sqrt(24.0 * m * m / (L3 * (s + 2.0 * d * L1 + m)))
-    return min(mu1, mu2)
+    return min(mu1, mu2(m, L1, L3, d))

@@ -73,6 +73,15 @@ def test_spectral_gap_examples():
     assert abs(spectral_gap(path3) - 2.0 / 3.0) <= 1e-9
 
 
+def test_spectral_gap_exact_on_slowly_mixing_ring():
+    # slow mixing (1 - gap is about 3e-4) is where an iterative eigenvalue
+    # search that stops early falls visibly short of the true gap
+    P = metropolis_hastings(topology_from_spec("ring", 200))
+    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(P.weights)))
+    assert abs(magnitudes[-1] - 1.0) <= 1e-12
+    assert abs(spectral_gap(P) - magnitudes[-2]) <= 1e-12
+
+
 def test_repeated_averaging_contracts_at_gap_rate():
     graph = topology_from_spec("erdos_renyi", 15, p=0.25, seed=99)
     P = metropolis_hastings(graph)

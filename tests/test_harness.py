@@ -111,12 +111,12 @@ def test_fit_rate_needs_enough_points():
 
 
 def test_identical_seeds_aggregate_to_zero_std(tmp_path):
-    cfg = tiny_config(tmp_path, seeds=[3, 3])
-    result = run_experiment(cfg, quiet=True)
-    curve = result.curves["zo_jade"]
+    cfg = tiny_config(tmp_path, seeds=[3])
+    a = run_experiment(cfg, out_dir=str(tmp_path / "a"), quiet=True).traces["zo_jade"][3]
+    b = run_experiment(cfg, out_dir=str(tmp_path / "b"), quiet=True).traces["zo_jade"][3]
+    curve = aggregate_traces("zo_jade", [a, b])
     assert np.max(curve.ef_std) == 0.0
-    t = result.traces["zo_jade"][3]
-    assert np.array_equal(curve.ef_mean, t.ef_values())
+    assert np.array_equal(curve.ef_mean, a.ef_values())
 
 
 def test_single_trace_aggregate_equals_trace(tmp_path):
@@ -252,14 +252,31 @@ def test_config_requires_core_fields():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigurationError):
-        tiny_config(None, seeds=[])
-    with pytest.raises(ConfigurationError):
-        tiny_config(None, seeds=["a"])
-    with pytest.raises(ConfigurationError):
-        tiny_config(None, budget=0)
-    with pytest.raises(ConfigurationError):
-        tiny_config(None, mu=-1.0)
+    bad_values = [
+        {"seeds": []},
+        {"seeds": ["a"]},
+        {"seeds": [1, True]},
+        {"seeds": [1, 2, 1]},
+        {"budget": 0},
+        {"budget": True},
+        {"mu": -1.0},
+        {"mu": True},
+        {"mu": math.nan},
+        {"mu": math.inf},
+        {"record_every": True},
+        {"x0_scale": math.nan},
+        {"x0_scale": "abc"},
+        {"topology": {"name": "ring", "n": True}},
+        {"instance": {"family": "separable_quadratic", "seed": 1}},
+        {"algorithms": [{"name": "zo_jade", "epsilon": "x"}]},
+        {"algorithms": [{"name": "zo_jade", "z_floor": True}]},
+        {"algorithms": [{"name": "consensus_gd", "eta": True}]},
+        {"algorithms": [{"name": "gradient_tracking", "mu": math.inf}]},
+        {"mu": -1.0, "algorithms": [{"name": "zo_jade", "mu": 0.1}]},
+    ]
+    for overrides in bad_values:
+        with pytest.raises(ConfigurationError):
+            tiny_config(None, **overrides)
     with pytest.raises(ConfigurationError, match="duplicate"):
         tiny_config(
             None,
@@ -421,6 +438,12 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(bad)]) == 2
     missing = tmp_path / "absent.json"
     assert cli_main(["run", "--config", str(missing)]) == 2
+    malformed = tiny_config(None).data
+    malformed["algorithms"] = [{"name": "zo_jade", "epsilon": "x"}]
+    bad.write_text(json.dumps(malformed), encoding="utf-8")
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    good = _write_config(tmp_path, tiny_config(tmp_path))
+    assert cli_main(["run", "--config", good, "--seeds", "1,1"]) == 2
 
 
 def test_cli_verify_reports_json_and_exit_codes(tmp_path, capsys, monkeypatch):

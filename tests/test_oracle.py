@@ -16,6 +16,7 @@ from zojade import (
     gradient_lipschitz_bound,
     hessian_error_bound,
     hessian_lipschitz_bound,
+    mu2,
     synthetic_classification,
 )
 from zojade.harness import random_dominant_quadratic
@@ -272,12 +273,10 @@ def test_admissible_mu_cross_checked_by_bisection():
     # the closed form for the descent branch must match a brute-force
     # search for the sign change of the descent coefficient
     for m, L1, L3, d in [(1.0, 1.0, 6.0, 1), (0.5, 3.0, 10.0, 4), (2.0, 7.0, 24.0, 10)]:
-        s = math.hypot(2.0 * d * L1 + m, m * math.sqrt(8.0 * d))
-        mu2_closed = math.sqrt(24.0 * m * m / (L3 * (s + 2.0 * d * L1 + m)))
         mu2_bisect = _bisect_descent_root(m, L1, L3, d)
-        assert abs(mu2_closed - mu2_bisect) <= 1e-9
+        assert abs(mu2(m, L1, L3, d) - mu2_bisect) <= 1e-9
         mu1 = math.sqrt(6.0 * m * m / (d * L3 * (math.hypot(L1, m) + L1)))
-        assert abs(admissible_mu(m, L1, L3, d) - min(mu1, mu2_closed)) <= 1e-12
+        assert abs(admissible_mu(m, L1, L3, d) - min(mu1, mu2_bisect)) <= 1e-9
 
 
 def test_admissible_mu_shrinks_with_dimension():
