@@ -160,12 +160,13 @@ def _advance(state: NetworkState, x_new: np.ndarray, **changes) -> NetworkState:
     return replace(state, x=x_new, iteration=iteration, **changes)
 
 
-def jade_step(state: NetworkState, instance: ProblemInstance, cfg: JadeConfig) -> NetworkState:
-    """One synchronous round of the curvature-tracking Jacobi update."""
+def jade_step(state: NetworkState, objectives: list, cfg: JadeConfig) -> NetworkState:
+    """One synchronous round of the curvature-tracking Jacobi update; agent i
+    queries only `objectives[i]`."""
     P = state.P.weights
     grads = np.empty(state.x.shape)
     hdiags = np.empty(state.x.shape)
-    for i, obj in enumerate(instance.objectives):
+    for i, obj in enumerate(objectives):
         out = estimate_both(obj, state.x[i], cfg.mu)
         grads[i] = out.grad_estimate
         hdiags[i] = out.hessian_diag_estimate
@@ -178,30 +179,26 @@ def jade_step(state: NetworkState, instance: ProblemInstance, cfg: JadeConfig) -
     return _advance(state, x_new, g=g_new, h=hdiags, y=y_new, z=z_new, clamp_count=clamp_count)
 
 
-def _gradient_estimates(
-    state: NetworkState, instance: ProblemInstance, cfg: BaselineConfig
-) -> np.ndarray:
+def _gradient_estimates(state: NetworkState, objectives: list, cfg: BaselineConfig) -> np.ndarray:
     grads = np.empty(state.x.shape)
-    for i, obj in enumerate(instance.objectives):
+    for i, obj in enumerate(objectives):
         grads[i] = estimate_gradient(obj, state.x[i], cfg.mu)
     return grads
 
 
 def gradient_tracking_step(
-    state: NetworkState, instance: ProblemInstance, cfg: BaselineConfig
+    state: NetworkState, objectives: list, cfg: BaselineConfig
 ) -> NetworkState:
     """Consensus + tracked-average gradient step (generic tracking baseline)."""
     P = state.P.weights
-    grads = _gradient_estimates(state, instance, cfg)
+    grads = _gradient_estimates(state, objectives, cfg)
     y_new = P @ (state.y + grads - state.g)
     return _advance(state, P @ state.x - cfg.eta * y_new, g=grads, y=y_new)
 
 
-def consensus_gd_step(
-    state: NetworkState, instance: ProblemInstance, cfg: BaselineConfig
-) -> NetworkState:
+def consensus_gd_step(state: NetworkState, objectives: list, cfg: BaselineConfig) -> NetworkState:
     """Plain consensus plus a local gradient-estimate step (naive baseline)."""
-    grads = _gradient_estimates(state, instance, cfg)
+    grads = _gradient_estimates(state, objectives, cfg)
     return _advance(state, state.P.weights @ state.x - cfg.eta * grads)
 
 
@@ -242,16 +239,16 @@ def run(
             f"consensus matrix is {P.n}x{P.n} but the instance has {instance.n} agents"
         )
     step_fn, cost_fn = ALGORITHMS[algorithm]
-    inst = instance.fresh()
-    per_step = cost_fn(inst.d)
-    x0 = draw_initial_iterates(seed, inst.n, inst.d, cfg.x0_scale)
+    objectives = instance.black_boxes()
+    per_step = cost_fn(instance.d)
+    x0 = draw_initial_iterates(seed, instance.n, instance.d, cfg.x0_scale)
     state = initial_state(x0, P)
 
     trace = RunTrace(
         algorithm=algorithm,
         seed=seed,
         label=label or algorithm,
-        ef_mode=ef_mode(inst),
+        ef_mode=ef_mode(instance),
     )
 
     def record():
@@ -260,7 +257,7 @@ def run(
             TraceRow(
                 iteration=state.iteration,
                 queries_per_agent=state.iteration * per_step,
-                e_f=loss_metric(inst, state.x),
+                e_f=loss_metric(instance, state.x),
                 consensus_error=state.consensus_error(),
                 tracking_residual_y=ry,
                 tracking_residual_z=rz,
@@ -271,7 +268,7 @@ def run(
     record()
     try:
         while (state.iteration + 1) * per_step <= cfg.budget:
-            state = step_fn(state, inst, cfg)
+            state = step_fn(state, objectives, cfg)
             if state.iteration % cfg.record_every == 0:
                 record()
     except (RunAborted, EvaluationError) as exc:

@@ -14,7 +14,7 @@ Schema (each default lives in one place, named in parentheses):
     instance    family: separable_quadratic | ridge_synthetic |
                         synthetic_classification | ridge_csv |
                         logistic_csv | quartic
-                plus family parameters, see _INSTANCE_SCHEMAS; only the
+                plus family parameters and their kinds, see _INSTANCE_SCHEMAS; only the
                 keys a config sets are passed to the family's builder, so
                 the builder signature holds the defaults (the CSV families
                 default to standardize = true and lambda / w = 0.1); the
@@ -97,22 +97,29 @@ _CONFIG_CLASS = {
     "consensus_gd": BaselineConfig,
 }
 
-_TOPOLOGY_KEYS = {"name", "n", "p", "seed"}
+# The kinds a topology or instance value can have; _KINDS checks each.
+_INT, _NUM, _BOOL, _STR = "an integer", "a finite number", "a boolean", "a string"
+_PAIR = "a list of two finite numbers"
 
-#: family -> (required keys, optional keys)
+_TOPOLOGY_KEYS = {"name": _STR, "n": _INT, "p": _NUM, "seed": _INT}
+
+#: family -> (required keys, optional keys), each mapping a key to its kind
 _INSTANCE_SCHEMAS = {
-    "separable_quadratic": ({"d", "seed"}, {"curvature_range", "b_scale"}),
+    "separable_quadratic": ({"d": _INT, "seed": _INT}, {"curvature_range": _PAIR, "b_scale": _NUM}),
     "ridge_synthetic": (
-        {"d", "per_agent", "seed"},
-        {"lambda", "noise", "scale_spread", "standardize"},
+        {"d": _INT, "per_agent": _INT, "seed": _INT},
+        {"lambda": _NUM, "noise": _NUM, "scale_spread": _NUM, "standardize": _BOOL},
     ),
     "synthetic_classification": (
-        {"d", "per_agent", "seed"},
-        {"w", "separation", "scale_spread", "standardize"},
+        {"d": _INT, "per_agent": _INT, "seed": _INT},
+        {"w": _NUM, "separation": _NUM, "scale_spread": _NUM, "standardize": _BOOL},
     ),
-    "ridge_csv": ({"path"}, {"lambda", "has_header", "standardize"}),
-    "logistic_csv": ({"path"}, {"w", "has_header", "standardize"}),
-    "quartic": (set(), {"d", "quartic", "quad", "b_mean", "b_spread", "box"}),
+    "ridge_csv": ({"path": _STR}, {"lambda": _NUM, "has_header": _BOOL, "standardize": _BOOL}),
+    "logistic_csv": ({"path": _STR}, {"w": _NUM, "has_header": _BOOL, "standardize": _BOOL}),
+    "quartic": (
+        {},
+        {"d": _INT, "quartic": _NUM, "quad": _NUM, "b_mean": _NUM, "b_spread": _NUM, "box": _NUM},
+    ),
 }
 
 _TOP_KEYS = {
@@ -138,6 +145,12 @@ def _require(mapping: dict, keys, context: str) -> None:
     missing = sorted(k for k in keys if k not in mapping)
     if missing:
         raise ConfigurationError(f"{context}: missing required keys {missing}")
+
+
+def _check_kinds(mapping: dict, kinds: dict, context: str) -> None:
+    for key, kind in kinds.items():
+        if key in mapping and not _KINDS[kind](mapping[key]):
+            raise ConfigurationError(f"{context}.{key} must be {kind}, got {mapping[key]!r}")
 
 
 @dataclass
@@ -184,22 +197,24 @@ def _validate_config(raw: dict) -> dict:
     topo = cfg["topology"]
     if not isinstance(topo, dict):
         raise ConfigurationError("topology must be an object")
-    _reject_unknown(topo, _TOPOLOGY_KEYS, "topology")
+    _reject_unknown(topo, set(_TOPOLOGY_KEYS), "topology")
     _require(topo, ["name", "n"], "topology")
-    if not _is_int(topo["n"]) or topo["n"] < 1:
+    _check_kinds(topo, _TOPOLOGY_KEYS, "topology")
+    if topo["n"] < 1:
         raise ConfigurationError(f"topology.n must be a positive integer, got {topo['n']!r}")
 
     inst = cfg["instance"]
     if not isinstance(inst, dict):
         raise ConfigurationError("instance must be an object")
     family = inst.get("family")
-    if family not in _INSTANCE_SCHEMAS:
+    if not isinstance(family, str) or family not in _INSTANCE_SCHEMAS:
         raise ConfigurationError(
             f"instance.family must be one of {sorted(_INSTANCE_SCHEMAS)}, got {family!r}"
         )
     required, optional = _INSTANCE_SCHEMAS[family]
-    _reject_unknown(inst, required | optional | {"family"}, f"instance[{family}]")
+    _reject_unknown(inst, {*required, *optional, "family"}, f"instance[{family}]")
     _require(inst, required, f"instance[{family}]")
+    _check_kinds(inst, {**required, **optional}, "instance")
     _validate_seeds(cfg["seeds"])
 
     algos = cfg["algorithms"]
@@ -210,7 +225,7 @@ def _validate_config(raw: dict) -> dict:
         if not isinstance(entry, dict):
             raise ConfigurationError("each algorithm entry must be an object")
         name = entry.get("name")
-        if name not in ALGORITHMS:
+        if not isinstance(name, str) or name not in ALGORITHMS:
             raise ConfigurationError(
                 f"algorithm name must be one of {sorted(ALGORITHMS)}, got {name!r}"
             )
@@ -227,6 +242,19 @@ def _validate_config(raw: dict) -> dict:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_KINDS = {
+    _INT: _is_int,
+    _NUM: _is_number,
+    _BOOL: lambda v: isinstance(v, bool),
+    _STR: lambda v: isinstance(v, str),
+    _PAIR: lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+}
 
 
 def _validate_seeds(seeds) -> None:
@@ -467,20 +495,15 @@ class GammaScalingReport:
 
 
 def gamma_mu_scaling_check(
-    instance: ProblemInstance,
-    mu_list: list,
-    cfg: JadeConfig,
-    P: ConsensusMatrix | None = None,
-    seed: int = 1,
-    conv_tol: float = 1e-9,
+    instance: ProblemInstance, mu_list: list, cfg: JadeConfig
 ) -> GammaScalingReport:
-    """Run the tracking algorithm to stationarity per mu and measure
-    how the converged distance to x* shrinks as mu halves.
+    """Run the tracking algorithm to stationarity per mu (complete graph,
+    seed 1) and measure how the converged distance to x* shrinks as mu halves.
 
     Preconditions: at least two mu values, consecutive values halving,
     all within the admissible range of the instance constants.  Runs
     whose final mean iterate does not zero the gradient estimate (to
-    `conv_tol`) are excluded with a diagnostic.
+    1e-9, relative to 1 + its norm) are excluded with a diagnostic.
     """
     if len(mu_list) < 2:
         raise ConfigurationError("mu scaling check needs at least two mu values")
@@ -493,22 +516,21 @@ def gamma_mu_scaling_check(
     for mu in mu_list:
         if mu > limit:
             raise ConfigurationError(f"mu={mu} exceeds admissible value {limit:.6g}")
-    if P is None:
-        P = metropolis_hastings(topology_from_spec("complete", instance.n))
+    P = metropolis_hastings(topology_from_spec("complete", instance.n))
 
     distances = []
     converged = []
     excluded = []
     gb = instance.global_black_box()
     for mu in mu_list:
-        trace = run("zo_jade", instance, P, replace(cfg, mu=mu), seed)
+        trace = run("zo_jade", instance, P, replace(cfg, mu=mu), seed=1)
         x_bar = trace.final_x.mean(axis=0)
         if trace.failed:
             excluded.append((mu, f"run failed: {trace.diagnostic}"))
             converged.append(False)
         else:
             grad_norm = float(np.linalg.norm(estimate_gradient(gb, x_bar, mu)))
-            ok = grad_norm <= conv_tol * (1.0 + float(np.linalg.norm(x_bar)))
+            ok = grad_norm <= 1e-9 * (1.0 + float(np.linalg.norm(x_bar)))
             converged.append(ok)
             if not ok:
                 excluded.append((mu, f"not stationary: ||grad est|| = {grad_norm:.3e}"))
@@ -549,13 +571,11 @@ class LyapunovReport:
 
 
 def lyapunov_bounds_check(
-    instance: ProblemInstance,
-    points,
-    mu: float,
-    seed: int = 2024,
-    radius: float = 1.0,
+    instance: ProblemInstance, points, mu: float, radius: float = 1.0
 ) -> LyapunovReport:
-    """Check the four squared-gradient-estimate bounds at sample points.
+    """Check the four squared-gradient-estimate bounds at sample points:
+    the given (k, d) points, or that many points G + radius N(0, I) drawn
+    with seed 2024 when `points` is an int.
 
     With V(x) = ||grad_est(x)||^2, G the zero of the estimate, dist =
     ||x - G|| and K = L1 + mu sqrt(d) L2 / 2, the checks are
@@ -587,8 +607,7 @@ def lyapunov_bounds_check(
     alpha = descent_coefficient(mu, m, L1, L3, d)
 
     if isinstance(points, (int, np.integer)):
-        rng = Xoshiro256(seed)
-        samples = gamma + radius * rng.normals(int(points), d)
+        samples = gamma + radius * Xoshiro256(2024).normals(int(points), d)
     else:
         samples = np.atleast_2d(np.asarray(points, dtype=float))
 
@@ -891,10 +910,10 @@ def _check_baseline_sanity(report: VerifyReport) -> None:
     # the optimum, so the trace's sum-relative ratio is only meaningful
     # pre-convergence.
     state = initial_state(draw_initial_iterates(3, 6, 3, 1.0), P)
-    inst = instance.fresh()
+    objectives = instance.black_boxes()
     worst = 0.0
     for _ in range(50):
-        state = gradient_tracking_step(state, inst, cfg)
+        state = gradient_tracking_step(state, objectives, cfg)
         gap = float(np.max(np.abs(state.y.sum(axis=0) - state.g.sum(axis=0))))
         scale = max(float(np.max(np.abs(state.g))), 1.0)
         worst = max(worst, gap / scale)

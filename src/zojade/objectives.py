@@ -4,9 +4,10 @@ Three model families are provided: full quadratics (ridge regression),
 regularized log-loss (binary classification), and separable tilted
 quartics (a minimal smooth non-quadratic whose derivative constants are
 known in closed form on a box).  Every builder returns a
-:class:`ProblemInstance` holding one query-counted objective per agent, the
-minimizer of the averaged cost computed by an independent centralized
-solver, and the smoothness constants of the averaged cost.
+:class:`ProblemInstance` holding one cost model per agent, the minimizer
+of the averaged cost computed by an independent centralized solver, and
+the smoothness constants of the averaged cost.  Runs query the agents only
+through the fresh counters of :meth:`ProblemInstance.black_boxes`.
 
 Loss conventions, fixed once and used by all oracles and tests:
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +58,6 @@ class QuadraticObjective:
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return self.A
-
-    def hessian_diag(self, x: np.ndarray) -> np.ndarray:
-        return np.diag(self.A).copy()
 
 
 class LogisticObjective:
@@ -102,14 +100,6 @@ class LogisticObjective:
         r = s * (1.0 - s)
         return (self.U.T * r) @ self.U / self.U.shape[0] + self.w * np.eye(d)
 
-    def hessian_diag(self, x: np.ndarray) -> np.ndarray:
-        if self.U.shape[0] == 0:
-            return np.full(x.shape[0], self.w)
-        z = self.U @ x
-        s = _sigmoid(z)
-        r = s * (1.0 - s)
-        return (self.U * self.U).T @ r / self.U.shape[0] + self.w
-
 
 class QuarticObjective:
     """Separable tilted quartic: sum_k (q x_k^4/4 + a x_k^2/2 + b_k x_k)."""
@@ -132,9 +122,6 @@ class QuarticObjective:
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return np.diag(3.0 * self.q * x * x + self.a)
 
-    def hessian_diag(self, x: np.ndarray) -> np.ndarray:
-        return 3.0 * self.q * x * x + self.a
-
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     out = np.empty_like(t, dtype=float)
@@ -147,9 +134,9 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProblemInstance:
-    """A shared optimization problem: n local costs plus centralized ground truth."""
+    """A shared optimization problem: one cost model per agent plus the
+    centralized ground truth (x*, f*, constants) only the experimenter sees."""
 
-    objectives: list
     models: list
     d: int
     x_star: np.ndarray
@@ -159,74 +146,39 @@ class ProblemInstance:
 
     @property
     def n(self) -> int:
-        return len(self.objectives)
+        return len(self.models)
 
-    def fresh(self) -> "ProblemInstance":
-        """Same problem with zeroed query counters (one per run)."""
-        return replace(self, objectives=[o.fresh() for o in self.objectives])
+    def black_boxes(self) -> list:
+        """One zero-count query counter per agent around its cost (one list per run)."""
+        return [
+            BlackBoxObjective(model.value_many, self.d, name=f"{self.name}[{i}]")
+            for i, model in enumerate(self.models)
+        ]
 
     # Averaged-cost diagnostics; none of these touch the query counters.
     def global_value_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        total = np.zeros(X.shape[0])
-        for model in self.models:
-            total += model.value_many(X)
-        return total / len(self.models)
+        return sum(model.value_many(X) for model in self.models) / self.n
 
     def global_value(self, x: np.ndarray) -> float:
         return float(self.global_value_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.d)
-        for model in self.models:
-            g += model.gradient(x)
-        return g / len(self.models)
+        return sum(model.gradient(x) for model in self.models) / self.n
 
     def global_hessian(self, x: np.ndarray) -> np.ndarray:
-        H = np.zeros((self.d, self.d))
-        for model in self.models:
-            H += model.hessian(x)
-        return H / len(self.models)
-
-    def global_hessian_diag(self, x: np.ndarray) -> np.ndarray:
-        h = np.zeros(self.d)
-        for model in self.models:
-            h += model.hessian_diag(x)
-        return h / len(self.models)
+        return sum(model.hessian(x) for model in self.models) / self.n
 
     def global_black_box(self) -> BlackBoxObjective:
         """Fresh query-counted wrapper around the averaged cost (diagnostics only)."""
-        return BlackBoxObjective(
-            self.global_value_many,
-            self.d,
-            analytic_gradient=self.global_gradient,
-            analytic_hessian_diag=self.global_hessian_diag,
-            constants=self.constants,
-            name=self.name + ":global",
-        )
+        return BlackBoxObjective(self.global_value_many, self.d, name=self.name + ":global")
 
 
 def _instance(
-    models: list,
-    local_constants: list,
-    d: int,
-    x_star: np.ndarray,
-    constants: SmoothnessConstants,
-    name: str,
+    models: list, d: int, x_star: np.ndarray, constants: SmoothnessConstants, name: str
 ) -> ProblemInstance:
-    """Wrap each model as a query-counted objective, set f(x*), check x*."""
-    objectives = [
-        BlackBoxObjective(
-            model.value_many,
-            d,
-            analytic_gradient=model.gradient,
-            analytic_hessian_diag=model.hessian_diag,
-            constants=k,
-            name=f"{name}[{i}]",
-        )
-        for i, (model, k) in enumerate(zip(models, local_constants))
-    ]
-    instance = ProblemInstance(objectives, models, d, x_star, 0.0, constants, name)
+    """Build the instance, set f(x*) and check that x* zeroes the gradient."""
+    instance = ProblemInstance(models, d, x_star, 0.0, constants, name)
     instance.f_star = instance.global_value(x_star)
     grad_norm = float(np.linalg.norm(instance.global_gradient(x_star)))
     if grad_norm > _GRAD_TOL:
@@ -294,12 +246,7 @@ def ridge_instance_from_shards(
     x_star = np.linalg.solve(A_bar, -b_bar)
     eigs = np.linalg.eigvalsh(A_bar)
     constants = SmoothnessConstants(m=float(eigs[0]), L1=float(eigs[-1]), L2=0.0, L3=0.0)
-
-    local_constants = []
-    for m in models:
-        e = np.linalg.eigvalsh(m.A)
-        local_constants.append(SmoothnessConstants(float(e[0]), float(e[-1]), 0.0, 0.0))
-    return _instance(models, local_constants, d, x_star, constants, name)
+    return _instance(models, d, x_star, constants, name)
 
 
 def _logistic_constants(U_list: list, weights: list, w: float, d: int) -> SmoothnessConstants:
@@ -389,15 +336,12 @@ def logistic_instance(
     weights = [0.0 if len(idx) == 0 else 1.0 / (n * len(idx)) for idx in shards]
     constants = _logistic_constants(U_list, weights, w, d)
 
-    local_constants = [
-        _logistic_constants([Ui], [1.0 / max(len(Ui), 1)], w, d) for Ui in U_list
-    ]
-    # the averaged cost's value, gradient and Hessian, before any objective exists
-    averaged = ProblemInstance([], models, d, np.zeros(d), 0.0, constants, name)
+    # the averaged cost's value, gradient and Hessian, before x* is known
+    averaged = ProblemInstance(models, d, np.zeros(d), 0.0, constants, name)
     x_star = _damped_newton(
         averaged.global_value, averaged.global_gradient, averaged.global_hessian, np.zeros(d)
     )
-    return _instance(models, local_constants, d, x_star, constants, name)
+    return _instance(models, d, x_star, constants, name)
 
 
 def synthetic_classification(
@@ -519,7 +463,7 @@ def quartic_instance(
         L2=6.0 * quartic * box,
         L3=6.0 * quartic,
     )
-    return _instance(models, [constants] * n, d, x_star, constants, name)
+    return _instance(models, d, x_star, constants, name)
 
 
 def separable_quadratic_instance(
@@ -546,11 +490,7 @@ def separable_quadratic_instance(
     constants = SmoothnessConstants(
         m=float(a_bar.min()), L1=float(a_bar.max()), L2=0.0, L3=0.0
     )
-    local_constants = [
-        SmoothnessConstants(float(np.diag(m.A).min()), float(np.diag(m.A).max()), 0.0, 0.0)
-        for m in models
-    ]
-    return _instance(models, local_constants, d, x_star, constants, name)
+    return _instance(models, d, x_star, constants, name)
 
 
 def load_csv(path: str, has_header: bool = False) -> tuple:

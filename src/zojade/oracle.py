@@ -12,8 +12,8 @@ so both can be formed from the same 2d probe values plus one center value,
 
 The closed-form error, Lipschitz and admissible-step bounds for these
 estimators live here as plain functions of the smoothness constants
-(m, L1, L2, L3); the constants themselves are supplied by whoever built
-the objective, never estimated from samples.
+(m, L1, L2, L3); the constants are the ground truth a problem instance
+declares for its averaged cost, never estimated from samples.
 """
 
 from __future__ import annotations
@@ -43,57 +43,23 @@ class SmoothnessConstants:
 
 
 class BlackBoxObjective:
-    """Query-counted scalar function owned by one agent.
+    """Query counter around one agent's batch cost function.
 
-    Evaluations go through :meth:`evaluate` (one query) or
-    :meth:`evaluate_many` (one query per row); both share the same
-    underlying vectorized implementation so a batch and a loop produce
-    bit-identical values.  `raw_value` skips the counter and is reserved
-    for diagnostics and ground-truth work, as are the optional analytic
-    derivative callbacks.
+    Every evaluation goes through :meth:`evaluate_many`, which counts one
+    query per row; the ground truth behind the function belongs to the
+    experimenter and is never reachable from here.
     """
 
-    def __init__(
-        self,
-        batch_fn,
-        dim: int,
-        *,
-        analytic_gradient=None,
-        analytic_hessian_diag=None,
-        constants: SmoothnessConstants | None = None,
-        name: str = "",
-    ):
+    def __init__(self, batch_fn, dim: int, *, name: str = ""):
         self._batch_fn = batch_fn
         self.dim = dim
-        self.analytic_gradient = analytic_gradient
-        self.analytic_hessian_diag = analytic_hessian_diag
-        self.constants = constants if constants is not None else SmoothnessConstants()
         self.name = name
         self.query_count = 0
-
-    def fresh(self) -> "BlackBoxObjective":
-        """Copy with the same function but a zeroed query counter."""
-        out = BlackBoxObjective(
-            self._batch_fn,
-            self.dim,
-            analytic_gradient=self.analytic_gradient,
-            analytic_hessian_diag=self.analytic_hessian_diag,
-            constants=self.constants,
-            name=self.name,
-        )
-        return out
-
-    def evaluate(self, x: np.ndarray) -> float:
-        self.query_count += 1
-        return float(self._batch_fn(np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         self.query_count += X.shape[0]
         return np.asarray(self._batch_fn(X), dtype=float)
-
-    def raw_value(self, x: np.ndarray) -> float:
-        return float(self._batch_fn(np.asarray(x, dtype=float)[None, :])[0])
 
 
 @dataclass

@@ -25,6 +25,7 @@ from zojade import (
     hessian_error_bound,
     lyapunov_bounds_check,
     metropolis_hastings,
+    mu2,
     quartic_instance,
     queries_to_threshold,
     ridge_synthetic,
@@ -221,12 +222,11 @@ def test_criterion_8_lyapunov_bound_battery():
     # the closed-form descent coefficient loses its sign exactly above mu_2
     c = quart.constants
     d = quart.d
-    s = math.hypot(2.0 * d * c.L1 + c.m, c.m * math.sqrt(8.0 * d))
-    mu2 = math.sqrt(24.0 * c.m * c.m / (c.L3 * (s + 2.0 * d * c.L1 + c.m)))
-    below = descent_coefficient(0.98 * mu2, c.m, c.L1, c.L3, d)
-    above = descent_coefficient(1.02 * mu2, c.m, c.L1, c.L3, d)
+    flip = mu2(c.m, c.L1, c.L3, d)
+    below = descent_coefficient(0.98 * flip, c.m, c.L1, c.L3, d)
+    above = descent_coefficient(1.02 * flip, c.m, c.L1, c.L3, d)
     assert below < 0.0 < above
-    detail = f"alphas {', '.join(f'{a:.3f}' for a in alphas)}; flip at mu2 {mu2:.4f}"
+    detail = f"alphas {', '.join(f'{a:.3f}' for a in alphas)}; flip at mu2 {flip:.4f}"
     elapsed = _report(8, "squared-gradient bound battery", t0, detail)
     assert elapsed < 180.0
 

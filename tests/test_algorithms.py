@@ -3,7 +3,6 @@ import pytest
 
 from zojade import (
     BaselineConfig,
-    BlackBoxObjective,
     ConfigurationError,
     JadeConfig,
     ProblemInstance,
@@ -24,15 +23,7 @@ from zojade import (
 
 def single_agent_quadratic(a: float, b: float) -> ProblemInstance:
     model = QuadraticObjective(np.array([[a]]), np.array([b]))
-    obj = BlackBoxObjective(
-        model.value_many,
-        1,
-        analytic_gradient=model.gradient,
-        analytic_hessian_diag=model.hessian_diag,
-        constants=SmoothnessConstants(a, a, 0.0, 0.0),
-    )
     return ProblemInstance(
-        objectives=[obj],
         models=[model],
         d=1,
         x_star=np.array([-b / a]),
@@ -42,10 +33,8 @@ def single_agent_quadratic(a: float, b: float) -> ProblemInstance:
 
 
 def replicated_instance(model, n, d):
-    obj = BlackBoxObjective(model.value_many, d, analytic_gradient=model.gradient)
     x_star = np.zeros(d)
     return ProblemInstance(
-        objectives=[obj.fresh() for _ in range(n)],
         models=[model] * n,
         d=d,
         x_star=x_star,
@@ -60,7 +49,7 @@ def test_single_agent_full_jump_lands_on_minimizer():
     P = metropolis_hastings(topology_from_spec("complete", 1))
     cfg = JadeConfig(mu=0.3, epsilon=1.0, budget=10)
     state = initial_state(np.array([[4.0]]), P)
-    state = jade_step(state, inst, cfg)
+    state = jade_step(state, inst.black_boxes(), cfg)
     assert abs(state.x[0, 0] - (-1.7 / 2.5)) <= 1e-10
 
 
@@ -73,8 +62,9 @@ def test_identical_quadratics_fixed_point_is_invariant():
     cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=10_000)
     x_fix = -b / a
     state = initial_state(np.tile(x_fix, (4, 1)), P)
+    objectives = inst.black_boxes()
     for _ in range(5):
-        state = jade_step(state, inst, cfg)
+        state = jade_step(state, objectives, cfg)
         assert np.max(np.abs(state.x - x_fix)) <= 1e-12
 
 
@@ -83,10 +73,10 @@ def test_jade_query_cost_per_step():
     P = metropolis_hastings(topology_from_spec("ring", 5))
     cfg = JadeConfig(mu=0.1, epsilon=0.2, budget=10_000)
     state = initial_state(draw_initial_iterates(3, 5, 4, 1.0), P)
-    fresh = inst.fresh()
+    objectives = inst.black_boxes()
     for t in range(1, 4):
-        state = jade_step(state, fresh, cfg)
-        assert all(o.query_count == 9 * t for o in fresh.objectives)
+        state = jade_step(state, objectives, cfg)
+        assert all(o.query_count == 9 * t for o in objectives)
 
 
 def test_gradient_tracking_one_step_quadratic():
@@ -94,7 +84,7 @@ def test_gradient_tracking_one_step_quadratic():
     P = metropolis_hastings(topology_from_spec("complete", 1))
     cfg = BaselineConfig(mu=0.2, eta=1.0 / 3.0, budget=10)
     state = initial_state(np.array([[2.0]]), P)
-    state = gradient_tracking_step(state, inst, cfg)
+    state = gradient_tracking_step(state, inst.black_boxes(), cfg)
     assert abs(state.x[0, 0]) <= 1e-12
 
 
@@ -103,8 +93,9 @@ def test_gradient_tracking_zero_step_size_keeps_single_agent_fixed():
     P = metropolis_hastings(topology_from_spec("complete", 1))
     cfg = BaselineConfig(mu=0.1, eta=0.0, budget=100)
     state = initial_state(np.array([[1.5]]), P)
+    objectives = inst.black_boxes()
     for _ in range(5):
-        state = gradient_tracking_step(state, inst, cfg)
+        state = gradient_tracking_step(state, objectives, cfg)
         assert state.x[0, 0] == 1.5
 
 
@@ -114,8 +105,9 @@ def test_gradient_tracking_preserves_mean_at_zero_step_size():
     cfg = BaselineConfig(mu=0.1, eta=0.0, budget=10_000)
     state = initial_state(draw_initial_iterates(1, 5, 2, 1.0), P)
     mean0 = state.x.mean(axis=0)
+    objectives = inst.black_boxes()
     for _ in range(20):
-        state = gradient_tracking_step(state, inst, cfg)
+        state = gradient_tracking_step(state, objectives, cfg)
     assert np.max(np.abs(state.x.mean(axis=0) - mean0)) <= 1e-12
 
 
@@ -124,9 +116,9 @@ def test_gradient_tracking_conservation_each_step():
     P = metropolis_hastings(topology_from_spec("path", 6))
     cfg = BaselineConfig(mu=0.05, eta=0.05, budget=10_000)
     state = initial_state(draw_initial_iterates(2, 6, 3, 1.0), P)
-    fresh = inst.fresh()
+    objectives = inst.black_boxes()
     for _ in range(30):
-        state = gradient_tracking_step(state, fresh, cfg)
+        state = gradient_tracking_step(state, objectives, cfg)
         gap = np.max(np.abs(state.y.sum(axis=0) - state.g.sum(axis=0)))
         assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(state.g))))
 
@@ -137,8 +129,9 @@ def test_consensus_gd_single_agent_is_plain_descent():
     cfg = BaselineConfig(mu=0.1, eta=0.1, budget=10_000)
     state = initial_state(np.array([[1.0]]), P)
     x = 1.0
+    objectives = inst.black_boxes()
     for _ in range(10):
-        state = consensus_gd_step(state, inst, cfg)
+        state = consensus_gd_step(state, objectives, cfg)
         x = x - 0.1 * (2.0 * x + 0.5)
         assert abs(state.x[0, 0] - x) <= 1e-12
 
@@ -151,8 +144,9 @@ def test_consensus_gd_pure_consensus_contracts_at_gap_rate():
     cfg = BaselineConfig(mu=0.1, eta=0.0, budget=100_000)
     state = initial_state(draw_initial_iterates(4, 8, 2, 1.0), P)
     base = state.consensus_error()
+    objectives = inst.black_boxes()
     for t in range(1, 60):
-        state = consensus_gd_step(state, inst, cfg)
+        state = consensus_gd_step(state, objectives, cfg)
         assert state.consensus_error() <= gap**t * base + 1e-9
 
 
@@ -165,8 +159,9 @@ def test_consensus_gd_identical_agents_track_centralized_descent():
     x0 = np.array([0.7, -1.1])
     state = initial_state(np.tile(x0, (5, 1)), P)
     x = x0.copy()
+    objectives = inst.black_boxes()
     for _ in range(25):
-        state = consensus_gd_step(state, inst, cfg)
+        state = consensus_gd_step(state, objectives, cfg)
         x = x - 0.1 * model.gradient(x)
         assert np.max(np.abs(state.x - x)) <= 1e-9
 
@@ -204,9 +199,9 @@ def test_trajectories_independent_of_mu_on_quadratics():
         JadeConfig(mu=1e-1, epsilon=0.3, budget=10**6),
         JadeConfig(mu=1e-4, epsilon=0.3, budget=10**6),
     ]
-    fresh = [inst.fresh(), inst.fresh()]
+    objectives = [inst.black_boxes(), inst.black_boxes()]
     for _ in range(300):
-        states = [jade_step(s, f, c) for s, f, c in zip(states, fresh, cfgs)]
+        states = [jade_step(s, f, c) for s, f, c in zip(states, objectives, cfgs)]
         assert np.max(np.abs(states[0].x - states[1].x)) <= 1e-8
 
 
@@ -250,10 +245,10 @@ def test_baseline_total_query_accounting():
     P = metropolis_hastings(topology_from_spec("ring", 4))
     cfg = BaselineConfig(mu=0.1, eta=0.05, budget=10 * 12)
     state = initial_state(draw_initial_iterates(1, 4, 5, 1.0), P)
-    fresh = inst.fresh()
+    objectives = inst.black_boxes()
     for t in range(1, 4):
-        state = gradient_tracking_step(state, fresh, cfg)
-        assert all(o.query_count == 10 * t for o in fresh.objectives)
+        state = gradient_tracking_step(state, objectives, cfg)
+        assert all(o.query_count == 10 * t for o in objectives)
 
 
 def test_clamp_counter_stays_zero_on_strongly_convex_runs():
@@ -263,18 +258,20 @@ def test_clamp_counter_stays_zero_on_strongly_convex_runs():
     assert trace.rows[-1].clamp_count == 0
 
 
-def test_divergent_run_fails_with_probe_diagnostic():
-    def explosive(X):
+class Explosive:
+    """exp(||x||^2), whose value overflows once ||x||^2 passes about 709."""
+
+    def value_many(self, X):
         with np.errstate(over="ignore"):
             return np.exp(np.sum(X * X, axis=1))
 
-    model = QuadraticObjective(np.array([[1.0]]), np.array([0.0]))
+
+def test_divergent_run_fails_with_probe_diagnostic():
     inst = ProblemInstance(
-        objectives=[BlackBoxObjective(explosive, 1)],
-        models=[model],
+        models=[Explosive()],
         d=1,
         x_star=np.zeros(1),
-        f_star=0.0,
+        f_star=1.0,
         constants=SmoothnessConstants(None, None, None, None),
     )
     P = metropolis_hastings(topology_from_spec("complete", 1))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zojade import (
-    BlackBoxObjective,
     ConfigurationError,
     ExperimentConfig,
     JadeConfig,
@@ -50,9 +49,7 @@ def tiny_config(tmp_path=None, **overrides):
 def shifted_parabola_instance():
     # f(x) = (x - 1)^2 + 1, so f* = 1 and e_f at x = 2 is exactly 1
     model = QuadraticObjective(np.array([[2.0]]), np.array([-2.0]), c=2.0)
-    obj = BlackBoxObjective(model.value_many, 1, analytic_gradient=model.gradient)
     return ProblemInstance(
-        objectives=[obj],
         models=[model],
         d=1,
         x_star=np.array([1.0]),
@@ -199,9 +196,7 @@ def test_lyapunov_isotropic_quadratic_equality_case():
     # f = (m/2)||x||^2: V = m^2 dist^2, so upper and lower coincide with V
     m = 1.7
     model = QuadraticObjective(m * np.eye(2), np.zeros(2))
-    obj = BlackBoxObjective(model.value_many, 2, analytic_gradient=model.gradient)
     inst = ProblemInstance(
-        objectives=[obj],
         models=[model],
         d=2,
         x_star=np.zeros(2),
@@ -268,6 +263,18 @@ def test_config_rejects_bad_values():
         {"x0_scale": "abc"},
         {"topology": {"name": "ring", "n": True}},
         {"instance": {"family": "separable_quadratic", "seed": 1}},
+        {"instance": {"family": "separable_quadratic", "d": "3", "seed": 1}},
+        {"instance": {"family": "separable_quadratic", "d": True, "seed": 1}},
+        {"instance": {"family": "separable_quadratic", "d": 3, "seed": "x"}},
+        {"instance": {"family": "separable_quadratic", "d": 3, "seed": 1, "b_scale": math.nan}},
+        {"instance": {"family": "separable_quadratic", "d": 3, "seed": 1, "curvature_range": 2}},
+        {"instance": {"family": "ridge_synthetic", "d": 3, "per_agent": 2.5, "seed": 1}},
+        {"instance": {"family": "ridge_synthetic", "d": 3, "per_agent": 2, "seed": 1,
+                      "standardize": "yes"}},
+        {"instance": {"family": ["separable_quadratic"], "d": 3, "seed": 1}},
+        {"topology": {"name": "erdos_renyi", "n": 4, "p": "x", "seed": 1}},
+        {"topology": {"name": ["ring"], "n": 4}},
+        {"algorithms": [{"name": ["zo_jade"]}]},
         {"algorithms": [{"name": "zo_jade", "epsilon": "x"}]},
         {"algorithms": [{"name": "zo_jade", "z_floor": True}]},
         {"algorithms": [{"name": "consensus_gd", "eta": True}]},
@@ -441,6 +448,10 @@ def test_cli_config_error_exit_code(tmp_path):
     malformed = tiny_config(None).data
     malformed["algorithms"] = [{"name": "zo_jade", "epsilon": "x"}]
     bad.write_text(json.dumps(malformed), encoding="utf-8")
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    mistyped = tiny_config(None).data
+    mistyped["instance"]["d"] = "3"
+    bad.write_text(json.dumps(mistyped), encoding="utf-8")
     assert cli_main(["run", "--config", str(bad)]) == 2
     good = _write_config(tmp_path, tiny_config(tmp_path))
     assert cli_main(["run", "--config", good, "--seeds", "1,1"]) == 2

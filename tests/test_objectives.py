@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from zojade import (
     ConfigurationError,
+    LogisticObjective,
     Xoshiro256,
     estimate_gradient,
     gradient_error_bound,
@@ -159,6 +162,15 @@ def test_round_robin_conserves_rows():
     assert len(np.unique(all_rows)) == 23
 
 
+def agent_L2(inst, i: int) -> float:
+    """Hessian Lipschitz constant of agent i's own cost: mean ||u_k||^3 / (6 sqrt 3)
+    over its rows for log-loss, the instance's L2 for the other families."""
+    model = inst.models[i]
+    if isinstance(model, LogisticObjective):
+        return float(np.mean(np.linalg.norm(model.U, axis=1) ** 3)) / (6.0 * math.sqrt(3.0))
+    return inst.constants.L2
+
+
 def test_every_family_matches_analytic_gradients_through_the_oracle():
     rng = Xoshiro256(20)
     instances = [
@@ -168,19 +180,14 @@ def test_every_family_matches_analytic_gradients_through_the_oracle():
         quartic_instance(3, box=3.0),
     ]
     for inst in instances:
-        c = inst.constants
+        objectives = inst.black_boxes()
         for _ in range(50):
             i = int(rng.uniform() * inst.n)
-            obj = inst.objectives[i].fresh()
             x = 0.8 * rng.normals(inst.d)
             mu = 0.01 + 0.02 * rng.uniform()
-            est = estimate_gradient(obj, x, mu)
-            true = obj.analytic_gradient(x)
-            bound = gradient_error_bound(
-                obj.constants.L2 if obj.constants.L2 is not None else c.L2,
-                mu,
-                inst.d,
-            )
+            est = estimate_gradient(objectives[i], x, mu)
+            true = inst.models[i].gradient(x)
+            bound = gradient_error_bound(agent_L2(inst, i), mu, inst.d)
             assert np.linalg.norm(est - true) <= bound + 1e-9 * (
                 1.0 + np.linalg.norm(true)
             )
@@ -210,14 +217,18 @@ def test_reported_constants():
 
 
 def test_fresh_objectives_reset_counters():
+    # each black_boxes() call hands out new counters that start at zero
     inst = separable_quadratic_instance(2, 2, seed=1)
-    inst.objectives[0].evaluate(np.zeros(2))
-    assert inst.objectives[0].query_count == 1
-    again = inst.fresh()
-    assert again.objectives[0].query_count == 0
-    assert again.objectives[0].raw_value(np.ones(2)) == inst.objectives[0].raw_value(
-        np.ones(2)
-    )
+    first = inst.black_boxes()
+    first[0].evaluate_many(np.zeros((1, 2)))
+    assert [o.query_count for o in first] == [1, 0]
+    again = inst.black_boxes()
+    assert [o.query_count for o in again] == [0, 0]
+    assert [o.name for o in again] == ["separable-quadratic[0]", "separable-quadratic[1]"]
+    X = np.ones((3, 2))
+    assert np.array_equal(again[0].evaluate_many(X), first[0].evaluate_many(X))
+    assert [o.query_count for o in first] == [4, 0]
+    assert [o.query_count for o in again] == [3, 0]
 
 
 def test_standardize_features():
