@@ -24,7 +24,6 @@ from zojade import (
     run_experiment,
     separable_quadratic_instance,
     solve_estimator_zero,
-    synthetic_classification,
 )
 from zojade.cli import main as cli_main
 from zojade.metrics import ef_mode
@@ -163,16 +162,6 @@ def test_gamma_scaling_on_quadratic_sits_at_float_floor():
     assert all(d <= 1e-8 for d in report.distances)
 
 
-def test_gamma_scaling_quartic_ratios_near_four():
-    inst = quartic_instance(4)
-    cfg = JadeConfig(mu=0.2, epsilon=0.5, budget=3 * 4000, record_every=100)
-    report = gamma_mu_scaling_check(inst, [0.2, 0.1, 0.05], cfg)
-    assert not report.excluded
-    assert len(report.ratios) == 2
-    for ratio in report.ratios:
-        assert 2.0 <= ratio <= 8.0
-
-
 def test_solve_estimator_zero_quartic():
     inst = quartic_instance(4)
     mu = 0.2
@@ -215,16 +204,6 @@ def test_lyapunov_trivial_at_gamma_itself():
     assert report.all_passed
 
 
-def test_lyapunov_battery_on_spec_families():
-    quad = separable_quadratic_instance(4, 3, seed=21)
-    logi = synthetic_classification(4, 12, 4, seed=22, w=0.1, separation=1.5)
-    quart = quartic_instance(4)
-    for inst, mu, radius in ((quad, 0.05, 1.0), (logi, 0.02, 0.5), (quart, 0.15, 0.4)):
-        report = lyapunov_bounds_check(inst, 30, mu, radius=radius)
-        assert report.all_passed, report.details[:2]
-        assert report.alpha < 0.0
-
-
 # --- config handling ---------------------------------------------------------------
 
 
@@ -262,6 +241,18 @@ def test_config_rejects_bad_values():
         {"x0_scale": math.nan},
         {"x0_scale": "abc"},
         {"topology": {"name": "ring", "n": True}},
+        {"topology": {"name": "ring", "n": 0}},
+        {"topology": {"name": "ring", "n": 4, "p": 0.5}},
+        {"topology": {"name": "ring", "n": 4, "seed": 3}},
+        {"topology": {"name": "mystery", "n": 4}},
+        {"topology": {"name": "erdos_renyi", "n": 4, "p": 0.5}},
+        {"topology": {"name": "erdos_renyi", "n": 4, "p": 2.0, "seed": 1}},
+        {"topology": {"name": "erdos_renyi", "n": 4, "p": 0, "seed": 1}},
+        {"topology": {"name": "erdos_renyi", "n": 4, "p": -0.5, "seed": 1}},
+        {"instance": {"family": "separable_quadratic", "d": 0, "seed": 1}},
+        {"instance": {"family": "quartic", "d": -2}},
+        {"instance": {"family": "ridge_synthetic", "d": 3, "per_agent": 0, "seed": 1}},
+        {"instance": {"family": "synthetic_classification", "d": -1, "per_agent": 2, "seed": 1}},
         {"instance": {"family": "separable_quadratic", "seed": 1}},
         {"instance": {"family": "separable_quadratic", "d": "3", "seed": 1}},
         {"instance": {"family": "separable_quadratic", "d": True, "seed": 1}},
@@ -375,12 +366,38 @@ def test_trace_csv_roundtrip(tmp_path):
 def test_verify_suite_default_battery_all_green():
     from zojade import verify_suite
 
-    report = verify_suite()
+    quickstart = os.path.join(os.path.dirname(__file__), "..", "configs", "quickstart.json")
+    report = verify_suite(ExperimentConfig.from_file(quickstart))
     failed = [c for c in report.checks if not c["passed"]]
     assert report.all_passed, failed
     parsed = json.loads(report.to_json())
     assert parsed["all_passed"] is True
-    assert len(parsed["checks"]) >= 15
+    # the two config checks, then the default battery in its fixed order
+    assert [c["name"] for c in parsed["checks"]] == [
+        "config_consensus_matrix",
+        "config_instance_x_star",
+        "consensus_matrix_invariants",
+        "matrix_checker_negative_control",
+        "averaging_contraction",
+        "oracle_query_accounting",
+        "sharding_conservation",
+        "analytic_vs_zo_gradients",
+        "ground_truth_optimality",
+        "reported_constants",
+        "quadratic_exactness",
+        "error_bound_tightness",
+        "tracking_conservation",
+        "separable_fixed_point",
+        "mu_independence_quadratic",
+        "baseline_runs",
+        "baseline_tracking_conservation",
+        "division_clamp_neutral",
+        "exponential_convergence",
+        "gamma_mu_scaling",
+        "lyapunov_bound_battery",
+        "descent_coefficient_sign_flip",
+        "byte_for_byte_determinism",
+    ]
 
 
 def test_all_algorithms_share_initial_iterates_per_seed(tmp_path):
@@ -453,6 +470,9 @@ def test_cli_config_error_exit_code(tmp_path):
     mistyped["instance"]["d"] = "3"
     bad.write_text(json.dumps(mistyped), encoding="utf-8")
     assert cli_main(["run", "--config", str(bad)]) == 2
+    mistyped["instance"]["d"] = 0
+    bad.write_text(json.dumps(mistyped), encoding="utf-8")
+    assert cli_main(["run", "--config", str(bad)]) == 2
     good = _write_config(tmp_path, tiny_config(tmp_path))
     assert cli_main(["run", "--config", good, "--seeds", "1,1"]) == 2
 
@@ -476,15 +496,20 @@ def test_cli_verify_reports_json_and_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli_main(["verify"]) == 3
 
 
-def test_cli_rate_failure_exit_code(tmp_path):
+def test_cli_rate_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "trace.csv"
-    path.write_text(
+    header = (
         "# algorithm=x\niteration,queries_per_agent,e_f,consensus_error,"
         "tracking_residual_y,tracking_residual_z,clamp_count\n"
-        "0,0,1.0,0.0,0.0,0.0,0\n",
-        encoding="utf-8",
     )
+    path.write_text(header + "0,0,1.0,0.0,0.0,0.0,0\n", encoding="utf-8")
     assert cli_main(["rate", "--trace", str(path)]) == 1
+    assert cli_main(["rate", "--trace", str(tmp_path / "absent.csv")]) == 2
+    assert "absent.csv" in capsys.readouterr().err
+    for bad_row in ("1,9,abc,0.0,0.0,0.0,0", "1,9"):
+        path.write_text(header + "0,0,1.0,0.0,0.0,0.0,0\n" + bad_row + "\n", encoding="utf-8")
+        assert cli_main(["rate", "--trace", str(path)]) == 2
+        assert "line 4" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

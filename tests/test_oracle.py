@@ -19,7 +19,7 @@ from zojade import (
     mu2,
     synthetic_classification,
 )
-from zojade.harness import random_dominant_quadratic
+from zojade.harness import VerifyReport, check_quadratic_exactness, random_dominant_quadratic
 
 
 def sphere(d):
@@ -285,23 +285,9 @@ def test_admissible_mu_shrinks_with_dimension():
 
 
 def test_quadratic_exactness_battery():
-    rng = Xoshiro256(2)
-    for _ in range(100):
-        d = 1 + int(rng.uniform() * 10)
-        A, b, c = random_dominant_quadratic(rng, d)
-        obj = BlackBoxObjective(
-            lambda X, A=A, b=b, c=c: 0.5 * np.einsum("ij,ij->i", X, X @ A) + X @ b + c, d
-        )
-        x = 0.5 * rng.normals(d)
-        for mu in (1e-1, 1e-3):
-            out = estimate_both(obj, x, mu)
-            g_true = A @ x + b
-            assert np.linalg.norm(out.grad_estimate - g_true) <= 1e-9 * np.linalg.norm(
-                g_true
-            )
-            assert np.linalg.norm(
-                out.hessian_diag_estimate - np.diag(A)
-            ) <= 1e-9 * np.linalg.norm(np.diag(A))
+    report = VerifyReport()
+    check_quadratic_exactness(report, seed=2, trials=100, d_max=10, mus=(1e-1, 1e-3))
+    assert report.all_passed, report.checks
 
 
 def test_mu_must_be_positive():
