@@ -4,7 +4,8 @@ and two gradient-estimate baselines.
 All three algorithms share the consensus matrix and the finite-difference
 oracle code path, and advance synchronously: every agent's update at step
 t reads only neighbor values from step t-1.  State is stored stacked,
-one row per agent.
+one row per agent, so a round probes every agent's cost in one oracle
+call.
 
 The main update combines consensus on the iterates with tracked
 numerator/denominator statistics of a per-coordinate parabola model:
@@ -37,7 +38,7 @@ from .errors import ConfigurationError, EvaluationError, RunAborted
 from .graphs import ConsensusMatrix
 from .metrics import RunTrace, TraceRow, ef_mode, loss_metric
 from .objectives import ProblemInstance
-from .oracle import estimate_both, estimate_gradient
+from .oracle import BlackBoxObjective, estimate_both, estimate_gradient
 from .rng import Xoshiro256
 
 
@@ -160,17 +161,15 @@ def _advance(state: NetworkState, x_new: np.ndarray, **changes) -> NetworkState:
     return replace(state, x=x_new, iteration=iteration, **changes)
 
 
-def jade_step(state: NetworkState, objectives: list, cfg: JadeConfig) -> NetworkState:
+def jade_step(
+    state: NetworkState, objective: BlackBoxObjective, cfg: JadeConfig
+) -> NetworkState:
     """One synchronous round of the curvature-tracking Jacobi update; agent i
-    queries only `objectives[i]`."""
+    queries only its own cost, all agents in one call to `objective`."""
     P = state.P.weights
-    grads = np.empty(state.x.shape)
-    hdiags = np.empty(state.x.shape)
-    for i, obj in enumerate(objectives):
-        out = estimate_both(obj, state.x[i], cfg.mu)
-        grads[i] = out.grad_estimate
-        hdiags[i] = out.hessian_diag_estimate
-    g_new = hdiags * state.x - grads
+    out = estimate_both(objective, state.x, cfg.mu)
+    hdiags = out.hessian_diag_estimate
+    g_new = hdiags * state.x - out.grad_estimate
     y_new = P @ (state.y + g_new - state.g)
     z_new = P @ (state.z + hdiags - state.h)
     clamp_count = state.clamp_count + int(np.count_nonzero(z_new < cfg.z_floor))
@@ -179,26 +178,21 @@ def jade_step(state: NetworkState, objectives: list, cfg: JadeConfig) -> Network
     return _advance(state, x_new, g=g_new, h=hdiags, y=y_new, z=z_new, clamp_count=clamp_count)
 
 
-def _gradient_estimates(state: NetworkState, objectives: list, cfg: BaselineConfig) -> np.ndarray:
-    grads = np.empty(state.x.shape)
-    for i, obj in enumerate(objectives):
-        grads[i] = estimate_gradient(obj, state.x[i], cfg.mu)
-    return grads
-
-
 def gradient_tracking_step(
-    state: NetworkState, objectives: list, cfg: BaselineConfig
+    state: NetworkState, objective: BlackBoxObjective, cfg: BaselineConfig
 ) -> NetworkState:
     """Consensus + tracked-average gradient step (generic tracking baseline)."""
     P = state.P.weights
-    grads = _gradient_estimates(state, objectives, cfg)
+    grads = estimate_gradient(objective, state.x, cfg.mu)
     y_new = P @ (state.y + grads - state.g)
     return _advance(state, P @ state.x - cfg.eta * y_new, g=grads, y=y_new)
 
 
-def consensus_gd_step(state: NetworkState, objectives: list, cfg: BaselineConfig) -> NetworkState:
+def consensus_gd_step(
+    state: NetworkState, objective: BlackBoxObjective, cfg: BaselineConfig
+) -> NetworkState:
     """Plain consensus plus a local gradient-estimate step (naive baseline)."""
-    grads = _gradient_estimates(state, objectives, cfg)
+    grads = estimate_gradient(objective, state.x, cfg.mu)
     return _advance(state, state.P.weights @ state.x - cfg.eta * grads)
 
 
@@ -239,7 +233,7 @@ def run(
             f"consensus matrix is {P.n}x{P.n} but the instance has {instance.n} agents"
         )
     step_fn, cost_fn = ALGORITHMS[algorithm]
-    objectives = instance.black_boxes()
+    objective = instance.black_boxes()
     per_step = cost_fn(instance.d)
     x0 = draw_initial_iterates(seed, instance.n, instance.d, cfg.x0_scale)
     state = initial_state(x0, P)
@@ -268,7 +262,7 @@ def run(
     record()
     try:
         while (state.iteration + 1) * per_step <= cfg.budget:
-            state = step_fn(state, objectives, cfg)
+            state = step_fn(state, objective, cfg)
             if state.iteration % cfg.record_every == 0:
                 record()
     except (RunAborted, EvaluationError) as exc:

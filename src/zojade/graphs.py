@@ -199,8 +199,8 @@ def topology_from_spec(name: str, n: int, p: float | None = None, seed: int | No
     """Build a named topology deterministically.
 
     Supported names: complete, ring, path, grid, erdos_renyi.  The
-    erdos_renyi family requires `p` and `seed` and redraws until the
-    sample is connected, giving up after 1000 attempts.
+    erdos_renyi family requires `p` in (0, 1] and `seed` and redraws until
+    the sample is connected, giving up after 1000 attempts.
     """
     if n < 1:
         raise ConfigurationError(f"topology needs n >= 1, got {n}")
@@ -215,5 +215,7 @@ def topology_from_spec(name: str, n: int, p: float | None = None, seed: int | No
     if name == "erdos_renyi":
         if p is None or seed is None:
             raise ConfigurationError("erdos_renyi topology requires 'p' and 'seed'")
+        if not 0.0 < p <= 1.0:
+            raise ConfigurationError(f"erdos_renyi needs p in (0, 1], got {p}")
         return _erdos_renyi(n, p, seed)
     raise ConfigurationError(f"unknown topology '{name}'")

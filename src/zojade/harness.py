@@ -891,8 +891,8 @@ def check_fixed_point_and_mu_independence(
     report: VerifyReport, instance: ProblemInstance, P, epsilon: float, iterations: int, seed: int
 ) -> None:
     """x* is the closed-form minimum -b̄/ā (1e-12); runs at two mu end on it (1e-8)."""
-    a_bar = sum(np.diag(m.A) for m in instance.models) / instance.n
-    b_bar = sum(m.b for m in instance.models) / instance.n
+    a_bar = np.diagonal(instance.family.A, axis1=1, axis2=2).sum(axis=0) / instance.n
+    b_bar = instance.family.b.sum(axis=0) / instance.n
     closed_form = -b_bar / a_bar
     budget = (2 * instance.d + 1) * iterations
     cfg = JadeConfig(mu=1e-1, epsilon=epsilon, budget=budget, record_every=50)
@@ -919,10 +919,10 @@ def _check_baseline_sanity(report: VerifyReport) -> None:
     # the optimum, so the trace's sum-relative ratio is only meaningful
     # pre-convergence.
     state = initial_state(draw_initial_iterates(3, 6, 3, 1.0), P)
-    objectives = instance.black_boxes()
+    objective = instance.black_boxes()
     worst = 0.0
     for _ in range(50):
-        state = gradient_tracking_step(state, objectives, cfg)
+        state = gradient_tracking_step(state, objective, cfg)
         gap = float(np.max(np.abs(state.y.sum(axis=0) - state.g.sum(axis=0))))
         scale = max(float(np.max(np.abs(state.g))), 1.0)
         worst = max(worst, gap / scale)

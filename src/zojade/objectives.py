@@ -4,10 +4,19 @@ Three model families are provided: full quadratics (ridge regression),
 regularized log-loss (binary classification), and separable tilted
 quartics (a minimal smooth non-quadratic whose derivative constants are
 known in closed form on a box).  Every builder returns a
-:class:`ProblemInstance` holding one cost model per agent, the minimizer
-of the averaged cost computed by an independent centralized solver, and
-the smoothness constants of the averaged cost.  Runs query the agents only
-through the fresh counters of :meth:`ProblemInstance.black_boxes`.
+:class:`ProblemInstance` holding the agents' costs as one family object
+whose arrays are stacked along a leading agent axis, the minimizer of the
+averaged cost computed by an independent centralized solver, and the
+smoothness constants of the averaged cost.  Runs query the agents only
+through the fresh counter of :meth:`ProblemInstance.black_boxes`, which
+evaluates all agents in one call.
+
+Each family stacks its agents' parameters along a leading agent axis.
+`value_many(X, agents)` returns the values (m, k) of the m agents in the
+slice `agents`, each at its own points X:(m, k, d) or all at shared points
+X:(k, d); one evaluated row takes at most `row_elements` elements in any
+temporary.  `gradient(x, agents)` and `hessian(x, agents)` give those
+agents' derivatives at one point x, for the experimenter's ground truth.
 
 Loss conventions, fixed once and used by all oracles and tests:
 
@@ -20,12 +29,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InstanceConstructionError
-from .oracle import BlackBoxObjective, SmoothnessConstants
+from .oracle import BlackBoxObjective, SmoothnessConstants, agent_blocks
 from .rng import Xoshiro256
 
 _GRAD_TOL = 1e-10  # required accuracy of every centralized x* solve
@@ -39,88 +49,122 @@ _SIG4 = 0.125
 
 
 class QuadraticObjective:
-    """f(x) = 0.5 x^T A x + b^T x + c with symmetric positive definite A."""
+    """Agent i's cost f_i(x) = 0.5 x^T A_i x + b_i^T x + c_i with symmetric
+    positive definite A_i, stacked over the agents: A (n, d, d), b (n, d),
+    c (n,) (zero by default)."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: float = 0.0):
+    def __init__(self, A: np.ndarray, b: np.ndarray, c=None):
         A = np.asarray(A, dtype=float)
-        if np.max(np.abs(A - A.T)) > 1e-12:
+        b = np.asarray(b, dtype=float)
+        c = np.zeros(A.shape[:1]) if c is None else np.asarray(c, dtype=float)
+        if b.ndim != 2 or A.shape != b.shape + b.shape[1:] or c.shape != b.shape[:1]:
+            raise ConfigurationError(
+                f"quadratic stack needs A (n, d, d), b (n, d), c (n,), got {A.shape}, "
+                f"{b.shape}, {c.shape}"
+            )
+        AT = A.transpose(0, 2, 1)
+        if np.max(np.abs(A - AT)) > 1e-12:
             raise ConfigurationError("quadratic matrix must be symmetric within 1e-12")
-        self.A = 0.5 * (A + A.T)
-        self.b = np.asarray(b, dtype=float)
-        self.c = float(c)
+        self.A = 0.5 * (A + AT)
+        self.b = b
+        self.c = c
+        self.n = A.shape[0]
+        self.row_elements = A.shape[1]
 
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return 0.5 * np.einsum("ij,ij->i", X, X @ self.A) + X @ self.b + self.c
+    def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return (
+            0.5 * np.einsum("...ij,...ij->...i", X, X @ self.A[agents])
+            + (X @ self.b[agents, :, None])[..., 0]
+            + self.c[agents, None]
+        )
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.b
+    def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        return self.A[agents] @ x + self.b[agents]
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.A
+    def hessian(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        return self.A[agents]
 
 
 class LogisticObjective:
-    """Mean log-loss over signed augmented samples plus a ridge term.
+    """Agent i's mean log-loss over its signed augmented samples plus a ridge term.
 
-    `U` stacks the rows l_k [s_k^T 1]; an empty sample set degenerates to
-    the pure ridge (w/2) ||x||^2.
+    U (n, N, d) stacks each agent's rows l_k [s_k^T 1].  Agent i owns its
+    first `counts[i]` rows (all N by default); the rows after them are zero
+    padding, which neither enters nor counts toward its mean, so an agent
+    without samples has the pure ridge cost (w/2) ||x||^2.
     """
 
-    def __init__(self, U: np.ndarray, w: float):
+    def __init__(self, U: np.ndarray, w: float, counts=None):
         U = np.asarray(U, dtype=float)
-        if U.ndim != 2:
-            raise ConfigurationError("logistic sample matrix must be 2-d")
+        if U.ndim != 3:
+            raise ConfigurationError("logistic sample stack must be 3-d (agents, rows, d)")
         if w <= 0.0:
             raise ConfigurationError(f"ridge weight must be positive, got {w}")
+        n, rows, d = U.shape
+        counts = np.full(n, rows) if counts is None else np.asarray(counts, dtype=np.int64)
+        if counts.shape != (n,) or np.any(counts < 0) or np.any(counts > rows):
+            raise ConfigurationError(f"logistic sample counts must be {n} values in [0, {rows}]")
         self.U = U
         self.w = float(w)
+        self.counts = counts
+        self.n = n
+        self.row_elements = max(d, rows)
+        self._divisor = np.maximum(counts, 1).astype(float)[:, None]
+        padded = np.arange(rows) >= counts[:, None]
+        self._keep = (~padded).astype(float)[..., None] if padded.any() else None
 
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        ridge = 0.5 * self.w * np.einsum("ij,ij->i", X, X)
-        if self.U.shape[0] == 0:
-            return ridge
-        Z = self.U @ X.T  # (N, B)
-        return np.logaddexp(0.0, -Z).mean(axis=0) + ridge
+    def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
+        loss = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (m, N, k)
+        np.negative(loss, out=loss)
+        np.logaddexp(0.0, loss, out=loss)
+        if self._keep is not None:
+            loss *= self._keep[agents]
+        return loss.sum(axis=1) / self._divisor[agents] + ridge
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.U.shape[0] == 0:
-            return self.w * x
-        z = self.U @ x
-        s = _sigmoid(-z)  # = 1 - sigma(z)
-        return -(self.U.T @ s) / self.U.shape[0] + self.w * x
+    def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        U = self.U[agents]
+        s = _sigmoid(-(U @ x))  # = 1 - sigma(z)
+        return -(s[:, None, :] @ U)[:, 0, :] / self._divisor[agents] + self.w * x
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        d = x.shape[0]
-        if self.U.shape[0] == 0:
-            return self.w * np.eye(d)
-        z = self.U @ x
-        s = _sigmoid(z)
+    def hessian(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        U = self.U[agents]
+        s = _sigmoid(U @ x)
         r = s * (1.0 - s)
-        return (self.U.T * r) @ self.U / self.U.shape[0] + self.w * np.eye(d)
+        curvature = (U.transpose(0, 2, 1) * r[:, None, :]) @ U
+        return curvature / self._divisor[agents, :, None] + self.w * np.eye(x.shape[0])
 
 
 class QuarticObjective:
-    """Separable tilted quartic: sum_k (q x_k^4/4 + a x_k^2/2 + b_k x_k)."""
+    """Agent i's separable tilted quartic sum_k (q x_k^4/4 + a x_k^2/2 + b_ik x_k),
+    with shared q and a and the tilts stacked as b (n, d)."""
 
     def __init__(self, q: float, a: float, b: np.ndarray):
         if q < 0.0 or a <= 0.0:
             raise ConfigurationError("quartic needs q >= 0 and a > 0")
+        b = np.asarray(b, dtype=float)
+        if b.ndim != 2:
+            raise ConfigurationError(f"quartic tilts must be stacked (n, d), got {b.shape}")
         self.q = float(q)
         self.a = float(a)
-        self.b = np.asarray(b, dtype=float)
+        self.b = b
+        self.n, self.row_elements = b.shape
 
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
         X2 = X * X
-        return (0.25 * self.q * X2 * X2 + 0.5 * self.a * X2 + X * self.b).sum(axis=1)
+        return (0.25 * self.q * X2 * X2 + 0.5 * self.a * X2 + X * self.b[agents, None, :]).sum(
+            axis=-1
+        )
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.q * x**3 + self.a * x + self.b
+    def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        return self.q * x**3 + self.a * x + self.b[agents]
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return np.diag(3.0 * self.q * x * x + self.a)
+    def hessian(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        diag = np.diag(3.0 * self.q * x * x + self.a)
+        return np.broadcast_to(diag, self.b[agents].shape[:1] + diag.shape)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -134,10 +178,12 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProblemInstance:
-    """A shared optimization problem: one cost model per agent plus the
+    """A shared optimization problem: the agents' costs as one stacked family
+    (a QuadraticObjective, LogisticObjective or QuarticObjective, or any
+    object with the same `n`, `row_elements` and `value_many`) plus the
     centralized ground truth (x*, f*, constants) only the experimenter sees."""
 
-    models: list
+    family: object
     d: int
     x_star: np.ndarray
     f_star: float
@@ -146,28 +192,44 @@ class ProblemInstance:
 
     @property
     def n(self) -> int:
-        return len(self.models)
+        return self.family.n
 
-    def black_boxes(self) -> list:
-        """One zero-count query counter per agent around its cost (one list per run)."""
-        return [
-            BlackBoxObjective(model.value_many, self.d, name=f"{self.name}[{i}]")
-            for i, model in enumerate(self.models)
-        ]
+    def black_boxes(self) -> BlackBoxObjective:
+        """One zero-count query counter around all agents' costs, counting per
+        agent (a new one per run)."""
+        return BlackBoxObjective(
+            self.family.value_many,
+            self.d,
+            agents=self.n,
+            row_elements=self.family.row_elements,
+            name=self.name,
+        )
 
     # Averaged-cost diagnostics; none of these touch the query counters.
+    # Agents are evaluated in the oracle's blocks, so temporaries stay bounded.
     def global_value_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return sum(model.value_many(X) for model in self.models) / self.n
+        values = np.empty((self.n, X.shape[0]))
+        for block in agent_blocks(self.n, X.shape[0] * self.family.row_elements):
+            values[block] = self.family.value_many(X, block)
+        # a running sum adds the agents in order; values.sum(axis=0) would
+        # switch to pairwise summation for a single point and move f(x*)
+        return values.cumsum(axis=0)[-1] / self.n
 
     def global_value(self, x: np.ndarray) -> float:
         return float(self.global_value_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        return sum(model.gradient(x) for model in self.models) / self.n
+        return self._agent_sum(self.family.gradient, x) / self.n
 
     def global_hessian(self, x: np.ndarray) -> np.ndarray:
-        return sum(model.hessian(x) for model in self.models) / self.n
+        return self._agent_sum(self.family.hessian, x) / self.n
+
+    def _agent_sum(self, method, x: np.ndarray) -> np.ndarray:
+        """Sum over the agents of method(x, block), one agent block at a time."""
+        x = np.asarray(x, dtype=float)
+        blocks = agent_blocks(self.n, self.d * self.family.row_elements)
+        return sum(method(x, block).sum(axis=0) for block in blocks)
 
     def global_black_box(self) -> BlackBoxObjective:
         """Fresh query-counted wrapper around the averaged cost (diagnostics only)."""
@@ -175,10 +237,10 @@ class ProblemInstance:
 
 
 def _instance(
-    models: list, d: int, x_star: np.ndarray, constants: SmoothnessConstants, name: str
+    family, d: int, x_star: np.ndarray, constants: SmoothnessConstants, name: str
 ) -> ProblemInstance:
     """Build the instance, set f(x*) and check that x* zeroes the gradient."""
-    instance = ProblemInstance(models, d, x_star, 0.0, constants, name)
+    instance = ProblemInstance(family, d, x_star, 0.0, constants, name)
     instance.f_star = instance.global_value(x_star)
     grad_norm = float(np.linalg.norm(instance.global_gradient(x_star)))
     if grad_norm > _GRAD_TOL:
@@ -186,6 +248,13 @@ def _instance(
             f"{name}: ||grad f(x_star)|| = {grad_norm:.3e} exceeds {_GRAD_TOL}"
         )
     return instance
+
+
+def _require_sizes(**sizes) -> None:
+    """Reject an agent count, dimension or per-agent sample count below one."""
+    for key, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigurationError(f"{key} must be a positive integer, got {value!r}")
 
 
 def shard_round_robin(count: int, n: int) -> list:
@@ -216,12 +285,14 @@ def ridge_instance_from_shards(
     Each agent owns the regularized least-squares cost of its shard; the
     exact minimizer of the averaged cost comes from the normal equations.
     """
+    _require_sizes(n=n)
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float).ravel()
     if features.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ConfigurationError(
             f"feature matrix {features.shape} does not match {targets.shape[0]} targets"
         )
+    _require_sizes(d=features.shape[1])
     if features.shape[0] < n:
         raise ConfigurationError(
             f"need at least one row per agent: {features.shape[0]} rows, {n} agents"
@@ -232,34 +303,37 @@ def ridge_instance_from_shards(
         features = standardize_features(features)
     d = features.shape[1]
 
-    models = []
-    for idx in shard_round_robin(features.shape[0], n):
+    A, b, c = np.empty((n, d, d)), np.empty((n, d)), np.empty(n)
+    for i, idx in enumerate(shard_round_robin(features.shape[0], n)):
         S, t = features[idx], targets[idx]
         count = len(idx)
-        A = 2.0 * S.T @ S / count + lam * np.eye(d)
-        b = -2.0 * S.T @ t / count
-        c = float(t @ t / count)
-        models.append(QuadraticObjective(A, b, c))
+        A[i] = 2.0 * S.T @ S / count + lam * np.eye(d)
+        b[i] = -2.0 * S.T @ t / count
+        c[i] = t @ t / count
+    family = QuadraticObjective(A, b, c)
 
-    A_bar = sum(m.A for m in models) / n
-    b_bar = sum(m.b for m in models) / n
-    x_star = np.linalg.solve(A_bar, -b_bar)
+    A_bar = family.A.sum(axis=0) / n
+    x_star = np.linalg.solve(A_bar, -family.b.sum(axis=0) / n)
     eigs = np.linalg.eigvalsh(A_bar)
     constants = SmoothnessConstants(m=float(eigs[0]), L1=float(eigs[-1]), L2=0.0, L3=0.0)
-    return _instance(models, d, x_star, constants, name)
+    return _instance(family, d, x_star, constants, name)
 
 
-def _logistic_constants(U_list: list, weights: list, w: float, d: int) -> SmoothnessConstants:
+def _logistic_constants(family: LogisticObjective, d: int) -> SmoothnessConstants:
+    """Constants of the averaged log-loss, accumulated agent by agent."""
     gram = np.zeros((d, d))
     s3 = 0.0
     s4 = 0.0
-    for U, wt in zip(U_list, weights):
-        if U.shape[0] == 0:
+    for U, count in zip(family.U, family.counts):
+        if count == 0:
             continue
+        U = U[:count]
+        wt = 1.0 / (family.n * count)
         gram += wt * U.T @ U
         norms = np.linalg.norm(U, axis=1)
         s3 += wt * float(np.sum(norms**3))
         s4 += wt * float(np.sum(norms**4))
+    w = family.w
     L1 = w + _SIG2 * float(np.linalg.eigvalsh(gram)[-1]) if gram.any() else w
     return SmoothnessConstants(m=w, L1=L1, L2=_SIG3 * s3, L3=_SIG4 * s4)
 
@@ -309,6 +383,7 @@ def logistic_instance(
     one more than the sample dimension.  The minimizer of the averaged
     cost is found by damped Newton on the analytic loss.
     """
+    _require_sizes(n=n)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1 and samples.size == 0:
         samples = samples.reshape(0, 0)
@@ -327,21 +402,24 @@ def logistic_instance(
     if count and standardize:
         samples = standardize_features(samples)
 
+    # shard by shard into the zero-padded stack, so the samples are not copied twice
     d = samples.shape[1] + 1
-    U = labels[:, None] * np.hstack([samples, np.ones((count, 1))])
     shards = shard_round_robin(count, n)
-    models = [LogisticObjective(U[idx], w) for idx in shards]
-
-    U_list = [U[idx] for idx in shards]
-    weights = [0.0 if len(idx) == 0 else 1.0 / (n * len(idx)) for idx in shards]
-    constants = _logistic_constants(U_list, weights, w, d)
+    counts = np.array([len(idx) for idx in shards])
+    U = np.zeros((n, int(counts.max()), d))
+    for i, idx in enumerate(shards):
+        rows = U[i, : len(idx)]
+        np.multiply(samples[idx], labels[idx, None], out=rows[:, :-1])
+        rows[:, -1] = labels[idx]
+    family = LogisticObjective(U, w, counts)
+    constants = _logistic_constants(family, d)
 
     # the averaged cost's value, gradient and Hessian, before x* is known
-    averaged = ProblemInstance(models, d, np.zeros(d), 0.0, constants, name)
+    averaged = ProblemInstance(family, d, np.zeros(d), 0.0, constants, name)
     x_star = _damped_newton(
         averaged.global_value, averaged.global_gradient, averaged.global_hessian, np.zeros(d)
     )
-    return _instance(models, d, x_star, constants, name)
+    return _instance(family, d, x_star, constants, name)
 
 
 def synthetic_classification(
@@ -362,6 +440,7 @@ def synthetic_classification(
     `scale_spread` > 1 gives the sample coordinates geometrically decaying
     scales, like the component variances of spectrally reduced data.
     """
+    _require_sizes(d=d, per_agent=per_agent, n=n)
     if d < 2:
         raise ConfigurationError(f"synthetic classification needs d >= 2, got {d}")
     rng = Xoshiro256(seed)
@@ -400,6 +479,7 @@ def ridge_synthetic(
     `scale_spread`), mimicking the heterogeneous units of real regression
     data; with `scale_spread` = 1 the features are isotropic.
     """
+    _require_sizes(d=d, per_agent=per_agent, n=n)
     rng = Xoshiro256(seed)
     count = n * per_agent
     theta = rng.normals(d)
@@ -436,14 +516,12 @@ def quartic_instance(
     iterates stay inside the box, so callers should start runs well inside
     it.
     """
+    _require_sizes(n=n, d=d)
     if box <= 0.0:
         raise ConfigurationError(f"quartic box must be positive, got {box}")
-    models = []
-    for i in range(n):
-        zeta = 0.0 if n == 1 else 2.0 * i / (n - 1) - 1.0
-        b = np.full(d, b_mean + b_spread * zeta)
-        models.append(QuarticObjective(quartic, quad, b))
-    b_bar = sum(m.b for m in models) / n
+    zeta = np.zeros(1) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
+    family = QuarticObjective(quartic, quad, np.repeat((b_mean + b_spread * zeta)[:, None], d, 1))
+    b_bar = family.b.sum(axis=0) / n
 
     def cubic_root(bk: float) -> float:
         x = 0.0
@@ -463,7 +541,7 @@ def quartic_instance(
         L2=6.0 * quartic * box,
         L3=6.0 * quartic,
     )
-    return _instance(models, d, x_star, constants, name)
+    return _instance(family, d, x_star, constants, name)
 
 
 def separable_quadratic_instance(
@@ -475,22 +553,25 @@ def separable_quadratic_instance(
     name: str = "separable-quadratic",
 ) -> ProblemInstance:
     """Random diagonal quadratics: f_i = 0.5 x^T diag(a_i) x + b_i^T x."""
+    _require_sizes(n=n, d=d)
     lo, hi = curvature_range
     if not 0.0 < lo <= hi:
         raise ConfigurationError(f"invalid curvature range {curvature_range}")
     rng = Xoshiro256(seed)
-    models = []
-    for _ in range(n):
-        a = lo + (hi - lo) * rng.uniforms(d)
-        b = b_scale * rng.normals(d)
-        models.append(QuadraticObjective(np.diag(a), b))
-    a_bar = sum(np.diag(m.A) for m in models) / n
-    b_bar = sum(m.b for m in models) / n
+    a, b = np.empty((n, d)), np.empty((n, d))
+    for i in range(n):  # the draw order fixes the instance: curvatures, then tilts, per agent
+        a[i] = lo + (hi - lo) * rng.uniforms(d)
+        b[i] = b_scale * rng.normals(d)
+    A = np.zeros((n, d, d))
+    A[:, np.arange(d), np.arange(d)] = a
+    family = QuadraticObjective(A, b)
+    a_bar = a.sum(axis=0) / n
+    b_bar = b.sum(axis=0) / n
     x_star = -b_bar / a_bar
     constants = SmoothnessConstants(
         m=float(a_bar.min()), L1=float(a_bar.max()), L2=0.0, L3=0.0
     )
-    return _instance(models, d, x_star, constants, name)
+    return _instance(family, d, x_star, constants, name)
 
 
 def load_csv(path: str, has_header: bool = False) -> tuple:

@@ -18,6 +18,7 @@ declares for its averaged cost, never estimated from samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,70 +43,127 @@ class SmoothnessConstants:
             raise ValueError(f"smoothness constants {missing} are not available")
 
 
-class BlackBoxObjective:
-    """Query counter around one agent's batch cost function.
+#: Elements that one block of probe points, or the temporaries a cost takes
+#: to evaluate it, may hold; agents are probed and evaluated in blocks of
+#: consecutive agents under this budget (one agent at least).
+_BLOCK_ELEMENTS = 2**15
 
-    Every evaluation goes through :meth:`evaluate_many`, which counts one
-    query per row; the ground truth behind the function belongs to the
-    experimenter and is never reachable from here.
+
+def agent_blocks(n: int, elements_per_agent: int) -> list:
+    """Slices of consecutive agents 0..n-1 whose evaluation holds at most
+    _BLOCK_ELEMENTS elements, given what one agent's evaluation holds."""
+    size = max(1, _BLOCK_ELEMENTS // max(1, elements_per_agent))
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+class BlackBoxObjective:
+    """Query counter around the agents' batch cost functions.
+
+    With `agents` = n, `batch_fn(X, block)` returns the values (m, k) of the
+    m agents in the slice `block` at their own points X:(m, k, d), and one
+    evaluated row takes `row_elements` elements of temporaries.  Without
+    `agents`, `batch_fn` is a single cost that maps points (k, d) to
+    values (k,).  Every evaluation goes through :meth:`evaluate_probes`,
+    which counts one query per point in `agent_queries`; the ground truth
+    behind the function belongs to the experimenter and is never reachable
+    from here.
     """
 
-    def __init__(self, batch_fn, dim: int, *, name: str = ""):
-        self._batch_fn = batch_fn
+    def __init__(self, batch_fn, dim: int, *, agents=None, row_elements=None, name: str = ""):
+        if agents is None:
+            self._batch_fn = lambda X, block: batch_fn(X[0])[None]
+        else:
+            self._batch_fn = batch_fn
         self.dim = dim
         self.name = name
-        self.query_count = 0
+        self.agent_queries = np.zeros(1 if agents is None else agents, dtype=np.int64)
+        self._row_elements = max(dim, row_elements or 0)
 
-    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        self.query_count += X.shape[0]
-        return np.asarray(self._batch_fn(X), dtype=float)
+    @property
+    def query_count(self) -> int:
+        """Queries of all agents together."""
+        return int(self.agent_queries.sum())
+
+    def evaluate_probes(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Values of every agent i at x[i] + offsets[j], shape (n, k); for a
+        single cost, x is (d,) and the values (k,).  Probe points are built
+        and evaluated one agent block at a time."""
+        X = x.reshape(-1, x.shape[-1])
+        n, k = X.shape[0], offsets.shape[0]
+        if X.shape != (self.agent_queries.shape[0], self.dim):
+            raise ValueError(f"objective '{self.name}' takes {self.agent_queries.shape[0]} "
+                             f"point(s) of dimension {self.dim}, got shape {x.shape}")
+        values = np.empty((n, k))
+        for block in agent_blocks(n, k * self._row_elements):
+            self.agent_queries[block] += k
+            values[block] = self._batch_fn(X[block, None, :] + offsets, block)
+        return values if x.ndim == 2 else values[0]
 
 
 @dataclass
 class OracleOutput:
-    """Joint estimator result: both derivative estimates plus the center value."""
+    """Joint estimator result: both derivative estimates plus the center
+    value, with a leading agent axis when the estimate is for every agent."""
 
     grad_estimate: np.ndarray
     hessian_diag_estimate: np.ndarray
-    center_value: float
+    center_value: float | np.ndarray
     queries_used: int
+
+
+@functools.lru_cache(maxsize=128)
+def _offsets(d: int, mu: float) -> np.ndarray:
+    """Probe offsets (2d + 1, d): +mu e_k, then -mu e_k for k ascending, then
+    the center."""
+    offsets = np.zeros((2 * d + 1, d))
+    k = np.arange(d)
+    offsets[2 * k, k] = mu
+    offsets[2 * k + 1, k] = -mu
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _probe_values(
     f: BlackBoxObjective, x: np.ndarray, mu: float, with_center: bool
 ) -> np.ndarray:
     """Values of f at x + mu e_k, x - mu e_k for k = 0..d-1, then at x itself
-    if `with_center`; a non-finite value raises, naming its probe point."""
+    if `with_center`, for one point x:(d,) or one per agent x:(n, d); a
+    non-finite value raises, naming the agent, the coordinate and sign of
+    the probe, and its point."""
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    points = np.tile(x, (2 * d + 1 if with_center else 2 * d, 1))
-    for k in range(d):
-        points[2 * k, k] += mu
-        points[2 * k + 1, k] -= mu
-    values = f.evaluate_many(points)
+    d = x.shape[-1]
+    offsets = _offsets(d, mu)
+    values = f.evaluate_probes(x, offsets if with_center else offsets[:-1])
     if not np.isfinite(values).all():
-        k = int(np.flatnonzero(~np.isfinite(values))[0])
+        rows = values.reshape(-1, values.shape[-1])
+        i, j = (int(v) for v in np.argwhere(~np.isfinite(rows))[0])
+        point = x.reshape(-1, d)[i] + offsets[j]
+        probe = "center" if j == 2 * d else f"coordinate {j // 2}, {'+-'[j % 2]}mu"
+        agent = f" agent {i}" if x.ndim == 2 else ""
         raise EvaluationError(
-            f"objective '{f.name}' returned {values[k]!r} at probe point {points[k].tolist()}"
+            f"objective '{f.name}'{agent} returned {float(rows[i, j])!r} at probe point "
+            f"{point.tolist()} ({probe})"
         )
     return values
 
 
 def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu: float) -> np.ndarray:
-    """Central-difference gradient estimate; consumes exactly 2d queries."""
+    """Central-difference gradient estimate, at x:(d,) or at every agent's row
+    of x:(n, d); consumes exactly 2d queries per agent."""
     values = _probe_values(f, x, mu, with_center=False)
-    return (values[0::2] - values[1::2]) / (2.0 * mu)
+    return (values[..., 0::2] - values[..., 1::2]) / (2.0 * mu)
 
 
 def estimate_hessian_diag(
-    f: BlackBoxObjective, x: np.ndarray, mu: float, center: float
+    f: BlackBoxObjective, x: np.ndarray, mu: float, center: float | np.ndarray
 ) -> np.ndarray:
-    """Hessian-diagonal estimate around a known center value f(x); 2d queries."""
+    """Hessian-diagonal estimate around known center values f(x) (one per
+    agent for x:(n, d)); 2d queries per agent."""
     values = _probe_values(f, x, mu, with_center=False)
-    return (values[0::2] - 2.0 * center + values[1::2]) / (mu * mu)
+    center = np.asarray(center, dtype=float)[..., None]
+    return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / (mu * mu)
 
 
 def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> OracleOutput:
@@ -113,15 +171,17 @@ def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> OracleOutpu
 
     The 2d coordinate probes are reused for both estimates and a single
     extra center evaluation completes the second difference, 2d + 1
-    queries in total.
+    queries per agent in total.  For x:(n, d) every output has a leading
+    agent axis and `center_value` is one value per agent.
     """
     values = _probe_values(f, x, mu, with_center=True)
-    plus = values[0:-1:2]
-    minus = values[1:-1:2]
-    center = float(values[-1])
+    plus = values[..., 0:-1:2]
+    minus = values[..., 1:-1:2]
+    center = values[..., -1:]
     grad = (plus - minus) / (2.0 * mu)
     hdiag = (plus - 2.0 * center + minus) / (mu * mu)
-    return OracleOutput(grad, hdiag, center, queries_used=values.shape[0])
+    center_value = center[..., 0] if values.ndim == 2 else float(center[0])
+    return OracleOutput(grad, hdiag, center_value, queries_used=values.shape[-1])
 
 
 def gradient_error_bound(L2: float, mu: float, d: int) -> float:

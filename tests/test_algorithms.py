@@ -22,9 +22,9 @@ from zojade import (
 
 
 def single_agent_quadratic(a: float, b: float) -> ProblemInstance:
-    model = QuadraticObjective(np.array([[a]]), np.array([b]))
+    family = QuadraticObjective(np.array([[[a]]]), np.array([[b]]))
     return ProblemInstance(
-        models=[model],
+        family=family,
         d=1,
         x_star=np.array([-b / a]),
         f_star=-0.5 * b * b / a,
@@ -32,13 +32,14 @@ def single_agent_quadratic(a: float, b: float) -> ProblemInstance:
     )
 
 
-def replicated_instance(model, n, d):
-    x_star = np.zeros(d)
+def replicated_instance(A, b, n):
+    """n agents that share the quadratic 0.5 x^T A x + b^T x."""
+    family = QuadraticObjective(np.tile(A, (n, 1, 1)), np.tile(b, (n, 1)))
     return ProblemInstance(
-        models=[model] * n,
-        d=d,
-        x_star=x_star,
-        f_star=float(model.value_many(x_star[None])[0]),
+        family=family,
+        d=len(b),
+        x_star=np.zeros(len(b)),
+        f_star=0.0,
         constants=SmoothnessConstants(None, None, None, None),
     )
 
@@ -56,8 +57,7 @@ def test_single_agent_full_jump_lands_on_minimizer():
 def test_identical_quadratics_fixed_point_is_invariant():
     a = np.array([2.0, 0.5, 1.5])
     b = np.array([1.0, -0.4, 0.3])
-    model = QuadraticObjective(np.diag(a), b)
-    inst = replicated_instance(model, n=4, d=3)
+    inst = replicated_instance(np.diag(a), b, n=4)
     P = metropolis_hastings(topology_from_spec("ring", 4))
     cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=10_000)
     x_fix = -b / a
@@ -73,10 +73,11 @@ def test_jade_query_cost_per_step():
     P = metropolis_hastings(topology_from_spec("ring", 5))
     cfg = JadeConfig(mu=0.1, epsilon=0.2, budget=10_000)
     state = initial_state(draw_initial_iterates(3, 5, 4, 1.0), P)
-    objectives = inst.black_boxes()
+    objective = inst.black_boxes()
     for t in range(1, 4):
-        state = jade_step(state, objectives, cfg)
-        assert all(o.query_count == 9 * t for o in objectives)
+        state = jade_step(state, objective, cfg)
+        assert objective.agent_queries.tolist() == [9 * t] * 5
+        assert objective.query_count == 5 * 9 * t
 
 
 def test_gradient_tracking_one_step_quadratic():
@@ -152,8 +153,7 @@ def test_consensus_gd_pure_consensus_contracts_at_gap_rate():
 
 def test_consensus_gd_identical_agents_track_centralized_descent():
     a = np.array([1.0, 2.0])
-    model = QuadraticObjective(np.diag(a), np.array([0.3, -0.2]))
-    inst = replicated_instance(model, n=5, d=2)
+    inst = replicated_instance(np.diag(a), np.array([0.3, -0.2]), n=5)
     P = metropolis_hastings(topology_from_spec("complete", 5))
     cfg = BaselineConfig(mu=0.05, eta=0.1, budget=100_000)
     x0 = np.array([0.7, -1.1])
@@ -162,7 +162,7 @@ def test_consensus_gd_identical_agents_track_centralized_descent():
     objectives = inst.black_boxes()
     for _ in range(25):
         state = consensus_gd_step(state, objectives, cfg)
-        x = x - 0.1 * model.gradient(x)
+        x = x - 0.1 * inst.family.gradient(x)[0]
         assert np.max(np.abs(state.x - x)) <= 1e-9
 
 
@@ -245,10 +245,11 @@ def test_baseline_total_query_accounting():
     P = metropolis_hastings(topology_from_spec("ring", 4))
     cfg = BaselineConfig(mu=0.1, eta=0.05, budget=10 * 12)
     state = initial_state(draw_initial_iterates(1, 4, 5, 1.0), P)
-    objectives = inst.black_boxes()
+    objective = inst.black_boxes()
     for t in range(1, 4):
-        state = gradient_tracking_step(state, objectives, cfg)
-        assert all(o.query_count == 10 * t for o in objectives)
+        state = gradient_tracking_step(state, objective, cfg)
+        assert objective.agent_queries.tolist() == [10 * t] * 4
+        assert objective.query_count == 4 * 10 * t
 
 
 def test_clamp_counter_stays_zero_on_strongly_convex_runs():
@@ -259,16 +260,23 @@ def test_clamp_counter_stays_zero_on_strongly_convex_runs():
 
 
 class Explosive:
-    """exp(||x||^2), whose value overflows once ||x||^2 passes about 709."""
+    """Agent i's cost exp(s_i ||x||^2), which overflows once s_i ||x||^2
+    passes about 709."""
 
-    def value_many(self, X):
+    row_elements = 1
+
+    def __init__(self, scales):
+        self.scales = np.asarray(scales, dtype=float)
+        self.n = len(self.scales)
+
+    def value_many(self, X, agents=slice(None)):
         with np.errstate(over="ignore"):
-            return np.exp(np.sum(X * X, axis=1))
+            return np.exp(self.scales[agents, None] * np.sum(X * X, axis=-1))
 
 
 def test_divergent_run_fails_with_probe_diagnostic():
     inst = ProblemInstance(
-        models=[Explosive()],
+        family=Explosive([1.0]),
         d=1,
         x_star=np.zeros(1),
         f_star=1.0,
@@ -280,6 +288,24 @@ def test_divergent_run_fails_with_probe_diagnostic():
     trace = run("consensus_gd", inst, P, cfg, seed=1)
     assert trace.failed
     assert "probe point" in trace.diagnostic
+
+
+def test_divergence_diagnostic_names_the_failing_agent():
+    # agent 2's steep cost throws its iterate far out after one step, and its
+    # next probe overflows while the two flat agents stay finite
+    inst = ProblemInstance(
+        family=Explosive([0.01, 0.01, 1.0]),
+        d=1,
+        x_star=np.zeros(1),
+        f_star=1.0,
+        constants=SmoothnessConstants(None, None, None, None),
+    )
+    P = metropolis_hastings(topology_from_spec("complete", 3))
+    cfg = BaselineConfig(mu=0.1, eta=1.0, budget=10**6, x0_scale=2.0)
+    trace = run("consensus_gd", inst, P, cfg, seed=1)
+    assert trace.failed
+    assert "agent 2 returned inf at probe point" in trace.diagnostic
+    assert "(coordinate 0, +mu)" in trace.diagnostic
 
 
 def test_epsilon_validation():

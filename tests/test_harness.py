@@ -47,9 +47,9 @@ def tiny_config(tmp_path=None, **overrides):
 
 def shifted_parabola_instance():
     # f(x) = (x - 1)^2 + 1, so f* = 1 and e_f at x = 2 is exactly 1
-    model = QuadraticObjective(np.array([[2.0]]), np.array([-2.0]), c=2.0)
+    family = QuadraticObjective(np.array([[[2.0]]]), np.array([[-2.0]]), c=np.array([2.0]))
     return ProblemInstance(
-        models=[model],
+        family=family,
         d=1,
         x_star=np.array([1.0]),
         f_star=1.0,
@@ -184,9 +184,9 @@ def test_lyapunov_rejects_inadmissible_mu():
 def test_lyapunov_isotropic_quadratic_equality_case():
     # f = (m/2)||x||^2: V = m^2 dist^2, so upper and lower coincide with V
     m = 1.7
-    model = QuadraticObjective(m * np.eye(2), np.zeros(2))
+    family = QuadraticObjective(m * np.eye(2)[None], np.zeros((1, 2)))
     inst = ProblemInstance(
-        models=[model],
+        family=family,
         d=2,
         x_star=np.zeros(2),
         f_star=0.0,

@@ -118,9 +118,10 @@ def test_synthetic_classification_balanced_per_agent():
     inst = synthetic_classification(4, 10, 5, seed=2)
     # each agent's sample block carries equally many of each label; the
     # shard round-robin must hand agent i its own generated block
-    for model in inst.models:
-        assert model.U.shape[0] == 10
-        labels = model.U[:, -1]  # sign of the appended intercept column
+    assert inst.family.counts.tolist() == [10] * 5
+    assert inst.family.U.shape == (5, 10, 4)
+    for U in inst.family.U:
+        labels = U[:, -1]  # sign of the appended intercept column
         assert int(np.sum(labels > 0)) == 5
 
 
@@ -139,16 +140,47 @@ def test_quartic_instance_ground_truth():
 
 def test_quartic_tilts_average_to_mean():
     inst = quartic_instance(5, b_mean=-1.0, b_spread=0.5)
-    b_bar = sum(m.b for m in inst.models) / 5
+    b_bar = inst.family.b.sum(axis=0) / 5
     assert abs(b_bar[0] + 1.0) <= 1e-15
 
 
 def test_separable_quadratic_closed_form():
     inst = separable_quadratic_instance(6, 4, seed=10)
-    a_bar = sum(np.diag(m.A) for m in inst.models) / 6
-    b_bar = sum(m.b for m in inst.models) / 6
+    a_bar = np.diagonal(inst.family.A, axis1=1, axis2=2).sum(axis=0) / 6
+    b_bar = inst.family.b.sum(axis=0) / 6
     assert np.max(np.abs(inst.x_star + b_bar / a_bar)) <= 1e-14
     assert inst.constants.L2 == 0.0 and inst.constants.L3 == 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: separable_quadratic_instance(0, 3, seed=1),
+        lambda: separable_quadratic_instance(3, 0, seed=1),
+        lambda: quartic_instance(0),
+        lambda: quartic_instance(3, d=0),
+        lambda: ridge_synthetic(0, 5, 3, seed=1),
+        lambda: ridge_synthetic(3, 0, 3, seed=1),
+        lambda: ridge_synthetic(3, 5, 0, seed=1),
+        lambda: ridge_instance_from_shards(np.ones((4, 2)), np.ones(4), n=0, lam=0.1),
+        lambda: ridge_instance_from_shards(np.ones((4, 0)), np.ones(4), n=2, lam=0.1),
+        lambda: synthetic_classification(0, 5, 3, seed=1),
+        lambda: synthetic_classification(3, 0, 3, seed=1),
+        lambda: synthetic_classification(3, 5, 0, seed=1),
+        lambda: logistic_instance(np.ones((4, 2)), np.ones(4), n=0, w=0.1),
+    ],
+    ids=[
+        "separable_n0", "separable_d0", "quartic_n0", "quartic_d0",
+        "ridge_synthetic_d0", "ridge_synthetic_per_agent0", "ridge_synthetic_n0",
+        "ridge_shards_n0", "ridge_shards_d0",
+        "classification_d0", "classification_per_agent0", "classification_n0",
+        "logistic_n0",
+    ],
+)
+def test_builders_reject_sizes_below_one(build):
+    # each used to fail inside numpy (zero-size reduction) or divide by zero
+    with pytest.raises(ConfigurationError, match="must be a positive integer"):
+        build()
 
 
 # --- sharding, metrics consistency, constants ----------------------------------
@@ -165,9 +197,10 @@ def test_round_robin_conserves_rows():
 def agent_L2(inst, i: int) -> float:
     """Hessian Lipschitz constant of agent i's own cost: mean ||u_k||^3 / (6 sqrt 3)
     over its rows for log-loss, the instance's L2 for the other families."""
-    model = inst.models[i]
-    if isinstance(model, LogisticObjective):
-        return float(np.mean(np.linalg.norm(model.U, axis=1) ** 3)) / (6.0 * math.sqrt(3.0))
+    family = inst.family
+    if isinstance(family, LogisticObjective):
+        U = family.U[i, : family.counts[i]]
+        return float(np.mean(np.linalg.norm(U, axis=1) ** 3)) / (6.0 * math.sqrt(3.0))
     return inst.constants.L2
 
 
@@ -180,17 +213,19 @@ def test_every_family_matches_analytic_gradients_through_the_oracle():
         quartic_instance(3, box=3.0),
     ]
     for inst in instances:
-        objectives = inst.black_boxes()
-        for _ in range(50):
-            i = int(rng.uniform() * inst.n)
+        objective = inst.black_boxes()
+        for t in range(1, 51):
             x = 0.8 * rng.normals(inst.d)
             mu = 0.01 + 0.02 * rng.uniform()
-            est = estimate_gradient(objectives[i], x, mu)
-            true = inst.models[i].gradient(x)
-            bound = gradient_error_bound(agent_L2(inst, i), mu, inst.d)
-            assert np.linalg.norm(est - true) <= bound + 1e-9 * (
-                1.0 + np.linalg.norm(true)
-            )
+            # every agent probes the same point, so agent i's row is its own estimate
+            est = estimate_gradient(objective, np.tile(x, (inst.n, 1)), mu)
+            true = inst.family.gradient(x)
+            for i in range(inst.n):
+                bound = gradient_error_bound(agent_L2(inst, i), mu, inst.d)
+                assert np.linalg.norm(est[i] - true[i]) <= bound + 1e-9 * (
+                    1.0 + np.linalg.norm(true[i])
+                )
+            assert objective.agent_queries.tolist() == [2 * inst.d * t] * inst.n
 
 
 def test_f_star_beats_random_perturbations():
@@ -220,15 +255,17 @@ def test_fresh_objectives_reset_counters():
     # each black_boxes() call hands out new counters that start at zero
     inst = separable_quadratic_instance(2, 2, seed=1)
     first = inst.black_boxes()
-    first[0].evaluate_many(np.zeros((1, 2)))
-    assert [o.query_count for o in first] == [1, 0]
+    estimate_gradient(first, np.zeros((2, 2)), 0.1)
+    assert first.agent_queries.tolist() == [4, 4]
     again = inst.black_boxes()
-    assert [o.query_count for o in again] == [0, 0]
-    assert [o.name for o in again] == ["separable-quadratic[0]", "separable-quadratic[1]"]
-    X = np.ones((3, 2))
-    assert np.array_equal(again[0].evaluate_many(X), first[0].evaluate_many(X))
-    assert [o.query_count for o in first] == [4, 0]
-    assert [o.query_count for o in again] == [3, 0]
+    assert again.agent_queries.tolist() == [0, 0]
+    assert again.query_count == 0
+    assert again.name == "separable-quadratic"
+    x = np.ones((2, 2))
+    assert np.array_equal(estimate_gradient(again, x, 0.1), estimate_gradient(first, x, 0.1))
+    assert first.agent_queries.tolist() == [8, 8]
+    assert again.agent_queries.tolist() == [4, 4]
+    assert (first.query_count, again.query_count) == (16, 8)
 
 
 def test_standardize_features():
