@@ -90,7 +90,6 @@ from .oracle import (
     gradient_error_bound,
     gradient_lipschitz_bound,
     hessian_error_bound,
-    hessian_lipschitz_bound,
     mu2,
 )
 from .rng import Xoshiro256, splitmix64_stream

@@ -20,53 +20,41 @@ from .rng import Xoshiro256
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected connected graph on nodes 0..n-1, edges stored as (i, j) with i < j."""
+    """Undirected connected graph on nodes 0..n-1, edges stored as (i, j) with i < j.
+
+    `adjacency` is the boolean n x n array of the same edge set; every
+    consumer of the graph reads it.
+    """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigurationError(f"graph needs at least one node, got n={self.n}")
-        normalized = set()
-        for e in self.edges:
-            i, j = e
-            if i == j:
-                raise ConfigurationError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ConfigurationError(f"edge {e} out of range for n={self.n}")
-            normalized.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(normalized))
-        if not self._connected():
+        pairs = np.array(list(self.edges), dtype=int).reshape(-1, 2)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ConfigurationError(f"self-loop at node {pairs[loops][0, 0]}")
+        outside = ((pairs < 0) | (pairs >= self.n)).any(axis=1)
+        if outside.any():
+            edge = tuple(pairs[outside][0].tolist())
+            raise ConfigurationError(f"edge {edge} out of range for n={self.n}")
+        A = np.zeros((self.n, self.n), dtype=bool)
+        A[pairs[:, 0], pairs[:, 1]] = A[pairs[:, 1], pairs[:, 0]] = True
+        rows, cols = np.nonzero(np.triu(A))
+        object.__setattr__(self, "edges", frozenset(zip(rows.tolist(), cols.tolist())))
+        object.__setattr__(self, "adjacency", A)
+        # reachability sweep from node 0, one frontier of neighbours at a time
+        reached = np.zeros(self.n, dtype=bool)
+        reached[0] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = A[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        if not reached.all():
             raise ConfigurationError("graph is not connected")
-
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency_lists()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
-
-    def adjacency_lists(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for i, j in sorted(self.edges):
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
 
 
 @dataclass(frozen=True)
@@ -98,19 +86,14 @@ class ConsensusMatrix:
         if np.min(W) < 0.0:
             problems.append(f"negative entry {np.min(W):.3e}")
         if graph is not None:
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    on_edge = (i, j) in graph.edges
-                    if W[i, j] > 0.0 and not on_edge:
-                        problems.append(f"positive weight on non-edge ({i},{j})")
-                    if on_edge and W[i, j] <= 0.0:
-                        problems.append(f"nonpositive weight on edge ({i},{j})")
+            A = graph.adjacency
+            if A.shape != W.shape:
+                return problems + [f"graph has n={graph.n}, weights have n={self.n}"]
+            wrong = np.triu(((W > 0.0) & ~A) | (A & (W <= 0.0)), 1)
+            for i, j in np.argwhere(wrong):
+                kind = "nonpositive weight on edge" if A[i, j] else "positive weight on non-edge"
+                problems.append(f"{kind} ({i},{j})")
         return problems
-
-    def validate(self, graph: Graph | None = None) -> None:
-        problems = self.check(graph)
-        if problems:
-            raise ConfigurationError("invalid consensus matrix: " + "; ".join(problems))
 
 
 def metropolis_hastings(graph: Graph) -> ConsensusMatrix:
@@ -121,17 +104,14 @@ def metropolis_hastings(graph: Graph) -> ConsensusMatrix:
     row's off-diagonal entries``, which pins the row sums (and by symmetry
     the column sums) to one without a separate correction step.
     """
-    n = graph.n
-    deg = graph.degrees()
-    W = np.zeros((n, n))
-    for i, j in sorted(graph.edges):
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = w
-        W[j, i] = w
-    for i in range(n):
-        W[i, i] = 1.0 - (W[i, :].sum() - W[i, i])
-    matrix = ConsensusMatrix(n=n, weights=W)
-    matrix.validate(graph)
+    A = graph.adjacency
+    deg = A.sum(axis=1)
+    W = np.where(A, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    matrix = ConsensusMatrix(n=graph.n, weights=W)
+    problems = matrix.check(graph)
+    if problems:
+        raise ConfigurationError("invalid consensus matrix: " + "; ".join(problems))
     return matrix
 
 
@@ -178,15 +158,13 @@ def _grid_edges(n: int) -> set:
 
 
 def _erdos_renyi(n: int, p: float, seed: int, max_retries: int = 1000) -> Graph:
+    # one uniform per pair i < j, drawn in row-major order
     rng = Xoshiro256(seed)
+    rows, cols = np.triu_indices(n, 1)
     for _ in range(max_retries):
-        edges = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.uniform() < p:
-                    edges.add((i, j))
+        keep = rng.uniforms(len(rows)) < p
         try:
-            return Graph(n=n, edges=frozenset(edges))
+            return Graph(n=n, edges=frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
         except ConfigurationError:
             continue
     raise ConfigurationError(

@@ -24,10 +24,11 @@ Schema (each default lives in one place, named in parentheses):
     seeds       list of distinct integers
     record_every  trace stride (JadeConfig / BaselineConfig)
     x0_scale    scale of the seeded initial iterates (JadeConfig / BaselineConfig)
-    out_dir     output directory ("results")
+    out_dir     output directory, a non-empty path string ("results")
     algorithms  list of {name, label?, mu?, and the algorithm's own
                 parameters: epsilon?, z_floor? (JadeConfig) or eta?
-                (BaselineConfig)}
+                (BaselineConfig)}; a label (default: the name) is unique
+                and one file-name component
 
 Outputs: one `<label>_seed<seed>.csv` trace per run and one
 `<label>_aggregate.csv` per algorithm entry with columns
@@ -212,6 +213,9 @@ def _validate_config(raw: dict) -> dict:
     for key, default in DEFAULTS.items():
         cfg.setdefault(key, default)
 
+    out_dir = cfg["out_dir"]
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
+        raise ConfigurationError(f"out_dir must be a non-empty path string, got {out_dir!r}")
     _check_schema(cfg["topology"], "name", _TOPOLOGY_SCHEMAS, "topology")
     _check_schema(cfg["instance"], "family", _INSTANCE_SCHEMAS, "instance")
     _validate_seeds(cfg["seeds"])
@@ -232,10 +236,14 @@ def _validate_config(raw: dict) -> dict:
         _reject_unknown(entry, {"name", "label", "mu"} | set(defaults), f"algorithms[{name}]")
         for key, default in defaults.items():
             entry.setdefault(key, default)
-        entry.setdefault("label", name)
-        if entry["label"] in labels:
-            raise ConfigurationError(f"duplicate algorithm label '{entry['label']}'")
-        labels.add(entry["label"])
+        label = entry.setdefault("label", name)
+        # a label names output files, so it is one file-name component
+        bad_label = not isinstance(label, str) or any(c in label for c in "/\\\0")
+        if bad_label or label in ("", ".", ".."):
+            raise ConfigurationError(f"label must be one file-name component, got {label!r}")
+        if label in labels:
+            raise ConfigurationError(f"duplicate algorithm label '{label}'")
+        labels.add(label)
     return cfg
 
 
@@ -328,41 +336,29 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_trace_csv(path: str, trace: RunTrace) -> None:
-    lines = [
-        f"# algorithm={trace.algorithm} label={trace.label} seed={trace.seed} "
-        f"config_hash={trace.config_hash} ef_mode={trace.ef_mode} "
-        f"failed={trace.failed} diagnostic={trace.diagnostic!r}"
-    ]
-    lines.append(",".join(TRACE_COLUMNS))
-    for r in trace.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.iteration),
-                    str(r.queries_per_agent),
-                    _fmt(r.e_f),
-                    _fmt(r.consensus_error),
-                    _fmt(r.tracking_residual_y),
-                    _fmt(r.tracking_residual_z),
-                    str(r.clamp_count),
-                )
-            )
-        )
+def _write_csv(path: str, meta: str, columns, rows) -> None:
+    """One `# meta` comment line, the column header, then one line per row."""
+    lines = [f"# {meta}", ",".join(columns)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_trace_csv(path: str, trace: RunTrace) -> None:
+    meta = (
+        f"algorithm={trace.algorithm} label={trace.label} seed={trace.seed} "
+        f"config_hash={trace.config_hash} ef_mode={trace.ef_mode} "
+        f"failed={trace.failed} diagnostic={trace.diagnostic!r}"
+    )
+    rows = ([getattr(r, c) for c in TRACE_COLUMNS] for r in trace.rows)
+    _write_csv(path, meta, TRACE_COLUMNS, rows)
 
 
 def write_aggregate_csv(path: str, curve: AggregateCurve) -> None:
-    lines = [
-        f"# label={curve.label} config_hash={curve.config_hash} "
-        f"seeds={'|'.join(str(s) for s in curve.seeds)}"
-    ]
-    lines.append("queries,ef_mean,ef_std")
-    for q, mean, std in zip(curve.queries, curve.ef_mean, curve.ef_std):
-        lines.append(f"{int(q)},{_fmt(mean)},{_fmt(std)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    seeds = "|".join(str(s) for s in curve.seeds)
+    meta = f"label={curve.label} config_hash={curve.config_hash} seeds={seeds}"
+    rows = zip(curve.queries.astype(int), curve.ef_mean, curve.ef_std)
+    _write_csv(path, meta, ("queries", "ef_mean", "ef_std"), rows)
 
 
 def read_trace_csv(path: str) -> tuple:
@@ -375,7 +371,7 @@ def read_trace_csv(path: str) -> tuple:
         raise ConfigurationError(f"cannot read trace {path}: {exc}") from exc
     rows = [(k, line.strip()) for k, line in enumerate(lines, 1)]
     rows = [(k, r) for k, r in rows if r and not r.startswith("#")]
-    if not rows or rows[0][1].split(",")[:3] != ["iteration", "queries_per_agent", "e_f"]:
+    if not rows or tuple(rows[0][1].split(",")) != TRACE_COLUMNS:
         raise ConfigurationError(f"{path}: not a trace CSV")
     for k, row in rows[1:]:
         parts = row.split(",")
@@ -420,9 +416,12 @@ def run_experiment(
     out = out_dir if out_dir is not None else cfg.out_dir
     seed_list = cfg.seeds if seeds is None else list(seeds)
     _validate_seeds(seed_list)
-    os.makedirs(out, exist_ok=True)
     _, P = build_topology(cfg)
     instance = build_instance(cfg)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in an --out override
+        raise ConfigurationError(f"cannot create output directory {out!r}: {exc}") from exc
 
     traces: dict = {}
     curves: dict = {}
@@ -561,21 +560,11 @@ class LyapunovReport:
     gamma: np.ndarray
     alpha: float
     points: int
-    upper_failures: int
-    lower_failures: int
-    dv_norm_failures: int
-    descent_failures: int
-    details: list = field(default_factory=list)
+    details: list = field(default_factory=list)  # one line per failed bound at a point
 
     @property
     def all_passed(self) -> bool:
-        return (
-            self.upper_failures
-            + self.lower_failures
-            + self.dv_norm_failures
-            + self.descent_failures
-            == 0
-        )
+        return not self.details
 
 
 def lyapunov_bounds_check(
@@ -633,16 +622,7 @@ def lyapunov_bounds_check(
             out[k] = (V(x + e) - V(x - e)) / (2.0 * h)
         return out
 
-    report = LyapunovReport(
-        mu=mu,
-        gamma=gamma,
-        alpha=alpha,
-        points=len(samples),
-        upper_failures=0,
-        lower_failures=0,
-        dv_norm_failures=0,
-        descent_failures=0,
-    )
+    report = LyapunovReport(mu=mu, gamma=gamma, alpha=alpha, points=len(samples))
     mu_in = mu / 100.0
     for x in samples:
         both = estimate_both(gb, x, mu)
@@ -654,10 +634,8 @@ def lyapunov_bounds_check(
 
         slack = 1e-9 * (1.0 + v + K * K * dist2)
         if v > K * K * dist2 + slack:
-            report.upper_failures += 1
             report.details.append(f"upper bound failed at {x.tolist()}")
         if v < lower_coef * dist2 - slack:
-            report.lower_failures += 1
             report.details.append(f"lower bound failed at {x.tolist()}")
 
         coarse = fd_grad_of_V(x, mu_in)
@@ -668,18 +646,15 @@ def lyapunov_bounds_check(
         dv = fine
         dv_norm = float(np.linalg.norm(dv))
         if dv_norm > dv_coef * dist + fd_error + 1e-9 * (1.0 + dv_coef * dist):
-            report.dv_norm_failures += 1
             report.details.append(f"derivative-norm bound failed at {x.tolist()}")
 
         if np.any(hdiag <= 0.0):
-            report.descent_failures += 1
             report.details.append(f"curvature estimate not positive at {x.tolist()}")
             continue
         phi = -grad / hdiag
         q = float(dv @ phi)
         q_slack = fd_error * float(np.linalg.norm(phi)) + 1e-9 * (1.0 + abs(alpha) * v)
         if q > alpha * v + q_slack:
-            report.descent_failures += 1
             report.details.append(f"descent bound failed at {x.tolist()}")
     return report
 

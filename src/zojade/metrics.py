@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,15 +44,7 @@ class TraceRow:
     clamp_count: int
 
 
-TRACE_COLUMNS = (
-    "iteration",
-    "queries_per_agent",
-    "e_f",
-    "consensus_error",
-    "tracking_residual_y",
-    "tracking_residual_z",
-    "clamp_count",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass

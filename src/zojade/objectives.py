@@ -447,18 +447,13 @@ def synthetic_classification(
     dim = d - 1
     scales = _column_scales(dim, scale_spread)
     center = separation / 2.0 * np.full(dim, 1.0 / math.sqrt(dim)) * scales
-    per_label = (per_agent + 1) // 2
-    samples_by_agent = np.empty((n, per_agent, dim))
-    labels_by_agent = np.empty((n, per_agent))
-    for i in range(n):
-        for j in range(per_agent):
-            label = 1.0 if j < per_label else -1.0
-            samples_by_agent[i, j] = label * center + rng.normals(dim) * scales
-            labels_by_agent[i, j] = label
+    # the first half of each agent's rows (rounded up) carries label +1
+    label = np.where(np.arange(per_agent) < (per_agent + 1) // 2, 1.0, -1.0)
+    samples_by_agent = label[:, None] * center + rng.normals(n, per_agent, dim) * scales
     # Interleave so that round-robin sharding hands agent i exactly its
     # own generated block: flat row j*n + i belongs to agent i.
     samples = samples_by_agent.transpose(1, 0, 2).reshape(n * per_agent, dim)
-    labels = labels_by_agent.T.reshape(n * per_agent)
+    labels = np.repeat(label, n)
     return logistic_instance(samples, labels, n, w, standardize=standardize, name=name)
 
 

@@ -199,11 +199,6 @@ def gradient_lipschitz_bound(L1: float, L2: float, mu: float, d: int) -> float:
     return L1 + mu * math.sqrt(d) * L2 / 2.0
 
 
-def hessian_lipschitz_bound(L2: float, L3: float, mu: float, d: int) -> float:
-    """Lipschitz constant of x -> Hessian-diagonal estimate: L2 sqrt(d) + mu sqrt(d) L3 / 3."""
-    return L2 * math.sqrt(d) + mu * math.sqrt(d) * L3 / 3.0
-
-
 def descent_coefficient(mu: float, m: float, L1: float, L3: float, d: int) -> float:
     """Coefficient multiplying V(x) in the Jacobi descent-direction bound.
 

@@ -73,15 +73,19 @@ class Xoshiro256:
 
     def normals(self, *shape: int) -> np.ndarray:
         """Array of standard normals with the given shape, row-major order."""
-        n = 1
-        for s in shape:
-            n *= s
-        flat = np.array([self.normal() for _ in range(n)], dtype=float)
-        return flat.reshape(shape)
+        return _fill(self.normal, shape)
 
     def uniforms(self, *shape: int) -> np.ndarray:
-        n = 1
-        for s in shape:
-            n *= s
-        flat = np.array([self.uniform() for _ in range(n)], dtype=float)
-        return flat.reshape(shape)
+        """Array of doubles in [0, 1) with the given shape, row-major order."""
+        return _fill(self.uniform, shape)
+
+
+#: draws converted per block, so that a large array never exists as a list of floats
+_BLOCK = 4096
+
+
+def _fill(draw, shape: tuple) -> np.ndarray:
+    flat = np.empty(math.prod(shape))
+    for start in range(0, flat.size, _BLOCK):
+        flat[start : start + _BLOCK] = [draw() for _ in range(min(_BLOCK, flat.size - start))]
+    return flat.reshape(shape)

@@ -9,19 +9,21 @@ with its measured margin and runtime.
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from zojade import (
     BaselineConfig,
+    ExperimentConfig,
     JadeConfig,
     harness,
     metropolis_hastings,
     queries_to_threshold,
-    ridge_synthetic,
     run,
     separable_quadratic_instance,
-    synthetic_classification,
     topology_from_spec,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _report(num, name, t0, detail=""):
@@ -83,13 +85,15 @@ def test_criterion_6_gamma_mu_scaling():
         harness.check_gamma_scaling(report)
 
 
-def _grid_best_queries(algorithm, instance, P, mu, budget, seeds, threshold):
+def _grid_best_queries(algorithm, instance, P, jade_cfg, seeds, threshold):
     """Mean queries-to-threshold at the best step size from the coarse grid."""
     grid = [m / instance.constants.L1 for m in (1.0, 0.3, 0.1, 0.03, 0.01)]
     best = math.inf
     best_eta = None
     for eta in grid:
-        cfg = BaselineConfig(mu=mu, eta=eta, budget=budget, record_every=10)
+        cfg = BaselineConfig(
+            mu=jade_cfg.mu, eta=eta, budget=jade_cfg.budget, record_every=jade_cfg.record_every
+        )
         totals = []
         for seed in seeds:
             trace = run(algorithm, instance, P, cfg, seed)
@@ -102,34 +106,27 @@ def _grid_best_queries(algorithm, instance, P, mu, budget, seeds, threshold):
 
 
 def test_criterion_7_query_efficiency_ordering():
+    # each suite is a shipped config: its graph, instance, budget, seeds and
+    # zo_jade entry; the baselines get a step-size grid in place of their entries
     t0 = time.time()
-    P = metropolis_hastings(topology_from_spec("erdos_renyi", 20, p=0.3, seed=7))
-    seeds = [1, 2, 3, 4, 5]
-    suites = [
-        ("ridge", ridge_synthetic(10, 25, 20, seed=3, lam=0.1), 1e-6, 12_000),
-        (
-            "logistic",
-            synthetic_classification(
-                10, 25, 20, seed=5, w=0.1, separation=2.0, scale_spread=8.0
-            ),
-            1e-4,
-            8_000,
-        ),
-    ]
     details = []
-    for name, instance, threshold, budget in suites:
-        jade_cfg = JadeConfig(mu=1e-3, epsilon=0.2, budget=budget, record_every=10)
+    for name, threshold in (("quickstart", 1e-6), ("logistic", 1e-4)):
+        cfg = ExperimentConfig.from_file(str(CONFIGS / f"{name}.json"))
+        _, P = harness.build_topology(cfg)
+        instance = harness.build_instance(cfg)
+        entry = next(e for e in cfg.data["algorithms"] if e["name"] == "zo_jade")
+        jade_cfg = harness.algorithm_config(cfg, entry)
         jade_queries = []
-        for seed in seeds:
+        for seed in cfg.seeds:
             trace = run("zo_jade", instance, P, jade_cfg, seed)
             jade_queries.append(queries_to_threshold(trace, threshold))
         jade_mean = sum(jade_queries) / len(jade_queries)
         assert jade_mean < math.inf, f"{name}: tracking run missed the target"
         gt_best, gt_eta = _grid_best_queries(
-            "gradient_tracking", instance, P, 1e-3, budget, seeds, threshold
+            "gradient_tracking", instance, P, jade_cfg, cfg.seeds, threshold
         )
         cgd_best, cgd_eta = _grid_best_queries(
-            "consensus_gd", instance, P, 1e-3, budget, seeds, threshold
+            "consensus_gd", instance, P, jade_cfg, cfg.seeds, threshold
         )
         assert jade_mean < gt_best, f"{name}: {jade_mean} vs tracking {gt_best}"
         assert jade_mean < cgd_best, f"{name}: {jade_mean} vs consensus {cgd_best}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zojade import (
     ConfigurationError,
@@ -146,3 +148,85 @@ def test_corrupted_matrix_flagged():
     bad[0, 0] += 0.1  # row sum becomes 1.1
     problems = ConsensusMatrix(n=4, weights=bad).check()
     assert any("row sums" in p for p in problems)
+
+
+def test_adjacency_holds_the_edge_set():
+    graph = Graph(n=4, edges=frozenset({(1, 0), (0, 1), (2, 1), (3, 2)}))
+    assert graph.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+    expected = np.zeros((4, 4), dtype=bool)
+    for i, j in graph.edges:
+        expected[i, j] = expected[j, i] = True
+    assert np.array_equal(graph.adjacency, expected)
+
+
+def test_support_mismatch_flagged():
+    ring = metropolis_hastings(topology_from_spec("ring", 5))
+    # the path graph lacks the ring's closing edge (0, 4)
+    assert ring.check(topology_from_spec("path", 5)) == ["positive weight on non-edge (0,4)"]
+    problems = ring.check(topology_from_spec("complete", 5))
+    assert problems == [
+        "nonpositive weight on edge (0,2)",
+        "nonpositive weight on edge (0,3)",
+        "nonpositive weight on edge (1,3)",
+        "nonpositive weight on edge (1,4)",
+        "nonpositive weight on edge (2,4)",
+    ]
+    assert ring.check(topology_from_spec("ring", 4)) == ["graph has n=4, weights have n=5"]
+
+
+def _reference_erdos_renyi(n, p, seed):
+    """Edges of the first connected draw of one rng.uniform() per pair i < j in
+    row-major order, or None when 1000 draws never connect."""
+    rng = Xoshiro256(seed)
+    for _ in range(1000):
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p}
+        seen, stack = {0}, [0]
+        while stack:
+            u = stack.pop()
+            for v in {j for i, j in edges if i == u} | {i for i, j in edges if j == u}:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) == n:
+            return frozenset(edges)
+    return None
+
+
+def _reference_weights(graph):
+    """Metropolis-Hastings weights built one edge at a time."""
+    n = graph.n
+    deg = [sum(k in edge for edge in graph.edges) for k in range(n)]
+    W = np.zeros((n, n))
+    for i, j in sorted(graph.edges):
+        W[i, j] = W[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    for i in range(n):
+        W[i, i] = 1.0 - W[i, :].sum()
+    return W
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.01, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**40),
+)
+@example(n=1, p=0.5, seed=3)
+@example(n=6, p=1e-9, seed=1)  # never connected
+def test_erdos_renyi_and_weights_match_per_pair_reference(n, p, seed):
+    expected = _reference_erdos_renyi(n, p, seed)
+    if expected is None:
+        with pytest.raises(ConfigurationError, match="1000 retries"):
+            topology_from_spec("erdos_renyi", n, p=p, seed=seed)
+        return
+    graph = topology_from_spec("erdos_renyi", n, p=p, seed=seed)
+    assert graph.edges == expected
+    weights = metropolis_hastings(graph).weights
+    assert weights.tobytes() == _reference_weights(graph).tobytes()
+
+
+@pytest.mark.parametrize("name", ["complete", "ring", "path", "grid"])
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_named_topology_weights_match_per_edge_reference(name, n):
+    graph = topology_from_spec(name, n)
+    weights = metropolis_hastings(graph).weights
+    assert weights.tobytes() == _reference_weights(graph).tobytes()

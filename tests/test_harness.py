@@ -197,6 +197,24 @@ def test_lyapunov_isotropic_quadratic_equality_case():
     assert report.alpha == -1.0  # -m / L1 with L1 = m
 
 
+def test_lyapunov_flags_understated_curvature():
+    # negative control: f = ||x||^2 has curvature 2, declared as m = L1 = 1, so
+    # V = 4 dist^2 exceeds K^2 dist^2 = dist^2 and ||dV/dx|| = 8 dist exceeds
+    # 2 L1 K dist = 2 dist; the lower and descent bounds still hold
+    family = QuadraticObjective(2.0 * np.eye(2)[None], np.zeros((1, 2)))
+    inst = ProblemInstance(
+        family=family,
+        d=2,
+        x_star=np.zeros(2),
+        f_star=0.0,
+        constants=SmoothnessConstants(1.0, 1.0, 0.0, 0.0),
+    )
+    report = lyapunov_bounds_check(inst, 5, mu=0.05)
+    assert not report.all_passed
+    kinds = [line.split(" failed at ")[0] for line in report.details]
+    assert kinds == ["upper bound", "derivative-norm bound"] * 5
+
+
 def test_lyapunov_trivial_at_gamma_itself():
     inst = quartic_instance(3)
     gamma = solve_estimator_zero(inst, 0.1)
@@ -271,6 +289,18 @@ def test_config_rejects_bad_values():
         {"algorithms": [{"name": "consensus_gd", "eta": True}]},
         {"algorithms": [{"name": "gradient_tracking", "mu": math.inf}]},
         {"mu": -1.0, "algorithms": [{"name": "zo_jade", "mu": 0.1}]},
+        {"algorithms": [{"name": "zo_jade", "label": "../escaped"}]},
+        {"algorithms": [{"name": "zo_jade", "label": ["a"]}]},
+        {"algorithms": [{"name": "zo_jade", "label": "sub/x"}]},
+        {"algorithms": [{"name": "zo_jade", "label": "sub\\x"}]},
+        {"algorithms": [{"name": "zo_jade", "label": ".."}]},
+        {"algorithms": [{"name": "zo_jade", "label": "."}]},
+        {"algorithms": [{"name": "zo_jade", "label": ""}]},
+        {"algorithms": [{"name": "zo_jade", "label": "a\0b"}]},
+        {"out_dir": 5},
+        {"out_dir": None},
+        {"out_dir": ""},
+        {"out_dir": "a\0b"},
     ]
     for overrides in bad_values:
         with pytest.raises(ConfigurationError):
@@ -306,6 +336,38 @@ def test_per_algorithm_mu_override():
     gt_cfg = algorithm_config(cfg, cfg.data["algorithms"][1])
     assert jade_cfg.mu == 0.007
     assert gt_cfg.mu == cfg.data["mu"]
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "family, params, d",
+    [
+        ("separable_quadratic", {"d": 3, "seed": 1}, 3),
+        ("ridge_synthetic", {"d": 3, "per_agent": 4, "seed": 1}, 3),
+        ("synthetic_classification", {"d": 3, "per_agent": 4, "seed": 1}, 3),
+        ("quartic", {"d": 2}, 2),
+        ("ridge_csv", {}, 2),
+        ("logistic_csv", {}, 3),
+    ],
+)
+def test_build_instance_every_family(tmp_path, family, params, d):
+    from zojade.harness import build_instance
+
+    # twelve rows of two features; the CSV families read the last column as
+    # the target (ridge) or the +-1 label (logistic)
+    if family == "ridge_csv":
+        rows = [(k % 5 - 2.0, k * k % 7 / 3.0, 0.5 * k - 2.0) for k in range(12)]
+        params = {"path": _write_rows(tmp_path / "ridge.csv", rows)}
+    elif family == "logistic_csv":
+        rows = [(k % 5 - 2.0, k * k % 7 / 3.0, 1.0 if k % 3 else -1.0) for k in range(12)]
+        params = {"path": _write_rows(tmp_path / "logistic.csv", rows)}
+    inst = build_instance(tiny_config(None, instance={"family": family, **params}))
+    assert (inst.n, inst.d) == (4, d)
+    assert np.linalg.norm(inst.global_gradient(inst.x_star)) <= 1e-10
 
 
 # --- experiment outputs --------------------------------------------------------------
@@ -475,6 +537,33 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(bad)]) == 2
     good = _write_config(tmp_path, tiny_config(tmp_path))
     assert cli_main(["run", "--config", good, "--seeds", "1,1"]) == 2
+    for overrides in (
+        {"algorithms": [{"name": "zo_jade", "label": "../escaped"}]},
+        {"algorithms": [{"name": "zo_jade", "label": ["a"]}]},
+        {"algorithms": [{"name": "zo_jade", "label": "sub/x"}]},
+        {"algorithms": [{"name": "zo_jade", "label": "a\0b"}]},
+        {"out_dir": 5},
+        {"out_dir": None},
+    ):
+        unsafe = {**tiny_config(tmp_path).data, **overrides}
+        bad.write_text(json.dumps(unsafe), encoding="utf-8")
+        assert cli_main(["run", "--config", str(bad)]) == 2, overrides
+    # nothing was written, inside the output directory or next to it
+    assert sorted(os.listdir(tmp_path)) == ["bad.json", "exp.json"]
+    # an --out override that cannot be a directory
+    for out in ("", "a\0b", good):
+        assert cli_main(["run", "--config", good, "--out", out]) == 2, out
+
+
+def test_builder_failure_creates_no_output_directory(tmp_path):
+    # lambda passes the kind check at parse time; the ridge builder rejects it
+    instance = {"family": "ridge_synthetic", "d": 3, "per_agent": 2, "seed": 1, "lambda": -1}
+    cfg = tiny_config(tmp_path, instance=instance)
+    with pytest.raises(ConfigurationError, match="lambda"):
+        run_experiment(cfg, quiet=True)
+    path = _write_config(tmp_path, cfg)
+    assert cli_main(["run", "--config", path]) == 2
+    assert not os.path.exists(cfg.out_dir)
 
 
 def test_cli_verify_reports_json_and_exit_codes(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from zojade import (
     gradient_error_bound,
     gradient_lipschitz_bound,
     hessian_error_bound,
-    hessian_lipschitz_bound,
     mu2,
     synthetic_classification,
 )
@@ -216,7 +215,6 @@ def test_estimator_lipschitz_bounds():
     rng = Xoshiro256(9)
     mu = 0.05
     kg = gradient_lipschitz_bound(c.L1, c.L2, mu, instance.d)
-    kh = hessian_lipschitz_bound(c.L2, c.L3, mu, instance.d)
     for _ in range(40):
         x = rng.normals(instance.d)
         y = rng.normals(instance.d)
@@ -224,10 +222,6 @@ def test_estimator_lipschitz_bounds():
         oy = estimate_both(gb, y, mu)
         gap = np.linalg.norm(x - y)
         assert np.linalg.norm(ox.grad_estimate - oy.grad_estimate) <= kg * gap + 1e-10
-        assert (
-            np.linalg.norm(ox.hessian_diag_estimate - oy.hessian_diag_estimate)
-            <= kh * gap + 1e-10
-        )
 
 
 def test_mu_squared_error_scaling():

@@ -43,3 +43,14 @@ def test_array_shapes():
     again = Xoshiro256(9)
     flat = [again.normal() for _ in range(12)]
     assert np.array_equal(np.array(flat).reshape(3, 4), Xoshiro256(9).normals(3, 4))
+
+
+def test_arrays_spanning_several_blocks_follow_the_scalar_stream():
+    # 8193 normals and 8197 uniforms: two full 4096-draw blocks and a partial one each
+    a, b = Xoshiro256(4), Xoshiro256(4)
+    normals = a.normals(3, 2731, 1)
+    assert normals.tobytes() == np.array([b.normal() for _ in range(8193)]).tobytes()
+    uniforms = a.uniforms(8197)
+    assert uniforms.tobytes() == np.array([b.uniform() for _ in range(8197)]).tobytes()
+    assert a.next_u64() == b.next_u64()
+    assert Xoshiro256(4).normals().shape == ()
