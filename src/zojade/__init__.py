@@ -13,7 +13,6 @@ from .algorithms import (
     ALGORITHMS,
     BaselineConfig,
     JadeConfig,
-    NetworkState,
     consensus_gd_step,
     draw_initial_iterates,
     gradient_tracking_step,
@@ -36,11 +35,7 @@ from .graphs import (
     topology_from_spec,
 )
 from .harness import (
-    DEFAULTS,
     ExperimentConfig,
-    ExperimentResult,
-    GammaScalingReport,
-    LyapunovReport,
     VerifyReport,
     build_instance,
     build_topology,
@@ -55,7 +50,6 @@ from .harness import (
     write_trace_csv,
 )
 from .metrics import (
-    AggregateCurve,
     RunTrace,
     TraceRow,
     aggregate_traces,
@@ -80,7 +74,6 @@ from .objectives import (
 )
 from .oracle import (
     BlackBoxObjective,
-    OracleOutput,
     SmoothnessConstants,
     admissible_mu,
     descent_coefficient,

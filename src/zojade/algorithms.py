@@ -167,9 +167,8 @@ def jade_step(
     """One synchronous round of the curvature-tracking Jacobi update; agent i
     queries only its own cost, all agents in one call to `objective`."""
     P = state.P.weights
-    out = estimate_both(objective, state.x, cfg.mu)
-    hdiags = out.hessian_diag_estimate
-    g_new = hdiags * state.x - out.grad_estimate
+    grads, hdiags = estimate_both(objective, state.x, cfg.mu)
+    g_new = hdiags * state.x - grads
     y_new = P @ (state.y + g_new - state.g)
     z_new = P @ (state.z + hdiags - state.h)
     clamp_count = state.clamp_count + int(np.count_nonzero(z_new < cfg.z_floor))

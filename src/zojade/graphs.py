@@ -10,6 +10,7 @@ variant, which halves the off-diagonal weights, is not used.)
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,10 +65,10 @@ class ConsensusMatrix:
     n: int
     weights: np.ndarray
 
-    def check(self, graph: Graph | None = None, tol: float = 1e-12) -> list:
+    def check(self, graph: Graph | None = None) -> list:
         """Return a list of invariant violations (empty when valid).
 
-        Checks symmetry (exact), row and column sums within `tol` of one,
+        Checks symmetry (exact), row and column sums within 1e-12 of one,
         nonnegative entries, and, when `graph` is given, that off-diagonal
         support matches the edge set.
         """
@@ -79,9 +80,9 @@ class ConsensusMatrix:
             problems.append("weights are not exactly symmetric")
         row = W.sum(axis=1)
         col = W.sum(axis=0)
-        if np.max(np.abs(row - 1.0)) > tol:
+        if np.max(np.abs(row - 1.0)) > 1e-12:
             problems.append(f"row sums off by {np.max(np.abs(row - 1.0)):.3e}")
-        if np.max(np.abs(col - 1.0)) > tol:
+        if np.max(np.abs(col - 1.0)) > 1e-12:
             problems.append(f"column sums off by {np.max(np.abs(col - 1.0)):.3e}")
         if np.min(W) < 0.0:
             problems.append(f"negative entry {np.min(W):.3e}")
@@ -157,11 +158,11 @@ def _grid_edges(n: int) -> set:
     return edges
 
 
-def _erdos_renyi(n: int, p: float, seed: int, max_retries: int = 1000) -> Graph:
+def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
     # one uniform per pair i < j, drawn in row-major order
     rng = Xoshiro256(seed)
     rows, cols = np.triu_indices(n, 1)
-    for _ in range(max_retries):
+    for _ in range(1000):
         keep = rng.uniforms(len(rows)) < p
         try:
             return Graph(n=n, edges=frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
@@ -169,7 +170,7 @@ def _erdos_renyi(n: int, p: float, seed: int, max_retries: int = 1000) -> Graph:
             continue
     raise ConfigurationError(
         f"erdos_renyi(n={n}, p={p}, seed={seed}) failed to produce a connected "
-        f"graph in {max_retries} retries"
+        "graph in 1000 retries"
     )
 
 
@@ -180,8 +181,8 @@ def topology_from_spec(name: str, n: int, p: float | None = None, seed: int | No
     erdos_renyi family requires `p` in (0, 1] and `seed` and redraws until
     the sample is connected, giving up after 1000 attempts.
     """
-    if n < 1:
-        raise ConfigurationError(f"topology needs n >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ConfigurationError(f"topology needs an integer n >= 1, got {n!r}")
     if name == "complete":
         return Graph(n=n, edges=frozenset(_complete_edges(n)))
     if name == "ring":
@@ -195,5 +196,7 @@ def topology_from_spec(name: str, n: int, p: float | None = None, seed: int | No
             raise ConfigurationError("erdos_renyi topology requires 'p' and 'seed'")
         if not 0.0 < p <= 1.0:
             raise ConfigurationError(f"erdos_renyi needs p in (0, 1], got {p}")
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ConfigurationError(f"erdos_renyi seed must be an integer, got {seed!r}")
         return _erdos_renyi(n, p, seed)
     raise ConfigurationError(f"unknown topology '{name}'")

@@ -32,7 +32,7 @@ Schema (each default lives in one place, named in parentheses):
 
 Outputs: one `<label>_seed<seed>.csv` trace per run and one
 `<label>_aggregate.csv` per algorithm entry with columns
-(queries, ef_mean, ef_std).
+(queries, ef_mean, ef_std) on the query grid its completed runs share.
 """
 
 from __future__ import annotations
@@ -106,6 +106,7 @@ _CONFIG_CLASS = {
 _INT, _POS, _NUM = "an integer", "a positive integer", "a finite number"
 _PROB, _BOOL, _STR = "a number in (0, 1]", "a boolean", "a string"
 _PAIR = "a list of two finite numbers"
+_POSNUM, _NONNEG = "a positive finite number", "a nonnegative finite number"
 
 #: topology name -> (required keys, optional keys), each mapping a key to its kind
 _TOPOLOGY_SCHEMAS = {
@@ -118,17 +119,18 @@ _INSTANCE_SCHEMAS = {
     "separable_quadratic": ({"d": _POS, "seed": _INT}, {"curvature_range": _PAIR, "b_scale": _NUM}),
     "ridge_synthetic": (
         {"d": _POS, "per_agent": _POS, "seed": _INT},
-        {"lambda": _NUM, "noise": _NUM, "scale_spread": _NUM, "standardize": _BOOL},
+        {"lambda": _POSNUM, "noise": _NUM, "scale_spread": _POSNUM, "standardize": _BOOL},
     ),
     "synthetic_classification": (
         {"d": _POS, "per_agent": _POS, "seed": _INT},
-        {"w": _NUM, "separation": _NUM, "scale_spread": _NUM, "standardize": _BOOL},
+        {"w": _POSNUM, "separation": _NUM, "scale_spread": _POSNUM, "standardize": _BOOL},
     ),
-    "ridge_csv": ({"path": _STR}, {"lambda": _NUM, "has_header": _BOOL, "standardize": _BOOL}),
-    "logistic_csv": ({"path": _STR}, {"w": _NUM, "has_header": _BOOL, "standardize": _BOOL}),
+    "ridge_csv": ({"path": _STR}, {"lambda": _POSNUM, "has_header": _BOOL, "standardize": _BOOL}),
+    "logistic_csv": ({"path": _STR}, {"w": _POSNUM, "has_header": _BOOL, "standardize": _BOOL}),
     "quartic": (
         {},
-        {"d": _POS, "quartic": _NUM, "quad": _NUM, "b_mean": _NUM, "b_spread": _NUM, "box": _NUM},
+        {"d": _POS, "quartic": _NONNEG, "quad": _POSNUM, "b_mean": _NUM, "b_spread": _NUM,
+         "box": _POSNUM},
     ),
 }
 
@@ -177,7 +179,7 @@ class ExperimentConfig:
     """Validated experiment description with all defaults applied."""
 
     data: dict
-    config_hash: str = ""
+    config_hash: str = field(init=False)
 
     def __post_init__(self):
         self.data = _validate_config(self.data)
@@ -263,6 +265,8 @@ _KINDS = {
     _BOOL: lambda v: isinstance(v, bool),
     _STR: lambda v: isinstance(v, str),
     _PAIR: lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+    _POSNUM: lambda v: _is_number(v) and v > 0.0,
+    _NONNEG: lambda v: _is_number(v) and v >= 0.0,
 }
 
 
@@ -495,7 +499,6 @@ def solve_estimator_zero(instance: ProblemInstance, mu: float) -> np.ndarray:
 class GammaScalingReport:
     """Converged distances to x* for a halving sequence of probe steps."""
 
-    mus: list
     distances: list
     ratios: list
     excluded: list = field(default_factory=list)
@@ -547,32 +550,15 @@ def gamma_mu_scaling_check(
         for k in range(len(mu_list) - 1)
         if converged[k] and converged[k + 1] and distances[k + 1] > 0.0
     ]
-    return GammaScalingReport(
-        mus=list(mu_list), distances=distances, ratios=ratios, excluded=excluded
-    )
-
-
-@dataclass
-class LyapunovReport:
-    """Outcome of the squared-gradient bound battery at sampled points."""
-
-    mu: float
-    gamma: np.ndarray
-    alpha: float
-    points: int
-    details: list = field(default_factory=list)  # one line per failed bound at a point
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.details
+    return GammaScalingReport(distances=distances, ratios=ratios, excluded=excluded)
 
 
 def lyapunov_bounds_check(
-    instance: ProblemInstance, points, mu: float, radius: float = 1.0
-) -> LyapunovReport:
-    """Check the four squared-gradient-estimate bounds at sample points:
-    the given (k, d) points, or that many points G + radius N(0, I) drawn
-    with seed 2024 when `points` is an int.
+    instance: ProblemInstance, points: int, mu: float, radius: float = 1.0
+) -> tuple:
+    """Check the four squared-gradient-estimate bounds at `points` sample
+    points G + radius N(0, I) drawn with seed 2024.  Returns alpha(mu) and
+    the failures, one line per failed bound at a point.
 
     With V(x) = ||grad_est(x)||^2, G the zero of the estimate, dist =
     ||x - G|| and K = L1 + mu sqrt(d) L2 / 2, the checks are
@@ -603,11 +589,7 @@ def lyapunov_bounds_check(
     dv_coef = (2.0 * L1 + mu * L3 * d / 3.0) * K
     alpha = descent_coefficient(mu, m, L1, L3, d)
 
-    if isinstance(points, (int, np.integer)):
-        samples = gamma + radius * Xoshiro256(2024).normals(int(points), d)
-    else:
-        samples = np.atleast_2d(np.asarray(points, dtype=float))
-
+    samples = gamma + radius * Xoshiro256(2024).normals(points, d)
     gb = instance.global_black_box()
 
     def V(x: np.ndarray) -> float:
@@ -622,21 +604,19 @@ def lyapunov_bounds_check(
             out[k] = (V(x + e) - V(x - e)) / (2.0 * h)
         return out
 
-    report = LyapunovReport(mu=mu, gamma=gamma, alpha=alpha, points=len(samples))
+    failures = []
     mu_in = mu / 100.0
     for x in samples:
-        both = estimate_both(gb, x, mu)
-        grad = both.grad_estimate
-        hdiag = both.hessian_diag_estimate
+        grad, hdiag = estimate_both(gb, x, mu)
         v = float(grad @ grad)
         dist2 = float(np.sum((x - gamma) ** 2))
         dist = math.sqrt(dist2)
 
         slack = 1e-9 * (1.0 + v + K * K * dist2)
         if v > K * K * dist2 + slack:
-            report.details.append(f"upper bound failed at {x.tolist()}")
+            failures.append(f"upper bound failed at {x.tolist()}")
         if v < lower_coef * dist2 - slack:
-            report.details.append(f"lower bound failed at {x.tolist()}")
+            failures.append(f"lower bound failed at {x.tolist()}")
 
         coarse = fd_grad_of_V(x, mu_in)
         fine = fd_grad_of_V(x, mu_in / 2.0)
@@ -646,17 +626,17 @@ def lyapunov_bounds_check(
         dv = fine
         dv_norm = float(np.linalg.norm(dv))
         if dv_norm > dv_coef * dist + fd_error + 1e-9 * (1.0 + dv_coef * dist):
-            report.details.append(f"derivative-norm bound failed at {x.tolist()}")
+            failures.append(f"derivative-norm bound failed at {x.tolist()}")
 
         if np.any(hdiag <= 0.0):
-            report.details.append(f"curvature estimate not positive at {x.tolist()}")
+            failures.append(f"curvature estimate not positive at {x.tolist()}")
             continue
         phi = -grad / hdiag
         q = float(dv @ phi)
         q_slack = fd_error * float(np.linalg.norm(phi)) + 1e-9 * (1.0 + abs(alpha) * v)
         if q > alpha * v + q_slack:
-            report.details.append(f"descent bound failed at {x.tolist()}")
-    return report
+            failures.append(f"descent bound failed at {x.tolist()}")
+    return alpha, failures
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +771,8 @@ def _check_oracle_accounting(report: VerifyReport) -> None:
             report.add("oracle_query_accounting", False, f"gradient d={d}")
             return
         obj = BlackBoxObjective(lambda X: np.sum(X * X, axis=1), d)
-        out = estimate_both(obj, np.zeros(d), 0.1)
-        if obj.query_count != 2 * d + 1 or out.queries_used != 2 * d + 1:
+        estimate_both(obj, np.zeros(d), 0.1)
+        if obj.query_count != 2 * d + 1:
             report.add("oracle_query_accounting", False, f"joint d={d}")
             return
     report.add("oracle_query_accounting", True)
@@ -827,10 +807,10 @@ def check_quadratic_exactness(
             lambda X, A=A, b=b, c=c: 0.5 * np.einsum("ij,ij->i", X, X @ A) + X @ b + c, d
         )
         for mu in mus:
-            out = estimate_both(obj, x, mu)
+            grad, hdiag = estimate_both(obj, x, mu)
             g_true, h_true = A @ x + b, np.diag(A)
-            g_err = np.linalg.norm(out.grad_estimate - g_true) / np.linalg.norm(g_true)
-            h_err = np.linalg.norm(out.hessian_diag_estimate - h_true) / np.linalg.norm(h_true)
+            g_err = np.linalg.norm(grad - g_true) / np.linalg.norm(g_true)
+            h_err = np.linalg.norm(hdiag - h_true) / np.linalg.norm(h_true)
             worst = max(worst, g_err, h_err)
     report.add("quadratic_exactness", worst <= 1e-9, f"worst relative error {worst:.2e}")
 
@@ -842,7 +822,8 @@ def check_error_bounds(report: VerifyReport) -> None:
     worst = 0.0
     for mu in (0.2, 0.1, 0.05):
         g_err = estimate_gradient(cube, np.array([1.0]), mu)[0] - 3.0
-        h_err = estimate_both(quart, np.array([0.0]), mu).hessian_diag_estimate[0]
+        _, hdiag = estimate_both(quart, np.array([0.0]), mu)
+        h_err = hdiag[0]
         for err, bound in (
             (g_err, gradient_error_bound(6.0, mu, 1)),
             (h_err, hessian_error_bound(24.0, mu)),
@@ -944,11 +925,11 @@ def check_lyapunov(report: VerifyReport, points: int) -> None:
     ok = True
     details = []
     for inst, mu, radius in ((quad, 0.05, 1.0), (logi, 0.02, 0.5), (quart, 0.15, 0.4)):
-        rep = lyapunov_bounds_check(inst, points, mu, radius=radius)
-        details.append(f"{inst.name}: alpha {rep.alpha:.3f}")
-        ok = ok and rep.all_passed and rep.alpha < 0.0
-        if not rep.all_passed:
-            details.append(rep.details[0])
+        alpha, failures = lyapunov_bounds_check(inst, points, mu, radius=radius)
+        details.append(f"{inst.name}: alpha {alpha:.3f}")
+        ok = ok and not failures and alpha < 0.0
+        if failures:
+            details.append(failures[0])
     report.add("lyapunov_bound_battery", ok, "; ".join(details))
 
 

@@ -83,21 +83,15 @@ class AggregateCurve:
     seeds: tuple = ()
 
 
-def _step_interpolate(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Last-value (piecewise constant) interpolation of (xs, ys) onto grid."""
-    idx = np.searchsorted(xs, grid, side="right") - 1
-    idx = np.clip(idx, 0, len(xs) - 1)
-    return ys[idx]
-
-
 def aggregate_traces(label: str, traces: list) -> AggregateCurve:
-    """Combine one algorithm's seed traces onto the union query grid."""
+    """Mean and standard deviation of e_f over seed traces that record the
+    same query grid, as every completed run of one config entry does."""
     if not traces:
         raise ValueError("cannot aggregate an empty trace list")
-    grid = np.unique(np.concatenate([t.queries() for t in traces]))
-    stack = np.vstack(
-        [_step_interpolate(grid, t.queries(), t.ef_values()) for t in traces]
-    )
+    grid = traces[0].queries()
+    if any(not np.array_equal(t.queries(), grid) for t in traces[1:]):
+        raise ValueError(f"{label}: traces record different query grids")
+    stack = np.vstack([t.ef_values() for t in traces])
     return AggregateCurve(
         label=label,
         queries=grid,
@@ -108,25 +102,20 @@ def aggregate_traces(label: str, traces: list) -> AggregateCurve:
     )
 
 
-def fit_exponential_rate(
-    steps: np.ndarray,
-    ef: np.ndarray,
-    tail_fraction: float = 0.5,
-    floor: float = EF_FIT_FLOOR,
-) -> tuple:
+def fit_exponential_rate(steps: np.ndarray, ef: np.ndarray, tail_fraction: float = 0.5) -> tuple:
     """Least-squares slope of log e_f over the tail of a decay curve.
 
-    Points at or below `floor` are dropped (numerical plateau), then the
-    last `tail_fraction` of the remainder is fitted.  Returns
+    Points at or below EF_FIT_FLOOR are dropped (numerical plateau), then
+    the last `tail_fraction` of the remainder is fitted.  Returns
     (rate per step, r_squared).  Requires at least 10 usable points.
     """
     steps = np.asarray(steps, dtype=float)
     ef = np.asarray(ef, dtype=float)
-    keep = ef > floor
+    keep = ef > EF_FIT_FLOOR
     steps, ef = steps[keep], ef[keep]
     if len(ef) < 10:
         raise ValueError(
-            f"rate fit needs at least 10 points above the {floor} floor, got {len(ef)}"
+            f"rate fit needs at least 10 points above the {EF_FIT_FLOOR} floor, got {len(ef)}"
         )
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError(f"tail fraction must be in (0, 1], got {tail_fraction}")

@@ -99,7 +99,7 @@ class LogisticObjective:
         U = np.asarray(U, dtype=float)
         if U.ndim != 3:
             raise ConfigurationError("logistic sample stack must be 3-d (agents, rows, d)")
-        if w <= 0.0:
+        if not w > 0.0:
             raise ConfigurationError(f"ridge weight must be positive, got {w}")
         n, rows, d = U.shape
         counts = np.full(n, rows) if counts is None else np.asarray(counts, dtype=np.int64)
@@ -142,7 +142,7 @@ class QuarticObjective:
     with shared q and a and the tilts stacked as b (n, d)."""
 
     def __init__(self, q: float, a: float, b: np.ndarray):
-        if q < 0.0 or a <= 0.0:
+        if not (q >= 0.0 and a > 0.0):
             raise ConfigurationError("quartic needs q >= 0 and a > 0")
         b = np.asarray(b, dtype=float)
         if b.ndim != 2:
@@ -239,11 +239,17 @@ class ProblemInstance:
 def _instance(
     family, d: int, x_star: np.ndarray, constants: SmoothnessConstants, name: str
 ) -> ProblemInstance:
-    """Build the instance, set f(x*) and check that x* zeroes the gradient."""
+    """Build the instance, set f(x*) and check that x*, f(x*) and the
+    constants are finite and that x* zeroes the gradient."""
     instance = ProblemInstance(family, d, x_star, 0.0, constants, name)
     instance.f_star = instance.global_value(x_star)
+    if not np.isfinite([*x_star, instance.f_star, *vars(constants).values()]).all():
+        raise InstanceConstructionError(
+            f"{name}: non-finite ground truth: x* = {x_star.tolist()}, f* = {instance.f_star}, "
+            f"{constants}"
+        )
     grad_norm = float(np.linalg.norm(instance.global_gradient(x_star)))
-    if grad_norm > _GRAD_TOL:
+    if not grad_norm <= _GRAD_TOL:
         raise InstanceConstructionError(
             f"{name}: ||grad f(x_star)|| = {grad_norm:.3e} exceeds {_GRAD_TOL}"
         )
@@ -297,7 +303,7 @@ def ridge_instance_from_shards(
         raise ConfigurationError(
             f"need at least one row per agent: {features.shape[0]} rows, {n} agents"
         )
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ConfigurationError(f"ridge lambda must be positive, got {lam}")
     if standardize:
         features = standardize_features(features)
@@ -338,7 +344,7 @@ def _logistic_constants(family: LogisticObjective, d: int) -> SmoothnessConstant
     return SmoothnessConstants(m=w, L1=L1, L2=_SIG3 * s3, L3=_SIG4 * s4)
 
 
-def _damped_newton(value, gradient, hessian, x0, max_iter=500):
+def _damped_newton(value, gradient, hessian, x0):
     """Backtracking Newton with Armijo constant 1e-4 and halving steps.
 
     The sufficient-decrease test carries a machine-noise allowance so the
@@ -346,7 +352,7 @@ def _damped_newton(value, gradient, hessian, x0, max_iter=500):
     the float resolution of the value.
     """
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(500):
         g = gradient(x)
         if np.linalg.norm(g) <= _GRAD_TOL:
             return x
@@ -365,7 +371,7 @@ def _damped_newton(value, gradient, hessian, x0, max_iter=500):
     if np.linalg.norm(gradient(x)) <= _GRAD_TOL:
         return x
     raise InstanceConstructionError(
-        f"newton failed to reach gradient norm {_GRAD_TOL} in {max_iter} iterations"
+        f"newton failed to reach gradient norm {_GRAD_TOL} in 500 iterations"
     )
 
 
@@ -397,7 +403,7 @@ def logistic_instance(
         )
     if count and not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ConfigurationError("labels must be -1 or +1")
-    if w <= 0.0:
+    if not w > 0.0:
         raise ConfigurationError(f"logistic ridge weight must be positive, got {w}")
     if count and standardize:
         samples = standardize_features(samples)
@@ -431,7 +437,6 @@ def synthetic_classification(
     separation: float = 2.0,
     scale_spread: float = 1.0,
     standardize: bool = False,
-    name: str = "synthetic-logistic",
 ) -> ProblemInstance:
     """Two seeded Gaussian clusters, balanced labels on every agent.
 
@@ -454,7 +459,9 @@ def synthetic_classification(
     # own generated block: flat row j*n + i belongs to agent i.
     samples = samples_by_agent.transpose(1, 0, 2).reshape(n * per_agent, dim)
     labels = np.repeat(label, n)
-    return logistic_instance(samples, labels, n, w, standardize=standardize, name=name)
+    return logistic_instance(
+        samples, labels, n, w, standardize=standardize, name="synthetic-logistic"
+    )
 
 
 def ridge_synthetic(
@@ -466,7 +473,6 @@ def ridge_synthetic(
     noise: float = 0.1,
     scale_spread: float = 10.0,
     standardize: bool = False,
-    name: str = "synthetic-ridge",
 ) -> ProblemInstance:
     """Seeded linear-regression data for a ridge suite.
 
@@ -481,12 +487,12 @@ def ridge_synthetic(
     features = rng.normals(count, d) * _column_scales(d, scale_spread)
     targets = features @ theta + noise * rng.normals(count)
     return ridge_instance_from_shards(
-        features, targets, n, lam, standardize=standardize, name=name
+        features, targets, n, lam, standardize=standardize, name="synthetic-ridge"
     )
 
 
 def _column_scales(d: int, spread: float) -> np.ndarray:
-    if spread <= 0.0:
+    if not spread > 0.0:
         raise ConfigurationError(f"scale spread must be positive, got {spread}")
     if d == 1 or spread == 1.0:
         return np.ones(d)
@@ -501,7 +507,6 @@ def quartic_instance(
     b_mean: float = -1.0,
     b_spread: float = 0.5,
     box: float = 1.5,
-    name: str = "quartic",
 ) -> ProblemInstance:
     """Separable tilted quartics with closed-form constants on |x_k| <= box.
 
@@ -512,7 +517,7 @@ def quartic_instance(
     it.
     """
     _require_sizes(n=n, d=d)
-    if box <= 0.0:
+    if not box > 0.0:
         raise ConfigurationError(f"quartic box must be positive, got {box}")
     zeta = np.zeros(1) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
     family = QuarticObjective(quartic, quad, np.repeat((b_mean + b_spread * zeta)[:, None], d, 1))
@@ -536,7 +541,7 @@ def quartic_instance(
         L2=6.0 * quartic * box,
         L3=6.0 * quartic,
     )
-    return _instance(family, d, x_star, constants, name)
+    return _instance(family, d, x_star, constants, "quartic")
 
 
 def separable_quadratic_instance(
@@ -545,7 +550,6 @@ def separable_quadratic_instance(
     seed: int,
     curvature_range: tuple = (0.5, 4.0),
     b_scale: float = 1.0,
-    name: str = "separable-quadratic",
 ) -> ProblemInstance:
     """Random diagonal quadratics: f_i = 0.5 x^T diag(a_i) x + b_i^T x."""
     _require_sizes(n=n, d=d)
@@ -566,7 +570,7 @@ def separable_quadratic_instance(
     constants = SmoothnessConstants(
         m=float(a_bar.min()), L1=float(a_bar.max()), L2=0.0, L3=0.0
     )
-    return _instance(family, d, x_star, constants, name)
+    return _instance(family, d, x_star, constants, "separable-quadratic")
 
 
 def load_csv(path: str, has_header: bool = False) -> tuple:

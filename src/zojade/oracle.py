@@ -100,17 +100,6 @@ class BlackBoxObjective:
         return values if x.ndim == 2 else values[0]
 
 
-@dataclass
-class OracleOutput:
-    """Joint estimator result: both derivative estimates plus the center
-    value, with a leading agent axis when the estimate is for every agent."""
-
-    grad_estimate: np.ndarray
-    hessian_diag_estimate: np.ndarray
-    center_value: float | np.ndarray
-    queries_used: int
-
-
 @functools.lru_cache(maxsize=128)
 def _offsets(d: int, mu: float) -> np.ndarray:
     """Probe offsets (2d + 1, d): +mu e_k, then -mu e_k for k ascending, then
@@ -166,22 +155,20 @@ def estimate_hessian_diag(
     return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / (mu * mu)
 
 
-def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> OracleOutput:
-    """Gradient and Hessian-diagonal estimates from one shared probe set.
+def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> tuple:
+    """Gradient and Hessian-diagonal estimates (grad, hdiag) from one shared
+    probe set.
 
     The 2d coordinate probes are reused for both estimates and a single
     extra center evaluation completes the second difference, 2d + 1
-    queries per agent in total.  For x:(n, d) every output has a leading
-    agent axis and `center_value` is one value per agent.
+    queries per agent in total.  For x:(n, d) both estimates have a
+    leading agent axis.
     """
     values = _probe_values(f, x, mu, with_center=True)
     plus = values[..., 0:-1:2]
     minus = values[..., 1:-1:2]
     center = values[..., -1:]
-    grad = (plus - minus) / (2.0 * mu)
-    hdiag = (plus - 2.0 * center + minus) / (mu * mu)
-    center_value = center[..., 0] if values.ndim == 2 else float(center[0])
-    return OracleOutput(grad, hdiag, center_value, queries_used=values.shape[-1])
+    return (plus - minus) / (2.0 * mu), (plus - 2.0 * center + minus) / (mu * mu)
 
 
 def gradient_error_bound(L2: float, mu: float, d: int) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zojade import (
     BaselineConfig,
@@ -15,6 +17,7 @@ from zojade import (
     jade_step,
     metropolis_hastings,
     run,
+    ridge_synthetic,
     separable_quadratic_instance,
     spectral_gap,
     topology_from_spec,
@@ -122,6 +125,71 @@ def test_gradient_tracking_conservation_each_step():
         state = gradient_tracking_step(state, objectives, cfg)
         gap = np.max(np.abs(state.y.sum(axis=0) - state.g.sum(axis=0)))
         assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(state.g))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    algorithm=st.sampled_from(["zo_jade", "gradient_tracking"]),
+    family=st.sampled_from(["separable", "ridge"]),
+    n=st.integers(1, 8),
+    d=st.integers(1, 4),
+    p=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example(algorithm="zo_jade", family="ridge", n=1, d=3, p=0.5, seed=1)
+@example(algorithm="gradient_tracking", family="separable", n=1, d=3, p=0.5, seed=1)
+def test_tracked_sums_conserved_on_random_graphs_and_instances(algorithm, family, n, d, p, seed):
+    P = metropolis_hastings(topology_from_spec("erdos_renyi", n, p=p, seed=seed))
+    if family == "separable":
+        inst = separable_quadratic_instance(n, d, seed=seed)
+    else:
+        inst = ridge_synthetic(d, 3, n, seed=seed)
+    if algorithm == "zo_jade":
+        step, cfg = jade_step, JadeConfig(mu=0.05, epsilon=0.3)
+    else:
+        step, cfg = gradient_tracking_step, BaselineConfig(mu=0.05, eta=0.5 / inst.constants.L1)
+    state = initial_state(draw_initial_iterates(seed, n, d, 1.0), P)
+    objective = inst.black_boxes()
+    # rounding accumulates over the steps, so the scale is the largest
+    # summand of each tracked pair seen so far
+    scales = [0.0, 0.0]
+    for _ in range(15):
+        state = step(state, objective, cfg)
+        for k, (tracked, signal) in enumerate([(state.y, state.g), (state.z, state.h)]):
+            scales[k] = max(scales[k], np.max(np.abs(tracked)), np.max(np.abs(signal)))
+            gap = np.max(np.abs(tracked.sum(axis=0) - signal.sum(axis=0)))
+            assert gap <= 1e-12 * scales[k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(["zo_jade", "gradient_tracking", "consensus_gd"]),
+    n=st.integers(1, 5),
+    d=st.integers(1, 4),
+    budget=st.integers(1, 60),
+    record_every=st.integers(1, 4),
+)
+@example(algorithm="zo_jade", n=2, d=3, budget=6, record_every=1)
+@example(algorithm="consensus_gd", n=1, d=2, budget=3, record_every=2)
+def test_query_totals_equal_iterations_times_step_cost(algorithm, n, d, budget, record_every):
+    inst = separable_quadratic_instance(n, d, seed=n + d)
+    P = metropolis_hastings(topology_from_spec("ring", n))
+    counters = []
+    fresh = inst.black_boxes
+
+    def counted_black_boxes():
+        counters.append(fresh())
+        return counters[-1]
+
+    inst.black_boxes = counted_black_boxes  # keeps the counter that run() queries through
+    config = JadeConfig if algorithm == "zo_jade" else BaselineConfig
+    trace = run(algorithm, inst, P, config(mu=0.05, budget=budget, record_every=record_every), 1)
+    per_step = 2 * d + 1 if algorithm == "zo_jade" else 2 * d
+    iterations = budget // per_step  # zero when the budget is below one step
+    assert trace.rows[-1].iteration == iterations
+    assert trace.rows[-1].queries_per_agent == iterations * per_step
+    assert len(counters) == 1
+    assert counters[0].agent_queries.tolist() == [iterations * per_step] * n
 
 
 def test_consensus_gd_single_agent_is_plain_descent():

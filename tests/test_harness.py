@@ -124,7 +124,7 @@ def test_single_trace_aggregate_equals_trace(tmp_path):
     assert np.array_equal(curve.ef_mean, trace.ef_values())
 
 
-def test_aggregate_last_value_interpolation():
+def test_aggregate_rejects_mismatched_query_grids():
     from zojade.metrics import RunTrace, TraceRow
 
     def mk(qs, efs, seed):
@@ -135,10 +135,15 @@ def test_aggregate_last_value_interpolation():
         return t
 
     a = mk([0, 10, 20], [1.0, 0.5, 0.25], 1)
-    b = mk([0, 15], [1.0, 0.4], 2)
+    b = mk([0, 10, 20], [1.0, 0.25, 0.75], 2)
     curve = aggregate_traces("a", [a, b])
-    assert curve.queries.tolist() == [0, 10, 15, 20]
-    assert curve.ef_mean.tolist() == [1.0, 0.75, 0.45, 0.325]
+    assert curve.queries.tolist() == [0, 10, 20]
+    assert curve.ef_mean.tolist() == [1.0, 0.375, 0.5]
+    assert curve.ef_std.tolist() == [0.0, 0.125, 0.25]
+    with pytest.raises(ValueError, match="different query grids"):
+        aggregate_traces("a", [a, mk([0, 15], [1.0, 0.4], 3)])
+    with pytest.raises(ValueError, match="different query grids"):
+        aggregate_traces("a", [a, mk([0, 10], [1.0, 0.4], 3)])
 
 
 # --- gamma scaling ----------------------------------------------------------------
@@ -192,9 +197,9 @@ def test_lyapunov_isotropic_quadratic_equality_case():
         f_star=0.0,
         constants=SmoothnessConstants(m, m, 0.0, 0.0),
     )
-    report = lyapunov_bounds_check(inst, 25, mu=0.05, radius=1.5)
-    assert report.all_passed
-    assert report.alpha == -1.0  # -m / L1 with L1 = m
+    alpha, failures = lyapunov_bounds_check(inst, 25, mu=0.05, radius=1.5)
+    assert failures == []
+    assert alpha == -1.0  # -m / L1 with L1 = m
 
 
 def test_lyapunov_flags_understated_curvature():
@@ -209,17 +214,16 @@ def test_lyapunov_flags_understated_curvature():
         f_star=0.0,
         constants=SmoothnessConstants(1.0, 1.0, 0.0, 0.0),
     )
-    report = lyapunov_bounds_check(inst, 5, mu=0.05)
-    assert not report.all_passed
-    kinds = [line.split(" failed at ")[0] for line in report.details]
+    _, failures = lyapunov_bounds_check(inst, 5, mu=0.05)
+    kinds = [line.split(" failed at ")[0] for line in failures]
     assert kinds == ["upper bound", "derivative-norm bound"] * 5
 
 
 def test_lyapunov_trivial_at_gamma_itself():
     inst = quartic_instance(3)
-    gamma = solve_estimator_zero(inst, 0.1)
-    report = lyapunov_bounds_check(inst, gamma[None, :], mu=0.1)
-    assert report.all_passed
+    # radius 0 puts the sample point on the estimator zero gamma itself
+    _, failures = lyapunov_bounds_check(inst, 1, mu=0.1, radius=0.0)
+    assert failures == []
 
 
 # --- config handling ---------------------------------------------------------------
@@ -301,6 +305,19 @@ def test_config_rejects_bad_values():
         {"out_dir": None},
         {"out_dir": ""},
         {"out_dir": "a\0b"},
+        {"instance": {"family": "ridge_synthetic", "d": 3, "per_agent": 2, "seed": 1, "lambda": 0}},
+        {"instance": {"family": "ridge_synthetic", "d": 3, "per_agent": 2, "seed": 1,
+                      "scale_spread": -1.0}},
+        {"instance": {"family": "synthetic_classification", "d": 3, "per_agent": 2, "seed": 1,
+                      "w": 0.0}},
+        {"instance": {"family": "synthetic_classification", "d": 3, "per_agent": 2, "seed": 1,
+                      "scale_spread": 0}},
+        {"instance": {"family": "ridge_csv", "path": "data.csv", "lambda": -0.5}},
+        {"instance": {"family": "logistic_csv", "path": "data.csv", "w": 0}},
+        {"instance": {"family": "quartic", "box": -1}},
+        {"instance": {"family": "quartic", "box": 0.0}},
+        {"instance": {"family": "quartic", "quad": 0}},
+        {"instance": {"family": "quartic", "quartic": -1.0}},
     ]
     for overrides in bad_values:
         with pytest.raises(ConfigurationError):
@@ -379,7 +396,8 @@ def test_run_experiment_writes_expected_files(tmp_path):
     assert result.ok
     names = sorted(os.listdir(result.out_dir))
     assert names == ["zo_jade_aggregate.csv", "zo_jade_seed1.csv", "zo_jade_seed2.csv"]
-    text = open(os.path.join(result.out_dir, "zo_jade_seed1.csv")).read()
+    with open(os.path.join(result.out_dir, "zo_jade_seed1.csv"), encoding="utf-8") as fh:
+        text = fh.read()
     assert text.startswith("# algorithm=zo_jade")
     assert cfg.config_hash in text
     header = text.splitlines()[1]
@@ -387,7 +405,8 @@ def test_run_experiment_writes_expected_files(tmp_path):
         "iteration,queries_per_agent,e_f,consensus_error,"
         "tracking_residual_y,tracking_residual_z,clamp_count"
     )
-    agg = open(os.path.join(result.out_dir, "zo_jade_aggregate.csv")).read()
+    with open(os.path.join(result.out_dir, "zo_jade_aggregate.csv"), encoding="utf-8") as fh:
+        agg = fh.read()
     assert cfg.config_hash in agg
     assert agg.splitlines()[1] == "queries,ef_mean,ef_std"
 
@@ -556,10 +575,11 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_builder_failure_creates_no_output_directory(tmp_path):
-    # lambda passes the kind check at parse time; the ridge builder rejects it
-    instance = {"family": "ridge_synthetic", "d": 3, "per_agent": 2, "seed": 1, "lambda": -1}
+    # a decreasing curvature range passes the kind check at parse time; the
+    # builder rejects it
+    instance = {"family": "separable_quadratic", "d": 3, "seed": 1, "curvature_range": [2, 1]}
     cfg = tiny_config(tmp_path, instance=instance)
-    with pytest.raises(ConfigurationError, match="lambda"):
+    with pytest.raises(ConfigurationError, match="curvature range"):
         run_experiment(cfg, quiet=True)
     path = _write_config(tmp_path, cfg)
     assert cli_main(["run", "--config", path]) == 2
@@ -621,7 +641,8 @@ def test_cli_failed_run_exit_code(tmp_path, capsys):
     assert cli_main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "FAILED consensus_gd seed 1" in err
-    trace_text = open(os.path.join(cfg["out_dir"], "consensus_gd_seed1.csv")).read()
+    with open(os.path.join(cfg["out_dir"], "consensus_gd_seed1.csv"), encoding="utf-8") as fh:
+        trace_text = fh.read()
     assert "failed=True" in trace_text
     # no aggregate when every seed failed
     assert not os.path.exists(os.path.join(cfg["out_dir"], "consensus_gd_aggregate.csv"))

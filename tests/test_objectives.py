@@ -5,7 +5,9 @@ import pytest
 
 from zojade import (
     ConfigurationError,
+    InstanceConstructionError,
     LogisticObjective,
+    QuarticObjective,
     Xoshiro256,
     estimate_gradient,
     gradient_error_bound,
@@ -18,6 +20,7 @@ from zojade import (
     shard_round_robin,
     standardize_features,
     synthetic_classification,
+    topology_from_spec,
 )
 
 
@@ -180,6 +183,47 @@ def test_separable_quadratic_closed_form():
 def test_builders_reject_sizes_below_one(build):
     # each used to fail inside numpy (zero-size reduction) or divide by zero
     with pytest.raises(ConfigurationError, match="must be a positive integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: separable_quadratic_instance(2, 3, seed=1, b_scale=math.nan),
+         InstanceConstructionError, "non-finite ground truth"),
+        (lambda: ridge_synthetic(3, 4, 2, seed=1, noise=math.nan),
+         InstanceConstructionError, "non-finite ground truth"),
+        (lambda: quartic_instance(2, box=math.nan), ConfigurationError, "box must be positive"),
+        (lambda: ridge_synthetic(3, 4, 2, seed=1, lam=math.nan),
+         ConfigurationError, "lambda must be positive"),
+        (lambda: synthetic_classification(3, 4, 2, seed=1, w=math.nan),
+         ConfigurationError, "weight must be positive"),
+        (lambda: LogisticObjective(np.ones((1, 2, 2)), math.nan),
+         ConfigurationError, "weight must be positive"),
+        (lambda: QuarticObjective(math.nan, 1.0, np.zeros((2, 1))),
+         ConfigurationError, "q >= 0 and a > 0"),
+        (lambda: QuarticObjective(1.0, math.nan, np.zeros((2, 1))),
+         ConfigurationError, "q >= 0 and a > 0"),
+        (lambda: ridge_synthetic(3, 4, 2, seed=1, scale_spread=math.nan),
+         ConfigurationError, "spread must be positive"),
+        (lambda: topology_from_spec("ring", "3"), ConfigurationError, "integer n"),
+        (lambda: topology_from_spec("ring", 3.0), ConfigurationError, "integer n"),
+        (lambda: topology_from_spec("ring", True), ConfigurationError, "integer n"),
+        (lambda: topology_from_spec("erdos_renyi", 4, p=0.5, seed=1.5),
+         ConfigurationError, "seed must be an integer"),
+        (lambda: topology_from_spec("erdos_renyi", 4, p=0.5, seed=True),
+         ConfigurationError, "seed must be an integer"),
+    ],
+    ids=[
+        "separable_b_scale", "ridge_noise", "quartic_box", "ridge_lambda", "classification_w",
+        "logistic_w", "quartic_q", "quartic_a", "ridge_spread", "topology_n_str",
+        "topology_n_float", "topology_n_bool", "erdos_renyi_seed_float", "erdos_renyi_seed_bool",
+    ],
+)
+def test_builders_reject_nan_and_non_integer_inputs(build, error, match):
+    # NaN passes every `<=` guard; these used to return a NaN x* or NaN
+    # constants, fail inside numpy, raise TypeError, or accept a bool
+    with pytest.raises(error, match=match):
         build()
 
 

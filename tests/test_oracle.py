@@ -58,7 +58,7 @@ def test_gradient_consumes_exactly_2d_queries():
         estimate_gradient(obj, np.zeros(d), 0.1)
         assert obj.query_count == 2 * d
         both = sphere(d)
-        assert estimate_both(both, np.zeros(d), 0.1).queries_used == 2 * d + 1
+        estimate_both(both, np.zeros(d), 0.1)
         assert both.query_count == 2 * d + 1
 
 
@@ -92,28 +92,28 @@ def test_hessian_diag_of_affine_is_zero():
 
 def test_joint_estimator_query_count():
     obj = sphere(20)
-    out = estimate_both(obj, np.zeros(20), 0.1)
-    assert out.queries_used == 41
+    estimate_both(obj, np.zeros(20), 0.1)
     assert obj.query_count == 41
 
 
 def test_joint_estimator_constant_function():
     obj = BlackBoxObjective(lambda X: np.zeros(X.shape[0]) + 7.0, 1)
-    out = estimate_both(obj, np.array([0.0]), 0.3)
-    assert out.grad_estimate[0] == 0.0
-    assert out.hessian_diag_estimate[0] == 0.0
-    assert out.queries_used == 3
+    grad, hdiag = estimate_both(obj, np.array([0.0]), 0.3)
+    assert grad[0] == 0.0
+    assert hdiag[0] == 0.0
+    assert obj.query_count == 3
 
 
 def test_joint_estimator_bit_identical_to_separate_calls():
     # identical probe points, identical arithmetic -> identical bits
     x = np.array([0.3, -0.8, 1.1])
     obj = BlackBoxObjective(lambda X: np.sum(X**4 - X, axis=1), 3)
-    out = estimate_both(obj, x, 0.07)
+    grad, hdiag = estimate_both(obj, x, 0.07)
     g = estimate_gradient(obj, x, 0.07)
-    h = estimate_hessian_diag(obj, x, 0.07, out.center_value)
-    assert np.array_equal(out.grad_estimate, g)
-    assert np.array_equal(out.hessian_diag_estimate, h)
+    center = obj.evaluate_probes(x, np.zeros((1, 3)))[0]
+    h = estimate_hessian_diag(obj, x, 0.07, center)
+    assert np.array_equal(grad, g)
+    assert np.array_equal(hdiag, h)
 
 
 def test_joint_estimator_matches_analytics_on_quadratic():
@@ -123,13 +123,9 @@ def test_joint_estimator_matches_analytics_on_quadratic():
         lambda X: 0.5 * np.einsum("ij,ij->i", X, X @ A) + X @ b + c, 6
     )
     x = 0.5 * rng.normals(6)
-    out = estimate_both(obj, x, 1e-2)
-    assert np.linalg.norm(out.grad_estimate - (A @ x + b)) <= 1e-10 * np.linalg.norm(
-        A @ x + b
-    )
-    assert np.linalg.norm(out.hessian_diag_estimate - np.diag(A)) <= 1e-10 * np.linalg.norm(
-        np.diag(A)
-    )
+    grad, hdiag = estimate_both(obj, x, 1e-2)
+    assert np.linalg.norm(grad - (A @ x + b)) <= 1e-10 * np.linalg.norm(A @ x + b)
+    assert np.linalg.norm(hdiag - np.diag(A)) <= 1e-10 * np.linalg.norm(np.diag(A))
 
 
 def test_probe_evaluation_error_names_the_point():
@@ -168,7 +164,8 @@ def test_hessian_error_bound_tight_on_quartic():
     # f = x^4 at 0: estimate is exactly 2 mu^2 while the true diagonal is 0
     for mu in (0.2, 0.1):
         obj = quartic_fn()
-        h = estimate_both(obj, np.array([0.0]), mu).hessian_diag_estimate[0]
+        _, hdiag = estimate_both(obj, np.array([0.0]), mu)
+        h = hdiag[0]
         bound = hessian_error_bound(24.0, mu)
         assert abs(h - bound) <= 1e-12 * bound
 
@@ -182,13 +179,9 @@ def test_error_containment_at_random_points():
         g = estimate_gradient(cube(), x, mu)[0]
         assert abs(g - 3.0 * x[0] ** 2) <= gradient_error_bound(6.0, mu, 1) + 1e-12
         q = quartic_fn()
-        out = estimate_both(q, x, mu)
-        assert abs(out.grad_estimate[0] - 4.0 * x[0] ** 3) <= gradient_error_bound(
-            24.0 * box, mu, 1
-        ) + 1e-9
-        assert abs(out.hessian_diag_estimate[0] - 12.0 * x[0] ** 2) <= hessian_error_bound(
-            24.0, mu
-        ) + 1e-9
+        grad, hdiag = estimate_both(q, x, mu)
+        assert abs(grad[0] - 4.0 * x[0] ** 3) <= gradient_error_bound(24.0 * box, mu, 1) + 1e-9
+        assert abs(hdiag[0] - 12.0 * x[0] ** 2) <= hessian_error_bound(24.0, mu) + 1e-9
 
 
 def test_error_containment_logistic():
@@ -199,12 +192,10 @@ def test_error_containment_logistic():
     for _ in range(50):
         x = rng.normals(instance.d)
         mu = 0.01 + 0.04 * rng.uniform()
-        out = estimate_both(gb, x, mu)
-        g_err = np.linalg.norm(out.grad_estimate - instance.global_gradient(x))
+        grad, hdiag = estimate_both(gb, x, mu)
+        g_err = np.linalg.norm(grad - instance.global_gradient(x))
         assert g_err <= gradient_error_bound(c.L2, mu, instance.d) + 1e-10
-        h_err = np.max(
-            np.abs(out.hessian_diag_estimate - np.diag(instance.global_hessian(x)))
-        )
+        h_err = np.max(np.abs(hdiag - np.diag(instance.global_hessian(x))))
         assert h_err <= hessian_error_bound(c.L3, mu) + 1e-10
 
 
@@ -218,10 +209,10 @@ def test_estimator_lipschitz_bounds():
     for _ in range(40):
         x = rng.normals(instance.d)
         y = rng.normals(instance.d)
-        ox = estimate_both(gb, x, mu)
-        oy = estimate_both(gb, y, mu)
+        gx, _ = estimate_both(gb, x, mu)
+        gy, _ = estimate_both(gb, y, mu)
         gap = np.linalg.norm(x - y)
-        assert np.linalg.norm(ox.grad_estimate - oy.grad_estimate) <= kg * gap + 1e-10
+        assert np.linalg.norm(gx - gy) <= kg * gap + 1e-10
 
 
 def test_mu_squared_error_scaling():
