@@ -28,13 +28,13 @@ reading under which g and h describe one parabola fit per agent.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, RunAborted
+from .errors import (
+    NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, EvaluationError, RunAborted, require
+)
 from .graphs import ConsensusMatrix
 from .metrics import RunTrace, TraceRow, ef_mode, loss_metric
 from .objectives import ProblemInstance
@@ -86,19 +86,6 @@ def initial_state(x0: np.ndarray, P: ConsensusMatrix) -> NetworkState:
     )
 
 
-def _check(name: str, value, requirement: str, ok=lambda v: True, integer=False) -> None:
-    """Reject `value` unless it is a finite number (an integer if `integer`,
-    never a bool) for which ok(value) holds."""
-    kind = numbers.Integral if integer else numbers.Real
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, kind)
-        or not math.isfinite(value)
-        or not ok(value)
-    ):
-        raise ConfigurationError(f"{name} must be {requirement}, got {value!r}")
-
-
 @dataclass
 class _RunConfig:
     """Parameters every algorithm takes: the absolute finite-difference step
@@ -111,12 +98,9 @@ class _RunConfig:
     x0_scale: float = 1.0
 
     def __post_init__(self):
-        _check("mu", self.mu, "a positive number", lambda v: v > 0.0)
-        _check("budget", self.budget, "a positive integer", lambda v: v > 0, integer=True)
-        _check(
-            "record_every", self.record_every, "a positive integer", lambda v: v > 0, integer=True
-        )
-        _check("x0_scale", self.x0_scale, "a finite number")
+        require(POS_NUM, mu=self.mu)
+        require(POS_INT, budget=self.budget, record_every=self.record_every)
+        require(NUM, x0_scale=self.x0_scale)
 
 
 @dataclass
@@ -134,8 +118,8 @@ class JadeConfig(_RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check("epsilon", self.epsilon, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
-        _check("z_floor", self.z_floor, "a positive number", lambda v: v > 0.0)
+        require(PROB, epsilon=self.epsilon)
+        require(POS_NUM, z_floor=self.z_floor)
 
 
 @dataclass
@@ -146,7 +130,7 @@ class BaselineConfig(_RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check("eta", self.eta, "a nonnegative number", lambda v: v >= 0.0)
+        require(NONNEG, eta=self.eta)
 
 
 def _advance(state: NetworkState, x_new: np.ndarray, **changes) -> NetworkState:

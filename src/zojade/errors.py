@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an input
+value's kind that the config schema, the run configs and the builders share."""
+
+import math
 
 
 class ZojadeError(Exception):
@@ -19,3 +22,55 @@ class InstanceConstructionError(ZojadeError):
 
 class RunAborted(ZojadeError):
     """A simulation run hit a non-finite update and was stopped."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_seed_list(value) -> bool:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        return False
+    return 0 < len(value) == len(set(value))
+
+
+def _is_file_name(value) -> bool:
+    return isinstance(value, str) and value not in ("", ".", "..") and not set("/\\\0") & set(value)
+
+
+INT, POS_INT, NUM = "an integer", "a positive integer", "a finite number"
+PROB, BOOL, PATH = "a number in (0, 1]", "a boolean", "a non-empty path string"
+POS_NUM, NONNEG = "a positive finite number", "a nonnegative finite number"
+PAIR, SEEDS = "a list of two finite numbers", "a non-empty list of distinct integers"
+FILE_NAME, OBJECT, LIST = "one file-name component", "an object", "a non-empty list"
+
+#: kind -> the test a value of that kind passes.  Kinds are JSON-native: a
+#: number is a Python int or float (np.float64 subclasses float; numpy
+#: integers and np.float32 do not), never a bool, and finite.
+KINDS = {
+    INT: _is_int,
+    POS_INT: lambda v: _is_int(v) and v > 0,
+    NUM: _is_number,
+    PROB: lambda v: _is_number(v) and 0.0 < v <= 1.0,
+    BOOL: lambda v: isinstance(v, bool),
+    PATH: lambda v: isinstance(v, str) and v != "" and "\0" not in v,
+    POS_NUM: lambda v: _is_number(v) and v > 0.0,
+    NONNEG: lambda v: _is_number(v) and v >= 0.0,
+    PAIR: lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+    SEEDS: _is_seed_list,
+    FILE_NAME: _is_file_name,
+    OBJECT: lambda v: isinstance(v, dict),
+    LIST: lambda v: isinstance(v, list) and v != [],
+}
+
+
+def require(kind: str, **values) -> None:
+    """Raise a ConfigurationError naming the first of `values` that is not of `kind`."""
+    test = KINDS[kind]
+    for name, value in values.items():
+        if not test(value):
+            raise ConfigurationError(f"{name} must be {kind}, got {value!r}")

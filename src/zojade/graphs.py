@@ -10,12 +10,11 @@ variant, which halves the off-diagonal weights, is not used.)
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import POS_INT, PROB, ConfigurationError, require
 from .rng import Xoshiro256
 
 
@@ -32,8 +31,7 @@ class Graph:
     adjacency: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError(f"graph needs at least one node, got n={self.n}")
+        require(POS_INT, n=self.n)
         pairs = np.array(list(self.edges), dtype=int).reshape(-1, 2)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
@@ -181,8 +179,7 @@ def topology_from_spec(name: str, n: int, p: float | None = None, seed: int | No
     erdos_renyi family requires `p` in (0, 1] and `seed` and redraws until
     the sample is connected, giving up after 1000 attempts.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ConfigurationError(f"topology needs an integer n >= 1, got {n!r}")
+    require(POS_INT, n=n)
     if name == "complete":
         return Graph(n=n, edges=frozenset(_complete_edges(n)))
     if name == "ring":
@@ -194,9 +191,6 @@ def topology_from_spec(name: str, n: int, p: float | None = None, seed: int | No
     if name == "erdos_renyi":
         if p is None or seed is None:
             raise ConfigurationError("erdos_renyi topology requires 'p' and 'seed'")
-        if not 0.0 < p <= 1.0:
-            raise ConfigurationError(f"erdos_renyi needs p in (0, 1], got {p}")
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ConfigurationError(f"erdos_renyi seed must be an integer, got {seed!r}")
+        require(PROB, p=p)
         return _erdos_renyi(n, p, seed)
     raise ConfigurationError(f"unknown topology '{name}'")

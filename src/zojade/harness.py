@@ -7,18 +7,21 @@ rejected, and so are malformed values, before anything is built.  The
 sha256 hash of the fully defaulted config is stamped into every output
 file, and re-running a config reproduces every CSV byte for byte.
 
-Schema (each default lives in one place, named in parentheses):
+Schema (each default lives in one place, named in parentheses).  Every
+value's kind is one entry of errors.KINDS, checked by errors.require, the
+same check the run configs, instance builders and topology builder call;
+numbers are JSON-native (int or float, never a bool) and finite:
 
     topology    name: complete | ring | path | grid | erdos_renyi
                 n: agent count; erdos_renyi also requires p in (0, 1] and seed
     instance    family: separable_quadratic | ridge_synthetic |
                         synthetic_classification | ridge_csv |
                         logistic_csv | quartic
-                plus family parameters and their kinds, see _INSTANCE_SCHEMAS; only the
-                keys a config sets are passed to the family's builder, so
-                the builder signature holds the defaults (the CSV families
-                default to standardize = true and lambda / w = 0.1); the
-                agent count always comes from the topology
+                plus family parameters and their kinds, see _INSTANCE_SCHEMAS;
+                only the keys a config sets are passed to the family's
+                builder, so the builder signature holds the defaults (the CSV
+                families default to standardize = true and lambda / w = 0.1);
+                the agent count always comes from the topology
     mu          finite-difference step
     budget      max queries per agent
     seeds       list of distinct integers
@@ -57,7 +60,10 @@ from .algorithms import (
     initial_state,
     run,
 )
-from .errors import ConfigurationError, InstanceConstructionError
+from .errors import (
+    BOOL, FILE_NAME, INT, LIST, NONNEG, NUM, OBJECT, PAIR, PATH, POS_INT, POS_NUM, PROB,
+    SEEDS, ConfigurationError, InstanceConstructionError, require,
+)
 from .graphs import ConsensusMatrix, metropolis_hastings, spectral_gap, topology_from_spec
 from .metrics import (
     TRACE_COLUMNS,
@@ -102,35 +108,29 @@ _CONFIG_CLASS = {
     "consensus_gd": BaselineConfig,
 }
 
-# The kinds a topology or instance value can have; _KINDS checks each.
-_INT, _POS, _NUM = "an integer", "a positive integer", "a finite number"
-_PROB, _BOOL, _STR = "a number in (0, 1]", "a boolean", "a string"
-_PAIR = "a list of two finite numbers"
-_POSNUM, _NONNEG = "a positive finite number", "a nonnegative finite number"
-
 #: topology name -> (required keys, optional keys), each mapping a key to its kind
 _TOPOLOGY_SCHEMAS = {
-    **{name: ({"n": _POS}, {}) for name in ("complete", "ring", "path", "grid")},
-    "erdos_renyi": ({"n": _POS, "p": _PROB, "seed": _INT}, {}),
+    **{name: ({"n": POS_INT}, {}) for name in ("complete", "ring", "path", "grid")},
+    "erdos_renyi": ({"n": POS_INT, "p": PROB, "seed": INT}, {}),
 }
 
 #: family -> (required keys, optional keys), each mapping a key to its kind
 _INSTANCE_SCHEMAS = {
-    "separable_quadratic": ({"d": _POS, "seed": _INT}, {"curvature_range": _PAIR, "b_scale": _NUM}),
+    "separable_quadratic": ({"d": POS_INT, "seed": INT}, {"curvature_range": PAIR, "b_scale": NUM}),
     "ridge_synthetic": (
-        {"d": _POS, "per_agent": _POS, "seed": _INT},
-        {"lambda": _POSNUM, "noise": _NUM, "scale_spread": _POSNUM, "standardize": _BOOL},
+        {"d": POS_INT, "per_agent": POS_INT, "seed": INT},
+        {"lambda": POS_NUM, "noise": NUM, "scale_spread": POS_NUM, "standardize": BOOL},
     ),
     "synthetic_classification": (
-        {"d": _POS, "per_agent": _POS, "seed": _INT},
-        {"w": _POSNUM, "separation": _NUM, "scale_spread": _POSNUM, "standardize": _BOOL},
+        {"d": POS_INT, "per_agent": POS_INT, "seed": INT},
+        {"w": POS_NUM, "separation": NUM, "scale_spread": POS_NUM, "standardize": BOOL},
     ),
-    "ridge_csv": ({"path": _STR}, {"lambda": _POSNUM, "has_header": _BOOL, "standardize": _BOOL}),
-    "logistic_csv": ({"path": _STR}, {"w": _POSNUM, "has_header": _BOOL, "standardize": _BOOL}),
+    "ridge_csv": ({"path": PATH}, {"lambda": POS_NUM, "has_header": BOOL, "standardize": BOOL}),
+    "logistic_csv": ({"path": PATH}, {"w": POS_NUM, "has_header": BOOL, "standardize": BOOL}),
     "quartic": (
         {},
-        {"d": _POS, "quartic": _NONNEG, "quad": _POSNUM, "b_mean": _NUM, "b_spread": _NUM,
-         "box": _POSNUM},
+        {"d": POS_INT, "quartic": NONNEG, "quad": POS_NUM, "b_mean": NUM, "b_spread": NUM,
+         "box": POS_NUM},
     ),
 }
 
@@ -161,17 +161,16 @@ def _require(mapping: dict, keys, context: str) -> None:
 
 def _check_schema(mapping, tag: str, schemas: dict, context: str) -> None:
     """Check an object whose `tag` key selects its (required, optional) key kinds."""
-    if not isinstance(mapping, dict):
-        raise ConfigurationError(f"{context} must be an object")
+    require(OBJECT, **{context: mapping})
     value = mapping.get(tag)
-    if not isinstance(value, str) or value not in schemas:
+    if value not in sorted(schemas):  # a list, so that no value needs to be hashable
         raise ConfigurationError(f"{context}.{tag} must be one of {sorted(schemas)}, got {value!r}")
     required, optional = schemas[value]
     _reject_unknown(mapping, {*required, *optional, tag}, f"{context}[{value}]")
     _require(mapping, required, f"{context}[{value}]")
     for key, kind in {**required, **optional}.items():
-        if key in mapping and not _KINDS[kind](mapping[key]):
-            raise ConfigurationError(f"{context}.{key} must be {kind}, got {mapping[key]!r}")
+        if key in mapping:
+            require(kind, **{f"{context}.{key}": mapping[key]})
 
 
 @dataclass
@@ -207,30 +206,24 @@ class ExperimentConfig:
 
 
 def _validate_config(raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a JSON object")
+    require(OBJECT, config=raw)
     cfg = copy.deepcopy(raw)
     _reject_unknown(cfg, _TOP_KEYS, "config")
     _require(cfg, ["topology", "instance", "mu", "budget", "seeds", "algorithms"], "config")
     for key, default in DEFAULTS.items():
         cfg.setdefault(key, default)
 
-    out_dir = cfg["out_dir"]
-    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
-        raise ConfigurationError(f"out_dir must be a non-empty path string, got {out_dir!r}")
+    require(PATH, out_dir=cfg["out_dir"])
     _check_schema(cfg["topology"], "name", _TOPOLOGY_SCHEMAS, "topology")
     _check_schema(cfg["instance"], "family", _INSTANCE_SCHEMAS, "instance")
-    _validate_seeds(cfg["seeds"])
+    require(SEEDS, seeds=cfg["seeds"])
 
-    algos = cfg["algorithms"]
-    if not isinstance(algos, list) or not algos:
-        raise ConfigurationError("algorithms must be a non-empty list")
+    require(LIST, algorithms=cfg["algorithms"])
     labels = set()
-    for entry in algos:
-        if not isinstance(entry, dict):
-            raise ConfigurationError("each algorithm entry must be an object")
+    for entry in cfg["algorithms"]:
+        require(OBJECT, **{"algorithm entry": entry})
         name = entry.get("name")
-        if not isinstance(name, str) or name not in ALGORITHMS:
+        if name not in sorted(ALGORITHMS):
             raise ConfigurationError(
                 f"algorithm name must be one of {sorted(ALGORITHMS)}, got {name!r}"
             )
@@ -239,42 +232,11 @@ def _validate_config(raw: dict) -> dict:
         for key, default in defaults.items():
             entry.setdefault(key, default)
         label = entry.setdefault("label", name)
-        # a label names output files, so it is one file-name component
-        bad_label = not isinstance(label, str) or any(c in label for c in "/\\\0")
-        if bad_label or label in ("", ".", ".."):
-            raise ConfigurationError(f"label must be one file-name component, got {label!r}")
+        require(FILE_NAME, label=label)  # a label names output files
         if label in labels:
             raise ConfigurationError(f"duplicate algorithm label '{label}'")
         labels.add(label)
     return cfg
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-_KINDS = {
-    _INT: _is_int,
-    _POS: lambda v: _is_int(v) and v > 0,
-    _NUM: _is_number,
-    _PROB: lambda v: _is_number(v) and 0.0 < v <= 1.0,
-    _BOOL: lambda v: isinstance(v, bool),
-    _STR: lambda v: isinstance(v, str),
-    _PAIR: lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
-    _POSNUM: lambda v: _is_number(v) and v > 0.0,
-    _NONNEG: lambda v: _is_number(v) and v >= 0.0,
-}
-
-
-def _validate_seeds(seeds) -> None:
-    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
-        raise ConfigurationError(f"seeds must be a non-empty list of integers, got {seeds!r}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigurationError(f"seeds must be distinct, got {seeds!r}")
 
 
 def _algorithm_defaults(name: str) -> dict:
@@ -419,7 +381,7 @@ def run_experiment(
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     seed_list = cfg.seeds if seeds is None else list(seeds)
-    _validate_seeds(seed_list)
+    require(SEEDS, seeds=seed_list)
     _, P = build_topology(cfg)
     instance = build_instance(cfg)
     try:
@@ -495,20 +457,21 @@ def solve_estimator_zero(instance: ProblemInstance, mu: float) -> np.ndarray:
     )
 
 
-@dataclass
-class GammaScalingReport:
-    """Converged distances to x* for a halving sequence of probe steps."""
+def _require_admissible(instance: ProblemInstance, mu: float) -> None:
+    """Reject a probe step above the admissible mu of the instance's constants."""
+    consts = instance.constants
+    limit = admissible_mu(consts.m, consts.L1, consts.L3, instance.d)
+    if mu > limit:
+        raise ConfigurationError(
+            f"mu={mu} exceeds the admissible value {limit:.6g} for this instance"
+        )
 
-    distances: list
-    ratios: list
-    excluded: list = field(default_factory=list)
 
-
-def gamma_mu_scaling_check(
-    instance: ProblemInstance, mu_list: list, cfg: JadeConfig
-) -> GammaScalingReport:
+def gamma_mu_scaling_check(instance: ProblemInstance, mu_list: list, cfg: JadeConfig) -> tuple:
     """Run the tracking algorithm to stationarity per mu (complete graph,
     seed 1) and measure how the converged distance to x* shrinks as mu halves.
+    Returns (distances to x*, ratios of consecutive converged distances,
+    excluded (mu, diagnostic) pairs).
 
     Preconditions: at least two mu values, consecutive values halving,
     all within the admissible range of the instance constants.  Runs
@@ -520,12 +483,8 @@ def gamma_mu_scaling_check(
     for a, b in zip(mu_list, mu_list[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ConfigurationError(f"mu values must halve, got {a} then {b}")
-    consts = instance.constants
-    consts.require("m", "L1", "L3")
-    limit = admissible_mu(consts.m, consts.L1, consts.L3, instance.d)
-    for mu in mu_list:
-        if mu > limit:
-            raise ConfigurationError(f"mu={mu} exceeds admissible value {limit:.6g}")
+    instance.constants.require("m", "L1", "L3")
+    _require_admissible(instance, max(mu_list))
     P = metropolis_hastings(topology_from_spec("complete", instance.n))
 
     distances = []
@@ -550,7 +509,7 @@ def gamma_mu_scaling_check(
         for k in range(len(mu_list) - 1)
         if converged[k] and converged[k + 1] and distances[k + 1] > 0.0
     ]
-    return GammaScalingReport(distances=distances, ratios=ratios, excluded=excluded)
+    return distances, ratios, excluded
 
 
 def lyapunov_bounds_check(
@@ -577,11 +536,7 @@ def lyapunov_bounds_check(
     consts.require("m", "L1", "L2", "L3")
     m, L1, L2, L3 = consts.m, consts.L1, consts.L2, consts.L3
     d = instance.d
-    limit = admissible_mu(m, L1, L3, d)
-    if mu > limit:
-        raise ConfigurationError(
-            f"mu={mu} exceeds the admissible value {limit:.6g} for this instance"
-        )
+    _require_admissible(instance, mu)
     gamma = solve_estimator_zero(instance, mu)
     K = gradient_lipschitz_bound(L1, L2, mu, d)
     u = d * mu * mu * L3 / 6.0
@@ -908,12 +863,12 @@ def check_gamma_scaling(report: VerifyReport) -> None:
     """Each halving of mu shrinks the quartic's converged distance to x* by 2-8x."""
     instance = quartic_instance(4)
     cfg = JadeConfig(mu=0.2, epsilon=0.5, budget=3 * 4000, record_every=100)
-    result = gamma_mu_scaling_check(instance, [0.2, 0.1, 0.05], cfg)
-    ok = not result.excluded and len(result.ratios) == 2
+    _, ratios, excluded = gamma_mu_scaling_check(instance, [0.2, 0.1, 0.05], cfg)
+    ok = not excluded and len(ratios) == 2
     report.add(
         "gamma_mu_scaling",
-        ok and all(2.0 <= r <= 8.0 for r in result.ratios),
-        f"ratios {[round(r, 3) for r in result.ratios]}",
+        ok and all(2.0 <= r <= 8.0 for r in ratios),
+        f"ratios {[round(r, 3) for r in ratios]}",
     )
 
 

@@ -120,7 +120,6 @@ def fit_exponential_rate(steps: np.ndarray, ef: np.ndarray, tail_fraction: float
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError(f"tail fraction must be in (0, 1], got {tail_fraction}")
     start = len(ef) - max(int(np.ceil(tail_fraction * len(ef))), 10)
-    start = max(start, 0)
     t = steps[start:]
     logy = np.log(ef[start:])
     t_mean = t.mean()

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InstanceConstructionError
+from .errors import (
+    NONNEG, PAIR, POS_INT, POS_NUM, ConfigurationError, InstanceConstructionError, require
+)
 from .oracle import BlackBoxObjective, SmoothnessConstants, agent_blocks
 from .rng import Xoshiro256
 
@@ -99,8 +100,7 @@ class LogisticObjective:
         U = np.asarray(U, dtype=float)
         if U.ndim != 3:
             raise ConfigurationError("logistic sample stack must be 3-d (agents, rows, d)")
-        if not w > 0.0:
-            raise ConfigurationError(f"ridge weight must be positive, got {w}")
+        require(POS_NUM, w=w)
         n, rows, d = U.shape
         counts = np.full(n, rows) if counts is None else np.asarray(counts, dtype=np.int64)
         if counts.shape != (n,) or np.any(counts < 0) or np.any(counts > rows):
@@ -142,8 +142,8 @@ class QuarticObjective:
     with shared q and a and the tilts stacked as b (n, d)."""
 
     def __init__(self, q: float, a: float, b: np.ndarray):
-        if not (q >= 0.0 and a > 0.0):
-            raise ConfigurationError("quartic needs q >= 0 and a > 0")
+        require(NONNEG, q=q)
+        require(POS_NUM, a=a)
         b = np.asarray(b, dtype=float)
         if b.ndim != 2:
             raise ConfigurationError(f"quartic tilts must be stacked (n, d), got {b.shape}")
@@ -256,13 +256,6 @@ def _instance(
     return instance
 
 
-def _require_sizes(**sizes) -> None:
-    """Reject an agent count, dimension or per-agent sample count below one."""
-    for key, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ConfigurationError(f"{key} must be a positive integer, got {value!r}")
-
-
 def shard_round_robin(count: int, n: int) -> list:
     """Deterministic row partition: row k goes to shard k mod n."""
     return [np.arange(i, count, n) for i in range(n)]
@@ -291,20 +284,19 @@ def ridge_instance_from_shards(
     Each agent owns the regularized least-squares cost of its shard; the
     exact minimizer of the averaged cost comes from the normal equations.
     """
-    _require_sizes(n=n)
+    require(POS_INT, n=n)
+    require(POS_NUM, lam=lam)
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float).ravel()
     if features.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ConfigurationError(
             f"feature matrix {features.shape} does not match {targets.shape[0]} targets"
         )
-    _require_sizes(d=features.shape[1])
+    require(POS_INT, d=features.shape[1])
     if features.shape[0] < n:
         raise ConfigurationError(
             f"need at least one row per agent: {features.shape[0]} rows, {n} agents"
         )
-    if not lam > 0.0:
-        raise ConfigurationError(f"ridge lambda must be positive, got {lam}")
     if standardize:
         features = standardize_features(features)
     d = features.shape[1]
@@ -389,7 +381,7 @@ def logistic_instance(
     one more than the sample dimension.  The minimizer of the averaged
     cost is found by damped Newton on the analytic loss.
     """
-    _require_sizes(n=n)
+    require(POS_INT, n=n)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1 and samples.size == 0:
         samples = samples.reshape(0, 0)
@@ -403,8 +395,6 @@ def logistic_instance(
         )
     if count and not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ConfigurationError("labels must be -1 or +1")
-    if not w > 0.0:
-        raise ConfigurationError(f"logistic ridge weight must be positive, got {w}")
     if count and standardize:
         samples = standardize_features(samples)
 
@@ -445,7 +435,7 @@ def synthetic_classification(
     `scale_spread` > 1 gives the sample coordinates geometrically decaying
     scales, like the component variances of spectrally reduced data.
     """
-    _require_sizes(d=d, per_agent=per_agent, n=n)
+    require(POS_INT, d=d, per_agent=per_agent, n=n)
     if d < 2:
         raise ConfigurationError(f"synthetic classification needs d >= 2, got {d}")
     rng = Xoshiro256(seed)
@@ -480,7 +470,7 @@ def ridge_synthetic(
     `scale_spread`), mimicking the heterogeneous units of real regression
     data; with `scale_spread` = 1 the features are isotropic.
     """
-    _require_sizes(d=d, per_agent=per_agent, n=n)
+    require(POS_INT, d=d, per_agent=per_agent, n=n)
     rng = Xoshiro256(seed)
     count = n * per_agent
     theta = rng.normals(d)
@@ -492,8 +482,7 @@ def ridge_synthetic(
 
 
 def _column_scales(d: int, spread: float) -> np.ndarray:
-    if not spread > 0.0:
-        raise ConfigurationError(f"scale spread must be positive, got {spread}")
+    require(POS_NUM, scale_spread=spread)
     if d == 1 or spread == 1.0:
         return np.ones(d)
     return spread ** (np.arange(d) / (d - 1) - 0.5)
@@ -516,9 +505,9 @@ def quartic_instance(
     iterates stay inside the box, so callers should start runs well inside
     it.
     """
-    _require_sizes(n=n, d=d)
-    if not box > 0.0:
-        raise ConfigurationError(f"quartic box must be positive, got {box}")
+    require(POS_INT, n=n, d=d)
+    require(NONNEG, quartic=quartic)
+    require(POS_NUM, quad=quad, box=box)
     zeta = np.zeros(1) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
     family = QuarticObjective(quartic, quad, np.repeat((b_mean + b_spread * zeta)[:, None], d, 1))
     b_bar = family.b.sum(axis=0) / n
@@ -552,7 +541,8 @@ def separable_quadratic_instance(
     b_scale: float = 1.0,
 ) -> ProblemInstance:
     """Random diagonal quadratics: f_i = 0.5 x^T diag(a_i) x + b_i^T x."""
-    _require_sizes(n=n, d=d)
+    require(POS_INT, n=n, d=d)
+    require(PAIR, curvature_range=curvature_range)
     lo, hi = curvature_range
     if not 0.0 < lo <= hi:
         raise ConfigurationError(f"invalid curvature range {curvature_range}")
@@ -576,11 +566,15 @@ def separable_quadratic_instance(
 def load_csv(path: str, has_header: bool = False) -> tuple:
     """Read a numeric CSV; the last column is the target or label.
 
-    Raises a configuration error naming the offending row for ragged or
-    non-numeric content, and for files with no data rows.
+    Raises a configuration error naming the path for a file that cannot be
+    opened or is not UTF-8, and for files with no data rows, and naming the
+    offending row for ragged or non-numeric content.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read data {path}: {exc}") from exc
     start = 1 if has_header else 0
     data_rows = [(i + 1, row) for i, row in enumerate(rows) if i >= start and row]
     if not data_rows:

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .errors import INT, require
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -42,9 +44,12 @@ def _rotl(x: int, k: int) -> int:
 
 
 class Xoshiro256:
-    """xoshiro256** generator seeded through splitmix64."""
+    """xoshiro256** generator seeded through splitmix64.  Every seed a builder
+    or run draws with passes here, so this is where it is checked: a Python
+    int of any size (a bool or numpy integer is rejected)."""
 
     def __init__(self, seed: int):
+        require(INT, seed=seed)
         self._s = splitmix64_stream(seed, 4)
 
     def next_u64(self) -> int:

@@ -133,7 +133,7 @@ def test_erdos_renyi_gives_up_when_never_connected():
 @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan")])
 def test_erdos_renyi_rejects_p_outside_unit_interval_before_drawing(p):
     # before, p = 0 spent 1000 redraws and p = 1.5 built the complete graph
-    with pytest.raises(ConfigurationError, match=r"p in \(0, 1\]"):
+    with pytest.raises(ConfigurationError, match=r"p must be a number in \(0, 1\]"):
         topology_from_spec("erdos_renyi", 30, p=p, seed=1)
 
 

@@ -163,8 +163,8 @@ def test_gamma_scaling_rejects_short_or_irregular_lists():
 def test_gamma_scaling_on_quadratic_sits_at_float_floor():
     inst = separable_quadratic_instance(4, 2, seed=3)
     cfg = JadeConfig(mu=0.2, epsilon=0.4, budget=5 * 1500, record_every=50)
-    report = gamma_mu_scaling_check(inst, [0.2, 0.1], cfg)
-    assert all(d <= 1e-8 for d in report.distances)
+    distances, _, _ = gamma_mu_scaling_check(inst, [0.2, 0.1], cfg)
+    assert all(d <= 1e-8 for d in distances)
 
 
 def test_solve_estimator_zero_quartic():
@@ -572,6 +572,16 @@ def test_cli_config_error_exit_code(tmp_path):
     # an --out override that cannot be a directory
     for out in ("", "a\0b", good):
         assert cli_main(["run", "--config", good, "--out", out]) == 2, out
+    # a CSV instance whose data file is missing, a directory, or not UTF-8
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "latin1.csv").write_bytes("1,2\n3,\xe9\n".encode("latin-1"))
+    for path in (data / "absent.csv", data, data / "latin1.csv"):
+        unreadable = {**tiny_config(tmp_path).data, "instance": {"family": "ridge_csv",
+                                                                 "path": str(path)}}
+        bad.write_text(json.dumps(unreadable), encoding="utf-8")
+        assert cli_main(["run", "--config", str(bad)]) == 2, path
+        assert cli_main(["verify", "--config", str(bad)]) == 2, path
 
 
 def test_builder_failure_creates_no_output_directory(tmp_path):

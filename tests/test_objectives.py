@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,22 +194,26 @@ def test_builders_reject_sizes_below_one(build):
          InstanceConstructionError, "non-finite ground truth"),
         (lambda: ridge_synthetic(3, 4, 2, seed=1, noise=math.nan),
          InstanceConstructionError, "non-finite ground truth"),
-        (lambda: quartic_instance(2, box=math.nan), ConfigurationError, "box must be positive"),
+        (lambda: quartic_instance(2, box=math.nan),
+         ConfigurationError, "box must be a positive finite number"),
         (lambda: ridge_synthetic(3, 4, 2, seed=1, lam=math.nan),
-         ConfigurationError, "lambda must be positive"),
+         ConfigurationError, "lam must be a positive finite number"),
         (lambda: synthetic_classification(3, 4, 2, seed=1, w=math.nan),
-         ConfigurationError, "weight must be positive"),
+         ConfigurationError, "w must be a positive finite number"),
         (lambda: LogisticObjective(np.ones((1, 2, 2)), math.nan),
-         ConfigurationError, "weight must be positive"),
+         ConfigurationError, "w must be a positive finite number"),
         (lambda: QuarticObjective(math.nan, 1.0, np.zeros((2, 1))),
-         ConfigurationError, "q >= 0 and a > 0"),
+         ConfigurationError, "q must be a nonnegative finite number"),
         (lambda: QuarticObjective(1.0, math.nan, np.zeros((2, 1))),
-         ConfigurationError, "q >= 0 and a > 0"),
+         ConfigurationError, "a must be a positive finite number"),
         (lambda: ridge_synthetic(3, 4, 2, seed=1, scale_spread=math.nan),
-         ConfigurationError, "spread must be positive"),
-        (lambda: topology_from_spec("ring", "3"), ConfigurationError, "integer n"),
-        (lambda: topology_from_spec("ring", 3.0), ConfigurationError, "integer n"),
-        (lambda: topology_from_spec("ring", True), ConfigurationError, "integer n"),
+         ConfigurationError, "scale_spread must be a positive finite number"),
+        (lambda: topology_from_spec("ring", "3"),
+         ConfigurationError, "n must be a positive integer"),
+        (lambda: topology_from_spec("ring", 3.0),
+         ConfigurationError, "n must be a positive integer"),
+        (lambda: topology_from_spec("ring", True),
+         ConfigurationError, "n must be a positive integer"),
         (lambda: topology_from_spec("erdos_renyi", 4, p=0.5, seed=1.5),
          ConfigurationError, "seed must be an integer"),
         (lambda: topology_from_spec("erdos_renyi", 4, p=0.5, seed=True),
@@ -345,6 +350,14 @@ def test_load_csv_empty_file(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="no data rows"):
         load_csv(str(path))
+
+
+def test_load_csv_names_the_path_it_cannot_read(tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("1,2\n3,\xe9\n".encode("latin-1"))
+    for path in (tmp_path / "absent.csv", tmp_path, latin1):
+        with pytest.raises(ConfigurationError, match=f"cannot read data {re.escape(str(path))}"):
+            load_csv(str(path))
 
 
 def test_load_csv_ragged_row(tmp_path):
