@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    NONNEG, PAIR, POS_INT, POS_NUM, ConfigurationError, InstanceConstructionError, require
+    NONNEG, NUM, PAIR, POS_INT, POS_NUM, ConfigurationError, InstanceConstructionError, require
 )
 from .oracle import BlackBoxObjective, SmoothnessConstants, agent_blocks
 from .rng import Xoshiro256
@@ -436,6 +436,7 @@ def synthetic_classification(
     scales, like the component variances of spectrally reduced data.
     """
     require(POS_INT, d=d, per_agent=per_agent, n=n)
+    require(NUM, separation=separation)
     if d < 2:
         raise ConfigurationError(f"synthetic classification needs d >= 2, got {d}")
     rng = Xoshiro256(seed)
@@ -471,6 +472,7 @@ def ridge_synthetic(
     data; with `scale_spread` = 1 the features are isotropic.
     """
     require(POS_INT, d=d, per_agent=per_agent, n=n)
+    require(NUM, noise=noise)
     rng = Xoshiro256(seed)
     count = n * per_agent
     theta = rng.normals(d)
@@ -508,6 +510,7 @@ def quartic_instance(
     require(POS_INT, n=n, d=d)
     require(NONNEG, quartic=quartic)
     require(POS_NUM, quad=quad, box=box)
+    require(NUM, b_mean=b_mean, b_spread=b_spread)
     zeta = np.zeros(1) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
     family = QuarticObjective(quartic, quad, np.repeat((b_mean + b_spread * zeta)[:, None], d, 1))
     b_bar = family.b.sum(axis=0) / n
@@ -543,6 +546,7 @@ def separable_quadratic_instance(
     """Random diagonal quadratics: f_i = 0.5 x^T diag(a_i) x + b_i^T x."""
     require(POS_INT, n=n, d=d)
     require(PAIR, curvature_range=curvature_range)
+    require(NUM, b_scale=b_scale)
     lo, hi = curvature_range
     if not 0.0 < lo <= hi:
         raise ConfigurationError(f"invalid curvature range {curvature_range}")

@@ -13,10 +13,18 @@ implementations can reproduce the streams bit for bit:
 * standard normals: Box-Muller, each call consumes exactly two doubles
   (u1, u2) and returns ``sqrt(-2 ln u1) * cos(2 pi u2)``; a zero u1 is
   replaced by 2**-53.  No caching of the sine branch.
+
+Implementation note: large arrays are drawn on lanes, not one output at a
+time.  The transition is linear over GF(2), so lane j can start at the
+state ``_K * j`` steps ahead and all lanes can step together as numpy
+``uint64`` arrays; laid end to end, the lanes give exactly the stream the
+spec above defines, and the generator is left in the state the scalar path
+would reach.  The spec does not depend on this.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +32,8 @@ import numpy as np
 from .errors import INT, require
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_UNIT = 2.0**-53
+_TAU = 2.0 * math.pi
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -39,8 +49,10 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+def _gauss(u1: float, u2: float) -> float:
+    if u1 == 0.0:
+        u1 = _UNIT
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TAU * u2)
 
 
 class Xoshiro256:
@@ -53,44 +65,147 @@ class Xoshiro256:
         self._s = splitmix64_stream(seed, 4)
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        s0, s1, s2, s3 = self._s
+        x = (s1 * 5) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        self._s = [s0 ^ s3, s1 ^ s2, s2 ^ t, ((s3 << 45) | (s3 >> 19)) & _MASK64]
+        return ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return (self.next_u64() >> 11) * _UNIT
 
     def normal(self) -> float:
         """One standard normal draw (consumes two uniforms)."""
-        u1 = self.uniform()
-        if u1 == 0.0:
-            u1 = 2.0**-53
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return _gauss(self.uniform(), self.uniform())
 
     def normals(self, *shape: int) -> np.ndarray:
         """Array of standard normals with the given shape, row-major order."""
-        return _fill(self.normal, shape)
+        return self._fill(shape, 2)
 
     def uniforms(self, *shape: int) -> np.ndarray:
         """Array of doubles in [0, 1) with the given shape, row-major order."""
-        return _fill(self.uniform, shape)
+        return self._fill(shape, 1)
+
+    def _u64s(self, count: int) -> list[int]:
+        """The next `count` outputs: `next_u64`'s step, with the state in locals."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        append = out.append
+        for _ in range(count):
+            x = (s1 * 5) & _MASK64
+            append((((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s0 ^= s3
+            s1 ^= s2
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        return out
+
+    def _fill(self, shape: tuple, per: int) -> np.ndarray:
+        """Array of `shape` whose elements consume `per` outputs each: the head
+        on lanes when the array is large, the rest one step at a time."""
+        flat = np.empty(math.prod(shape))
+        head = 0
+        if flat.size * per >= _LANE_CUTOFF:
+            lanes = flat.size * per // _K
+            head = lanes * _K // per
+            self._s = _lane_fill(self._s, flat[:head].reshape(lanes, _K // per), per)
+        for start in range(head, flat.size, _BLOCK):
+            doubles = [(x >> 11) * _UNIT for x in self._u64s(per * min(_BLOCK, flat.size - start))]
+            if per == 2:
+                doubles = list(map(_gauss, doubles[::2], doubles[1::2]))
+            flat[start : start + len(doubles)] = doubles
+        return flat.reshape(shape)
 
 
 #: draws converted per block, so that a large array never exists as a list of floats
 _BLOCK = 4096
+#: outputs per lane; even, so that a normal's two uniforms come from one lane
+_K = 512
+#: arrays that consume at least this many outputs are drawn on lanes; the
+#: scalar loop is faster below about 7,000 outputs (16 lanes here)
+_LANE_CUTOFF = 8192
 
 
-def _fill(draw, shape: tuple) -> np.ndarray:
-    flat = np.empty(math.prod(shape))
-    for start in range(0, flat.size, _BLOCK):
-        flat[start : start + _BLOCK] = [draw() for _ in range(min(_BLOCK, flat.size - start))]
-    return flat.reshape(shape)
+def _step(s: np.ndarray, t: np.ndarray) -> None:
+    """Advance each column of the (4, lanes) uint64 state `s` by one transition;
+    `t` is scratch of one row."""
+    np.left_shift(s[1], 17, out=t)
+    s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
+    s[:2] ^= s[3:1:-1]  # s0 ^= s3, s1 ^= s2
+    s[2] ^= t
+    np.right_shift(s[3], 19, out=t)
+    s[3] <<= 45
+    s[3] |= t
+
+
+def _pack(words) -> int:
+    """The four state words as one int, word i in bits 64i to 64i + 63."""
+    return words[0] | words[1] << 64 | words[2] << 128 | words[3] << 192
+
+
+@functools.cache
+def _jump_columns() -> tuple[int, ...]:
+    """Column b of the transition to the power _K: the state that _K steps
+    reach from the state whose only set bit is bit b, packed by `_pack`."""
+    s = np.zeros((4, 256), np.uint64)
+    bit = np.arange(256, dtype=np.uint64)
+    s[bit // 64, bit] = 1 << bit % 64
+    t = np.empty(256, np.uint64)
+    for _ in range(_K):
+        _step(s, t)
+    return tuple(map(_pack, zip(*s.tolist())))
+
+
+def _jump(state: int, columns: tuple[int, ...]) -> int:
+    """The packed state _K steps after the packed `state`."""
+    out = 0
+    for column, bit in zip(columns, reversed(f"{state:0256b}")):
+        if bit == "1":
+            out ^= column
+    return out
+
+
+def _lane_fill(state: list[int], out: np.ndarray, per: int) -> list[int]:
+    """Fill `out`, of shape (lanes, _K // per), with the stream after `state`:
+    row j with outputs j*_K to (j+1)*_K - 1, each element from `per` outputs
+    (a double, or a normal from two).  Returns the state after the last row."""
+    lanes = out.shape[0]
+    columns = _jump_columns()
+    starts = [_pack(state)]
+    for _ in range(lanes - 1):
+        starts.append(_jump(starts[-1], columns))
+    s = np.array([[start >> 64 * i & _MASK64 for start in starts] for i in range(4)], np.uint64)
+    t = np.empty(lanes, np.uint64)
+    # steps per chunk: even, and about _BLOCK outputs over all lanes
+    chunk = max(2, _BLOCK // lanes) & ~1
+    rows = np.empty((chunk, lanes), np.uint64)
+    for first in range(0, _K, chunk):
+        steps = min(chunk, _K - first)
+        for i in range(steps):
+            rows[i] = s[1]
+            _step(s, t)
+        x = rows[:steps] * 5
+        x = (x << 7 | x >> 57) * 9
+        doubles = (x >> 11).astype(np.float64) * _UNIT
+        if per == 2:
+            doubles = _gauss_array(doubles[::2], doubles[1::2])
+        out[:, first // per : (first + steps) // per] = doubles.T
+    return s[:, -1].tolist()
+
+
+def _gauss_array(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """`_gauss` elementwise.  log and cos are libm's, one element at a time,
+    because numpy's vectorised log and cos differ from it in the last bit;
+    sqrt and the products are correctly rounded in both, so numpy's are used."""
+    u1[u1 == 0.0] = _UNIT
+    size = u1.size
+    log = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, size)
+    cos = np.fromiter(map(math.cos, (_TAU * u2).ravel().tolist()), np.float64, size)
+    return (np.sqrt(-2.0 * log) * cos).reshape(u1.shape)

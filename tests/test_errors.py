@@ -102,10 +102,9 @@ _OUT_OF_RANGE = {
 }
 _BAD_PAIRS = [[1.0], [nan, 4.0], [0.5, inf], [-inf, 4.0], [True, 4.0], [np.int64(1), 4.0]]
 
-# The plain finite-number parameters are not checked by the builders: they
-# check the ground truth derived from them instead (a NaN b_scale or noise
-# must reach that check, see test_builders_reject_nan_and_non_integer_inputs).
-_UNCHECKED_BY_BUILDERS = {"b_scale", "noise", "separation", "b_mean", "b_spread"}
+# Schema keys that a builder does not check itself (none: every builder
+# rejects what the schema rejects).
+_UNCHECKED_BY_BUILDERS = set()
 
 _ROWS = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, -1.0], [-1.0, 0.5], [0.5, 2.0]])
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])

@@ -191,9 +191,9 @@ def test_builders_reject_sizes_below_one(build):
     "build, error, match",
     [
         (lambda: separable_quadratic_instance(2, 3, seed=1, b_scale=math.nan),
-         InstanceConstructionError, "non-finite ground truth"),
+         ConfigurationError, "b_scale must be a finite number"),
         (lambda: ridge_synthetic(3, 4, 2, seed=1, noise=math.nan),
-         InstanceConstructionError, "non-finite ground truth"),
+         ConfigurationError, "noise must be a finite number"),
         (lambda: quartic_instance(2, box=math.nan),
          ConfigurationError, "box must be a positive finite number"),
         (lambda: ridge_synthetic(3, 4, 2, seed=1, lam=math.nan),
@@ -229,6 +229,22 @@ def test_builders_reject_nan_and_non_integer_inputs(build, error, match):
     # NaN passes every `<=` guard; these used to return a NaN x* or NaN
     # constants, fail inside numpy, raise TypeError, or accept a bool
     with pytest.raises(error, match=match):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: separable_quadratic_instance(2, 3, seed=1, b_scale=1e308),
+        lambda: ridge_synthetic(3, 4, 2, seed=1, noise=1e308),
+    ],
+    ids=["separable_b_scale", "ridge_noise"],
+)
+def test_finite_inputs_that_overflow_fail_the_ground_truth_check(build):
+    # numpy warns on the overflow itself; the check after it is what stops the build
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        InstanceConstructionError, match="non-finite ground truth"
+    ):
         build()
 
 

@@ -1,6 +1,12 @@
-import numpy as np
+import math
+import tracemalloc
 
-from zojade import Xoshiro256, splitmix64_stream
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from zojade import Xoshiro256, rng, splitmix64_stream
 
 
 def test_splitmix64_reference_vector():
@@ -54,3 +60,103 @@ def test_arrays_spanning_several_blocks_follow_the_scalar_stream():
     assert uniforms.tobytes() == np.array([b.uniform() for _ in range(8197)]).tobytes()
     assert a.next_u64() == b.next_u64()
     assert Xoshiro256(4).normals().shape == ()
+
+
+# --- the published generator and the lane path ---------------------------------------
+
+# First outputs of Blackman & Vigna's public-domain reference C code
+# (xoshiro256** 1.0, its state seeded by four splitmix64 outputs), compiled
+# with gcc: outputs 0-2, then outputs 8190-8193.  -7 seeds as 2**64 - 7.
+_REFERENCE = {
+    0: ([0x99EC5F36CB75F2B4, 0xBF6E1F784956452A, 0x1A5F849D4933E6E0],
+        [0x21B4E01F1DCB4B29, 0xED1441724E918C0E, 0x4AC1A717ED914C34, 0x659589F7120F77E9]),
+    42: ([0x15780B2E0C2EC716, 0x6104D9866D113A7E, 0xAE17533239E499A1],
+         [0xAE56D15C19B099D3, 0x1347C0901ECB6E67, 0x1DF5640A4AF9429B, 0xAF3C6A7C1DC669DB]),
+    2**64 - 1: ([0x8F5520D52A7EAD08, 0xC476A018CAA1802D, 0x81DE31C0D260469E],
+                [0x09BE957D80C96CB9, 0x2A174482FE3BED10, 0x863CECCAA969BA34, 0x58BDDC0AA7E294C1]),
+    -7: ([0xF305399B3B63F2C2, 0xD693DD0A37AE5BDC, 0x736E8338A3F226B9],
+         [0x86CF9063E533FEC2, 0xD468FCB231B3C7D3, 0x3224E8AFAFFAB2FE, 0x28621610CB063946]),
+}
+
+
+@pytest.mark.parametrize("seed", list(_REFERENCE))
+def test_outputs_match_the_reference_implementation(seed):
+    first, later = _REFERENCE[seed]
+    scalar = Xoshiro256(seed)
+    assert [scalar.next_u64() for _ in range(3)] == first
+    # 8194 uniforms: outputs 0-8191 come from lanes, 8192 and 8193 after them
+    assert 8194 >= rng._LANE_CUTOFF and 8192 % rng._K == 0
+    doubles = Xoshiro256(seed).uniforms(8194)
+    expected = [(x >> 11) * 2.0**-53 for x in first + later]
+    assert doubles[[0, 1, 2, 8190, 8191, 8192, 8193]].tolist() == expected
+
+
+def test_jump_columns_equal_k_scalar_steps():
+    # each column from its unit state, and whole jumps from seeded states
+    columns = rng._jump_columns()
+    states = [[1 << b % 64 if i == b // 64 else 0 for i in range(4)] for b in range(256)]
+    states += [splitmix64_stream(seed, 4) for seed in (1, -5, 2**64 + 3)]
+    for state in states:
+        gen = Xoshiro256(0)
+        gen._s = list(state)
+        for _ in range(rng._K):
+            gen.next_u64()
+        assert rng._jump(rng._pack(state), columns) == rng._pack(gen._s)
+
+
+_CUTOFF, _K = rng._LANE_CUTOFF, rng._K
+
+
+@st.composite
+def _draws(draw):
+    """(outputs per element, shape): 1 for uniforms, 2 for normals; shape None
+    for one scalar draw."""
+    per = draw(st.sampled_from([1, 2]))
+    edges = [count // per + step for count in (_CUTOFF, 17 * _K) for step in (-1, 0, 1)]
+    shape = draw(st.one_of(
+        st.sampled_from([None, (), (0,), (3, 0, 2)]),
+        st.sampled_from(edges).map(lambda count: (count,)),
+        st.integers(1, 2 * _CUTOFF // per).map(lambda count: (count,)),
+        st.lists(st.integers(1, 24), min_size=2, max_size=3).map(tuple),
+    ))
+    return per, shape
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, -1, 2**64, 2**64 + 1, 2**100]), st.integers(-2**70, 2**70)),
+    draws=st.lists(_draws(), min_size=1, max_size=4),
+)
+@example(seed=0, draws=[(2, (_CUTOFF // 2 + 1,)), (1, None), (1, (17 * _K + 1,)), (2, None)])
+@example(seed=-3, draws=[(1, (_CUTOFF,)), (2, (17 * _K // 2 - 1,)), (2, (4, 0))])
+@example(seed=2**64 + 9, draws=[(2, (20, 21, 22)), (1, (_CUTOFF - 1,)), (2, ())])
+def test_array_draws_equal_the_scalar_stream(seed, draws):
+    gen, ref = Xoshiro256(seed), Xoshiro256(seed)
+    for per, shape in draws:
+        scalar = ref.uniform if per == 1 else ref.normal
+        if shape is None:
+            value = gen.uniform() if per == 1 else gen.normal()
+            assert np.float64(value).tobytes() == np.float64(scalar()).tobytes()
+            continue
+        out = (gen.uniforms if per == 1 else gen.normals)(*shape)
+        expected = np.array([scalar() for _ in range(math.prod(shape))]).reshape(shape)
+        assert out.shape == shape and out.tobytes() == expected.tobytes()
+    assert gen.next_u64() == ref.next_u64()
+
+
+def test_lane_box_muller_replaces_a_zero_u1_like_the_scalar_one():
+    u1 = np.array([[0.0, 2.0**-53], [0.5, 1.0 - 2.0**-53]])
+    u2 = np.array([[0.25, 0.0], [0.75, 1.0 - 2.0**-53]])
+    expected = [[rng._gauss(a, b) for a, b in zip(*rows)] for rows in zip(u1, u2)]
+    assert rng._gauss_array(u1, u2).tolist() == expected
+
+
+def test_a_large_draw_allocates_little_beyond_its_output():
+    # scale_n200's instance draw: the lanes' temporaries stay near one block
+    tracemalloc.start()
+    try:
+        out = Xoshiro256(5).normals(200, 25, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2**19
