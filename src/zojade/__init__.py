@@ -28,8 +28,8 @@ from .errors import (
     ZojadeError,
 )
 from .graphs import (
-    ConsensusMatrix,
     Graph,
+    check_weights,
     metropolis_hastings,
     spectral_gap,
     topology_from_spec,

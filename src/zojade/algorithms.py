@@ -35,7 +35,6 @@ import numpy as np
 from .errors import (
     NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, EvaluationError, RunAborted, require
 )
-from .graphs import ConsensusMatrix
 from .metrics import RunTrace, TraceRow, ef_mode, loss_metric
 from .objectives import ProblemInstance
 from .oracle import BlackBoxObjective, estimate_both, estimate_gradient
@@ -51,7 +50,7 @@ class NetworkState:
     h: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    P: ConsensusMatrix
+    P: np.ndarray
     iteration: int = 0
     clamp_count: int = 0
 
@@ -75,11 +74,11 @@ def _relative_residual(tracked_sum: np.ndarray, signal_sum: np.ndarray) -> float
     return num / max(den, 1e-300)
 
 
-def initial_state(x0: np.ndarray, P: ConsensusMatrix) -> NetworkState:
+def initial_state(x0: np.ndarray, P: np.ndarray) -> NetworkState:
     """Zero-initialized tracking state around the given iterates."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2 or x0.shape[0] != P.n:
-        raise ConfigurationError(f"x0 must be (n, d) with n={P.n}, got {x0.shape}")
+    if x0.ndim != 2 or x0.shape[0] != len(P):
+        raise ConfigurationError(f"x0 must be (n, d) with n={len(P)}, got {x0.shape}")
     zeros = np.zeros_like(x0)
     return NetworkState(
         x=x0.copy(), g=zeros.copy(), h=zeros.copy(), y=zeros.copy(), z=zeros.copy(), P=P
@@ -150,7 +149,7 @@ def jade_step(
 ) -> NetworkState:
     """One synchronous round of the curvature-tracking Jacobi update; agent i
     queries only its own cost, all agents in one call to `objective`."""
-    P = state.P.weights
+    P = state.P
     grads, hdiags = estimate_both(objective, state.x, cfg.mu)
     g_new = hdiags * state.x - grads
     y_new = P @ (state.y + g_new - state.g)
@@ -165,7 +164,7 @@ def gradient_tracking_step(
     state: NetworkState, objective: BlackBoxObjective, cfg: BaselineConfig
 ) -> NetworkState:
     """Consensus + tracked-average gradient step (generic tracking baseline)."""
-    P = state.P.weights
+    P = state.P
     grads = estimate_gradient(objective, state.x, cfg.mu)
     y_new = P @ (state.y + grads - state.g)
     return _advance(state, P @ state.x - cfg.eta * y_new, g=grads, y=y_new)
@@ -176,7 +175,7 @@ def consensus_gd_step(
 ) -> NetworkState:
     """Plain consensus plus a local gradient-estimate step (naive baseline)."""
     grads = estimate_gradient(objective, state.x, cfg.mu)
-    return _advance(state, state.P.weights @ state.x - cfg.eta * grads)
+    return _advance(state, state.P @ state.x - cfg.eta * grads)
 
 
 #: name -> (step function, per-agent queries per iteration as a function of d)
@@ -195,7 +194,7 @@ def draw_initial_iterates(seed: int, n: int, d: int, scale: float) -> np.ndarray
 def run(
     algorithm: str,
     instance: ProblemInstance,
-    P: ConsensusMatrix,
+    P: np.ndarray,
     cfg,
     seed: int,
     label: str = "",
@@ -211,9 +210,9 @@ def run(
         raise ConfigurationError(
             f"unknown algorithm '{algorithm}'; expected one of {sorted(ALGORITHMS)}"
         )
-    if P.n != instance.n:
+    if len(P) != instance.n:
         raise ConfigurationError(
-            f"consensus matrix is {P.n}x{P.n} but the instance has {instance.n} agents"
+            f"consensus matrix is {len(P)}x{len(P)} but the instance has {instance.n} agents"
         )
     step_fn, cost_fn = ALGORITHMS[algorithm]
     objective = instance.black_boxes()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigurationError, ZojadeError
+from .errors import PROB, ConfigurationError, ZojadeError, require
 from .harness import ExperimentConfig, read_trace_csv, run_experiment, verify_suite
 from .metrics import fit_exponential_rate
 
@@ -69,6 +69,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    require(PROB, **{"--tail": args.tail})
     iterations, efs = read_trace_csv(args.trace)
     try:
         rate, r_squared = fit_exponential_rate(iterations, efs, tail_fraction=args.tail)

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the one check of an input
 value's kind that the config schema, the run configs and the builders share."""
 
-import math
+import sys
 
 
 class ZojadeError(Exception):
@@ -29,7 +29,10 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # a comparison, because math.isfinite raises OverflowError on an int past the float range
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and (
+        abs(value) <= sys.float_info.max
+    )
 
 
 def _is_seed_list(value) -> bool:

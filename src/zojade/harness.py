@@ -12,8 +12,8 @@ value's kind is one entry of errors.KINDS, checked by errors.require, the
 same check the run configs, instance builders and topology builder call;
 numbers are JSON-native (int or float, never a bool) and finite:
 
-    topology    name: complete | ring | path | grid | erdos_renyi
-                n: agent count; erdos_renyi also requires p in (0, 1] and seed
+    topology    name plus the topology's parameters and their kinds, see
+                graphs.TOPOLOGIES; n is the agent count
     instance    family: separable_quadratic | ridge_synthetic |
                         synthetic_classification | ridge_csv |
                         logistic_csv | quartic
@@ -61,10 +61,10 @@ from .algorithms import (
     run,
 )
 from .errors import (
-    BOOL, FILE_NAME, INT, LIST, NONNEG, NUM, OBJECT, PAIR, PATH, POS_INT, POS_NUM, PROB,
-    SEEDS, ConfigurationError, InstanceConstructionError, require,
+    BOOL, FILE_NAME, INT, LIST, NONNEG, NUM, OBJECT, PAIR, PATH, POS_INT, POS_NUM, SEEDS,
+    ConfigurationError, InstanceConstructionError, require,
 )
-from .graphs import ConsensusMatrix, metropolis_hastings, spectral_gap, topology_from_spec
+from .graphs import TOPOLOGIES, check_weights, metropolis_hastings, spectral_gap, topology_from_spec
 from .metrics import (
     TRACE_COLUMNS,
     AggregateCurve,
@@ -109,10 +109,7 @@ _CONFIG_CLASS = {
 }
 
 #: topology name -> (required keys, optional keys), each mapping a key to its kind
-_TOPOLOGY_SCHEMAS = {
-    **{name: ({"n": POS_INT}, {}) for name in ("complete", "ring", "path", "grid")},
-    "erdos_renyi": ({"n": POS_INT, "p": PROB, "seed": INT}, {}),
-}
+_TOPOLOGY_SCHEMAS = {name: (kinds, {}) for name, (_, kinds) in TOPOLOGIES.items()}
 
 #: family -> (required keys, optional keys), each mapping a key to its kind
 _INSTANCE_SCHEMAS = {
@@ -339,12 +336,17 @@ def read_trace_csv(path: str) -> tuple:
     rows = [(k, r) for k, r in rows if r and not r.startswith("#")]
     if not rows or tuple(rows[0][1].split(",")) != TRACE_COLUMNS:
         raise ConfigurationError(f"{path}: not a trace CSV")
+    at, ef = TRACE_COLUMNS.index("iteration"), TRACE_COLUMNS.index("e_f")
     for k, row in rows[1:]:
         parts = row.split(",")
+        if len(parts) != len(TRACE_COLUMNS):
+            raise ConfigurationError(
+                f"{path}, line {k}: {len(parts)} fields, expected {len(TRACE_COLUMNS)}: {row!r}"
+            )
         try:
-            iterations.append(float(parts[0]))
-            efs.append(float(parts[2]))
-        except (ValueError, IndexError) as exc:
+            iterations.append(float(parts[at]))
+            efs.append(float(parts[ef]))
+        except ValueError as exc:
             raise ConfigurationError(f"{path}, line {k}: bad trace row {row!r}") from exc
     return np.array(iterations), np.array(efs)
 
@@ -480,6 +482,7 @@ def gamma_mu_scaling_check(instance: ProblemInstance, mu_list: list, cfg: JadeCo
     """
     if len(mu_list) < 2:
         raise ConfigurationError("mu scaling check needs at least two mu values")
+    require(POS_NUM, **{f"mu_list[{k}]": mu for k, mu in enumerate(mu_list)})
     for a, b in zip(mu_list, mu_list[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ConfigurationError(f"mu values must halve, got {a} then {b}")
@@ -619,7 +622,7 @@ class VerifyReport:
 
 def check_consensus_matrices(report: VerifyReport, seed: int, count: int) -> None:
     """Six named graphs and `count` Erdős–Rényi graphs (n in [2, 40], p in [0.1, 0.9])
-    drawn with `seed` get mixing weights that pass ConsensusMatrix.check, with gap < 1."""
+    drawn with `seed` get mixing weights that pass check_weights, with gap < 1."""
     named = [("complete", 1), ("complete", 2), ("complete", 7), ("ring", 8), ("path", 9),
              ("grid", 12)]
     graphs = [topology_from_spec(name, n) for name, n in named]
@@ -631,7 +634,7 @@ def check_consensus_matrices(report: VerifyReport, seed: int, count: int) -> Non
     worst = 0.0
     for graph in graphs:
         P = metropolis_hastings(graph)
-        problems = P.check(graph)
+        problems = check_weights(P, graph)
         gap = spectral_gap(P)
         if problems or not gap < 1.0:
             detail = f"n={graph.n}: {problems or f'gap {gap}'}"
@@ -643,10 +646,9 @@ def check_consensus_matrices(report: VerifyReport, seed: int, count: int) -> Non
 
 def _check_matrix_checker_catches_corruption(report: VerifyReport) -> None:
     # negative control: a deliberately broken matrix must be flagged
-    P = metropolis_hastings(topology_from_spec("ring", 5))
-    bad = P.weights.copy()
+    bad = metropolis_hastings(topology_from_spec("ring", 5))
     bad[0, 0] += 0.1
-    problems = ConsensusMatrix(n=5, weights=bad).check()
+    problems = check_weights(bad)
     report.add(
         "matrix_checker_negative_control",
         any("row sums" in p for p in problems),
@@ -710,7 +712,7 @@ def _check_averaging_contraction(report: VerifyReport) -> None:
     deviation = np.linalg.norm(x - mean)
     ok = True
     for _ in range(100):
-        x = P.weights @ x
+        x = P @ x
         deviation = deviation * gap
         if np.linalg.norm(x - mean) > deviation + 1e-9:
             ok = False
@@ -928,7 +930,7 @@ def verify_suite(cfg: ExperimentConfig | None = None) -> VerifyReport:
     report = VerifyReport()
     if cfg is not None:
         graph, P = build_topology(cfg)
-        report.add("config_consensus_matrix", not P.check(graph))
+        report.add("config_consensus_matrix", not check_weights(P, graph))
         instance = build_instance(cfg)
         grad_norm = float(np.linalg.norm(instance.global_gradient(instance.x_star)))
         report.add("config_instance_x_star", grad_norm <= 1e-10, f"||grad|| {grad_norm:.2e}")

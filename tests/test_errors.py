@@ -48,13 +48,14 @@ ACCEPTED = {
 REJECTED = {
     INT: [1.0, True, False, np.int64(1), "1", None],
     POS_INT: [0, -1, 1.0, True, np.int64(2), np.uint8(1)],
-    NUM: [nan, inf, -inf, True, np.float32(1.0), np.int64(1), "1", None],
-    PROB: [0, 0.0, -1e-300, 1.0000000000000002, nan, inf, True],
-    POS_NUM: [0, 0.0, -0.0, -1, nan, inf, True, np.float32(0.5)],
-    NONNEG: [-5e-324, -1, nan, -inf, inf, False],
+    NUM: [nan, inf, -inf, True, np.float32(1.0), np.int64(1), "1", None, 10**400, -10**400],
+    PROB: [0, 0.0, -1e-300, 1.0000000000000002, nan, inf, True, 10**400, -10**400],
+    POS_NUM: [0, 0.0, -0.0, -1, nan, inf, True, np.float32(0.5), 10**400, -10**400],
+    NONNEG: [-5e-324, -1, nan, -inf, inf, False, 10**400, -10**400],
     BOOL: [0, 1, "true", None, np.bool_(True)],
     PATH: ["", "a\0b", b"a", None, 0],
-    PAIR: [[1.0], [1, 2, 3], [nan, 1], [1, inf], [True, 2], [np.int64(1), 2], "12", None],
+    PAIR: [[1.0], [1, 2, 3], [nan, 1], [1, inf], [True, 2], [np.int64(1), 2], "12", None,
+           [10**400, 1]],
     SEEDS: [[], [1, 1], [1, True], [1.0], [np.int64(1)], (1, 2), 1, None],
     FILE_NAME: ["", ".", "..", "a/b", "a\\b", "a\0b", ["a"], None],
     OBJECT: [[], [("a", 1)], "a", None],

@@ -5,13 +5,18 @@ from hypothesis import strategies as st
 
 from zojade import (
     ConfigurationError,
-    ConsensusMatrix,
     Graph,
     Xoshiro256,
+    check_weights,
     metropolis_hastings,
     spectral_gap,
     topology_from_spec,
 )
+
+
+def _edges(graph):
+    """The graph's edge set as (i, j) pairs with i < j, read off its adjacency."""
+    return set(map(tuple, np.argwhere(np.triu(graph.adjacency)).tolist()))
 
 
 def test_path3_weights_match_hand_computation():
@@ -24,34 +29,34 @@ def test_path3_weights_match_hand_computation():
             [0.0, 1.0 / 3.0, 2.0 / 3.0],
         ]
     )
-    assert np.max(np.abs(P.weights - expected)) < 1e-15
+    assert np.max(np.abs(P - expected)) < 1e-15
 
 
 def test_single_node_is_identity():
     P = metropolis_hastings(topology_from_spec("complete", 1))
-    assert P.weights.shape == (1, 1)
-    assert P.weights[0, 0] == 1.0
+    assert P.shape == (1, 1)
+    assert P[0, 0] == 1.0
 
 
 def test_complete_two_nodes_is_half_everywhere():
     P = metropolis_hastings(topology_from_spec("complete", 2))
-    assert np.array_equal(P.weights, np.full((2, 2), 0.5))
+    assert np.array_equal(P, np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("name", ["complete", "ring", "path", "grid"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 31, 50])
 def test_weights_invariants_all_topologies(name, n):
     graph = topology_from_spec(name, n)
-    P = metropolis_hastings(graph)
-    assert P.check(graph) == []
-    W = P.weights
+    W = metropolis_hastings(graph)
+    assert check_weights(W, graph) == []
     assert np.array_equal(W, W.T)
     assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-12
     assert np.max(np.abs(W.sum(axis=0) - 1.0)) <= 1e-12
     # support matches edges plus the diagonal
+    edges = _edges(graph)
     for i in range(n):
         for j in range(n):
-            if i != j and (min(i, j), max(i, j)) not in graph.edges:
+            if i != j and (min(i, j), max(i, j)) not in edges:
                 assert W[i, j] == 0.0
 
 
@@ -62,7 +67,7 @@ def test_weights_invariants_random_graphs():
         p = 0.15 + 0.7 * rng.uniform()
         graph = topology_from_spec("erdos_renyi", n, p=p, seed=int(rng.uniform() * 1e9))
         P = metropolis_hastings(graph)
-        assert P.check(graph) == []
+        assert check_weights(P, graph) == []
         assert spectral_gap(P) < 1.0
 
 
@@ -79,7 +84,7 @@ def test_spectral_gap_exact_on_slowly_mixing_ring():
     # slow mixing (1 - gap is about 3e-4) is where an iterative eigenvalue
     # search that stops early falls visibly short of the true gap
     P = metropolis_hastings(topology_from_spec("ring", 200))
-    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(P.weights)))
+    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(P)))
     assert abs(magnitudes[-1] - 1.0) <= 1e-12
     assert abs(spectral_gap(P) - magnitudes[-2]) <= 1e-12
 
@@ -93,35 +98,37 @@ def test_repeated_averaging_contracts_at_gap_rate():
     mean = x.mean()
     base = np.linalg.norm(x - mean)
     for k in range(1, 101):
-        x = P.weights @ x
+        x = P @ x
         assert np.linalg.norm(x - mean) <= gap**k * base + 1e-9
 
 
 def test_graph_rejects_self_loops_and_bad_indices():
     with pytest.raises(ConfigurationError):
-        Graph(n=3, edges=frozenset({(1, 1)}))
+        Graph(n=3, edges=[(1, 1)])
     with pytest.raises(ConfigurationError):
-        Graph(n=3, edges=frozenset({(0, 3)}))
+        Graph(n=3, edges=[(0, 3)])
+    with pytest.raises(ConfigurationError):
+        Graph(n=3, edges=[(-1, 2)])
 
 
 def test_graph_rejects_disconnected():
     with pytest.raises(ConfigurationError):
-        Graph(n=4, edges=frozenset({(0, 1), (2, 3)}))
+        Graph(n=4, edges=[(0, 1), (2, 3)])
     with pytest.raises(ConfigurationError):
-        Graph(n=2, edges=frozenset())
+        Graph(n=2, edges=[])
 
 
 def test_ring_and_complete_shapes():
     ring = topology_from_spec("ring", 4)
-    assert ring.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+    assert _edges(ring) == {(0, 1), (1, 2), (2, 3), (0, 3)}
     complete = topology_from_spec("complete", 3)
-    assert len(complete.edges) == 3
+    assert len(_edges(complete)) == 3
 
 
 def test_erdos_renyi_deterministic():
     a = topology_from_spec("erdos_renyi", 20, p=0.3, seed=7)
     b = topology_from_spec("erdos_renyi", 20, p=0.3, seed=7)
-    assert a.edges == b.edges
+    assert np.array_equal(a.adjacency, b.adjacency)
 
 
 def test_erdos_renyi_gives_up_when_never_connected():
@@ -143,27 +150,29 @@ def test_unknown_topology_rejected():
 
 
 def test_corrupted_matrix_flagged():
-    P = metropolis_hastings(topology_from_spec("ring", 4))
-    bad = P.weights.copy()
+    bad = metropolis_hastings(topology_from_spec("ring", 4))
     bad[0, 0] += 0.1  # row sum becomes 1.1
-    problems = ConsensusMatrix(n=4, weights=bad).check()
+    problems = check_weights(bad)
     assert any("row sums" in p for p in problems)
 
 
 def test_adjacency_holds_the_edge_set():
-    graph = Graph(n=4, edges=frozenset({(1, 0), (0, 1), (2, 1), (3, 2)}))
-    assert graph.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+    graph = Graph(n=4, edges=[(1, 0), (0, 1), (2, 1), (3, 2)])
     expected = np.zeros((4, 4), dtype=bool)
-    for i, j in graph.edges:
+    for i, j in [(0, 1), (1, 2), (2, 3)]:
         expected[i, j] = expected[j, i] = True
     assert np.array_equal(graph.adjacency, expected)
+    # the edges are an init-only argument: no second copy of the edge set
+    assert not hasattr(graph, "edges")
 
 
 def test_support_mismatch_flagged():
     ring = metropolis_hastings(topology_from_spec("ring", 5))
     # the path graph lacks the ring's closing edge (0, 4)
-    assert ring.check(topology_from_spec("path", 5)) == ["positive weight on non-edge (0,4)"]
-    problems = ring.check(topology_from_spec("complete", 5))
+    assert check_weights(ring, topology_from_spec("path", 5)) == [
+        "positive weight on non-edge (0,4)"
+    ]
+    problems = check_weights(ring, topology_from_spec("complete", 5))
     assert problems == [
         "nonpositive weight on edge (0,2)",
         "nonpositive weight on edge (0,3)",
@@ -171,7 +180,9 @@ def test_support_mismatch_flagged():
         "nonpositive weight on edge (1,4)",
         "nonpositive weight on edge (2,4)",
     ]
-    assert ring.check(topology_from_spec("ring", 4)) == ["graph has n=4, weights have n=5"]
+    assert check_weights(ring, topology_from_spec("ring", 4)) == [
+        "graph has n=4, weights have n=5"
+    ]
 
 
 def _reference_erdos_renyi(n, p, seed):
@@ -195,9 +206,10 @@ def _reference_erdos_renyi(n, p, seed):
 def _reference_weights(graph):
     """Metropolis-Hastings weights built one edge at a time."""
     n = graph.n
-    deg = [sum(k in edge for edge in graph.edges) for k in range(n)]
+    edges = _edges(graph)
+    deg = [sum(k in edge for edge in edges) for k in range(n)]
     W = np.zeros((n, n))
-    for i, j in sorted(graph.edges):
+    for i, j in sorted(edges):
         W[i, j] = W[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     for i in range(n):
         W[i, i] = 1.0 - W[i, :].sum()
@@ -219,14 +231,45 @@ def test_erdos_renyi_and_weights_match_per_pair_reference(n, p, seed):
             topology_from_spec("erdos_renyi", n, p=p, seed=seed)
         return
     graph = topology_from_spec("erdos_renyi", n, p=p, seed=seed)
-    assert graph.edges == expected
-    weights = metropolis_hastings(graph).weights
+    assert _edges(graph) == expected
+    weights = metropolis_hastings(graph)
     assert weights.tobytes() == _reference_weights(graph).tobytes()
+
+
+def _reference_grid(n):
+    cols = max(1, int(round(np.sqrt(n))))
+    edges = set()
+    for k in range(n):
+        if k % cols + 1 < cols and k + 1 < n:
+            edges.add((k, k + 1))
+        if k + cols < n:
+            edges.add((k, k + cols))
+    return edges
+
+
+#: name -> the topology's edge set built one pair at a time
+_REFERENCE_EDGES = {
+    "complete": lambda n: {(i, j) for i in range(n) for j in range(i + 1, n)},
+    "ring": lambda n: {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n) if n > 1},
+    "path": lambda n: {(i, i + 1) for i in range(n - 1)},
+    "grid": _reference_grid,
+}
 
 
 @pytest.mark.parametrize("name", ["complete", "ring", "path", "grid"])
-@pytest.mark.parametrize("n", [1, 2, 7, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 10, 50])
 def test_named_topology_weights_match_per_edge_reference(name, n):
     graph = topology_from_spec(name, n)
-    weights = metropolis_hastings(graph).weights
+    assert _edges(graph) == _REFERENCE_EDGES[name](n)
+    weights = metropolis_hastings(graph)
     assert weights.tobytes() == _reference_weights(graph).tobytes()
+
+
+def test_topology_takes_only_its_own_parameters():
+    # the same keys the config rejects for each name
+    with pytest.raises(ConfigurationError, match=r"topology\[ring\]: unknown keys \['p'\]"):
+        topology_from_spec("ring", 4, p=0.5)
+    with pytest.raises(ConfigurationError, match=r"unknown keys \['p', 'seed'\]"):
+        topology_from_spec("grid", 4, p=0.5, seed=1)
+    with pytest.raises(ConfigurationError, match="^seed must be an integer, got None$"):
+        topology_from_spec("erdos_renyi", 4, p=0.5)

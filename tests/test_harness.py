@@ -158,6 +158,11 @@ def test_gamma_scaling_rejects_short_or_irregular_lists():
         gamma_mu_scaling_check(inst, [0.1, 0.07], cfg)
     with pytest.raises(ConfigurationError, match="admissible"):
         gamma_mu_scaling_check(inst, [0.4, 0.2], cfg)
+    # a zero or negative mu is named before the halving check divides by it
+    with pytest.raises(ConfigurationError, match=r"^mu_list\[1\] must be .*, got 0\.0$"):
+        gamma_mu_scaling_check(inst, [0.1, 0.0], cfg)
+    with pytest.raises(ConfigurationError, match=r"^mu_list\[0\] must be .*, got -0\.1$"):
+        gamma_mu_scaling_check(inst, [-0.1, -0.05], cfg)
 
 
 def test_gamma_scaling_on_quadratic_sits_at_float_floor():
@@ -615,20 +620,71 @@ def test_cli_verify_reports_json_and_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli_main(["verify"]) == 3
 
 
+_TRACE_HEADER = (
+    "# algorithm=x\niteration,queries_per_agent,e_f,consensus_error,"
+    "tracking_residual_y,tracking_residual_z,clamp_count\n"
+)
+
+
+def _decay_rows(fields):
+    """Twelve rows of an exponential decay, each cut or padded to `fields` fields."""
+    rows = [[str(k), str(3 * k), repr(0.5**k), "0.0", "0.0", "0.0", "0"] for k in range(12)]
+    return "".join(",".join((row + ["0"] * fields)[:fields]) + "\n" for row in rows)
+
+
 def test_cli_rate_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "trace.csv"
-    header = (
-        "# algorithm=x\niteration,queries_per_agent,e_f,consensus_error,"
-        "tracking_residual_y,tracking_residual_z,clamp_count\n"
-    )
-    path.write_text(header + "0,0,1.0,0.0,0.0,0.0,0\n", encoding="utf-8")
+    path.write_text(_TRACE_HEADER + "0,0,1.0,0.0,0.0,0.0,0\n", encoding="utf-8")
     assert cli_main(["rate", "--trace", str(path)]) == 1
     assert cli_main(["rate", "--trace", str(tmp_path / "absent.csv")]) == 2
     assert "absent.csv" in capsys.readouterr().err
     for bad_row in ("1,9,abc,0.0,0.0,0.0,0", "1,9"):
-        path.write_text(header + "0,0,1.0,0.0,0.0,0.0,0\n" + bad_row + "\n", encoding="utf-8")
+        path.write_text(_TRACE_HEADER + "0,0,1.0,0.0,0.0,0.0,0\n" + bad_row + "\n", encoding="utf-8")
         assert cli_main(["rate", "--trace", str(path)]) == 2
         assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [3, 6, 8])
+def test_cli_rate_rejects_rows_with_the_wrong_field_count(tmp_path, capsys, fields):
+    # a trace of 3-field rows under the right header used to be fitted
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_HEADER + _decay_rows(7), encoding="utf-8")
+    assert cli_main(["rate", "--trace", str(path)]) == 0
+    path.write_text(_TRACE_HEADER + _decay_rows(fields), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["rate", "--trace", str(path)]) == 2
+    assert f"line 3: {fields} fields, expected 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tail", ["0", "1.5", "nan", "-0.5", "inf"])
+def test_cli_rate_checks_tail_before_reading_the_trace(tmp_path, capsys, tail):
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_HEADER + _decay_rows(7), encoding="utf-8")
+    assert cli_main(["rate", "--trace", str(path), "--tail", tail]) == 2
+    assert "--tail must be a number in (0, 1]" in capsys.readouterr().err
+    assert cli_main(["rate", "--trace", str(tmp_path / "absent.csv"), "--tail", tail]) == 2
+    assert "--tail must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mu": 10**400},
+        {"instance": {"family": "separable_quadratic", "d": 3, "seed": 1, "b_scale": -10**400}},
+        {"instance": {"family": "separable_quadratic", "d": 3, "seed": 1,
+                      "curvature_range": [1, 10**400]}},
+        {"instance": {"family": "ridge_synthetic", "d": 2, "per_agent": 3, "seed": 1,
+                      "noise": 10**400}},
+    ],
+    ids=["mu", "b_scale", "curvature_range", "noise"],
+)
+def test_cli_rejects_integers_past_the_float_range(tmp_path, capsys, overrides):
+    # math.isfinite raised OverflowError on these, a traceback with exit 1
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**tiny_config(tmp_path).data, **overrides}), encoding="utf-8")
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "must be a" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
