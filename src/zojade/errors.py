@@ -3,6 +3,8 @@ value's kind that the config schema, the run configs and the builders share."""
 
 import sys
 
+import numpy as np
+
 
 class ZojadeError(Exception):
     """Base class for all package errors."""
@@ -41,6 +43,18 @@ def _is_seed_list(value) -> bool:
     return 0 < len(value) == len(set(value))
 
 
+def _is_int_array(value) -> bool:
+    array = np.asarray(value)
+    if array.size == 0:  # np.asarray([]) is float64 but holds no value
+        return True
+    if array.dtype.kind not in "iu":
+        return False
+    # np.asarray turns [True, 2] into integers, so a sequence's own entries are tested
+    return isinstance(value, np.ndarray) or not any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+    )
+
+
 def _is_file_name(value) -> bool:
     return isinstance(value, str) and value not in ("", ".", "..") and not set("/\\\0") & set(value)
 
@@ -50,10 +64,12 @@ PROB, BOOL, PATH = "a number in (0, 1]", "a boolean", "a non-empty path string"
 POS_NUM, NONNEG = "a positive finite number", "a nonnegative finite number"
 PAIR, SEEDS = "a list of two finite numbers", "a non-empty list of distinct integers"
 FILE_NAME, OBJECT, LIST = "one file-name component", "an object", "a non-empty list"
+INTS = "an array of integers"
 
 #: kind -> the test a value of that kind passes.  Kinds are JSON-native: a
 #: number is a Python int or float (np.float64 subclasses float; numpy
-#: integers and np.float32 do not), never a bool, and finite.
+#: integers and np.float32 do not), never a bool, and finite.  Only INTS,
+#: the kind of index and count arrays, takes numpy integers as entries.
 KINDS = {
     INT: _is_int,
     POS_INT: lambda v: _is_int(v) and v > 0,
@@ -68,6 +84,7 @@ KINDS = {
     FILE_NAME: _is_file_name,
     OBJECT: lambda v: isinstance(v, dict),
     LIST: lambda v: isinstance(v, list) and v != [],
+    INTS: _is_int_array,
 }
 
 

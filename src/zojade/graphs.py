@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import INT, POS_INT, PROB, ConfigurationError, require
+from .errors import INT, INTS, POS_INT, PROB, ConfigurationError, require
 from .rng import Xoshiro256
 
 
@@ -36,6 +36,7 @@ class Graph:
 
     def __post_init__(self, edges):
         require(POS_INT, n=self.n)
+        require(INTS, edges=edges)
         pairs = np.asarray(edges, dtype=int).reshape(-1, 2)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():

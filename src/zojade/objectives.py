@@ -23,6 +23,9 @@ Loss conventions, fixed once and used by all oracles and tests:
     ridge     f_i(x) = (1/N_i) sum_k (s_k^T x - t_k)^2 + (lam/2) ||x||^2
     logistic  f_i(x) = (1/N_i) sum_k log(1 + exp(-l_k [s_k^T 1] x)) + (w/2) ||x||^2
     quartic   f_i(x) = sum_k ( q x_k^4 / 4 + a x_k^2 / 2 + b_ik x_k )
+
+Each log-loss term is evaluated at its margin z = l_k [s_k^T 1] x as
+max(-z, 0) + log1p(exp(-|z|)), which never overflows.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    NONNEG, NUM, PAIR, POS_INT, POS_NUM, ConfigurationError, InstanceConstructionError, require
+    INTS, KINDS, NONNEG, NUM, PAIR, POS_INT, POS_NUM, ConfigurationError,
+    InstanceConstructionError, require,
 )
 from .oracle import BlackBoxObjective, SmoothnessConstants, agent_blocks
 from .rng import Xoshiro256
@@ -102,9 +106,12 @@ class LogisticObjective:
             raise ConfigurationError("logistic sample stack must be 3-d (agents, rows, d)")
         require(POS_NUM, w=w)
         n, rows, d = U.shape
-        counts = np.full(n, rows) if counts is None else np.asarray(counts, dtype=np.int64)
-        if counts.shape != (n,) or np.any(counts < 0) or np.any(counts > rows):
-            raise ConfigurationError(f"logistic sample counts must be {n} values in [0, {rows}]")
+        counts = np.full(n, rows) if counts is None else counts
+        integral = KINDS[INTS](counts)
+        counts = np.asarray(counts)
+        if not integral or counts.shape != (n,) or np.any(counts < 0) or np.any(counts > rows):
+            raise ConfigurationError(f"logistic sample counts must be {n} integers in [0, {rows}]")
+        counts = counts.astype(np.int64)
         self.U = U
         self.w = float(w)
         self.counts = counts
@@ -117,9 +124,15 @@ class LogisticObjective:
     def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
-        loss = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (m, N, k)
+        z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (m, N, k)
+        # log(1 + exp(-z)) = log1p(exp(-|z|)) - min(z, 0): exp never overflows,
+        # and numpy's exp and log1p run as SIMD loops where logaddexp calls
+        # the scalar libm per element
+        loss = np.abs(z)
         np.negative(loss, out=loss)
-        np.logaddexp(0.0, loss, out=loss)
+        np.exp(loss, out=loss)
+        np.log1p(loss, out=loss)
+        loss -= np.minimum(z, 0.0, out=z)
         if self._keep is not None:
             loss *= self._keep[agents]
         return loss.sum(axis=1) / self._divisor[agents] + ridge

@@ -20,8 +20,8 @@ from zojade import (
     topology_from_spec,
 )
 from zojade.errors import (
-    BOOL, FILE_NAME, INT, KINDS, LIST, NONNEG, NUM, OBJECT, PAIR, PATH, POS_INT, POS_NUM, PROB,
-    SEEDS, require,
+    BOOL, FILE_NAME, INT, INTS, KINDS, LIST, NONNEG, NUM, OBJECT, PAIR, PATH, POS_INT, POS_NUM,
+    PROB, SEEDS, require,
 )
 from zojade.harness import _INSTANCE_SCHEMAS, _TOPOLOGY_SCHEMAS
 
@@ -43,6 +43,8 @@ ACCEPTED = {
     FILE_NAME: ["a", "a.b", "...", "-"],
     OBJECT: [{}, {"a": 1}],
     LIST: [[0], [None, "a"]],
+    INTS: [[], [0, -3], [(0, 1), (1, 2)], [np.int64(1), 2], np.array([2, 3], dtype=np.int32),
+           np.array([[0, 1]], dtype=np.uint8)],
 }
 
 REJECTED = {
@@ -60,6 +62,8 @@ REJECTED = {
     FILE_NAME: ["", ".", "..", "a/b", "a\\b", "a\0b", ["a"], None],
     OBJECT: [[], [("a", 1)], "a", None],
     LIST: [[], (1,), {"a": 1}, "a", None],
+    INTS: [[0.5, 1], [(True, 2), (0, 2)], [np.bool_(True), 1], [True, False], np.array([True]),
+           np.zeros(2), np.array([1, 2], dtype=object), "12", None],
 }
 
 

@@ -111,6 +111,17 @@ def test_graph_rejects_self_loops_and_bad_indices():
         Graph(n=3, edges=[(-1, 2)])
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [[(0.7, 1), (1, 2.9)], [(True, 2), (0, 2)], np.array([[0, 1], [1, 2]], dtype=float)],
+    ids=["float", "bool_in_list", "float_array"],
+)
+def test_graph_rejects_non_integer_indices(edges):
+    # np.asarray(edges, dtype=int) used to truncate these to a valid edge set
+    with pytest.raises(ConfigurationError, match="^edges must be an array of integers"):
+        Graph(n=3, edges=edges)
+
+
 def test_graph_rejects_disconnected():
     with pytest.raises(ConfigurationError):
         Graph(n=4, edges=[(0, 1), (2, 3)])

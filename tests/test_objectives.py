@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,47 @@ def test_logistic_rejects_bad_labels():
         logistic_instance(np.ones((2, 1)), np.array([1.0, 0.0]), n=1, w=0.1)
     with pytest.raises(ConfigurationError):
         logistic_instance(np.ones((2, 1)), np.array([1.0, -1.0]), n=1, w=0.0)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[2.9, True], [2, True], np.array([True, True]), np.array([2.0, 1.0]), [2, 4], [2]],
+    ids=["float_bool", "bool_in_list", "bool_array", "float_array", "above_rows", "short"],
+)
+def test_logistic_rejects_counts_that_are_not_integers_in_range(counts):
+    # float and bool counts used to be truncated to integers silently
+    with pytest.raises(ConfigurationError, match=r"sample counts must be 2 integers in \[0, 3\]"):
+        LogisticObjective(np.ones((2, 3, 2)), 0.1, counts=counts)
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between nonnegative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_logistic_loss_is_within_two_ulp_of_a_high_precision_reference():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 709.0, -709.0, 745.2, -745.2, 1e4, -1e4]
+    z = np.concatenate([rng.uniform(-40, 40, 2500), rng.uniform(-800, 800, 2500), special])
+    # one agent per margin with one sample u = z at x = 1, and a ridge weight
+    # so small that 0.5 w rounds to zero: value_many returns the bare loss
+    w = 5e-324
+    assert 0.5 * w == 0.0
+    family = LogisticObjective(z[:, None, None], w)
+    got = family.value_many(np.ones((z.size, 1, 1)))[:, 0]
+    with mpmath.workprec(200):
+        want = np.array([float(mpmath.log1p(mpmath.exp(-mpmath.mpf(t)))) for t in z])
+    assert _ulps(got, want).max() <= 2
+
+
+def test_logistic_value_is_finite_without_warnings_at_huge_margins():
+    # a naive log1p(exp(-z)) overflows at z = -1e4
+    family = LogisticObjective(np.array([[[1e4]], [[-1e4]]]), 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = family.value_many(np.ones((2, 1, 1)))
+    assert values[:, 0].tolist() == [0.05, 1e4 + 0.05]
 
 
 def test_synthetic_classification_deterministic():
