@@ -14,14 +14,10 @@ numbers are JSON-native (int or float, never a bool) and finite:
 
     topology    name plus the topology's parameters and their kinds, see
                 graphs.TOPOLOGIES; n is the agent count
-    instance    family: separable_quadratic | ridge_synthetic |
-                        synthetic_classification | ridge_csv |
-                        logistic_csv | quartic
-                plus family parameters and their kinds, see _INSTANCE_SCHEMAS;
-                only the keys a config sets are passed to the family's
-                builder, so the builder signature holds the defaults (the CSV
-                families default to standardize = true and lambda / w = 0.1);
-                the agent count always comes from the topology
+    instance    family plus the family's parameters and their kinds, see
+                objectives.FAMILIES; only the keys a config sets are passed
+                to the family's builder, so the builder signature holds the
+                defaults; the agent count always comes from the topology
     mu          finite-difference step
     budget      max queries per agent
     seeds       list of distinct integers
@@ -61,8 +57,8 @@ from .algorithms import (
     run,
 )
 from .errors import (
-    BOOL, FILE_NAME, INT, LIST, NONNEG, NUM, OBJECT, PAIR, PATH, POS_INT, POS_NUM, SEEDS,
-    ConfigurationError, InstanceConstructionError, require,
+    FILE_NAME, LIST, OBJECT, PATH, POS_NUM, SEEDS, ConfigurationError, InstanceConstructionError,
+    require,
 )
 from .graphs import TOPOLOGIES, check_weights, metropolis_hastings, spectral_gap, topology_from_spec
 from .metrics import (
@@ -73,11 +69,10 @@ from .metrics import (
     fit_exponential_rate,
 )
 from .objectives import (
+    FAMILIES,
     ProblemInstance,
-    load_csv,
-    logistic_instance,
+    QuadraticObjective,
     quartic_instance,
-    ridge_instance_from_shards,
     ridge_synthetic,
     separable_quadratic_instance,
     synthetic_classification,
@@ -112,24 +107,7 @@ _CONFIG_CLASS = {
 _TOPOLOGY_SCHEMAS = {name: (kinds, {}) for name, (_, kinds) in TOPOLOGIES.items()}
 
 #: family -> (required keys, optional keys), each mapping a key to its kind
-_INSTANCE_SCHEMAS = {
-    "separable_quadratic": ({"d": POS_INT, "seed": INT}, {"curvature_range": PAIR, "b_scale": NUM}),
-    "ridge_synthetic": (
-        {"d": POS_INT, "per_agent": POS_INT, "seed": INT},
-        {"lambda": POS_NUM, "noise": NUM, "scale_spread": POS_NUM, "standardize": BOOL},
-    ),
-    "synthetic_classification": (
-        {"d": POS_INT, "per_agent": POS_INT, "seed": INT},
-        {"w": POS_NUM, "separation": NUM, "scale_spread": POS_NUM, "standardize": BOOL},
-    ),
-    "ridge_csv": ({"path": PATH}, {"lambda": POS_NUM, "has_header": BOOL, "standardize": BOOL}),
-    "logistic_csv": ({"path": PATH}, {"w": POS_NUM, "has_header": BOOL, "standardize": BOOL}),
-    "quartic": (
-        {},
-        {"d": POS_INT, "quartic": NONNEG, "quad": POS_NUM, "b_mean": NUM, "b_spread": NUM,
-         "box": POS_NUM},
-    ),
-}
+_INSTANCE_SCHEMAS = {name: entry[1:] for name, entry in FAMILIES.items()}
 
 _TOP_KEYS = {
     "topology",
@@ -189,7 +167,7 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         return cls(raw)
 
@@ -251,26 +229,11 @@ def build_topology(cfg: ExperimentConfig) -> tuple:
 
 
 def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
-    """Call the family's builder with the instance keys the config sets."""
+    """Call the family's builder with the agent count and the instance keys
+    the config sets."""
     params = {"lam" if k == "lambda" else k: v for k, v in cfg.data["instance"].items()}
-    family = params.pop("family")
-    n = cfg.data["topology"]["n"]
-    if family == "separable_quadratic":
-        return separable_quadratic_instance(n, **params)
-    if family == "ridge_synthetic":
-        return ridge_synthetic(n=n, **params)
-    if family == "synthetic_classification":
-        return synthetic_classification(n=n, **params)
-    if family == "quartic":
-        return quartic_instance(n, **params)
-    # ridge_csv or logistic_csv: real data is standardized unless the config says not
-    features, targets = load_csv(params.pop("path"), has_header=params.pop("has_header", False))
-    params.setdefault("standardize", True)
-    if family == "ridge_csv":
-        params.setdefault("lam", 0.1)
-        return ridge_instance_from_shards(features, targets, n, **params)
-    params.setdefault("w", 0.1)
-    return logistic_instance(features, targets, n, **params)
+    build = FAMILIES[params.pop("family")][0]
+    return build(n=cfg.data["topology"]["n"], **params)
 
 
 def algorithm_config(cfg: ExperimentConfig, entry: dict):
@@ -450,7 +413,7 @@ def solve_estimator_zero(instance: ProblemInstance, mu: float) -> np.ndarray:
     gb = instance.global_black_box()
     x = instance.x_star.astype(float).copy()
     for _ in range(200):
-        F = estimate_gradient(gb, x, mu)
+        F = estimate_gradient(gb, x[None], mu)[0]
         if np.max(np.abs(F)) <= 1e-13 * (1.0 + float(np.linalg.norm(x))):
             return x
         x = x - np.linalg.solve(instance.global_hessian(x), F)
@@ -501,7 +464,7 @@ def gamma_mu_scaling_check(instance: ProblemInstance, mu_list: list, cfg: JadeCo
             excluded.append((mu, f"run failed: {trace.diagnostic}"))
             converged.append(False)
         else:
-            grad_norm = float(np.linalg.norm(estimate_gradient(gb, x_bar, mu)))
+            grad_norm = float(np.linalg.norm(estimate_gradient(gb, x_bar[None], mu)))
             ok = grad_norm <= 1e-9 * (1.0 + float(np.linalg.norm(x_bar)))
             converged.append(ok)
             if not ok:
@@ -551,7 +514,7 @@ def lyapunov_bounds_check(
     gb = instance.global_black_box()
 
     def V(x: np.ndarray) -> float:
-        grad = estimate_gradient(gb, x, mu)
+        grad = estimate_gradient(gb, x[None], mu)[0]
         return float(grad @ grad)
 
     def fd_grad_of_V(x: np.ndarray, h: float) -> np.ndarray:
@@ -565,7 +528,7 @@ def lyapunov_bounds_check(
     failures = []
     mu_in = mu / 100.0
     for x in samples:
-        grad, hdiag = estimate_both(gb, x, mu)
+        (grad,), (hdiag,) = estimate_both(gb, x[None], mu)
         v = float(grad @ grad)
         dist2 = float(np.sum((x - gamma) ** 2))
         dist = math.sqrt(dist2)
@@ -685,7 +648,7 @@ def _check_objective_instances(report: VerifyReport) -> None:
         for _ in range(20):
             x = 0.6 * rng.normals(inst.d)
             mu = 0.01 + 0.02 * rng.uniform()
-            est = estimate_gradient(gb, x, mu)
+            est = estimate_gradient(gb, x[None], mu)[0]
             true = inst.global_gradient(x)
             bound = gradient_error_bound(c.L2, mu, inst.d)
             if np.linalg.norm(est - true) > bound + 1e-9 * (1.0 + np.linalg.norm(true)):
@@ -722,13 +685,13 @@ def _check_averaging_contraction(report: VerifyReport) -> None:
 
 def _check_oracle_accounting(report: VerifyReport) -> None:
     for d in (1, 2, 5, 17, 50):
-        obj = BlackBoxObjective(lambda X: np.sum(X * X, axis=1), d)
-        estimate_gradient(obj, np.zeros(d), 0.1)
+        obj = BlackBoxObjective(lambda X, block: np.sum(X * X, axis=-1), d)
+        estimate_gradient(obj, np.zeros((1, d)), 0.1)
         if obj.query_count != 2 * d:
             report.add("oracle_query_accounting", False, f"gradient d={d}")
             return
-        obj = BlackBoxObjective(lambda X: np.sum(X * X, axis=1), d)
-        estimate_both(obj, np.zeros(d), 0.1)
+        obj = BlackBoxObjective(lambda X, block: np.sum(X * X, axis=-1), d)
+        estimate_both(obj, np.zeros((1, d)), 0.1)
         if obj.query_count != 2 * d + 1:
             report.add("oracle_query_accounting", False, f"joint d={d}")
             return
@@ -760,11 +723,9 @@ def check_quadratic_exactness(
         d = 1 + int(rng.uniform() * d_max)
         A, b, c = random_dominant_quadratic(rng, d)
         x = 0.5 * rng.normals(d)
-        obj = BlackBoxObjective(
-            lambda X, A=A, b=b, c=c: 0.5 * np.einsum("ij,ij->i", X, X @ A) + X @ b + c, d
-        )
+        obj = BlackBoxObjective(QuadraticObjective(A[None], b[None], [c]).value_many, d)
         for mu in mus:
-            grad, hdiag = estimate_both(obj, x, mu)
+            (grad,), (hdiag,) = estimate_both(obj, x[None], mu)
             g_true, h_true = A @ x + b, np.diag(A)
             g_err = np.linalg.norm(grad - g_true) / np.linalg.norm(g_true)
             h_err = np.linalg.norm(hdiag - h_true) / np.linalg.norm(h_true)
@@ -774,13 +735,13 @@ def check_quadratic_exactness(
 
 def check_error_bounds(report: VerifyReport) -> None:
     """x^3 at 1 (L2 = 6) and x^4 at 0 (L3 = 24) attain the error bounds (1e-12 relative)."""
-    cube = BlackBoxObjective(lambda X: X[:, 0] ** 3, 1)
-    quart = BlackBoxObjective(lambda X: X[:, 0] ** 4, 1)
+    cube = BlackBoxObjective(lambda X, block: X[..., 0] ** 3, 1)
+    quart = BlackBoxObjective(lambda X, block: X[..., 0] ** 4, 1)
     worst = 0.0
     for mu in (0.2, 0.1, 0.05):
-        g_err = estimate_gradient(cube, np.array([1.0]), mu)[0] - 3.0
-        _, hdiag = estimate_both(quart, np.array([0.0]), mu)
-        h_err = hdiag[0]
+        g_err = estimate_gradient(cube, np.array([[1.0]]), mu)[0, 0] - 3.0
+        _, hdiag = estimate_both(quart, np.array([[0.0]]), mu)
+        h_err = hdiag[0, 0]
         for err, bound in (
             (g_err, gradient_error_bound(6.0, mu, 1)),
             (h_err, hessian_error_bound(24.0, mu)),

@@ -9,7 +9,8 @@ whose arrays are stacked along a leading agent axis, the minimizer of the
 averaged cost computed by an independent centralized solver, and the
 smoothness constants of the averaged cost.  Runs query the agents only
 through the fresh counter of :meth:`ProblemInstance.black_boxes`, which
-evaluates all agents in one call.
+evaluates all agents in one call.  :data:`FAMILIES` defines every instance
+family a config can name: its builder and the kinds of its parameters.
 
 Each family stacks its agents' parameters along a leading agent axis.
 `value_many(X, agents)` returns the values (m, k) of the m agents in the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    INTS, KINDS, NONNEG, NUM, PAIR, POS_INT, POS_NUM, ConfigurationError,
+    BOOL, INT, INTS, KINDS, NONNEG, NUM, PAIR, PATH, POS_INT, POS_NUM, ConfigurationError,
     InstanceConstructionError, require,
 )
 from .oracle import BlackBoxObjective, SmoothnessConstants, agent_blocks
@@ -245,8 +246,10 @@ class ProblemInstance:
         return sum(method(x, block).sum(axis=0) for block in blocks)
 
     def global_black_box(self) -> BlackBoxObjective:
-        """Fresh query-counted wrapper around the averaged cost (diagnostics only)."""
-        return BlackBoxObjective(self.global_value_many, self.d, name=self.name + ":global")
+        """Fresh one-agent query counter around the averaged cost (diagnostics only)."""
+        return BlackBoxObjective(
+            lambda X, block: self.global_value_many(X[0])[None], self.d, name=self.name + ":global"
+        )
 
 
 def _instance(
@@ -611,3 +614,40 @@ def load_csv(path: str, has_header: bool = False) -> tuple:
             raise ConfigurationError(f"{path}: row {line_no}: {exc}") from exc
     table = np.array(values)
     return table[:, :-1], table[:, -1]
+
+
+def _ridge_csv(n: int, path: str, lam=0.1, has_header=False, standardize=True) -> ProblemInstance:
+    """Ridge regression on a CSV file whose last column is the target."""
+    features, targets = load_csv(path, has_header)
+    return ridge_instance_from_shards(features, targets, n, lam, standardize)
+
+
+def _logistic_csv(n: int, path: str, w=0.1, has_header=False, standardize=True) -> ProblemInstance:
+    """Logistic regression on a CSV file whose last column is the +-1 label."""
+    samples, labels = load_csv(path, has_header)
+    return logistic_instance(samples, labels, n, w, standardize)
+
+
+#: family -> (builder taking the agent count n and the parameters, required
+#: parameter kinds, optional parameter kinds); the config key `lambda` reaches
+#: its builder as `lam`.  The public builders are looked up by their module
+#: names at call time, so that a wrapper installed under such a name is called.
+FAMILIES = {
+    "separable_quadratic": (lambda **kw: separable_quadratic_instance(**kw),
+                            {"d": POS_INT, "seed": INT}, {"curvature_range": PAIR, "b_scale": NUM}),
+    "ridge_synthetic": (lambda **kw: ridge_synthetic(**kw),
+                        {"d": POS_INT, "per_agent": POS_INT, "seed": INT},
+                        {"lambda": POS_NUM, "noise": NUM, "scale_spread": POS_NUM,
+                         "standardize": BOOL}),
+    "synthetic_classification": (lambda **kw: synthetic_classification(**kw),
+                                 {"d": POS_INT, "per_agent": POS_INT, "seed": INT},
+                                 {"w": POS_NUM, "separation": NUM, "scale_spread": POS_NUM,
+                                  "standardize": BOOL}),
+    "ridge_csv": (_ridge_csv, {"path": PATH},
+                  {"lambda": POS_NUM, "has_header": BOOL, "standardize": BOOL}),
+    "logistic_csv": (_logistic_csv, {"path": PATH},
+                     {"w": POS_NUM, "has_header": BOOL, "standardize": BOOL}),
+    "quartic": (lambda **kw: quartic_instance(**kw), {},
+                {"d": POS_INT, "quartic": NONNEG, "quad": POS_NUM, "b_mean": NUM, "b_spread": NUM,
+                 "box": POS_NUM}),
+}

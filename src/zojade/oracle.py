@@ -8,7 +8,9 @@ two estimators is
 
 so both can be formed from the same 2d probe values plus one center value,
 2d + 1 queries in total.  The probe order is fixed (k ascending, +mu before
--mu, center last) to make query traces reproducible.
+-mu, center last) to make query traces reproducible.  The estimators work
+on all agents at once: x holds one row per agent, and a single cost is the
+one-agent case.
 
 The closed-form error, Lipschitz and admissible-step bounds for these
 estimators live here as plain functions of the smoothness constants
@@ -57,26 +59,22 @@ def agent_blocks(n: int, elements_per_agent: int) -> list:
 
 
 class BlackBoxObjective:
-    """Query counter around the agents' batch cost functions.
+    """Query counter around the batch cost function of n agents.
 
-    With `agents` = n, `batch_fn(X, block)` returns the values (m, k) of the
-    m agents in the slice `block` at their own points X:(m, k, d), and one
-    evaluated row takes `row_elements` elements of temporaries.  Without
-    `agents`, `batch_fn` is a single cost that maps points (k, d) to
-    values (k,).  Every evaluation goes through :meth:`evaluate_probes`,
-    which counts one query per point in `agent_queries`; the ground truth
-    behind the function belongs to the experimenter and is never reachable
-    from here.
+    `batch_fn(X, block)` returns the values (m, k) of the m agents in the
+    slice `block`, each at its own points X:(m, k, d), and one evaluated row
+    takes `row_elements` elements of temporaries.  A single cost is the
+    one-agent case, `agents` = 1.  Every evaluation goes through
+    :meth:`evaluate_probes`, which counts one query per point in
+    `agent_queries`; the ground truth behind the function belongs to the
+    experimenter and is never reachable from here.
     """
 
-    def __init__(self, batch_fn, dim: int, *, agents=None, row_elements=None, name: str = ""):
-        if agents is None:
-            self._batch_fn = lambda X, block: batch_fn(X[0])[None]
-        else:
-            self._batch_fn = batch_fn
+    def __init__(self, batch_fn, dim: int, *, agents: int = 1, row_elements=None, name: str = ""):
+        self._batch_fn = batch_fn
         self.dim = dim
         self.name = name
-        self.agent_queries = np.zeros(1 if agents is None else agents, dtype=np.int64)
+        self.agent_queries = np.zeros(agents, dtype=np.int64)
         self._row_elements = max(dim, row_elements or 0)
 
     @property
@@ -85,19 +83,17 @@ class BlackBoxObjective:
         return int(self.agent_queries.sum())
 
     def evaluate_probes(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Values of every agent i at x[i] + offsets[j], shape (n, k); for a
-        single cost, x is (d,) and the values (k,).  Probe points are built
-        and evaluated one agent block at a time."""
-        X = x.reshape(-1, x.shape[-1])
-        n, k = X.shape[0], offsets.shape[0]
-        if X.shape != (self.agent_queries.shape[0], self.dim):
-            raise ValueError(f"objective '{self.name}' takes {self.agent_queries.shape[0]} "
-                             f"point(s) of dimension {self.dim}, got shape {x.shape}")
+        """Values (n, k) of every agent i at x[i] + offsets[j] for x:(n, d),
+        built and evaluated one agent block at a time."""
+        n, k = self.agent_queries.shape[0], offsets.shape[0]
+        if x.shape != (n, self.dim):
+            raise ValueError(f"objective '{self.name}' takes {n} point(s) of dimension "
+                             f"{self.dim}, got shape {x.shape}")
         values = np.empty((n, k))
         for block in agent_blocks(n, k * self._row_elements):
             self.agent_queries[block] += k
-            values[block] = self._batch_fn(X[block, None, :] + offsets, block)
-        return values if x.ndim == 2 else values[0]
+            values[block] = self._batch_fn(x[block, None, :] + offsets, block)
+        return values
 
 
 @functools.lru_cache(maxsize=128)
@@ -115,59 +111,55 @@ def _offsets(d: int, mu: float) -> np.ndarray:
 def _probe_values(
     f: BlackBoxObjective, x: np.ndarray, mu: float, with_center: bool
 ) -> np.ndarray:
-    """Values of f at x + mu e_k, x - mu e_k for k = 0..d-1, then at x itself
-    if `with_center`, for one point x:(d,) or one per agent x:(n, d); a
-    non-finite value raises, naming the agent, the coordinate and sign of
-    the probe, and its point."""
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    """Values (n, 2d or 2d + 1) of f at x[i] + mu e_k, x[i] - mu e_k for
+    k = 0..d-1, then at x[i] itself if `with_center`, for every agent's row
+    of x:(n, d); a non-finite value raises, naming the agent, the coordinate
+    and sign of the probe, and its point."""
+    if not 0.0 < mu < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     offsets = _offsets(d, mu)
     values = f.evaluate_probes(x, offsets if with_center else offsets[:-1])
     if not np.isfinite(values).all():
-        rows = values.reshape(-1, values.shape[-1])
-        i, j = (int(v) for v in np.argwhere(~np.isfinite(rows))[0])
-        point = x.reshape(-1, d)[i] + offsets[j]
+        i, j = (int(v) for v in np.argwhere(~np.isfinite(values))[0])
         probe = "center" if j == 2 * d else f"coordinate {j // 2}, {'+-'[j % 2]}mu"
-        agent = f" agent {i}" if x.ndim == 2 else ""
         raise EvaluationError(
-            f"objective '{f.name}'{agent} returned {float(rows[i, j])!r} at probe point "
-            f"{point.tolist()} ({probe})"
+            f"objective '{f.name}' agent {i} returned {float(values[i, j])!r} at probe point "
+            f"{(x[i] + offsets[j]).tolist()} ({probe})"
         )
     return values
 
 
 def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu: float) -> np.ndarray:
-    """Central-difference gradient estimate, at x:(d,) or at every agent's row
-    of x:(n, d); consumes exactly 2d queries per agent."""
+    """Central-difference gradient estimates (n, d) at every agent's row of
+    x:(n, d); consumes exactly 2d queries per agent."""
     values = _probe_values(f, x, mu, with_center=False)
-    return (values[..., 0::2] - values[..., 1::2]) / (2.0 * mu)
+    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * mu)
 
 
 def estimate_hessian_diag(
-    f: BlackBoxObjective, x: np.ndarray, mu: float, center: float | np.ndarray
+    f: BlackBoxObjective, x: np.ndarray, mu: float, center: np.ndarray
 ) -> np.ndarray:
-    """Hessian-diagonal estimate around known center values f(x) (one per
-    agent for x:(n, d)); 2d queries per agent."""
+    """Hessian-diagonal estimates (n, d) at x:(n, d) around the known center
+    values f_i(x[i]), one per agent; 2d queries per agent."""
     values = _probe_values(f, x, mu, with_center=False)
-    center = np.asarray(center, dtype=float)[..., None]
-    return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / (mu * mu)
+    center = np.asarray(center, dtype=float)[:, None]
+    return (values[:, 0::2] - 2.0 * center + values[:, 1::2]) / (mu * mu)
 
 
 def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> tuple:
-    """Gradient and Hessian-diagonal estimates (grad, hdiag) from one shared
-    probe set.
+    """Gradient and Hessian-diagonal estimates (grad, hdiag), each (n, d),
+    from one shared probe set at x:(n, d).
 
     The 2d coordinate probes are reused for both estimates and a single
     extra center evaluation completes the second difference, 2d + 1
-    queries per agent in total.  For x:(n, d) both estimates have a
-    leading agent axis.
+    queries per agent in total.
     """
     values = _probe_values(f, x, mu, with_center=True)
-    plus = values[..., 0:-1:2]
-    minus = values[..., 1:-1:2]
-    center = values[..., -1:]
+    plus = values[:, 0:-1:2]
+    minus = values[:, 1:-1:2]
+    center = values[:, -1:]
     return (plus - minus) / (2.0 * mu), (plus - 2.0 * center + minus) / (mu * mu)
 
 

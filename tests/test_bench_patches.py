@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from zojade import ExperimentConfig, harness
+from zojade.objectives import FAMILIES
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -44,3 +45,44 @@ def test_benchmark_patches_apply_and_record_every_layer(tmp_path, monkeypatch):
     assert metrics["oracle.queries"] == hooks.queries() == 5 * 2 * (20 * 5 + 25 * 4)
     assert metrics["graphs.spectral_gap_calls"] == 1
     assert metrics["harness.csv_files"] == 2 * 3
+
+
+def test_every_family_builds_inside_a_recorded_build_span(tmp_path, monkeypatch):
+    # bench/spans.py wraps the public builders under their module names; a
+    # family table that held the builders themselves would bypass the wrappers
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import spans
+
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{k % 5 - 2},{k * k % 7 / 3},{1 if k % 3 else -1}\n"
+                            for k in range(12)), encoding="utf-8")
+    params = {
+        "separable_quadratic": {"d": 2, "seed": 1},
+        "ridge_synthetic": {"d": 2, "per_agent": 3, "seed": 1},
+        "synthetic_classification": {"d": 3, "per_agent": 4, "seed": 1},
+        "ridge_csv": {"path": str(data)},
+        "logistic_csv": {"path": str(data)},
+        "quartic": {},
+    }
+    assert set(params) == set(FAMILIES)
+    configs = {
+        family: ExperimentConfig({
+            "topology": {"name": "ring", "n": 3},
+            "instance": {"family": family, **given},
+            "mu": 0.05,
+            "budget": 70,
+            "seeds": [1],
+            "algorithms": [{"name": "zo_jade"}],
+        })
+        for family, given in params.items()
+    }
+    build_id = spans.SPAN_NAMES.index("objectives.build")
+    tracer, patches = spans.Tracer(), spans.Patches()
+    try:
+        spans.instrument(tracer, patches)
+        for family, cfg in configs.items():
+            before = len(tracer.name)
+            harness.build_instance(cfg)
+            assert build_id in tracer.arrays()["name"][before:], family
+    finally:
+        patches.restore()

@@ -24,6 +24,7 @@ from zojade.errors import (
     PROB, SEEDS, require,
 )
 from zojade.harness import _INSTANCE_SCHEMAS, _TOPOLOGY_SCHEMAS
+from zojade.objectives import FAMILIES
 
 nan, inf = math.nan, math.inf
 
@@ -107,10 +108,6 @@ _OUT_OF_RANGE = {
 }
 _BAD_PAIRS = [[1.0], [nan, 4.0], [0.5, inf], [-inf, 4.0], [True, 4.0], [np.int64(1), 4.0]]
 
-# Schema keys that a builder does not check itself (none: every builder
-# rejects what the schema rejects).
-_UNCHECKED_BY_BUILDERS = set()
-
 _ROWS = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, -1.0], [-1.0, 0.5], [0.5, 2.0]])
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
@@ -134,6 +131,10 @@ _INSTANCE_BUILDERS = {
     ),
     "quartic": ({}, lambda **kw: quartic_instance(3, **kw)),
 }
+
+
+def test_every_family_has_a_direct_builder_call():
+    assert set(_INSTANCE_BUILDERS) == set(FAMILIES)
 
 
 def _bad_values(kind):
@@ -181,8 +182,6 @@ def test_instance_parse_and_build_reject_the_same_values(family, key, value):
     params = {**required, key: value}
     with pytest.raises(ConfigurationError, match=rf"^instance\.{key} must be"):
         ExperimentConfig(_config({"name": "ring", "n": 3}, {"family": family, **params}))
-    if key in _UNCHECKED_BY_BUILDERS:
-        return
     params = {"lam" if k == "lambda" else k: v for k, v in params.items() if k != "path"}
     with pytest.raises(ConfigurationError, match=f"^{'lam' if key == 'lambda' else key} must be"):
         build(**params)

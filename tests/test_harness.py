@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,9 @@ from zojade import (
 )
 from zojade.cli import main as cli_main
 from zojade.metrics import ef_mode
+from zojade.objectives import FAMILIES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(tmp_path=None, **overrides):
@@ -177,7 +182,7 @@ def test_solve_estimator_zero_quartic():
     mu = 0.2
     gamma = solve_estimator_zero(inst, mu)
     gb = inst.global_black_box()
-    assert np.max(np.abs(estimate_gradient(gb, gamma, mu))) <= 1e-12
+    assert np.max(np.abs(estimate_gradient(gb, gamma[None], mu))) <= 1e-12
     # tilted quartic: the zero sits strictly between the origin and x*
     assert 0.0 < gamma[0] < inst.x_star[0]
 
@@ -344,6 +349,20 @@ def test_config_hash_stable_and_sensitive():
     assert a.config_hash != c.config_hash
 
 
+@pytest.mark.parametrize(
+    "path, digest",
+    [
+        ("configs/quickstart.json", "b4e476b8e046caa9"),
+        ("configs/logistic.json", "116f941080c1c710"),
+        ("bench/scale_n200.json", "a6f537e5e9378f15"),
+    ],
+)
+def test_shipped_config_hashes_are_pinned(path, digest):
+    # every output file carries the hash of the defaulted config, so a moved
+    # default or schema key changes the bytes of every CSV the config writes
+    assert ExperimentConfig.from_file(str(ROOT / path)).config_hash == digest
+
+
 def test_per_algorithm_mu_override():
     from zojade.harness import algorithm_config
 
@@ -379,17 +398,65 @@ def _write_rows(path, rows):
 def test_build_instance_every_family(tmp_path, family, params, d):
     from zojade.harness import build_instance
 
-    # twelve rows of two features; the CSV families read the last column as
-    # the target (ridge) or the +-1 label (logistic)
-    if family == "ridge_csv":
-        rows = [(k % 5 - 2.0, k * k % 7 / 3.0, 0.5 * k - 2.0) for k in range(12)]
-        params = {"path": _write_rows(tmp_path / "ridge.csv", rows)}
-    elif family == "logistic_csv":
-        rows = [(k % 5 - 2.0, k * k % 7 / 3.0, 1.0 if k % 3 else -1.0) for k in range(12)]
-        params = {"path": _write_rows(tmp_path / "logistic.csv", rows)}
+    params = _csv_params(tmp_path, family) or params
     inst = build_instance(tiny_config(None, instance={"family": family, **params}))
     assert (inst.n, inst.d) == (4, d)
     assert np.linalg.norm(inst.global_gradient(inst.x_star)) <= 1e-10
+
+
+def _csv_params(tmp_path, family):
+    """The path key of a CSV family, to twelve rows of two features whose last
+    column is the target (ridge) or the +-1 label (logistic); None otherwise."""
+    if family == "ridge_csv":
+        rows = [(k % 5 - 2.0, k * k % 7 / 3.0, 0.5 * k - 2.0) for k in range(12)]
+        return {"path": _write_rows(tmp_path / "ridge.csv", rows)}
+    if family == "logistic_csv":
+        rows = [(k % 5 - 2.0, k * k % 7 / 3.0, 1.0 if k % 3 else -1.0) for k in range(12)]
+        return {"path": _write_rows(tmp_path / "logistic.csv", rows)}
+    return None
+
+
+def _readme_defaults():
+    """family -> {optional key: its default}, read from the README's list of
+    instance families (a trailing `*` marks a tuned default)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    families = text.split("\nInstance families", 1)[1].split("\n\n")[1]
+    defaults = {}
+    for line in families.splitlines():
+        family, keys = re.fullmatch(r"\* `(\w+)`: (.*)", line).groups()
+        pairs = re.findall(r"`(\w+)` \(([^)]*)\)", keys)
+        defaults[family] = {key: json.loads(value.rstrip(" *")) for key, value in pairs}
+    return defaults
+
+
+_README_DEFAULTS = _readme_defaults()
+_REQUIRED_PARAMS = {
+    "separable_quadratic": {"d": 3, "seed": 1},
+    "ridge_synthetic": {"d": 3, "per_agent": 4, "seed": 1},
+    "synthetic_classification": {"d": 3, "per_agent": 4, "seed": 1},
+    "quartic": {},
+}
+
+
+def test_readme_lists_the_optional_keys_of_every_family():
+    assert {family: set(defaults) for family, defaults in _README_DEFAULTS.items()} == {
+        family: set(optional) for family, (_, _, optional) in FAMILIES.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [(family, key) for family, (_, _, optional) in FAMILIES.items() for key in optional],
+)
+def test_every_optional_key_reaches_its_builder_with_its_readme_default(tmp_path, family, key):
+    from zojade.harness import build_instance
+
+    params = _csv_params(tmp_path, family) or _REQUIRED_PARAMS[family]
+    value = _README_DEFAULTS[family][key]
+    default = build_instance(tiny_config(None, instance={"family": family, **params}))
+    explicit = build_instance(tiny_config(None, instance={"family": family, **params, key: value}))
+    assert np.array_equal(explicit.x_star, default.x_star)
+    assert explicit.f_star == default.f_star
 
 
 # --- experiment outputs --------------------------------------------------------------
@@ -548,6 +615,9 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(bad)]) == 2
     missing = tmp_path / "absent.json"
     assert cli_main(["run", "--config", str(missing)]) == 2
+    bad.write_bytes(b'{"topology": "\xff"}')  # not UTF-8
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    assert cli_main(["verify", "--config", str(bad)]) == 2
     malformed = tiny_config(None).data
     malformed["algorithms"] = [{"name": "zo_jade", "epsilon": "x"}]
     bad.write_text(json.dumps(malformed), encoding="utf-8")

@@ -21,44 +21,47 @@ from zojade import (
 from zojade.harness import VerifyReport, check_quadratic_exactness, random_dominant_quadratic
 
 
+# One-agent black boxes: a batch function maps points X:(1, k, d) to values (1, k).
+
+
 def sphere(d):
-    return BlackBoxObjective(lambda X: np.sum(X * X, axis=1), d)
+    return BlackBoxObjective(lambda X, block: np.sum(X * X, axis=-1), d)
 
 
 def cube():
-    return BlackBoxObjective(lambda X: X[:, 0] ** 3, 1)
+    return BlackBoxObjective(lambda X, block: X[..., 0] ** 3, 1)
 
 
 def quartic_fn():
-    return BlackBoxObjective(lambda X: X[:, 0] ** 4, 1)
+    return BlackBoxObjective(lambda X, block: X[..., 0] ** 4, 1)
 
 
 # --- gradient estimator -----------------------------------------------------
 
 
 def test_gradient_exact_on_sphere():
-    g = estimate_gradient(sphere(2), np.array([1.0, 2.0]), 0.1)
+    g = estimate_gradient(sphere(2), np.array([[1.0, 2.0]]), 0.1)[0]
     assert np.max(np.abs(g - np.array([2.0, 4.0]))) <= 1e-12
 
 
 def test_gradient_on_cube_has_mu_squared_offset():
-    g = estimate_gradient(cube(), np.array([1.0]), 0.1)
+    g = estimate_gradient(cube(), np.array([[1.0]]), 0.1)[0]
     assert abs(g[0] - 3.01) <= 1e-12
 
 
 def test_gradient_of_constant_is_zero():
-    obj = BlackBoxObjective(lambda X: np.full(X.shape[0], 4.2), 3)
-    g = estimate_gradient(obj, np.array([0.3, -1.0, 2.0]), 0.05)
+    obj = BlackBoxObjective(lambda X, block: np.full(X.shape[:2], 4.2), 3)
+    g = estimate_gradient(obj, np.array([[0.3, -1.0, 2.0]]), 0.05)[0]
     assert np.array_equal(g, np.zeros(3))
 
 
 def test_gradient_consumes_exactly_2d_queries():
     for d in range(1, 51):
         obj = sphere(d)
-        estimate_gradient(obj, np.zeros(d), 0.1)
+        estimate_gradient(obj, np.zeros((1, d)), 0.1)
         assert obj.query_count == 2 * d
         both = sphere(d)
-        estimate_both(both, np.zeros(d), 0.1)
+        estimate_both(both, np.zeros((1, d)), 0.1)
         assert both.query_count == 2 * d + 1
 
 
@@ -66,24 +69,26 @@ def test_gradient_consumes_exactly_2d_queries():
 
 
 def test_hessian_diag_exact_on_diagonal_quadratic():
-    obj = BlackBoxObjective(lambda X: 0.5 * (2.0 * X[:, 0] ** 2 + 6.0 * X[:, 1] ** 2), 2)
-    x = np.array([0.7, -1.3])
+    obj = BlackBoxObjective(
+        lambda X, block: 0.5 * (2.0 * X[..., 0] ** 2 + 6.0 * X[..., 1] ** 2), 2
+    )
+    x = np.array([[0.7, -1.3]])
     center = 0.5 * (2.0 * 0.7**2 + 6.0 * 1.3**2)
-    h = estimate_hessian_diag(obj, x, 0.05, center)
+    h = estimate_hessian_diag(obj, x, 0.05, [center])[0]
     assert np.max(np.abs(h - np.array([2.0, 6.0]))) <= 1e-9
 
 
 def test_hessian_diag_of_cube_is_six_for_any_mu():
     for mu in (0.5, 0.1, 0.01):
         obj = cube()
-        h = estimate_hessian_diag(obj, np.array([1.0]), mu, 1.0)
+        h = estimate_hessian_diag(obj, np.array([[1.0]]), mu, [1.0])[0]
         assert abs(h[0] - 6.0) <= 1e-9
 
 
 def test_hessian_diag_of_affine_is_zero():
-    obj = BlackBoxObjective(lambda X: X @ np.array([2.0, -3.0]) + 1.0, 2)
-    x = np.array([0.4, 0.9])
-    h = estimate_hessian_diag(obj, x, 0.1, 2.0 * 0.4 - 3.0 * 0.9 + 1.0)
+    obj = BlackBoxObjective(lambda X, block: X @ np.array([2.0, -3.0]) + 1.0, 2)
+    x = np.array([[0.4, 0.9]])
+    h = estimate_hessian_diag(obj, x, 0.1, [2.0 * 0.4 - 3.0 * 0.9 + 1.0])
     assert np.max(np.abs(h)) <= 1e-9
 
 
@@ -92,25 +97,25 @@ def test_hessian_diag_of_affine_is_zero():
 
 def test_joint_estimator_query_count():
     obj = sphere(20)
-    estimate_both(obj, np.zeros(20), 0.1)
+    estimate_both(obj, np.zeros((1, 20)), 0.1)
     assert obj.query_count == 41
 
 
 def test_joint_estimator_constant_function():
-    obj = BlackBoxObjective(lambda X: np.zeros(X.shape[0]) + 7.0, 1)
-    grad, hdiag = estimate_both(obj, np.array([0.0]), 0.3)
-    assert grad[0] == 0.0
-    assert hdiag[0] == 0.0
+    obj = BlackBoxObjective(lambda X, block: np.zeros(X.shape[:2]) + 7.0, 1)
+    grad, hdiag = estimate_both(obj, np.array([[0.0]]), 0.3)
+    assert grad[0, 0] == 0.0
+    assert hdiag[0, 0] == 0.0
     assert obj.query_count == 3
 
 
 def test_joint_estimator_bit_identical_to_separate_calls():
     # identical probe points, identical arithmetic -> identical bits
-    x = np.array([0.3, -0.8, 1.1])
-    obj = BlackBoxObjective(lambda X: np.sum(X**4 - X, axis=1), 3)
+    x = np.array([[0.3, -0.8, 1.1]])
+    obj = BlackBoxObjective(lambda X, block: np.sum(X**4 - X, axis=-1), 3)
     grad, hdiag = estimate_both(obj, x, 0.07)
     g = estimate_gradient(obj, x, 0.07)
-    center = obj.evaluate_probes(x, np.zeros((1, 3)))[0]
+    center = obj.evaluate_probes(x, np.zeros((1, 3)))[:, 0]
     h = estimate_hessian_diag(obj, x, 0.07, center)
     assert np.array_equal(grad, g)
     assert np.array_equal(hdiag, h)
@@ -120,22 +125,23 @@ def test_joint_estimator_matches_analytics_on_quadratic():
     rng = Xoshiro256(17)
     A, b, c = random_dominant_quadratic(rng, 6)
     obj = BlackBoxObjective(
-        lambda X: 0.5 * np.einsum("ij,ij->i", X, X @ A) + X @ b + c, 6
+        lambda X, block: 0.5 * np.einsum("...ij,...ij->...i", X, X @ A) + X @ b + c, 6
     )
     x = 0.5 * rng.normals(6)
-    grad, hdiag = estimate_both(obj, x, 1e-2)
+    (grad,), (hdiag,) = estimate_both(obj, x[None], 1e-2)
     assert np.linalg.norm(grad - (A @ x + b)) <= 1e-10 * np.linalg.norm(A @ x + b)
     assert np.linalg.norm(hdiag - np.diag(A)) <= 1e-10 * np.linalg.norm(np.diag(A))
 
 
 def test_probe_evaluation_error_names_the_point():
-    def half_line_log(X):
+    def half_line_log(X, block):
         with np.errstate(invalid="ignore"):
-            return np.log(X[:, 0])
+            return np.log(X[..., 0])
 
     obj = BlackBoxObjective(half_line_log, 1, name="logx")
-    with pytest.raises(EvaluationError, match="probe point"):
-        estimate_gradient(obj, np.array([0.05]), 0.1)
+    # a single cost is agent 0 of a one-agent black box
+    with pytest.raises(EvaluationError, match=r"'logx' agent 0 returned nan at probe point"):
+        estimate_gradient(obj, np.array([[0.05]]), 0.1)
 
 
 # --- closed-form bounds -------------------------------------------------------
@@ -149,7 +155,7 @@ def test_gradient_error_bound_values():
 
 def test_gradient_error_bound_tight_on_cube():
     for mu in (0.2, 0.1, 0.05):
-        g = estimate_gradient(cube(), np.array([1.0]), mu)
+        g = estimate_gradient(cube(), np.array([[1.0]]), mu)[0]
         err = abs(g[0] - 3.0)
         bound = gradient_error_bound(6.0, mu, 1)
         assert abs(err - bound) <= 1e-12 * bound
@@ -164,8 +170,8 @@ def test_hessian_error_bound_tight_on_quartic():
     # f = x^4 at 0: estimate is exactly 2 mu^2 while the true diagonal is 0
     for mu in (0.2, 0.1):
         obj = quartic_fn()
-        _, hdiag = estimate_both(obj, np.array([0.0]), mu)
-        h = hdiag[0]
+        _, hdiag = estimate_both(obj, np.array([[0.0]]), mu)
+        h = hdiag[0, 0]
         bound = hessian_error_bound(24.0, mu)
         assert abs(h - bound) <= 1e-12 * bound
 
@@ -176,10 +182,10 @@ def test_error_containment_at_random_points():
     for _ in range(100):
         x = np.array([box * (2.0 * rng.uniform() - 1.0)])
         mu = 0.02 + 0.1 * rng.uniform()
-        g = estimate_gradient(cube(), x, mu)[0]
+        g = estimate_gradient(cube(), x[None], mu)[0, 0]
         assert abs(g - 3.0 * x[0] ** 2) <= gradient_error_bound(6.0, mu, 1) + 1e-12
         q = quartic_fn()
-        grad, hdiag = estimate_both(q, x, mu)
+        (grad,), (hdiag,) = estimate_both(q, x[None], mu)
         assert abs(grad[0] - 4.0 * x[0] ** 3) <= gradient_error_bound(24.0 * box, mu, 1) + 1e-9
         assert abs(hdiag[0] - 12.0 * x[0] ** 2) <= hessian_error_bound(24.0, mu) + 1e-9
 
@@ -192,7 +198,7 @@ def test_error_containment_logistic():
     for _ in range(50):
         x = rng.normals(instance.d)
         mu = 0.01 + 0.04 * rng.uniform()
-        grad, hdiag = estimate_both(gb, x, mu)
+        (grad,), (hdiag,) = estimate_both(gb, x[None], mu)
         g_err = np.linalg.norm(grad - instance.global_gradient(x))
         assert g_err <= gradient_error_bound(c.L2, mu, instance.d) + 1e-10
         h_err = np.max(np.abs(hdiag - np.diag(instance.global_hessian(x))))
@@ -209,23 +215,23 @@ def test_estimator_lipschitz_bounds():
     for _ in range(40):
         x = rng.normals(instance.d)
         y = rng.normals(instance.d)
-        gx, _ = estimate_both(gb, x, mu)
-        gy, _ = estimate_both(gb, y, mu)
+        (gx,), _ = estimate_both(gb, x[None], mu)
+        (gy,), _ = estimate_both(gb, y[None], mu)
         gap = np.linalg.norm(x - y)
         assert np.linalg.norm(gx - gy) <= kg * gap + 1e-10
 
 
 def test_mu_squared_error_scaling():
     # cubic: the estimate error is exactly mu^2, so halving mu divides it by 4
-    e1 = estimate_gradient(cube(), np.array([1.0]), 0.1)[0] - 3.0
-    e2 = estimate_gradient(cube(), np.array([1.0]), 0.05)[0] - 3.0
+    e1 = estimate_gradient(cube(), np.array([[1.0]]), 0.1)[0, 0] - 3.0
+    e2 = estimate_gradient(cube(), np.array([[1.0]]), 0.05)[0, 0] - 3.0
     assert abs(e1 / e2 - 4.0) <= 1e-9
     # generic smooth function: ratio approaches 4 from within [3.5, 4.5]
-    obj = BlackBoxObjective(lambda X: np.exp(X[:, 0]), 1)
-    x = np.array([0.3])
+    obj = BlackBoxObjective(lambda X, block: np.exp(X[..., 0]), 1)
+    x = np.array([[0.3]])
     true = math.exp(0.3)
-    r1 = estimate_gradient(obj, x, 0.1)[0] - true
-    r2 = estimate_gradient(obj, x, 0.05)[0] - true
+    r1 = estimate_gradient(obj, x, 0.1)[0, 0] - true
+    r2 = estimate_gradient(obj, x, 0.05)[0, 0] - true
     assert 3.5 <= r1 / r2 <= 4.5
 
 
@@ -277,6 +283,15 @@ def test_quadratic_exactness_battery():
 
 def test_mu_must_be_positive():
     with pytest.raises(ValueError):
-        estimate_gradient(sphere(2), np.zeros(2), 0.0)
+        estimate_gradient(sphere(2), np.zeros((1, 2)), 0.0)
     with pytest.raises(ValueError):
-        estimate_both(sphere(2), np.zeros(2), -0.1)
+        estimate_both(sphere(2), np.zeros((1, 2)), -0.1)
+    # NaN and +inf are rejected as steps, before any probe blames the objective
+    for mu in (math.nan, math.inf):
+        for estimate in (estimate_gradient, estimate_both):
+            obj = sphere(2)
+            with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
+                estimate(obj, np.zeros((1, 2)), mu)
+            assert obj.query_count == 0
+        with pytest.raises(ValueError, match="^mu must be positive"):
+            estimate_hessian_diag(sphere(2), np.zeros((1, 2)), mu, [0.0])
