@@ -24,7 +24,6 @@ from .errors import (
     ConfigurationError,
     EvaluationError,
     InstanceConstructionError,
-    RunAborted,
     ZojadeError,
 )
 from .graphs import (

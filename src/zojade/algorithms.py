@@ -24,17 +24,24 @@ well-conditioned strongly convex problems the counter stays at zero.
 Note: the curvature estimate is taken at each agent's own iterate
 x_i(t-1) (the same point the gradient estimate uses), which is the only
 reading under which g and h describe one parabola fit per agent.
+
+Replicas: `run` advances all seeds of an entry as one batch.  The state is
+stacked (R, n, d), replica axis first, and a round makes one oracle call
+for all R * n agents.  Each (n, d) slab meets the arithmetic of a separate
+run, the same BLAS call in every matmul, so every trace is bitwise its
+separate run's; folding the replicas into the probe axis, (n, R k, d), would
+not be (other BLAS shapes, whose ~1e-14 the 1/mu^2 of the second difference
+amplifies).  A replica whose probe value or iterate turns non-finite stops
+where its separate run stops, and the others run on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, EvaluationError, RunAborted, require
-)
+from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, SEEDS, ConfigurationError, require
 from .metrics import RunTrace, TraceRow, ef_mode, loss_metric
 from .objectives import ProblemInstance
 from .oracle import BlackBoxObjective, estimate_both, estimate_gradient
@@ -43,7 +50,9 @@ from .rng import Xoshiro256
 
 @dataclass
 class NetworkState:
-    """Stacked agent states (rows are agents) plus run counters."""
+    """Stacked agent states (rows are agents, after a leading replica axis in
+    a batched run) plus run counters; `clamps` counts the division-clamp
+    activations per replica."""
 
     x: np.ndarray
     g: np.ndarray
@@ -52,14 +61,26 @@ class NetworkState:
     z: np.ndarray
     P: np.ndarray
     iteration: int = 0
-    clamp_count: int = 0
+    clamps: np.ndarray | int = 0
+
+    @property
+    def clamp_count(self) -> int:
+        """Clamp activations of all replicas together."""
+        return int(np.sum(self.clamps))
+
+    def take(self, rows) -> NetworkState:
+        """The replicas `rows` of a batched state; one replica r gives its
+        (n, d) state of views."""
+        return NetworkState(self.x[rows], self.g[rows], self.h[rows], self.y[rows], self.z[rows],
+                            self.P, self.iteration, self.clamps[rows])
 
     def consensus_error(self) -> float:
-        """Norm of the agents' displacement from their mean iterate."""
+        """Norm of the agents' displacement from their mean iterate ((n, d) state)."""
         return float(np.linalg.norm(self.x - self.x.mean(axis=0)))
 
     def tracking_residuals(self) -> tuple:
-        """Relative conservation residuals of (y vs g) and (z vs h) node sums."""
+        """Relative conservation residuals of (y vs g) and (z vs h) node sums
+        ((n, d) state)."""
         return (
             _relative_residual(self.y.sum(axis=0), self.g.sum(axis=0)),
             _relative_residual(self.z.sum(axis=0), self.h.sum(axis=0)),
@@ -75,13 +96,15 @@ def _relative_residual(tracked_sum: np.ndarray, signal_sum: np.ndarray) -> float
 
 
 def initial_state(x0: np.ndarray, P: np.ndarray) -> NetworkState:
-    """Zero-initialized tracking state around the given iterates."""
+    """Zero-initialized tracking state around the iterates x0:(n, d), or
+    (R, n, d) for R replicas."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2 or x0.shape[0] != len(P):
-        raise ConfigurationError(f"x0 must be (n, d) with n={len(P)}, got {x0.shape}")
+    if x0.ndim not in (2, 3) or x0.shape[-2] != len(P):
+        raise ConfigurationError(f"x0 must be (n, d) or (R, n, d) with n={len(P)}, got {x0.shape}")
     zeros = np.zeros_like(x0)
     return NetworkState(
-        x=x0.copy(), g=zeros.copy(), h=zeros.copy(), y=zeros.copy(), z=zeros.copy(), P=P
+        x=x0.copy(), g=zeros.copy(), h=zeros.copy(), y=zeros.copy(), z=zeros.copy(), P=P,
+        clamps=np.zeros(x0.shape[:-2], dtype=np.int64),
     )
 
 
@@ -132,16 +155,11 @@ class BaselineConfig(_RunConfig):
         require(NONNEG, eta=self.eta)
 
 
-def _advance(state: NetworkState, x_new: np.ndarray, **changes) -> NetworkState:
-    """The next state: `x_new` after a finite check, plus the other `changes`."""
-    iteration = state.iteration + 1
-    if not np.isfinite(x_new).all():
-        i, k = (int(v) for v in np.argwhere(~np.isfinite(x_new))[0])
-        raise RunAborted(
-            f"non-finite iterate at step {iteration}: agent {i}, coordinate {k} "
-            f"became {x_new[i, k]!r}"
-        )
-    return replace(state, x=x_new, iteration=iteration, **changes)
+def _advance(state: NetworkState, **fields) -> NetworkState:
+    """Move `state` to the next step in place, with the new arrays `fields`."""
+    vars(state).update(fields)
+    state.iteration += 1
+    return state
 
 
 def jade_step(
@@ -154,10 +172,12 @@ def jade_step(
     g_new = hdiags * state.x - grads
     y_new = P @ (state.y + g_new - state.g)
     z_new = P @ (state.z + hdiags - state.h)
-    clamp_count = state.clamp_count + int(np.count_nonzero(z_new < cfg.z_floor))
+    clamped = z_new < cfg.z_floor
+    if np.count_nonzero(clamped):
+        state.clamps = state.clamps + np.count_nonzero(clamped, axis=(-2, -1))
     z_safe = np.maximum(z_new, cfg.z_floor)
     x_new = (1.0 - cfg.epsilon) * (P @ state.x) + cfg.epsilon * (y_new / z_safe)
-    return _advance(state, x_new, g=g_new, h=hdiags, y=y_new, z=z_new, clamp_count=clamp_count)
+    return _advance(state, x=x_new, g=g_new, h=hdiags, y=y_new, z=z_new)
 
 
 def gradient_tracking_step(
@@ -167,7 +187,7 @@ def gradient_tracking_step(
     P = state.P
     grads = estimate_gradient(objective, state.x, cfg.mu)
     y_new = P @ (state.y + grads - state.g)
-    return _advance(state, P @ state.x - cfg.eta * y_new, g=grads, y=y_new)
+    return _advance(state, x=P @ state.x - cfg.eta * y_new, g=grads, y=y_new)
 
 
 def consensus_gd_step(
@@ -175,7 +195,7 @@ def consensus_gd_step(
 ) -> NetworkState:
     """Plain consensus plus a local gradient-estimate step (naive baseline)."""
     grads = estimate_gradient(objective, state.x, cfg.mu)
-    return _advance(state, state.P @ state.x - cfg.eta * grads)
+    return _advance(state, x=state.P @ state.x - cfg.eta * grads)
 
 
 #: name -> (step function, per-agent queries per iteration as a function of d)
@@ -196,15 +216,18 @@ def run(
     instance: ProblemInstance,
     P: np.ndarray,
     cfg,
-    seed: int,
+    seeds: list,
     label: str = "",
-) -> RunTrace:
-    """Run one algorithm until the per-agent query budget is exhausted.
+) -> list:
+    """Run one algorithm from each seed's initial iterates until the
+    per-agent query budget is exhausted; one trace per seed, in order.
 
-    A trace row is recorded at step 0, every `record_every` iterations,
-    and at the final iteration.  The run is deterministic given
-    (instance, seed); a non-finite update stops it early and marks the
-    trace as failed with the abort diagnostic.
+    The seeds advance together as replicas of one (R, n, d) state, and each
+    trace is bitwise the one a run on its seed alone gives.  A trace row is
+    recorded at step 0, every `record_every` iterations, and at the final
+    iteration.  A non-finite probe value or iterate stops its replica at the
+    step before and marks its trace as failed with the diagnostic (agent
+    indices within the replica); the other replicas run on.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(
@@ -214,43 +237,66 @@ def run(
         raise ConfigurationError(
             f"consensus matrix is {len(P)}x{len(P)} but the instance has {instance.n} agents"
         )
+    require(SEEDS, seeds=seeds)
     step_fn, cost_fn = ALGORITHMS[algorithm]
-    objective = instance.black_boxes()
     per_step = cost_fn(instance.d)
-    x0 = draw_initial_iterates(seed, instance.n, instance.d, cfg.x0_scale)
-    state = initial_state(x0, P)
-
-    trace = RunTrace(
-        algorithm=algorithm,
-        seed=seed,
-        label=label or algorithm,
-        ef_mode=ef_mode(instance),
+    objective = instance.black_boxes(len(seeds))
+    state = initial_state(
+        np.stack([draw_initial_iterates(s, instance.n, instance.d, cfg.x0_scale) for s in seeds]),
+        P,
     )
+    mode = ef_mode(instance)
+    traces = [RunTrace(algorithm=algorithm, seed=s, label=label or algorithm, ef_mode=mode)
+              for s in seeds]
+    live = list(range(len(seeds)))  # the trace of each replica row of the state
 
-    def record():
-        ry, rz = state.tracking_residuals()
-        trace.rows.append(
-            TraceRow(
-                iteration=state.iteration,
-                queries_per_agent=state.iteration * per_step,
-                e_f=loss_metric(instance, state.x),
-                consensus_error=state.consensus_error(),
-                tracking_residual_y=ry,
-                tracking_residual_z=rz,
-                clamp_count=state.clamp_count,
+    def record(batch: NetworkState, ids: list) -> None:
+        """Append the row of `batch` to the traces `ids` of its replicas."""
+        for r, (t, e_f) in enumerate(zip(ids, loss_metric(instance, batch.x))):
+            one = batch.take(r)
+            ry, rz = one.tracking_residuals()
+            traces[t].rows.append(
+                TraceRow(
+                    iteration=one.iteration,
+                    queries_per_agent=one.iteration * per_step,
+                    e_f=float(e_f),
+                    consensus_error=one.consensus_error(),
+                    tracking_residual_y=ry,
+                    tracking_residual_z=rz,
+                    clamp_count=int(one.clamps),
+                )
             )
-        )
 
-    record()
-    try:
-        while (state.iteration + 1) * per_step <= cfg.budget:
-            state = step_fn(state, objective, cfg)
-            if state.iteration % cfg.record_every == 0:
-                record()
-    except (RunAborted, EvaluationError) as exc:
-        trace.failed = True
-        trace.diagnostic = str(exc)
-    if trace.rows[-1].iteration != state.iteration:
-        record()
-    trace.final_x = state.x.copy()
-    return trace
+    record(state, live)
+    while live and (state.iteration + 1) * per_step <= cfg.budget:
+        before = vars(state).copy()
+        step_fn(state, objective, cfg)
+        failures = objective.failures  # replica row -> diagnostic
+        if not np.isfinite(state.x).all():
+            for r, x in enumerate(state.x):
+                bad = np.argwhere(~np.isfinite(x))
+                if bad.size and r not in failures:
+                    i, k = (int(v) for v in bad[0])
+                    failures[r] = (f"non-finite iterate at step {state.iteration}: agent {i}, "
+                                   f"coordinate {k} became {x[i, k]!r}")
+        if failures:  # freeze the failed replicas where their separate runs stop
+            failed = sorted(failures)
+            frozen = NetworkState(**before).take(failed)
+            ids = [live[r] for r in failed]
+            if traces[ids[0]].rows[-1].iteration != frozen.iteration:
+                record(frozen, ids)
+            for j, (r, t) in enumerate(zip(failed, ids)):
+                traces[t].failed, traces[t].diagnostic = True, failures[r]
+                traces[t].final_x = frozen.x[j].copy()
+            keep = [r for r in range(len(live)) if r not in failures]
+            state = state.take(keep)
+            live = [live[r] for r in keep]
+            objective.live = np.array(live, dtype=np.intp)
+            failures.clear()
+        if state.iteration % cfg.record_every == 0:
+            record(state, live)
+    if live and traces[live[0]].rows[-1].iteration != state.iteration:
+        record(state, live)
+    for r, t in enumerate(live):
+        traces[t].final_x = state.x[r].copy()
+    return traces

@@ -22,10 +22,6 @@ class InstanceConstructionError(ZojadeError):
     """A ground-truth solver failed while building a problem instance."""
 
 
-class RunAborted(ZojadeError):
-    """A simulation run hit a non-finite update and was stopped."""
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -55,8 +51,14 @@ def _is_int_array(value) -> bool:
     )
 
 
+#: Path separators and the control characters U+0000-U+001F and U+007F; a
+#: newline in a label would split the comment line of its trace CSV.
+_NOT_IN_FILE_NAMES = frozenset("/\\\x7f" + "".join(map(chr, range(32))))
+
+
 def _is_file_name(value) -> bool:
-    return isinstance(value, str) and value not in ("", ".", "..") and not set("/\\\0") & set(value)
+    return isinstance(value, str) and value not in ("", ".", "..") and (
+        _NOT_IN_FILE_NAMES.isdisjoint(value))
 
 
 INT, POS_INT, NUM = "an integer", "a positive integer", "a finite number"

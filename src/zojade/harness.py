@@ -336,7 +336,8 @@ def run_experiment(
     seeds: list | None = None,
     quiet: bool = False,
 ) -> ExperimentResult:
-    """Run every (algorithm, seed) replica of a config and write the CSVs.
+    """Run every (algorithm, seed) replica of a config and write the CSVs;
+    each algorithm entry is one batched `run` over all the seeds.
 
     Initial iterates depend only on the seed, so all algorithms see
     identical starting points on each seed.  Returns the traces, the
@@ -360,11 +361,10 @@ def run_experiment(
     for entry in cfg.data["algorithms"]:
         label = entry["label"]
         algo_cfg = algorithm_config(cfg, entry)
-        traces[label] = {}
-        for seed in seed_list:
-            trace = run(entry["name"], instance, P, algo_cfg, seed, label=label)
+        traces[label] = dict(zip(seed_list, run(entry["name"], instance, P, algo_cfg, seed_list,
+                                                label=label)))
+        for seed, trace in traces[label].items():
             trace.config_hash = cfg.config_hash
-            traces[label][seed] = trace
             write_trace_csv(os.path.join(out, f"{label}_seed{seed}.csv"), trace)
             if trace.failed:
                 failures.append((label, seed, trace.diagnostic))
@@ -458,7 +458,7 @@ def gamma_mu_scaling_check(instance: ProblemInstance, mu_list: list, cfg: JadeCo
     excluded = []
     gb = instance.global_black_box()
     for mu in mu_list:
-        trace = run("zo_jade", instance, P, replace(cfg, mu=mu), seed=1)
+        (trace,) = run("zo_jade", instance, P, replace(cfg, mu=mu), [1])
         x_bar = trace.final_x.mean(axis=0)
         if trace.failed:
             excluded.append((mu, f"run failed: {trace.diagnostic}"))
@@ -754,7 +754,7 @@ def check_tracking_conservation(
     report: VerifyReport, instance: ProblemInstance, P, cfg: JadeConfig, seed: int
 ) -> None:
     """A tracking run spends its whole budget and conserves the tracked sums (1e-9 relative)."""
-    trace = run("zo_jade", instance, P, cfg, seed)
+    (trace,) = run("zo_jade", instance, P, cfg, [seed])
     rounds = trace.rows[-1].iteration
     res = max(max(r.tracking_residual_y, r.tracking_residual_z) for r in trace.rows)
     ok = not trace.failed and rounds == cfg.budget // (2 * instance.d + 1) and res <= 1e-9
@@ -770,7 +770,7 @@ def check_fixed_point_and_mu_independence(
     closed_form = -b_bar / a_bar
     budget = (2 * instance.d + 1) * iterations
     cfg = JadeConfig(mu=1e-1, epsilon=epsilon, budget=budget, record_every=50)
-    traces = [run("zo_jade", instance, P, replace(cfg, mu=mu), seed) for mu in (1e-1, 1e-4)]
+    traces = [run("zo_jade", instance, P, replace(cfg, mu=mu), [seed])[0] for mu in (1e-1, 1e-4)]
     star_gap = float(np.max(np.abs(closed_form - instance.x_star)))
     gap = max(float(np.max(np.abs(t.final_x - closed_form))) for t in traces)
     ok = not any(t.failed for t in traces) and star_gap <= 1e-12 and gap <= 1e-8
@@ -783,8 +783,8 @@ def _check_baseline_sanity(report: VerifyReport) -> None:
     instance = separable_quadratic_instance(6, 3, seed=2)
     P = metropolis_hastings(topology_from_spec("ring", 6))
     cfg = BaselineConfig(mu=0.05, eta=0.15, budget=6 * 500, record_every=10)
-    t1 = run("gradient_tracking", instance, P, cfg, seed=3)
-    t2 = run("consensus_gd", instance, P, cfg, seed=3)
+    (t1,) = run("gradient_tracking", instance, P, cfg, [3])
+    (t2,) = run("consensus_gd", instance, P, cfg, [3])
     ok = not t1.failed and not t2.failed and t1.rows[-1].e_f < t1.rows[0].e_f
     detail = f"gt final e_f {t1.rows[-1].e_f:.2e}, cgd final e_f {t2.rows[-1].e_f:.2e}"
     report.add("baseline_runs", ok, detail)
@@ -807,7 +807,7 @@ def _check_clamp_neutrality(report: VerifyReport) -> None:
     instance = separable_quadratic_instance(6, 3, seed=8)
     P = metropolis_hastings(topology_from_spec("complete", 6))
     cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=7 * 200)
-    trace = run("zo_jade", instance, P, cfg, seed=2)
+    (trace,) = run("zo_jade", instance, P, cfg, [2])
     clamps = trace.rows[-1].clamp_count
     report.add("division_clamp_neutral", clamps == 0, f"{clamps} activations")
 
@@ -816,7 +816,7 @@ def check_exponential_convergence(
     report: VerifyReport, instance: ProblemInstance, P, cfg: JadeConfig, seed: int
 ) -> None:
     """The loss of a tracking run decays exponentially: fitted rate < 0, r² >= 0.95."""
-    trace = run("zo_jade", instance, P, cfg, seed)
+    (trace,) = run("zo_jade", instance, P, cfg, [seed])
     rate, r2 = fit_exponential_rate(trace.iterations(), trace.ef_values())
     ok = not trace.failed and rate < 0.0 and r2 >= 0.95
     report.add("exponential_convergence", ok, f"rate {rate:.3e}, r2 {r2:.4f}")

@@ -20,17 +20,18 @@ def ef_mode(instance: ProblemInstance) -> str:
     return "absolute" if abs(instance.f_star) < EF_DENOMINATOR_FLOOR else "relative"
 
 
-def loss_metric(instance: ProblemInstance, x_list: np.ndarray) -> float:
+def loss_metric(instance: ProblemInstance, x_list: np.ndarray):
     """Average suboptimality of the agents' iterates under the global cost.
 
     e_f = (mean_i f(x_i) - f(x*)) / |f(x*)|, falling back to the plain
-    difference when |f(x*)| is below the divide floor.
+    difference when |f(x*)| is below the divide floor.  Iterates x:(n, d)
+    give one float; x:(R, n, d) gives one e_f per replica, from one pass.
     """
     values = instance.global_value_many(np.atleast_2d(x_list))
-    gap = float(values.mean() - instance.f_star)
-    if ef_mode(instance) == "absolute":
-        return gap
-    return gap / abs(instance.f_star)
+    gap = values.mean(axis=-1) - instance.f_star
+    if ef_mode(instance) == "relative":
+        gap = gap / abs(instance.f_star)
+    return gap if gap.ndim else float(gap)
 
 
 @dataclass

@@ -13,11 +13,13 @@ evaluates all agents in one call.  :data:`FAMILIES` defines every instance
 family a config can name: its builder and the kinds of its parameters.
 
 Each family stacks its agents' parameters along a leading agent axis.
-`value_many(X, agents)` returns the values (m, k) of the m agents in the
-slice `agents`, each at its own points X:(m, k, d) or all at shared points
-X:(k, d); one evaluated row takes at most `row_elements` elements in any
-temporary.  `gradient(x, agents)` and `hessian(x, agents)` give those
-agents' derivatives at one point x, for the experimenter's ground truth.
+`value_many(X, agents)` returns the values (..., m, k) of the m agents in
+the slice `agents`, each at its own points X:(..., m, k, d), or all at
+shared points when that axis has length 1; each (k, d) slab of a leading
+replica axis goes through the arithmetic of a separate call.  One evaluated
+row takes at most `row_elements` elements in any temporary.
+`gradient(x, agents)` and `hessian(x, agents)` give those agents'
+derivatives at one point x, for the experimenter's ground truth.
 
 Loss conventions, fixed once and used by all oracles and tests:
 
@@ -125,7 +127,7 @@ class LogisticObjective:
     def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
-        z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (m, N, k)
+        z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (..., m, N, k)
         # log(1 + exp(-z)) = log1p(exp(-|z|)) - min(z, 0): exp never overflows,
         # and numpy's exp and log1p run as SIMD loops where logaddexp calls
         # the scalar libm per element
@@ -136,7 +138,7 @@ class LogisticObjective:
         loss -= np.minimum(z, 0.0, out=z)
         if self._keep is not None:
             loss *= self._keep[agents]
-        return loss.sum(axis=1) / self._divisor[agents] + ridge
+        return loss.sum(axis=-2) / self._divisor[agents] + ridge
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         U = self.U[agents]
@@ -208,13 +210,14 @@ class ProblemInstance:
     def n(self) -> int:
         return self.family.n
 
-    def black_boxes(self) -> BlackBoxObjective:
+    def black_boxes(self, replicas: int | None = None) -> BlackBoxObjective:
         """One zero-count query counter around all agents' costs, counting per
-        agent (a new one per run)."""
+        agent, or per (replica, agent) for `replicas` copies (a new one per run)."""
         return BlackBoxObjective(
             self.family.value_many,
             self.d,
             agents=self.n,
+            replicas=replicas,
             row_elements=self.family.row_elements,
             name=self.name,
         )
@@ -222,13 +225,14 @@ class ProblemInstance:
     # Averaged-cost diagnostics; none of these touch the query counters.
     # Agents are evaluated in the oracle's blocks, so temporaries stay bounded.
     def global_value_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        values = np.empty((self.n, X.shape[0]))
-        for block in agent_blocks(self.n, X.shape[0] * self.family.row_elements):
-            values[block] = self.family.value_many(X, block)
-        # a running sum adds the agents in order; values.sum(axis=0) would
+        """Averaged cost (..., k) at the points X:(..., k, d)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))[..., None, :, :]  # shared by the agents
+        values = np.empty(X.shape[:-3] + (self.n, X.shape[-2]))
+        for block in agent_blocks(self.n, values.size // self.n * self.family.row_elements):
+            values[..., block, :] = self.family.value_many(X, block)
+        # a running sum adds the agents in order; values.sum(axis=-2) would
         # switch to pairwise summation for a single point and move f(x*)
-        return values.cumsum(axis=0)[-1] / self.n
+        return values.cumsum(axis=-2)[..., -1, :] / self.n
 
     def global_value(self, x: np.ndarray) -> float:
         return float(self.global_value_many(np.asarray(x, dtype=float)[None, :])[0])

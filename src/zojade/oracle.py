@@ -10,7 +10,8 @@ so both can be formed from the same 2d probe values plus one center value,
 2d + 1 queries in total.  The probe order is fixed (k ascending, +mu before
 -mu, center last) to make query traces reproducible.  The estimators work
 on all agents at once: x holds one row per agent, and a single cost is the
-one-agent case.
+one-agent case; a batched run adds a leading replica axis, one network
+copy per seed.
 
 The closed-form error, Lipschitz and admissible-step bounds for these
 estimators live here as plain functions of the smoothness constants
@@ -61,38 +62,50 @@ def agent_blocks(n: int, elements_per_agent: int) -> list:
 class BlackBoxObjective:
     """Query counter around the batch cost function of n agents.
 
-    `batch_fn(X, block)` returns the values (m, k) of the m agents in the
-    slice `block`, each at its own points X:(m, k, d), and one evaluated row
-    takes `row_elements` elements of temporaries.  A single cost is the
-    one-agent case, `agents` = 1.  Every evaluation goes through
+    `batch_fn(X, block)` returns the values (..., m, k) of the m agents in
+    the slice `block`, each at its own points X:(..., m, k, d), and one
+    evaluated row takes `row_elements` elements of temporaries.  A single
+    cost is the one-agent case, `agents` = 1.  Every evaluation goes through
     :meth:`evaluate_probes`, which counts one query per point in
     `agent_queries`; the ground truth behind the function belongs to the
     experimenter and is never reachable from here.
+
+    With `replicas` = R it serves the R seeds of a batched run: points are
+    x:(R, n, d), `agent_queries` is (R, n), `live` indexes the replicas the
+    rows of x belong to, and a replica's non-finite probe value is reported
+    in `failures` (row of x -> diagnostic) instead of raising.
     """
 
-    def __init__(self, batch_fn, dim: int, *, agents: int = 1, row_elements=None, name: str = ""):
+    def __init__(self, batch_fn, dim: int, *, agents: int = 1, replicas: int | None = None,
+                 row_elements=None, name: str = ""):
         self._batch_fn = batch_fn
         self.dim = dim
         self.name = name
-        self.agent_queries = np.zeros(agents, dtype=np.int64)
+        shape = (agents,) if replicas is None else (replicas, agents)
+        self.agent_queries = np.zeros(shape, dtype=np.int64)
         self._row_elements = max(dim, row_elements or 0)
+        self.live = slice(None)
+        self.failures = None if replicas is None else {}
 
     @property
     def query_count(self) -> int:
-        """Queries of all agents together."""
+        """Queries of all agents (and replicas) together."""
         return int(self.agent_queries.sum())
 
     def evaluate_probes(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Values (n, k) of every agent i at x[i] + offsets[j] for x:(n, d),
-        built and evaluated one agent block at a time."""
-        n, k = self.agent_queries.shape[0], offsets.shape[0]
-        if x.shape != (n, self.dim):
-            raise ValueError(f"objective '{self.name}' takes {n} point(s) of dimension "
-                             f"{self.dim}, got shape {x.shape}")
-        values = np.empty((n, k))
-        for block in agent_blocks(n, k * self._row_elements):
-            self.agent_queries[block] += k
-            values[block] = self._batch_fn(x[block, None, :] + offsets, block)
+        """Values (..., n, k) of every agent i at x[..., i, :] + offsets[j] for
+        x:(n, d), or (R, n, d) with replicas, built and evaluated one agent
+        block at a time; a block of m agents holds R * m * k probe rows."""
+        counts = self.agent_queries[self.live]
+        n, k = counts.shape[-1], offsets.shape[0]
+        if x.shape != counts.shape + (self.dim,):
+            raise ValueError(f"objective '{self.name}' takes points of shape "
+                             f"{counts.shape + (self.dim,)}, got shape {x.shape}")
+        values = np.empty(counts.shape + (k,))
+        for block in agent_blocks(n, counts.size // n * k * self._row_elements):
+            counts[..., block] += k
+            values[..., block, :] = self._batch_fn(x[..., block, None, :] + offsets, block)
+        self.agent_queries[self.live] = counts
         return values
 
 
@@ -111,55 +124,66 @@ def _offsets(d: int, mu: float) -> np.ndarray:
 def _probe_values(
     f: BlackBoxObjective, x: np.ndarray, mu: float, with_center: bool
 ) -> np.ndarray:
-    """Values (n, 2d or 2d + 1) of f at x[i] + mu e_k, x[i] - mu e_k for
+    """Values (..., n, 2d or 2d + 1) of f at x[i] + mu e_k, x[i] - mu e_k for
     k = 0..d-1, then at x[i] itself if `with_center`, for every agent's row
-    of x:(n, d); a non-finite value raises, naming the agent, the coordinate
-    and sign of the probe, and its point."""
+    of x:(n, d) or (R, n, d); a non-finite value raises, naming the agent,
+    the coordinate and sign of the probe, and its point.  With replicas it is
+    reported in `f.failures` instead, and the replica's values are zeroed so
+    that the rest of its discarded round stays finite."""
     if not 0.0 < mu < math.inf:  # NaN fails the comparison too
         raise ValueError(f"mu must be positive and finite, got {mu}")
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     offsets = _offsets(d, mu)
     values = f.evaluate_probes(x, offsets if with_center else offsets[:-1])
-    if not np.isfinite(values).all():
-        i, j = (int(v) for v in np.argwhere(~np.isfinite(values))[0])
+    if np.isfinite(values).all():
+        return values
+    for r in np.ndindex(values.shape[:-2]):  # the one empty index without replicas
+        bad = np.argwhere(~np.isfinite(values[r]))
+        if not bad.size:
+            continue
+        i, j = (int(v) for v in bad[0])
         probe = "center" if j == 2 * d else f"coordinate {j // 2}, {'+-'[j % 2]}mu"
-        raise EvaluationError(
-            f"objective '{f.name}' agent {i} returned {float(values[i, j])!r} at probe point "
-            f"{(x[i] + offsets[j]).tolist()} ({probe})"
+        message = (
+            f"objective '{f.name}' agent {i} returned {float(values[r][i, j])!r} at probe "
+            f"point {(x[r][i] + offsets[j]).tolist()} ({probe})"
         )
+        if f.failures is None:
+            raise EvaluationError(message)
+        f.failures[r[0]] = message
+        values[r] = 0.0
     return values
 
 
 def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu: float) -> np.ndarray:
-    """Central-difference gradient estimates (n, d) at every agent's row of
-    x:(n, d); consumes exactly 2d queries per agent."""
+    """Central-difference gradient estimates (..., n, d) at every agent's row
+    of x:(n, d) or (R, n, d); consumes exactly 2d queries per agent."""
     values = _probe_values(f, x, mu, with_center=False)
-    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * mu)
+    return (values[..., 0::2] - values[..., 1::2]) / (2.0 * mu)
 
 
 def estimate_hessian_diag(
     f: BlackBoxObjective, x: np.ndarray, mu: float, center: np.ndarray
 ) -> np.ndarray:
-    """Hessian-diagonal estimates (n, d) at x:(n, d) around the known center
-    values f_i(x[i]), one per agent; 2d queries per agent."""
+    """Hessian-diagonal estimates (..., n, d) at x:(..., n, d) around the known
+    center values f_i(x[i]), one per agent; 2d queries per agent."""
     values = _probe_values(f, x, mu, with_center=False)
-    center = np.asarray(center, dtype=float)[:, None]
-    return (values[:, 0::2] - 2.0 * center + values[:, 1::2]) / (mu * mu)
+    center = np.asarray(center, dtype=float)[..., None]
+    return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / (mu * mu)
 
 
 def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> tuple:
-    """Gradient and Hessian-diagonal estimates (grad, hdiag), each (n, d),
-    from one shared probe set at x:(n, d).
+    """Gradient and Hessian-diagonal estimates (grad, hdiag), each (..., n, d),
+    from one shared probe set at x:(n, d) or (R, n, d).
 
     The 2d coordinate probes are reused for both estimates and a single
     extra center evaluation completes the second difference, 2d + 1
     queries per agent in total.
     """
     values = _probe_values(f, x, mu, with_center=True)
-    plus = values[:, 0:-1:2]
-    minus = values[:, 1:-1:2]
-    center = values[:, -1:]
+    plus = values[..., 0:-1:2]
+    minus = values[..., 1:-1:2]
+    center = values[..., -1:]
     return (plus - minus) / (2.0 * mu), (plus - 2.0 * center + minus) / (mu * mu)
 
 

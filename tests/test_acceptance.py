@@ -94,10 +94,8 @@ def _grid_best_queries(algorithm, instance, P, jade_cfg, seeds, threshold):
         cfg = BaselineConfig(
             mu=jade_cfg.mu, eta=eta, budget=jade_cfg.budget, record_every=jade_cfg.record_every
         )
-        totals = []
-        for seed in seeds:
-            trace = run(algorithm, instance, P, cfg, seed)
-            totals.append(queries_to_threshold(trace, threshold))
+        totals = [queries_to_threshold(trace, threshold)
+                  for trace in run(algorithm, instance, P, cfg, seeds)]
         mean = sum(totals) / len(totals)
         if mean < best:
             best = mean
@@ -116,10 +114,8 @@ def test_criterion_7_query_efficiency_ordering():
         instance = harness.build_instance(cfg)
         entry = next(e for e in cfg.data["algorithms"] if e["name"] == "zo_jade")
         jade_cfg = harness.algorithm_config(cfg, entry)
-        jade_queries = []
-        for seed in cfg.seeds:
-            trace = run("zo_jade", instance, P, jade_cfg, seed)
-            jade_queries.append(queries_to_threshold(trace, threshold))
+        jade_queries = [queries_to_threshold(trace, threshold)
+                        for trace in run("zo_jade", instance, P, jade_cfg, cfg.seeds)]
         jade_mean = sum(jade_queries) / len(jade_queries)
         assert jade_mean < math.inf, f"{name}: tracking run missed the target"
         gt_best, gt_eta = _grid_best_queries(

@@ -41,7 +41,7 @@ ACCEPTED = {
     PATH: ["a", "data/x.csv", " "],
     PAIR: [[0.5, 4], (1, 2.0)],
     SEEDS: [[0], [3, -1, 2**70]],
-    FILE_NAME: ["a", "a.b", "...", "-"],
+    FILE_NAME: ["a", "a.b", "...", "-", "a b", "\u00e9\u2013\u0080"],
     OBJECT: [{}, {"a": 1}],
     LIST: [[0], [None, "a"]],
     INTS: [[], [0, -3], [(0, 1), (1, 2)], [np.int64(1), 2], np.array([2, 3], dtype=np.int32),
@@ -60,7 +60,8 @@ REJECTED = {
     PAIR: [[1.0], [1, 2, 3], [nan, 1], [1, inf], [True, 2], [np.int64(1), 2], "12", None,
            [10**400, 1]],
     SEEDS: [[], [1, 1], [1, True], [1.0], [np.int64(1)], (1, 2), 1, None],
-    FILE_NAME: ["", ".", "..", "a/b", "a\\b", "a\0b", ["a"], None],
+    FILE_NAME: ["", ".", "..", "a/b", "a\\b", "a\0b", "a\nb", "a\rb", "\tb", "a\x1f", "a\x7fb",
+                ["a"], None],
     OBJECT: [[], [("a", 1)], "a", None],
     LIST: [[], (1,), {"a": 1}, "a", None],
     INTS: [[0.5, 1], [(True, 2), (0, 2)], [np.bool_(True), 1], [True, False], np.array([True]),

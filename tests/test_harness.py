@@ -311,6 +311,8 @@ def test_config_rejects_bad_values():
         {"algorithms": [{"name": "zo_jade", "label": "."}]},
         {"algorithms": [{"name": "zo_jade", "label": ""}]},
         {"algorithms": [{"name": "zo_jade", "label": "a\0b"}]},
+        {"algorithms": [{"name": "zo_jade", "label": "a\nb"}]},
+        {"algorithms": [{"name": "zo_jade", "label": "a\x7fb"}]},
         {"out_dir": 5},
         {"out_dir": None},
         {"out_dir": ""},
@@ -636,6 +638,8 @@ def test_cli_config_error_exit_code(tmp_path):
         {"algorithms": [{"name": "zo_jade", "label": ["a"]}]},
         {"algorithms": [{"name": "zo_jade", "label": "sub/x"}]},
         {"algorithms": [{"name": "zo_jade", "label": "a\0b"}]},
+        {"algorithms": [{"name": "zo_jade", "label": "a\nb"}]},
+        {"algorithms": [{"name": "zo_jade", "label": "a\x7fb"}]},
         {"out_dir": 5},
         {"out_dir": None},
     ):
