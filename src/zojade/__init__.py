@@ -27,7 +27,7 @@ from .errors import (
     ZojadeError,
 )
 from .graphs import (
-    Graph,
+    adjacency,
     check_weights,
     metropolis_hastings,
     spectral_gap,

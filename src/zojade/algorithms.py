@@ -68,6 +68,10 @@ class NetworkState:
         """Clamp activations of all replicas together."""
         return int(np.sum(self.clamps))
 
+    def next(self, **fields) -> NetworkState:
+        """A new state one step on, with the arrays `fields` replaced."""
+        return NetworkState(**vars(self) | fields | {"iteration": self.iteration + 1})
+
     def take(self, rows) -> NetworkState:
         """The replicas `rows` of a batched state; one replica r gives its
         (n, d) state of views."""
@@ -75,8 +79,13 @@ class NetworkState:
                             self.P, self.iteration, self.clamps[rows])
 
     def consensus_error(self) -> float:
-        """Norm of the agents' displacement from their mean iterate ((n, d) state)."""
-        return float(np.linalg.norm(self.x - self.x.mean(axis=0)))
+        """Norm of the agents' displacement from their mean iterate ((n, d) state),
+        scaled by the largest |deviation| where the squares would overflow."""
+        dev = self.x - self.x.mean(axis=0)
+        largest = float(np.abs(dev).max())
+        if largest < np.inf and largest * largest * dev.size > np.finfo(float).max:
+            return largest * float(np.linalg.norm(dev / largest))
+        return float(np.linalg.norm(dev))
 
     def tracking_residuals(self) -> tuple:
         """Relative conservation residuals of (y vs g) and (z vs h) node sums
@@ -155,13 +164,6 @@ class BaselineConfig(_RunConfig):
         require(NONNEG, eta=self.eta)
 
 
-def _advance(state: NetworkState, **fields) -> NetworkState:
-    """Move `state` to the next step in place, with the new arrays `fields`."""
-    vars(state).update(fields)
-    state.iteration += 1
-    return state
-
-
 def jade_step(
     state: NetworkState, objective: BlackBoxObjective, cfg: JadeConfig
 ) -> NetworkState:
@@ -173,11 +175,12 @@ def jade_step(
     y_new = P @ (state.y + g_new - state.g)
     z_new = P @ (state.z + hdiags - state.h)
     clamped = z_new < cfg.z_floor
+    clamps = state.clamps
     if np.count_nonzero(clamped):
-        state.clamps = state.clamps + np.count_nonzero(clamped, axis=(-2, -1))
+        clamps = clamps + np.count_nonzero(clamped, axis=(-2, -1))
     z_safe = np.maximum(z_new, cfg.z_floor)
     x_new = (1.0 - cfg.epsilon) * (P @ state.x) + cfg.epsilon * (y_new / z_safe)
-    return _advance(state, x=x_new, g=g_new, h=hdiags, y=y_new, z=z_new)
+    return state.next(x=x_new, g=g_new, h=hdiags, y=y_new, z=z_new, clamps=clamps)
 
 
 def gradient_tracking_step(
@@ -187,7 +190,7 @@ def gradient_tracking_step(
     P = state.P
     grads = estimate_gradient(objective, state.x, cfg.mu)
     y_new = P @ (state.y + grads - state.g)
-    return _advance(state, x=P @ state.x - cfg.eta * y_new, g=grads, y=y_new)
+    return state.next(x=P @ state.x - cfg.eta * y_new, g=grads, y=y_new)
 
 
 def consensus_gd_step(
@@ -195,7 +198,7 @@ def consensus_gd_step(
 ) -> NetworkState:
     """Plain consensus plus a local gradient-estimate step (naive baseline)."""
     grads = estimate_gradient(objective, state.x, cfg.mu)
-    return _advance(state, x=state.P @ state.x - cfg.eta * grads)
+    return state.next(x=state.P @ state.x - cfg.eta * grads)
 
 
 #: name -> (step function, per-agent queries per iteration as a function of d)
@@ -269,19 +272,18 @@ def run(
 
     record(state, live)
     while live and (state.iteration + 1) * per_step <= cfg.budget:
-        before = vars(state).copy()
-        step_fn(state, objective, cfg)
+        new = step_fn(state, objective, cfg)
         failures = objective.failures  # replica row -> diagnostic
-        if not np.isfinite(state.x).all():
-            for r, x in enumerate(state.x):
+        if not np.isfinite(new.x).all():
+            for r, x in enumerate(new.x):
                 bad = np.argwhere(~np.isfinite(x))
                 if bad.size and r not in failures:
                     i, k = (int(v) for v in bad[0])
-                    failures[r] = (f"non-finite iterate at step {state.iteration}: agent {i}, "
+                    failures[r] = (f"non-finite iterate at step {new.iteration}: agent {i}, "
                                    f"coordinate {k} became {x[i, k]!r}")
         if failures:  # freeze the failed replicas where their separate runs stop
             failed = sorted(failures)
-            frozen = NetworkState(**before).take(failed)
+            frozen = state.take(failed)
             ids = [live[r] for r in failed]
             if traces[ids[0]].rows[-1].iteration != frozen.iteration:
                 record(frozen, ids)
@@ -289,10 +291,11 @@ def run(
                 traces[t].failed, traces[t].diagnostic = True, failures[r]
                 traces[t].final_x = frozen.x[j].copy()
             keep = [r for r in range(len(live)) if r not in failures]
-            state = state.take(keep)
+            new = new.take(keep)
             live = [live[r] for r in keep]
             objective.live = np.array(live, dtype=np.intp)
             failures.clear()
+        state = new
         if state.iteration % cfg.record_every == 0:
             record(state, live)
     if live and traces[live[0]].rows[-1].iteration != state.iteration:

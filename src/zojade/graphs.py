@@ -1,7 +1,8 @@
 """Network topologies and their doubly stochastic consensus weights.
 
-A :class:`Graph` is an undirected, connected communication network over
-agents 0..n-1, held as one boolean adjacency array.
+A graph is an undirected, connected communication network over agents
+0..n-1, held as its boolean (n, n) adjacency array, which
+:func:`adjacency` builds from an edge list and checks.
 :func:`metropolis_hastings` turns it into the (n, n) array of symmetric,
 doubly stochastic mixing weights whose off-diagonal entry for an edge
 (i, j) is ``1 / (1 + max(deg_i, deg_j))`` and whose diagonal absorbs the
@@ -13,59 +14,47 @@ of each of its parameters.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-
 import numpy as np
 
 from .errors import INT, INTS, POS_INT, PROB, ConfigurationError, require
 from .rng import Xoshiro256
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
-    """Undirected connected graph on nodes 0..n-1.
-
-    `edges` is an (m, 2) array-like of node pairs, in either order and
-    possibly repeated.  The graph keeps only `adjacency`, the boolean
-    n x n array of the edge set; every consumer of the graph reads it.
-    """
-
-    n: int
-    edges: InitVar[np.ndarray]
-    adjacency: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, edges):
-        require(POS_INT, n=self.n)
-        require(INTS, edges=edges)
-        pairs = np.asarray(edges, dtype=int).reshape(-1, 2)
-        loops = pairs[:, 0] == pairs[:, 1]
-        if loops.any():
-            raise ConfigurationError(f"self-loop at node {pairs[loops][0, 0]}")
-        outside = ((pairs < 0) | (pairs >= self.n)).any(axis=1)
-        if outside.any():
-            edge = tuple(pairs[outside][0].tolist())
-            raise ConfigurationError(f"edge {edge} out of range for n={self.n}")
-        A = np.zeros((self.n, self.n), dtype=bool)
-        A[pairs[:, 0], pairs[:, 1]] = A[pairs[:, 1], pairs[:, 0]] = True
-        object.__setattr__(self, "adjacency", A)
-        # reachability sweep from node 0, one frontier of neighbours at a time
-        reached = np.zeros(self.n, dtype=bool)
-        reached[0] = True
-        frontier = reached.copy()
-        while frontier.any():
-            frontier = A[frontier].any(axis=0) & ~reached
-            reached |= frontier
-        if not reached.all():
-            raise ConfigurationError("graph is not connected")
+def adjacency(n: int, edges) -> np.ndarray:
+    """The boolean n x n adjacency array of the undirected connected graph on
+    nodes 0..n-1 with the edge set `edges`, an (m, 2) array-like of node
+    pairs, in either order and possibly repeated."""
+    require(POS_INT, n=n)
+    require(INTS, edges=edges)
+    pairs = np.asarray(edges, dtype=int).reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        raise ConfigurationError(f"self-loop at node {pairs[loops][0, 0]}")
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if outside.any():
+        edge = tuple(pairs[outside][0].tolist())
+        raise ConfigurationError(f"edge {edge} out of range for n={n}")
+    A = np.zeros((n, n), dtype=bool)
+    A[pairs[:, 0], pairs[:, 1]] = A[pairs[:, 1], pairs[:, 0]] = True
+    # reachability sweep from node 0, one frontier of neighbours at a time
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = A[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    if not reached.all():
+        raise ConfigurationError("graph is not connected")
+    return A
 
 
-def check_weights(W: np.ndarray, graph: Graph | None = None) -> list:
+def check_weights(W: np.ndarray, A: np.ndarray | None = None) -> list:
     """Return a list of the invariant violations of mixing weights `W`
     (empty when valid).
 
     Checks symmetry (exact), row and column sums within 1e-12 of one,
-    nonnegative entries, and, when `graph` is given, that off-diagonal
-    support matches its adjacency.
+    nonnegative entries, and, when the adjacency array `A` is given, that
+    off-diagonal support matches it.
     """
     problems = []
     if not np.array_equal(W, W.T):
@@ -78,10 +67,9 @@ def check_weights(W: np.ndarray, graph: Graph | None = None) -> list:
         problems.append(f"column sums off by {np.max(np.abs(col - 1.0)):.3e}")
     if np.min(W) < 0.0:
         problems.append(f"negative entry {np.min(W):.3e}")
-    if graph is not None:
-        A = graph.adjacency
+    if A is not None:
         if A.shape != W.shape:
-            return problems + [f"graph has n={graph.n}, weights have n={len(W)}"]
+            return problems + [f"graph has n={len(A)}, weights have n={len(W)}"]
         wrong = np.triu(((W > 0.0) & ~A) | (A & (W <= 0.0)), 1)
         for i, j in np.argwhere(wrong):
             kind = "nonpositive weight on edge" if A[i, j] else "positive weight on non-edge"
@@ -89,19 +77,19 @@ def check_weights(W: np.ndarray, graph: Graph | None = None) -> list:
     return problems
 
 
-def metropolis_hastings(graph: Graph) -> np.ndarray:
-    """Build the Metropolis-Hastings mixing weights of a connected graph.
+def metropolis_hastings(A: np.ndarray) -> np.ndarray:
+    """Build the Metropolis-Hastings mixing weights of a connected graph with
+    adjacency array `A`.
 
     Off-diagonal entries are ``1 / (1 + max(deg_i, deg_j))`` on edges and
     zero elsewhere; each diagonal entry is the residual ``1 - sum of the
     row's off-diagonal entries``, which pins the row sums (and by symmetry
     the column sums) to one without a separate correction step.
     """
-    A = graph.adjacency
     deg = A.sum(axis=1)
     W = np.where(A, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    problems = check_weights(W, graph)
+    problems = check_weights(W, A)
     if problems:
         raise ConfigurationError("invalid consensus matrix: " + "; ".join(problems))
     return W
@@ -119,37 +107,37 @@ def spectral_gap(P: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(P - 1.0 / len(P)))))
 
 
-def _complete(n: int) -> Graph:
-    return Graph(n, np.transpose(np.triu_indices(n, 1)))
+def _complete(n: int) -> np.ndarray:
+    return adjacency(n, np.transpose(np.triu_indices(n, 1)))
 
 
-def _ring(n: int) -> Graph:
+def _ring(n: int) -> np.ndarray:
     i = np.arange(n if n > 2 else n - 1)  # up to two nodes the ring is the path
-    return Graph(n, np.transpose([i, (i + 1) % n]))
+    return adjacency(n, np.transpose([i, (i + 1) % n]))
 
 
-def _path(n: int) -> Graph:
+def _path(n: int) -> np.ndarray:
     i = np.arange(n - 1)
-    return Graph(n, np.transpose([i, i + 1]))
+    return adjacency(n, np.transpose([i, i + 1]))
 
 
-def _grid(n: int) -> Graph:
+def _grid(n: int) -> np.ndarray:
     # Near-square lattice of rows of `cols` nodes; the last row may be partial.
     cols = max(1, int(round(np.sqrt(n))))
     k = np.arange(n)
     right = k[(k % cols + 1 < cols) & (k + 1 < n)]
     down = k[k + cols < n]
-    return Graph(n, np.transpose([np.r_[right, down], np.r_[right + 1, down + cols]]))
+    return adjacency(n, np.transpose([np.r_[right, down], np.r_[right + 1, down + cols]]))
 
 
-def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
+def _erdos_renyi(n: int, p: float, seed: int) -> np.ndarray:
     # one uniform per pair i < j, drawn in row-major order
     rng = Xoshiro256(seed)
     rows, cols = np.triu_indices(n, 1)
     for _ in range(1000):
         keep = rng.uniforms(len(rows)) < p
         try:
-            return Graph(n, np.transpose([rows[keep], cols[keep]]))
+            return adjacency(n, np.transpose([rows[keep], cols[keep]]))
         except ConfigurationError:
             continue
     raise ConfigurationError(
@@ -168,8 +156,10 @@ TOPOLOGIES = {
 }
 
 
-def topology_from_spec(name: str, n: int, p: float | None = None, seed: int | None = None) -> Graph:
-    """Build a topology of TOPOLOGIES deterministically.
+def topology_from_spec(
+    name: str, n: int, p: float | None = None, seed: int | None = None
+) -> np.ndarray:
+    """Build the adjacency array of a topology of TOPOLOGIES deterministically.
 
     A parameter the topology does not take must be None, and the ones it
     takes are checked against their kinds.  The erdos_renyi family redraws

@@ -222,10 +222,8 @@ def _algorithm_defaults(name: str) -> dict:
 
 def build_topology(cfg: ExperimentConfig) -> tuple:
     topo = cfg.data["topology"]
-    graph = topology_from_spec(
-        topo["name"], topo["n"], p=topo.get("p"), seed=topo.get("seed")
-    )
-    return graph, metropolis_hastings(graph)
+    A = topology_from_spec(topo["name"], topo["n"], p=topo.get("p"), seed=topo.get("seed"))
+    return A, metropolis_hastings(A)
 
 
 def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
@@ -600,7 +598,7 @@ def check_consensus_matrices(report: VerifyReport, seed: int, count: int) -> Non
         problems = check_weights(P, graph)
         gap = spectral_gap(P)
         if problems or not gap < 1.0:
-            detail = f"n={graph.n}: {problems or f'gap {gap}'}"
+            detail = f"n={len(graph)}: {problems or f'gap {gap}'}"
             report.add("consensus_matrix_invariants", False, detail)
             return
         worst = max(worst, gap)

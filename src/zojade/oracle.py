@@ -95,7 +95,13 @@ class BlackBoxObjective:
     def evaluate_probes(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Values (..., n, k) of every agent i at x[..., i, :] + offsets[j] for
         x:(n, d), or (R, n, d) with replicas, built and evaluated one agent
-        block at a time; a block of m agents holds R * m * k probe rows."""
+        block at a time; a block of m agents holds R * m * k probe rows.
+
+        A non-finite value raises, naming the agent, its probe (the displaced
+        coordinate and sign of its offset row, or `center`) and its point; with
+        replicas it goes to `failures` instead and zeroes the replica's values,
+        so that the rest of its discarded round stays finite."""
+        x = np.asarray(x, dtype=float)
         counts = self.agent_queries[self.live]
         n, k = counts.shape[-1], offsets.shape[0]
         if x.shape != counts.shape + (self.dim,):
@@ -106,6 +112,24 @@ class BlackBoxObjective:
             counts[..., block] += k
             values[..., block, :] = self._batch_fn(x[..., block, None, :] + offsets, block)
         self.agent_queries[self.live] = counts
+        if np.isfinite(values).all():
+            return values
+        for r in np.ndindex(values.shape[:-2]):  # the one empty index without replicas
+            bad = np.argwhere(~np.isfinite(values[r]))
+            if not bad.size:
+                continue
+            i, j = (int(v) for v in bad[0])
+            moved = np.flatnonzero(offsets[j])
+            probe = (f"coordinate {moved[0]}, {'+-'[int(offsets[j, moved[0]] < 0)]}mu"
+                     if moved.size else "center")
+            message = (
+                f"objective '{self.name}' agent {i} returned {float(values[r][i, j])!r} at "
+                f"probe point {(x[r][i] + offsets[j]).tolist()} ({probe})"
+            )
+            if self.failures is None:
+                raise EvaluationError(message)
+            self.failures[r[0]] = message
+            values[r] = 0.0
         return values
 
 
@@ -113,6 +137,8 @@ class BlackBoxObjective:
 def _offsets(d: int, mu: float) -> np.ndarray:
     """Probe offsets (2d + 1, d): +mu e_k, then -mu e_k for k ascending, then
     the center."""
+    if not 0.0 < mu < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     offsets = np.zeros((2 * d + 1, d))
     k = np.arange(d)
     offsets[2 * k, k] = mu
@@ -121,44 +147,10 @@ def _offsets(d: int, mu: float) -> np.ndarray:
     return offsets
 
 
-def _probe_values(
-    f: BlackBoxObjective, x: np.ndarray, mu: float, with_center: bool
-) -> np.ndarray:
-    """Values (..., n, 2d or 2d + 1) of f at x[i] + mu e_k, x[i] - mu e_k for
-    k = 0..d-1, then at x[i] itself if `with_center`, for every agent's row
-    of x:(n, d) or (R, n, d); a non-finite value raises, naming the agent,
-    the coordinate and sign of the probe, and its point.  With replicas it is
-    reported in `f.failures` instead, and the replica's values are zeroed so
-    that the rest of its discarded round stays finite."""
-    if not 0.0 < mu < math.inf:  # NaN fails the comparison too
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    offsets = _offsets(d, mu)
-    values = f.evaluate_probes(x, offsets if with_center else offsets[:-1])
-    if np.isfinite(values).all():
-        return values
-    for r in np.ndindex(values.shape[:-2]):  # the one empty index without replicas
-        bad = np.argwhere(~np.isfinite(values[r]))
-        if not bad.size:
-            continue
-        i, j = (int(v) for v in bad[0])
-        probe = "center" if j == 2 * d else f"coordinate {j // 2}, {'+-'[j % 2]}mu"
-        message = (
-            f"objective '{f.name}' agent {i} returned {float(values[r][i, j])!r} at probe "
-            f"point {(x[r][i] + offsets[j]).tolist()} ({probe})"
-        )
-        if f.failures is None:
-            raise EvaluationError(message)
-        f.failures[r[0]] = message
-        values[r] = 0.0
-    return values
-
-
 def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu: float) -> np.ndarray:
     """Central-difference gradient estimates (..., n, d) at every agent's row
     of x:(n, d) or (R, n, d); consumes exactly 2d queries per agent."""
-    values = _probe_values(f, x, mu, with_center=False)
+    values = f.evaluate_probes(x, _offsets(f.dim, mu)[:-1])
     return (values[..., 0::2] - values[..., 1::2]) / (2.0 * mu)
 
 
@@ -167,7 +159,7 @@ def estimate_hessian_diag(
 ) -> np.ndarray:
     """Hessian-diagonal estimates (..., n, d) at x:(..., n, d) around the known
     center values f_i(x[i]), one per agent; 2d queries per agent."""
-    values = _probe_values(f, x, mu, with_center=False)
+    values = f.evaluate_probes(x, _offsets(f.dim, mu)[:-1])
     center = np.asarray(center, dtype=float)[..., None]
     return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / (mu * mu)
 
@@ -180,7 +172,7 @@ def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> tuple:
     extra center evaluation completes the second difference, 2d + 1
     queries per agent in total.
     """
-    values = _probe_values(f, x, mu, with_center=True)
+    values = f.evaluate_probes(x, _offsets(f.dim, mu))
     plus = values[..., 0:-1:2]
     minus = values[..., 1:-1:2]
     center = values[..., -1:]

@@ -65,13 +65,7 @@ class Xoshiro256:
         self._s = splitmix64_stream(seed, 4)
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        x = (s1 * 5) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        self._s = [s0 ^ s3, s1 ^ s2, s2 ^ t, ((s3 << 45) | (s3 >> 19)) & _MASK64]
-        return ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+        return self._u64s(1)[0]
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
@@ -90,7 +84,7 @@ class Xoshiro256:
         return self._fill(shape, 1)
 
     def _u64s(self, count: int) -> list[int]:
-        """The next `count` outputs: `next_u64`'s step, with the state in locals."""
+        """The next `count` outputs of the xoshiro256** step, with the state in locals."""
         s0, s1, s2, s3 = self._s
         out = []
         append = out.append

@@ -83,6 +83,27 @@ def test_jade_query_cost_per_step():
         assert objective.query_count == 5 * 9 * t
 
 
+@pytest.mark.parametrize("step, cfg", [
+    # every tracked z lies below the floor, so every round clamps all of them
+    (jade_step, JadeConfig(mu=0.1, epsilon=0.2, z_floor=1e3)),
+    (gradient_tracking_step, BaselineConfig(mu=0.1, eta=0.05)),
+    (consensus_gd_step, BaselineConfig(mu=0.1, eta=0.05)),
+], ids=["zo_jade", "gradient_tracking", "consensus_gd"])
+def test_a_step_returns_a_new_state_and_leaves_its_input_as_it_was(step, cfg):
+    inst = separable_quadratic_instance(5, 3, seed=2)
+    P = metropolis_hastings(topology_from_spec("ring", 5))
+    state = initial_state(np.stack([draw_initial_iterates(s, 5, 3, 1.0) for s in (1, 2)]), P)
+    objective = inst.black_boxes(2)
+    for t in range(3):
+        before = [getattr(state, k).tobytes() for k in "xghyz"] + [state.clamps.tolist()]
+        new = step(state, objective, cfg)
+        assert [getattr(state, k).tobytes() for k in "xghyz"] + [state.clamps.tolist()] == before
+        assert (state.iteration, new.iteration) == (t, t + 1)
+        added = new.clamps - state.clamps
+        assert added.tolist() == ([5 * 3] * 2 if step is jade_step else [0, 0])
+        state = new
+
+
 def test_gradient_tracking_one_step_quadratic():
     inst = single_agent_quadratic(a=3.0, b=0.0)
     P = metropolis_hastings(topology_from_spec("complete", 1))

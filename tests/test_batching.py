@@ -283,6 +283,21 @@ class Cliff:
         return np.where(np.sum(X, axis=-1) > self.c[agents, None], 1.5e308, -1.5e308)
 
 
+def test_consensus_error_of_iterates_whose_squares_overflow_is_finite():
+    # seed 11's iterates reach 2.6e158 at step 3, the last step before a probe
+    # overflows; the sum of their squared deviations is above the float range
+    family = Explosive([0.2, 0.3, 0.25])
+    inst = ProblemInstance(family, 2, np.zeros(2), 1.0, SmoothnessConstants())
+    P = metropolis_hastings(topology_from_spec("complete", family.n))
+    cfg = BaselineConfig(mu=0.1, eta=0.5, budget=240, x0_scale=1.5)
+    [trace] = run("consensus_gd", inst, P, cfg, [11])
+    assert trace.failed and trace.rows[-1].iteration == 3
+    assert all(np.isfinite(row.consensus_error) for row in trace.rows)
+    deviation = (trace.final_x - trace.final_x.mean(axis=0)) / 1e158
+    assert trace.rows[-1].consensus_error == pytest.approx(
+        1e158 * np.sqrt(np.sum(deviation * deviation)), rel=1e-14)
+
+
 @pytest.mark.parametrize("family, algorithm, seeds, fails, cfg, diagnostic", [
     # seed 1 overflows a probe at step 3 and seed 4 at step 2; seeds 2 and 3 converge
     (Explosive([0.2, 0.3, 0.25]), "consensus_gd", [2, 1, 3, 4], [False, True, False, True],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zojade import (
+    BlackBoxObjective,
     ConfigurationError,
     ExperimentConfig,
     JadeConfig,
@@ -518,11 +519,24 @@ def test_trace_csv_roundtrip(tmp_path):
     assert np.array_equal(efs, trace.ef_values())
 
 
-def test_verify_suite_default_battery_all_green():
+def test_verify_suite_default_battery_all_green(monkeypatch):
     from zojade import verify_suite
 
+    # keep every objective the battery builds, as the benchmark's hooks do, to
+    # read the queries of the whole suite from their own counters
+    objectives = []
+    objective_init = BlackBoxObjective.__init__
+
+    def registered_init(obj, *args, **kwargs):
+        objective_init(obj, *args, **kwargs)
+        objectives.append(obj)
+
+    monkeypatch.setattr(BlackBoxObjective, "__init__", registered_init)
     quickstart = os.path.join(os.path.dirname(__file__), "..", "configs", "quickstart.json")
     report = verify_suite(ExperimentConfig.from_file(quickstart))
+    # the count the benchmark's verify_desk workload pins
+    pins = json.loads((ROOT / "bench" / "pinned.json").read_text(encoding="utf-8"))
+    assert sum(obj.query_count for obj in objectives) == pins["verify_desk"]["queries"]
     failed = [c for c in report.checks if not c["passed"]]
     assert report.all_passed, failed
     parsed = json.loads(report.to_json())
