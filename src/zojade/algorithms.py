@@ -25,23 +25,26 @@ Note: the curvature estimate is taken at each agent's own iterate
 x_i(t-1) (the same point the gradient estimate uses), which is the only
 reading under which g and h describe one parabola fit per agent.
 
-Replicas: `run` advances all seeds of an entry as one batch.  The state is
-stacked (R, n, d), replica axis first, and a round makes one oracle call
-for all R * n agents.  Each (n, d) slab meets the arithmetic of a separate
-run, the same BLAS call in every matmul, so every trace is bitwise its
-separate run's; folding the replicas into the probe axis, (n, R k, d), would
-not be (other BLAS shapes, whose ~1e-14 the 1/mu^2 of the second difference
-amplifies).  A replica whose probe value or iterate turns non-finite stops
-where its separate run stops, and the others run on.
+Replicas: a replica is a (config, seed) pair, and `run` advances those of
+one call as one (R, n, d) stack, replica axis first; a round makes one
+oracle call for all R * n agents.  Configs share budget and record_every but
+may differ in mu, x0_scale and epsilon, z_floor or eta, each then an (R, 1, 1)
+column built once per run, so the gamma check's mu ladder is one run of seed
+1 at each mu.  Each (n, d) slab meets the arithmetic of a separate run, so
+every trace is bitwise its separate run's; folding the replicas into the
+probe axis, (n, R k, d), would not be (other BLAS shapes, whose ~1e-14 the
+1/mu^2 of the second difference amplifies).  A replica whose probe value or
+iterate turns non-finite stops where its separate run stops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, SEEDS, ConfigurationError, require
+from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, require
 from .metrics import RunTrace, TraceRow, ef_mode, loss_metric
 from .objectives import ProblemInstance
 from .oracle import BlackBoxObjective, estimate_both, estimate_gradient
@@ -152,6 +155,11 @@ class JadeConfig(_RunConfig):
         require(PROB, epsilon=self.epsilon)
         require(POS_NUM, z_floor=self.z_floor)
 
+    @property
+    def consensus_weight(self) -> float:
+        """1 - epsilon, the weight of the averaged iterates in the update."""
+        return 1.0 - self.epsilon
+
 
 @dataclass
 class BaselineConfig(_RunConfig):
@@ -179,7 +187,7 @@ def jade_step(
     if np.count_nonzero(clamped):
         clamps = clamps + np.count_nonzero(clamped, axis=(-2, -1))
     z_safe = np.maximum(z_new, cfg.z_floor)
-    x_new = (1.0 - cfg.epsilon) * (P @ state.x) + cfg.epsilon * (y_new / z_safe)
+    x_new = cfg.consensus_weight * (P @ state.x) + cfg.epsilon * (y_new / z_safe)
     return state.next(x=x_new, g=g_new, h=hdiags, y=y_new, z=z_new, clamps=clamps)
 
 
@@ -208,71 +216,90 @@ ALGORITHMS = {
     "consensus_gd": (consensus_gd_step, lambda d: 2 * d),
 }
 
+#: name -> the config class that holds the algorithm's parameters and their defaults
+CONFIG_CLASS = {"zo_jade": JadeConfig, "gradient_tracking": BaselineConfig,
+                "consensus_gd": BaselineConfig}
+
 
 def draw_initial_iterates(seed: int, n: int, d: int, scale: float) -> np.ndarray:
     """Seeded initial iterates; identical for every algorithm run on this seed."""
     return scale * Xoshiro256(seed).normals(n, d)
 
 
-def run(
-    algorithm: str,
-    instance: ProblemInstance,
-    P: np.ndarray,
-    cfg,
-    seeds: list,
-    label: str = "",
-) -> list:
-    """Run one algorithm from each seed's initial iterates until the
-    per-agent query budget is exhausted; one trace per seed, in order.
+def _check_replicas(algorithm: str, replicas) -> None:
+    """Reject all but a non-empty list of distinct (config, seed) pairs whose
+    configs are of the algorithm's class and share budget and record_every."""
+    cls = CONFIG_CLASS[algorithm]
+    if not (isinstance(replicas, list) and replicas and all(
+            isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], cls) for p in replicas)):
+        raise ConfigurationError(
+            f"{algorithm} runs a non-empty list of ({cls.__name__}, seed) pairs, got {replicas!r}")
+    for name in ("budget", "record_every"):
+        values = [getattr(cfg, name) for cfg, _ in replicas]
+        if len(set(values)) > 1:
+            raise ConfigurationError(f"{algorithm} replicas must share {name}, got {values}")
+    for k, pair in enumerate(replicas):
+        if pair in replicas[:k]:
+            raise ConfigurationError(f"{algorithm} replica {k} repeats {pair!r}")
 
-    The seeds advance together as replicas of one (R, n, d) state, and each
-    trace is bitwise the one a run on its seed alone gives.  A trace row is
-    recorded at step 0, every `record_every` iterations, and at the final
-    iteration.  A non-finite probe value or iterate stops its replica at the
-    step before and marks its trace as failed with the diagnostic (agent
-    indices within the replica); the other replicas run on.
+
+def _replica_params(cfgs: list) -> SimpleNamespace:
+    """What a step reads from a config, for the replicas' configs: a value
+    they share as in a separate run, else each replica's, as the tuple the
+    estimators take for mu and as an (R, 1, 1) column for the rest."""
+    params = {}
+    for name in {f.name for f in fields(cfgs[0])} - {"budget", "record_every", "x0_scale"}:
+        values = tuple(getattr(c, name) for c in cfgs)
+        params[name] = values[0] if len(set(values)) == 1 else (
+            values if name == "mu" else np.reshape(values, (-1, 1, 1)))
+    if "epsilon" in params:
+        params["consensus_weight"] = 1.0 - params["epsilon"]
+    return SimpleNamespace(**params)
+
+
+def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list,
+        label: str = "") -> list:
+    """Run one algorithm from each (config, seed) replica's initial iterates
+    until the per-agent query budget is exhausted; one trace per replica, in
+    order, each bitwise the one a run of its replica alone gives.
+
+    A trace row is recorded at step 0, every `record_every` iterations, and
+    at the final iteration.  A non-finite probe value or iterate stops its
+    replica at the step before and marks its trace as failed with the
+    diagnostic (agent indices within the replica); the other replicas run on.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(
-            f"unknown algorithm '{algorithm}'; expected one of {sorted(ALGORITHMS)}"
-        )
+            f"unknown algorithm '{algorithm}'; expected one of {sorted(ALGORITHMS)}")
     if len(P) != instance.n:
         raise ConfigurationError(
-            f"consensus matrix is {len(P)}x{len(P)} but the instance has {instance.n} agents"
-        )
-    require(SEEDS, seeds=seeds)
+            f"consensus matrix is {len(P)}x{len(P)} but the instance has {instance.n} agents")
+    _check_replicas(algorithm, replicas)
     step_fn, cost_fn = ALGORITHMS[algorithm]
     per_step = cost_fn(instance.d)
-    objective = instance.black_boxes(len(seeds))
-    state = initial_state(
-        np.stack([draw_initial_iterates(s, instance.n, instance.d, cfg.x0_scale) for s in seeds]),
-        P,
-    )
+    budget, record_every = replicas[0][0].budget, replicas[0][0].record_every
+    objective = instance.black_boxes(len(replicas))
+    x0 = [draw_initial_iterates(s, instance.n, instance.d, c.x0_scale) for c, s in replicas]
+    state = initial_state(np.stack(x0), P)
+    params = _replica_params([c for c, _ in replicas])
     mode = ef_mode(instance)
     traces = [RunTrace(algorithm=algorithm, seed=s, label=label or algorithm, ef_mode=mode)
-              for s in seeds]
-    live = list(range(len(seeds)))  # the trace of each replica row of the state
+              for _, s in replicas]
+    live = list(range(len(replicas)))  # the trace of each replica row of the state
 
     def record(batch: NetworkState, ids: list) -> None:
         """Append the row of `batch` to the traces `ids` of its replicas."""
         for r, (t, e_f) in enumerate(zip(ids, loss_metric(instance, batch.x))):
             one = batch.take(r)
             ry, rz = one.tracking_residuals()
-            traces[t].rows.append(
-                TraceRow(
-                    iteration=one.iteration,
-                    queries_per_agent=one.iteration * per_step,
-                    e_f=float(e_f),
-                    consensus_error=one.consensus_error(),
-                    tracking_residual_y=ry,
-                    tracking_residual_z=rz,
-                    clamp_count=int(one.clamps),
-                )
-            )
+            traces[t].rows.append(TraceRow(
+                iteration=one.iteration, queries_per_agent=one.iteration * per_step,
+                e_f=float(e_f), consensus_error=one.consensus_error(),
+                tracking_residual_y=ry, tracking_residual_z=rz, clamp_count=int(one.clamps)))
 
     record(state, live)
-    while live and (state.iteration + 1) * per_step <= cfg.budget:
-        new = step_fn(state, objective, cfg)
+    while live and (state.iteration + 1) * per_step <= budget:
+        new = step_fn(state, objective, params)
         failures = objective.failures  # replica row -> diagnostic
         if not np.isfinite(new.x).all():
             for r, x in enumerate(new.x):
@@ -293,10 +320,12 @@ def run(
             keep = [r for r in range(len(live)) if r not in failures]
             new = new.take(keep)
             live = [live[r] for r in keep]
+            if live:
+                params = _replica_params([replicas[t][0] for t in live])
             objective.live = np.array(live, dtype=np.intp)
             failures.clear()
         state = new
-        if state.iteration % cfg.record_every == 0:
+        if state.iteration % record_every == 0:
             record(state, live)
     if live and traces[live[0]].rows[-1].iteration != state.iteration:
         record(state, live)

@@ -48,13 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import (
-    ALGORITHMS,
-    BaselineConfig,
-    JadeConfig,
-    draw_initial_iterates,
-    gradient_tracking_step,
-    initial_state,
-    run,
+    ALGORITHMS, CONFIG_CLASS, BaselineConfig, JadeConfig, draw_initial_iterates,
+    gradient_tracking_step, initial_state, run,
 )
 from .errors import (
     FILE_NAME, LIST, OBJECT, PATH, POS_NUM, SEEDS, ConfigurationError, InstanceConstructionError,
@@ -62,31 +57,15 @@ from .errors import (
 )
 from .graphs import TOPOLOGIES, check_weights, metropolis_hastings, spectral_gap, topology_from_spec
 from .metrics import (
-    TRACE_COLUMNS,
-    AggregateCurve,
-    RunTrace,
-    aggregate_traces,
-    fit_exponential_rate,
+    TRACE_COLUMNS, AggregateCurve, RunTrace, aggregate_traces, fit_exponential_rate, loss_metric,
 )
 from .objectives import (
-    FAMILIES,
-    ProblemInstance,
-    QuadraticObjective,
-    quartic_instance,
-    ridge_synthetic,
-    separable_quadratic_instance,
-    synthetic_classification,
+    FAMILIES, ProblemInstance, QuadraticObjective, quartic_instance, ridge_synthetic,
+    separable_quadratic_instance, shard_round_robin, synthetic_classification,
 )
 from .oracle import (
-    BlackBoxObjective,
-    admissible_mu,
-    descent_coefficient,
-    estimate_both,
-    estimate_gradient,
-    gradient_error_bound,
-    gradient_lipschitz_bound,
-    hessian_error_bound,
-    mu2,
+    BlackBoxObjective, admissible_mu, descent_coefficient, estimate_both, estimate_gradient,
+    gradient_error_bound, gradient_lipschitz_bound, hessian_error_bound, mu2,
 )
 from .rng import Xoshiro256
 
@@ -94,13 +73,6 @@ DEFAULTS = {
     "record_every": BaselineConfig.record_every,
     "x0_scale": BaselineConfig.x0_scale,
     "out_dir": "results",
-}
-
-#: algorithm name -> the config class that holds its parameters and their defaults
-_CONFIG_CLASS = {
-    "zo_jade": JadeConfig,
-    "gradient_tracking": BaselineConfig,
-    "consensus_gd": BaselineConfig,
 }
 
 #: topology name -> (required keys, optional keys), each mapping a key to its kind
@@ -217,7 +189,7 @@ def _validate_config(raw: dict) -> dict:
 def _algorithm_defaults(name: str) -> dict:
     """An algorithm's own parameters with their defaults: the fields of its
     config class that are not top-level config keys."""
-    return {f.name: f.default for f in fields(_CONFIG_CLASS[name]) if f.name not in _TOP_KEYS}
+    return {f.name: f.default for f in fields(CONFIG_CLASS[name]) if f.name not in _TOP_KEYS}
 
 
 def build_topology(cfg: ExperimentConfig) -> tuple:
@@ -240,7 +212,7 @@ def algorithm_config(cfg: ExperimentConfig, entry: dict):
     The config is built with the top-level mu first, so that value is
     checked even when the entry overrides it.
     """
-    config = _CONFIG_CLASS[entry["name"]](
+    config = CONFIG_CLASS[entry["name"]](
         mu=cfg.data["mu"],
         budget=cfg.data["budget"],
         record_every=cfg.data["record_every"],
@@ -359,8 +331,8 @@ def run_experiment(
     for entry in cfg.data["algorithms"]:
         label = entry["label"]
         algo_cfg = algorithm_config(cfg, entry)
-        traces[label] = dict(zip(seed_list, run(entry["name"], instance, P, algo_cfg, seed_list,
-                                                label=label)))
+        replicas = [(algo_cfg, s) for s in seed_list]
+        traces[label] = dict(zip(seed_list, run(entry["name"], instance, P, replicas, label=label)))
         for seed, trace in traces[label].items():
             trace.config_hash = cfg.config_hash
             write_trace_csv(os.path.join(out, f"{label}_seed{seed}.csv"), trace)
@@ -372,12 +344,8 @@ def run_experiment(
             curves[label] = curve
             write_aggregate_csv(os.path.join(out, f"{label}_aggregate.csv"), curve)
             if not quiet:
-                final = curve.ef_mean[-1]
-                print(
-                    f"{label}: {len(completed)}/{len(seed_list)} run(s), "
-                    f"final mean e_f = {final:.3e}, "
-                    f"queries/agent = {int(curve.queries[-1])}"
-                )
+                print(f"{label}: {len(completed)}/{len(seed_list)} run(s), final mean e_f = "
+                      f"{curve.ef_mean[-1]:.3e}, queries/agent = {int(curve.queries[-1])}")
         elif not quiet:
             print(f"{label}: all {len(seed_list)} run(s) failed, no aggregate written")
     if not quiet:
@@ -451,28 +419,21 @@ def gamma_mu_scaling_check(instance: ProblemInstance, mu_list: list, cfg: JadeCo
     _require_admissible(instance, max(mu_list))
     P = metropolis_hastings(topology_from_spec("complete", instance.n))
 
-    distances = []
-    converged = []
-    excluded = []
     gb = instance.global_black_box()
-    for mu in mu_list:
-        (trace,) = run("zo_jade", instance, P, replace(cfg, mu=mu), [1])
+    traces = run("zo_jade", instance, P, [(replace(cfg, mu=mu), 1) for mu in mu_list])
+    distances, excluded = [], []
+    for mu, trace in zip(mu_list, traces):
         x_bar = trace.final_x.mean(axis=0)
+        distances.append(float(np.linalg.norm(x_bar - instance.x_star)))
         if trace.failed:
             excluded.append((mu, f"run failed: {trace.diagnostic}"))
-            converged.append(False)
-        else:
-            grad_norm = float(np.linalg.norm(estimate_gradient(gb, x_bar[None], mu)))
-            ok = grad_norm <= 1e-9 * (1.0 + float(np.linalg.norm(x_bar)))
-            converged.append(ok)
-            if not ok:
-                excluded.append((mu, f"not stationary: ||grad est|| = {grad_norm:.3e}"))
-        distances.append(float(np.linalg.norm(x_bar - instance.x_star)))
-    ratios = [
-        distances[k] / distances[k + 1]
-        for k in range(len(mu_list) - 1)
-        if converged[k] and converged[k + 1] and distances[k + 1] > 0.0
-    ]
+            continue
+        grad_norm = float(np.linalg.norm(estimate_gradient(gb, x_bar[None], mu)))
+        if not grad_norm <= 1e-9 * (1.0 + float(np.linalg.norm(x_bar))):
+            excluded.append((mu, f"not stationary: ||grad est|| = {grad_norm:.3e}"))
+    out = {mu for mu, _ in excluded}
+    ratios = [distances[k] / distances[k + 1] for k in range(len(mu_list) - 1)
+              if not {mu_list[k], mu_list[k + 1]} & out and distances[k + 1] > 0.0]
     return distances, ratios, excluded
 
 
@@ -618,9 +579,6 @@ def _check_matrix_checker_catches_corruption(report: VerifyReport) -> None:
 
 
 def _check_objective_instances(report: VerifyReport) -> None:
-    from .metrics import loss_metric
-    from .objectives import shard_round_robin
-
     # sharding conserves and partitions the rows
     shards = shard_round_robin(53, 7)
     flat = np.concatenate(shards)
@@ -752,7 +710,7 @@ def check_tracking_conservation(
     report: VerifyReport, instance: ProblemInstance, P, cfg: JadeConfig, seed: int
 ) -> None:
     """A tracking run spends its whole budget and conserves the tracked sums (1e-9 relative)."""
-    (trace,) = run("zo_jade", instance, P, cfg, [seed])
+    (trace,) = run("zo_jade", instance, P, [(cfg, seed)])
     rounds = trace.rows[-1].iteration
     res = max(max(r.tracking_residual_y, r.tracking_residual_z) for r in trace.rows)
     ok = not trace.failed and rounds == cfg.budget // (2 * instance.d + 1) and res <= 1e-9
@@ -768,7 +726,7 @@ def check_fixed_point_and_mu_independence(
     closed_form = -b_bar / a_bar
     budget = (2 * instance.d + 1) * iterations
     cfg = JadeConfig(mu=1e-1, epsilon=epsilon, budget=budget, record_every=50)
-    traces = [run("zo_jade", instance, P, replace(cfg, mu=mu), [seed])[0] for mu in (1e-1, 1e-4)]
+    traces = run("zo_jade", instance, P, [(replace(cfg, mu=mu), seed) for mu in (1e-1, 1e-4)])
     star_gap = float(np.max(np.abs(closed_form - instance.x_star)))
     gap = max(float(np.max(np.abs(t.final_x - closed_form))) for t in traces)
     ok = not any(t.failed for t in traces) and star_gap <= 1e-12 and gap <= 1e-8
@@ -781,8 +739,8 @@ def _check_baseline_sanity(report: VerifyReport) -> None:
     instance = separable_quadratic_instance(6, 3, seed=2)
     P = metropolis_hastings(topology_from_spec("ring", 6))
     cfg = BaselineConfig(mu=0.05, eta=0.15, budget=6 * 500, record_every=10)
-    (t1,) = run("gradient_tracking", instance, P, cfg, [3])
-    (t2,) = run("consensus_gd", instance, P, cfg, [3])
+    (t1,) = run("gradient_tracking", instance, P, [(cfg, 3)])
+    (t2,) = run("consensus_gd", instance, P, [(cfg, 3)])
     ok = not t1.failed and not t2.failed and t1.rows[-1].e_f < t1.rows[0].e_f
     detail = f"gt final e_f {t1.rows[-1].e_f:.2e}, cgd final e_f {t2.rows[-1].e_f:.2e}"
     report.add("baseline_runs", ok, detail)
@@ -805,7 +763,7 @@ def _check_clamp_neutrality(report: VerifyReport) -> None:
     instance = separable_quadratic_instance(6, 3, seed=8)
     P = metropolis_hastings(topology_from_spec("complete", 6))
     cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=7 * 200)
-    (trace,) = run("zo_jade", instance, P, cfg, [2])
+    (trace,) = run("zo_jade", instance, P, [(cfg, 2)])
     clamps = trace.rows[-1].clamp_count
     report.add("division_clamp_neutral", clamps == 0, f"{clamps} activations")
 
@@ -814,7 +772,7 @@ def check_exponential_convergence(
     report: VerifyReport, instance: ProblemInstance, P, cfg: JadeConfig, seed: int
 ) -> None:
     """The loss of a tracking run decays exponentially: fitted rate < 0, r² >= 0.95."""
-    (trace,) = run("zo_jade", instance, P, cfg, [seed])
+    (trace,) = run("zo_jade", instance, P, [(cfg, seed)])
     rate, r2 = fit_exponential_rate(trace.iterations(), trace.ef_values())
     ok = not trace.failed and rate < 0.0 and r2 >= 0.95
     report.add("exponential_convergence", ok, f"rate {rate:.3e}, r2 {r2:.4f}")

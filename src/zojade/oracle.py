@@ -93,9 +93,10 @@ class BlackBoxObjective:
         return int(self.agent_queries.sum())
 
     def evaluate_probes(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Values (..., n, k) of every agent i at x[..., i, :] + offsets[j] for
-        x:(n, d), or (R, n, d) with replicas, built and evaluated one agent
-        block at a time; a block of m agents holds R * m * k probe rows.
+        """Values (..., n, k) of every agent i at x[..., i, :] + offsets[..., j, :]
+        for x:(n, d), or (R, n, d) with replicas and offsets (k, d) or each
+        replica's own (R, 1, k, d), built and evaluated one agent block at a
+        time; a block of m agents holds R * m * k probe rows.
 
         A non-finite value raises, naming the agent, its probe (the displaced
         coordinate and sign of its offset row, or `center`) and its point; with
@@ -103,7 +104,7 @@ class BlackBoxObjective:
         so that the rest of its discarded round stays finite."""
         x = np.asarray(x, dtype=float)
         counts = self.agent_queries[self.live]
-        n, k = counts.shape[-1], offsets.shape[0]
+        n, k = counts.shape[-1], offsets.shape[-2]
         if x.shape != counts.shape + (self.dim,):
             raise ValueError(f"objective '{self.name}' takes points of shape "
                              f"{counts.shape + (self.dim,)}, got shape {x.shape}")
@@ -114,17 +115,19 @@ class BlackBoxObjective:
         self.agent_queries[self.live] = counts
         if np.isfinite(values).all():
             return values
+        rows = np.broadcast_to(offsets, values.shape[:-2] + (1,) + offsets.shape[-2:])
         for r in np.ndindex(values.shape[:-2]):  # the one empty index without replicas
             bad = np.argwhere(~np.isfinite(values[r]))
             if not bad.size:
                 continue
             i, j = (int(v) for v in bad[0])
-            moved = np.flatnonzero(offsets[j])
-            probe = (f"coordinate {moved[0]}, {'+-'[int(offsets[j, moved[0]] < 0)]}mu"
+            offset = rows[r][0, j]
+            moved = np.flatnonzero(offset)
+            probe = (f"coordinate {moved[0]}, {'+-'[int(offset[moved[0]] < 0)]}mu"
                      if moved.size else "center")
             message = (
                 f"objective '{self.name}' agent {i} returned {float(values[r][i, j])!r} at "
-                f"probe point {(x[r][i] + offsets[j]).tolist()} ({probe})"
+                f"probe point {(x[r][i] + offset).tolist()} ({probe})"
             )
             if self.failures is None:
                 raise EvaluationError(message)
@@ -134,9 +137,14 @@ class BlackBoxObjective:
 
 
 @functools.lru_cache(maxsize=128)
-def _offsets(d: int, mu: float) -> np.ndarray:
-    """Probe offsets (2d + 1, d): +mu e_k, then -mu e_k for k ascending, then
-    the center."""
+def _probes(d: int, mu) -> tuple:
+    """(2 mu, mu^2, offsets (2d + 1, d)) of a probe step mu, the offsets +mu e_k,
+    then -mu e_k for k ascending, then the center; a tuple of R replicas' steps
+    gives (R, 1, 1) columns and offsets (R, 1, 2d + 1, d), cached per run."""
+    if isinstance(mu, tuple):
+        twice, squared, offsets = zip(*(_probes(d, step) for step in mu))
+        column = (-1, 1, 1)
+        return np.reshape(twice, column), np.reshape(squared, column), np.stack(offsets)[:, None]
     if not 0.0 < mu < math.inf:  # NaN fails the comparison too
         raise ValueError(f"mu must be positive and finite, got {mu}")
     offsets = np.zeros((2 * d + 1, d))
@@ -144,14 +152,15 @@ def _offsets(d: int, mu: float) -> np.ndarray:
     offsets[2 * k, k] = mu
     offsets[2 * k + 1, k] = -mu
     offsets.flags.writeable = False
-    return offsets
+    return 2.0 * mu, mu * mu, offsets
 
 
-def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu: float) -> np.ndarray:
-    """Central-difference gradient estimates (..., n, d) at every agent's row
-    of x:(n, d) or (R, n, d); consumes exactly 2d queries per agent."""
-    values = f.evaluate_probes(x, _offsets(f.dim, mu)[:-1])
-    return (values[..., 0::2] - values[..., 1::2]) / (2.0 * mu)
+def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu) -> np.ndarray:
+    """Central-difference gradient estimates (..., n, d) at every agent's row of
+    x:(n, d), or (R, n, d) with a step mu or a tuple of each replica's; 2d queries per agent."""
+    twice, _, offsets = _probes(f.dim, mu)
+    values = f.evaluate_probes(x, offsets[..., :-1, :])
+    return (values[..., 0::2] - values[..., 1::2]) / twice
 
 
 def estimate_hessian_diag(
@@ -159,24 +168,27 @@ def estimate_hessian_diag(
 ) -> np.ndarray:
     """Hessian-diagonal estimates (..., n, d) at x:(..., n, d) around the known
     center values f_i(x[i]), one per agent; 2d queries per agent."""
-    values = f.evaluate_probes(x, _offsets(f.dim, mu)[:-1])
+    _, squared, offsets = _probes(f.dim, mu)
+    values = f.evaluate_probes(x, offsets[:-1])
     center = np.asarray(center, dtype=float)[..., None]
-    return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / (mu * mu)
+    return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / squared
 
 
-def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu: float) -> tuple:
+def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu) -> tuple:
     """Gradient and Hessian-diagonal estimates (grad, hdiag), each (..., n, d),
-    from one shared probe set at x:(n, d) or (R, n, d).
+    from one shared probe set at x:(n, d), or (R, n, d) with a step mu or a
+    tuple of each replica's.
 
     The 2d coordinate probes are reused for both estimates and a single
     extra center evaluation completes the second difference, 2d + 1
     queries per agent in total.
     """
-    values = f.evaluate_probes(x, _offsets(f.dim, mu))
+    twice, squared, offsets = _probes(f.dim, mu)
+    values = f.evaluate_probes(x, offsets)
     plus = values[..., 0:-1:2]
     minus = values[..., 1:-1:2]
     center = values[..., -1:]
-    return (plus - minus) / (2.0 * mu), (plus - 2.0 * center + minus) / (mu * mu)
+    return (plus - minus) / twice, (plus - 2.0 * center + minus) / squared
 
 
 def gradient_error_bound(L2: float, mu: float, d: int) -> float:

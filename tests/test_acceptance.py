@@ -86,16 +86,21 @@ def test_criterion_6_gamma_mu_scaling():
 
 
 def _grid_best_queries(algorithm, instance, P, jade_cfg, seeds, threshold):
-    """Mean queries-to-threshold at the best step size from the coarse grid."""
+    """Mean queries-to-threshold at the best step size from the coarse grid,
+    every (step size, seed) pair one replica of one run."""
     grid = [m / instance.constants.L1 for m in (1.0, 0.3, 0.1, 0.03, 0.01)]
+    replicas = [
+        (BaselineConfig(mu=jade_cfg.mu, eta=eta, budget=jade_cfg.budget,
+                        record_every=jade_cfg.record_every), seed)
+        for eta in grid
+        for seed in seeds
+    ]
+    traces = run(algorithm, instance, P, replicas)
     best = math.inf
     best_eta = None
-    for eta in grid:
-        cfg = BaselineConfig(
-            mu=jade_cfg.mu, eta=eta, budget=jade_cfg.budget, record_every=jade_cfg.record_every
-        )
+    for k, eta in enumerate(grid):
         totals = [queries_to_threshold(trace, threshold)
-                  for trace in run(algorithm, instance, P, cfg, seeds)]
+                  for trace in traces[k * len(seeds):(k + 1) * len(seeds)]]
         mean = sum(totals) / len(totals)
         if mean < best:
             best = mean
@@ -114,8 +119,10 @@ def test_criterion_7_query_efficiency_ordering():
         instance = harness.build_instance(cfg)
         entry = next(e for e in cfg.data["algorithms"] if e["name"] == "zo_jade")
         jade_cfg = harness.algorithm_config(cfg, entry)
-        jade_queries = [queries_to_threshold(trace, threshold)
-                        for trace in run("zo_jade", instance, P, jade_cfg, cfg.seeds)]
+        jade_queries = [
+            queries_to_threshold(trace, threshold)
+            for trace in run("zo_jade", instance, P, [(jade_cfg, s) for s in cfg.seeds])
+        ]
         jade_mean = sum(jade_queries) / len(jade_queries)
         assert jade_mean < math.inf, f"{name}: tracking run missed the target"
         gt_best, gt_eta = _grid_best_queries(

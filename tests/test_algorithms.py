@@ -204,8 +204,8 @@ def test_query_totals_equal_iterations_times_step_cost(algorithm, n, d, budget, 
 
     inst.black_boxes = counted_black_boxes  # keeps the counter that run() queries through
     config = JadeConfig if algorithm == "zo_jade" else BaselineConfig
-    (trace,) = run(algorithm, inst, P, config(mu=0.05, budget=budget, record_every=record_every),
-                   [1])
+    (trace,) = run(algorithm, inst, P,
+                   [(config(mu=0.05, budget=budget, record_every=record_every), 1)])
     per_step = 2 * d + 1 if algorithm == "zo_jade" else 2 * d
     iterations = budget // per_step  # zero when the budget is below one step
     assert trace.rows[-1].iteration == iterations
@@ -260,7 +260,7 @@ def test_run_budget_smaller_than_one_step_records_initial_row_only():
     inst = separable_quadratic_instance(3, 4, seed=6)
     P = metropolis_hastings(topology_from_spec("ring", 3))
     cfg = JadeConfig(mu=0.1, epsilon=0.2, budget=2 * 4)  # < 2d + 1 = 9
-    (trace,) = run("zo_jade", inst, P, cfg, [1])
+    (trace,) = run("zo_jade", inst, P, [(cfg, 1)])
     assert len(trace.rows) == 1
     assert trace.rows[0].iteration == 0
     assert trace.rows[0].queries_per_agent == 0
@@ -270,11 +270,11 @@ def test_run_is_deterministic_per_seed():
     inst = separable_quadratic_instance(4, 3, seed=7)
     P = metropolis_hastings(topology_from_spec("ring", 4))
     cfg = JadeConfig(mu=0.05, epsilon=0.2, budget=7 * 40, record_every=3)
-    (a,) = run("zo_jade", inst, P, cfg, [9])
-    (b,) = run("zo_jade", inst, P, cfg, [9])
+    (a,) = run("zo_jade", inst, P, [(cfg, 9)])
+    (b,) = run("zo_jade", inst, P, [(cfg, 9)])
     assert [r.__dict__ for r in a.rows] == [r.__dict__ for r in b.rows]
     assert np.array_equal(a.final_x, b.final_x)
-    (c,) = run("zo_jade", inst, P, cfg, [10])
+    (c,) = run("zo_jade", inst, P, [(cfg, 10)])
     assert not np.array_equal(a.final_x, c.final_x)
 
 
@@ -299,11 +299,11 @@ def test_budget_exhaustion_and_query_accounting():
     inst = separable_quadratic_instance(4, 5, seed=9)
     P = metropolis_hastings(topology_from_spec("ring", 4))
     budget = 11 * 17 + 3  # 17 full steps of 2d + 1 = 11, plus change
-    (trace,) = run("zo_jade", inst, P, JadeConfig(mu=0.1, epsilon=0.2, budget=budget), [1])
+    (trace,) = run("zo_jade", inst, P, [(JadeConfig(mu=0.1, epsilon=0.2, budget=budget), 1)])
     assert trace.rows[-1].iteration == 17
     assert trace.rows[-1].queries_per_agent == 17 * 11
     (trace,) = run(
-        "gradient_tracking", inst, P, BaselineConfig(mu=0.1, eta=0.05, budget=100), [1]
+        "gradient_tracking", inst, P, [(BaselineConfig(mu=0.1, eta=0.05, budget=100), 1)]
     )
     assert trace.rows[-1].queries_per_agent == 10 * (100 // 10)
 
@@ -312,7 +312,7 @@ def test_monotone_loss_decrease_on_separable_suite():
     inst = separable_quadratic_instance(6, 3, seed=11)
     P = metropolis_hastings(topology_from_spec("complete", 6))
     cfg = JadeConfig(mu=0.05, epsilon=0.1, budget=7 * 500, record_every=1)
-    (trace,) = run("zo_jade", inst, P, cfg, [5])
+    (trace,) = run("zo_jade", inst, P, [(cfg, 5)])
     efs = trace.ef_values()
     # after the two-step warm-up the loss decreases until the float floor
     for prev, nxt in zip(efs[2:], efs[3:]):
@@ -324,7 +324,7 @@ def test_monotone_loss_decrease_on_separable_suite():
 def test_consensus_error_vanishes_on_converged_runs():
     inst = separable_quadratic_instance(8, 4, seed=14)
     P = metropolis_hastings(topology_from_spec("ring", 8))
-    (trace,) = run("zo_jade", inst, P, JadeConfig(mu=0.05, epsilon=0.2, budget=9 * 600), [7])
+    (trace,) = run("zo_jade", inst, P, [(JadeConfig(mu=0.05, epsilon=0.2, budget=9 * 600), 7)])
     assert not trace.failed
     x_bar_norm = float(np.linalg.norm(trace.final_x.mean(axis=0)))
     assert trace.rows[-1].consensus_error <= 1e-6 * (1.0 + x_bar_norm)
@@ -345,7 +345,7 @@ def test_baseline_total_query_accounting():
 def test_clamp_counter_stays_zero_on_strongly_convex_runs():
     inst = separable_quadratic_instance(6, 3, seed=12)
     P = metropolis_hastings(topology_from_spec("ring", 6))
-    (trace,) = run("zo_jade", inst, P, JadeConfig(mu=0.05, epsilon=0.2, budget=7 * 300), [3])
+    (trace,) = run("zo_jade", inst, P, [(JadeConfig(mu=0.05, epsilon=0.2, budget=7 * 300), 3)])
     assert trace.rows[-1].clamp_count == 0
 
 
@@ -375,7 +375,7 @@ def test_divergent_run_fails_with_probe_diagnostic():
     P = metropolis_hastings(topology_from_spec("complete", 1))
     # overshooting steps on exp(x^2) oscillate outward until exp overflows
     cfg = BaselineConfig(mu=0.1, eta=1.0, budget=10**6, x0_scale=2.0)
-    (trace,) = run("consensus_gd", inst, P, cfg, [1])
+    (trace,) = run("consensus_gd", inst, P, [(cfg, 1)])
     assert trace.failed
     assert "probe point" in trace.diagnostic
 
@@ -392,7 +392,7 @@ def test_divergence_diagnostic_names_the_failing_agent():
     )
     P = metropolis_hastings(topology_from_spec("complete", 3))
     cfg = BaselineConfig(mu=0.1, eta=1.0, budget=10**6, x0_scale=2.0)
-    (trace,) = run("consensus_gd", inst, P, cfg, [1])
+    (trace,) = run("consensus_gd", inst, P, [(cfg, 1)])
     assert trace.failed
     assert "agent 2 returned inf at probe point" in trace.diagnostic
     assert "(coordinate 0, +mu)" in trace.diagnostic
@@ -411,5 +411,29 @@ def test_unknown_algorithm_rejected():
     inst = separable_quadratic_instance(2, 2, seed=1)
     P = metropolis_hastings(topology_from_spec("complete", 2))
     with pytest.raises(ConfigurationError):
-        run("newton", inst, P, JadeConfig(mu=0.1), [1])
+        run("newton", inst, P, [(JadeConfig(mu=0.1), 1)])
 
+
+@pytest.mark.parametrize("algorithm, replicas, named", [
+    ("gradient_tracking", [(JadeConfig(mu=0.1, budget=40), 1)],
+     ["gradient_tracking", "BaselineConfig", "JadeConfig(mu=0.1, budget=40"]),
+    ("zo_jade", [(BaselineConfig(mu=0.1, budget=40), 1)],
+     ["zo_jade", "JadeConfig", "BaselineConfig(mu=0.1, budget=40"]),
+    ("zo_jade", [], ["zo_jade", "got []"]),
+    ("zo_jade", JadeConfig(mu=0.1), ["zo_jade", "got JadeConfig(mu=0.1"]),
+    ("consensus_gd",
+     [(BaselineConfig(mu=0.1, budget=40), 1), (BaselineConfig(mu=0.1, budget=50), 2)],
+     ["consensus_gd", "budget", "[40, 50]"]),
+    ("zo_jade", [(JadeConfig(mu=0.1, record_every=2), 1), (JadeConfig(mu=0.2, record_every=3), 1)],
+     ["zo_jade", "record_every", "[2, 3]"]),
+    ("zo_jade", [(JadeConfig(mu=0.1), 1), (JadeConfig(mu=0.2), 1), (JadeConfig(mu=0.1), 1)],
+     ["zo_jade", "replica 2", "(JadeConfig(mu=0.1, ", "), 1)"]),
+], ids=["baseline-given-jade", "jade-given-baseline", "empty", "not-a-list", "budgets",
+        "record-strides", "repeated-pair"])
+def test_run_rejects_a_malformed_replica_list(algorithm, replicas, named):
+    inst = separable_quadratic_instance(2, 2, seed=1)
+    P = metropolis_hastings(topology_from_spec("complete", 2))
+    with pytest.raises(ConfigurationError) as info:
+        run(algorithm, inst, P, replicas)
+    for text in named:
+        assert text in str(info.value)

@@ -4,6 +4,7 @@ and the replica-batched run: the seeds of one entry advance as one (R, n, d)
 stack, bitwise as their separate runs."""
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -217,41 +218,58 @@ def _counted(inst):
     return counters
 
 
+#: One replica's draw: mu, epsilon (or eta times L1), z_floor, x0_scale and
+#: a seed offset; three offsets for up to four replicas make seeds repeat.
+_REPLICA = st.tuples(st.floats(0.01, 0.3), st.floats(0.05, 1.0), st.floats(1e-8, 1.0),
+                     st.floats(0.25, 2.0), st.integers(0, 2))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     algorithm=st.sampled_from(sorted(ALGORITHMS)),
     family=st.sampled_from(["quadratic", "logistic", "quartic"]),
-    replicas=st.integers(1, 4),
+    draws=st.lists(_REPLICA, min_size=1, max_size=4),
     n=st.integers(1, 5),
     d=st.integers(1, 4),
     steps=st.integers(0, 25),
     record_every=st.integers(1, 4),
     seed=st.integers(0, 1000),
 )
-@example(algorithm="zo_jade", family="quadratic", replicas=3, n=1, d=2, steps=12, record_every=5,
-         seed=4)
-@example(algorithm="gradient_tracking", family="logistic", replicas=4, n=1, d=1, steps=9,
-         record_every=2, seed=7)
+@example(algorithm="zo_jade", family="quadratic",
+         draws=[(0.05, 0.3, 1e-8, 1.0, 0), (0.05, 0.3, 1e-8, 1.0, 1), (0.05, 0.3, 1e-8, 1.0, 2)],
+         n=1, d=2, steps=12, record_every=5, seed=4)
+@example(algorithm="gradient_tracking", family="logistic",
+         draws=[(0.05, 0.5, 1e-8, 1.0, 0), (0.05, 0.5, 1e-8, 1.0, 1), (0.05, 0.5, 1e-8, 1.0, 2),
+                (0.05, 0.5, 1e-8, 1.0, 3)], n=1, d=1, steps=9, record_every=2, seed=7)
+@example(algorithm="zo_jade", family="quartic",
+         draws=[(0.2, 0.5, 1e-8, 1.0, 0), (0.1, 0.5, 1e-8, 1.0, 0), (0.05, 0.5, 1e-8, 1.0, 0)],
+         n=4, d=1, steps=20, record_every=4, seed=1)
 def test_batched_run_equals_the_separate_runs(
-    algorithm, family, replicas, n, d, steps, record_every, seed
+    algorithm, family, draws, n, d, steps, record_every, seed
 ):
+    # each replica draws its own config, and seeds repeat across configs; the
+    # last example is the gamma-scaling check's mu ladder in small
     inst = _suite(family, n, d, seed)
     P = metropolis_hastings(topology_from_spec("ring", n))
     per_step = ALGORITHMS[algorithm][1](inst.d)
     budget = max(1, steps * per_step)
-    if algorithm == "zo_jade":
-        cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=budget, record_every=record_every)
-    else:
-        cfg = BaselineConfig(mu=0.05, eta=0.5 / inst.constants.L1, budget=budget,
-                             record_every=record_every)
-    seeds = [seed + 10 * r for r in range(replicas)]
+    replicas = []
+    for mu, weight, z_floor, x0_scale, offset in draws:
+        if algorithm == "zo_jade":
+            cfg = JadeConfig(mu=mu, epsilon=weight, z_floor=z_floor, budget=budget,
+                             record_every=record_every, x0_scale=x0_scale)
+        else:
+            cfg = BaselineConfig(mu=mu, eta=weight / inst.constants.L1, budget=budget,
+                                 record_every=record_every, x0_scale=x0_scale)
+        if (cfg, seed + 10 * offset) not in replicas:
+            replicas.append((cfg, seed + 10 * offset))
     counters = _counted(inst)
-    batched = run(algorithm, inst, P, cfg, seeds, label="batch")
+    batched = run(algorithm, inst, P, replicas, label="batch")
     for r, trace in enumerate(batched):
-        (alone,) = run(algorithm, inst, P, cfg, [seeds[r]], label="batch")
+        (alone,) = run(algorithm, inst, P, [replicas[r]], label="batch")
         _same_trace(trace, alone)
         assert counters[0].agent_queries[r].tolist() == counters[-1].agent_queries[0].tolist()
-    assert counters[0].agent_queries.shape == (replicas, n)
+    assert counters[0].agent_queries.shape == (len(replicas), n)
 
 
 class Explosive:
@@ -290,7 +308,7 @@ def test_consensus_error_of_iterates_whose_squares_overflow_is_finite():
     inst = ProblemInstance(family, 2, np.zeros(2), 1.0, SmoothnessConstants())
     P = metropolis_hastings(topology_from_spec("complete", family.n))
     cfg = BaselineConfig(mu=0.1, eta=0.5, budget=240, x0_scale=1.5)
-    [trace] = run("consensus_gd", inst, P, cfg, [11])
+    [trace] = run("consensus_gd", inst, P, [(cfg, 11)])
     assert trace.failed and trace.rows[-1].iteration == 3
     assert all(np.isfinite(row.consensus_error) for row in trace.rows)
     deviation = (trace.final_x - trace.final_x.mean(axis=0)) / 1e158
@@ -298,29 +316,33 @@ def test_consensus_error_of_iterates_whose_squares_overflow_is_finite():
         1e158 * np.sqrt(np.sum(deviation * deviation)), rel=1e-14)
 
 
-@pytest.mark.parametrize("family, algorithm, seeds, fails, cfg, diagnostic", [
+@pytest.mark.parametrize("family, algorithm, seeds, mus, fails, cfg, diagnostic", [
     # seed 1 overflows a probe at step 3 and seed 4 at step 2; seeds 2 and 3 converge
-    (Explosive([0.2, 0.3, 0.25]), "consensus_gd", [2, 1, 3, 4], [False, True, False, True],
+    (Explosive([0.2, 0.3, 0.25]), "consensus_gd", [2, 1, 3, 4], [0.1, 0.2, 0.05, 0.15],
+     [False, True, False, True],
      BaselineConfig(mu=0.1, eta=0.5, budget=4 * 60, x0_scale=1.5, record_every=7),
      "returned inf at probe point"),
     # seed 2's gradient estimate overflows, and so its iterate, at step 2
-    (Cliff([0.0, 1.0]), "gradient_tracking", [1, 2, 3], [False, True, False],
+    (Cliff([0.0, 1.0]), "gradient_tracking", [1, 2, 3], [0.3, 0.2, 0.4], [False, True, False],
      BaselineConfig(mu=0.3, eta=0.5, budget=4 * 30, x0_scale=2.0, record_every=4),
      "non-finite iterate at step 2: agent 0, coordinate 0 became np.float64(-inf)"),
 ], ids=["probe", "iterate"])
 def test_a_diverging_replica_stops_alone_where_its_separate_run_stops(
-    family, algorithm, seeds, fails, cfg, diagnostic
+    family, algorithm, seeds, mus, fails, cfg, diagnostic
 ):
     # the failing replica freezes at the step before its failure and spends no
-    # further queries; the other replicas' traces and counts do not move
+    # further queries; the other replicas' traces and counts do not move.  The
+    # replicas probe with different mu, so a diagnostic that named a probe
+    # point off another replica's offsets would differ from its separate run's
     inst = ProblemInstance(family, 2, np.zeros(2), 1.0, SmoothnessConstants())
     P = metropolis_hastings(topology_from_spec("complete", family.n))
     counters = _counted(inst)
+    replicas = [(replace(cfg, mu=mu), s) for mu, s in zip(mus, seeds)]
     # the Cliff's iterate overflow is the point; the Explosive's failure raises no warning
     overflow = "ignore" if isinstance(family, Cliff) else "raise"
     with np.errstate(over=overflow, invalid=overflow):
-        batched = run(algorithm, inst, P, cfg, seeds)
-        separate = [run(algorithm, inst, P, cfg, [s])[0] for s in seeds]
+        batched = run(algorithm, inst, P, replicas)
+        separate = [run(algorithm, inst, P, [pair])[0] for pair in replicas]
     assert [t.failed for t in batched] == fails
     for r, (trace, alone) in enumerate(zip(batched, separate)):
         _same_trace(trace, alone)

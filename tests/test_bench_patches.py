@@ -86,3 +86,26 @@ def test_every_family_builds_inside_a_recorded_build_span(tmp_path, monkeypatch)
             assert build_id in tracer.arrays()["name"][before:], family
     finally:
         patches.restore()
+
+
+def test_the_gamma_ladder_runs_as_one_batch_under_the_span_patches(monkeypatch):
+    # the three mu of criterion 6 advance as one replica batch: 4,000 traced
+    # steps where three separate runs took 12,000, with every query traced
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import spans
+    import workloads
+
+    tracer, patches = spans.Tracer(), spans.Patches()
+    report = harness.VerifyReport()
+    try:
+        hooks = workloads.Hooks(patches)
+        spans.instrument(tracer, patches)
+        harness.check_gamma_scaling(report)
+    finally:
+        patches.restore()
+    assert report.all_passed, report.checks
+    metrics = spans.layer_metrics(tracer.arrays())
+    assert metrics["algorithms.steps"] == 4000
+    # 3 replicas x 4 agents x (2d + 1 = 3) x 4,000 steps, then one 2d-query
+    # stationarity estimate per mu on the global cost
+    assert metrics["oracle.queries"] == hooks.queries() == 3 * 4 * 3 * 4000 + 3 * 2
