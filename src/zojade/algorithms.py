@@ -39,7 +39,7 @@ iterate turns non-finite stops where its separate run stops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,25 +120,35 @@ def initial_state(x0: np.ndarray, P: np.ndarray) -> NetworkState:
     )
 
 
+def _param(kind: str, default=MISSING):
+    """A run config field whose value must be of `kind`, a key of errors.KINDS."""
+    return field(default=default, metadata={"kind": kind})
+
+
+def param_kinds(cls) -> dict:
+    """Each field of a run config class -> its declared kind."""
+    return {f.name: f.metadata["kind"] for f in fields(cls)}
+
+
 @dataclass
-class _RunConfig:
+class RunConfig:
     """Parameters every algorithm takes: the absolute finite-difference step
     mu, the per-agent query budget, the trace stride and the scale of the
-    seeded initial iterates."""
+    seeded initial iterates.  Every field of a run config declares its kind,
+    and construction checks each value against it."""
 
-    mu: float
-    budget: int = 10_000
-    record_every: int = 10
-    x0_scale: float = 1.0
+    mu: float = _param(POS_NUM)
+    budget: int = _param(POS_INT, 10_000)
+    record_every: int = _param(POS_INT, 10)
+    x0_scale: float = _param(NUM, 1.0)
 
     def __post_init__(self):
-        require(POS_NUM, mu=self.mu)
-        require(POS_INT, budget=self.budget, record_every=self.record_every)
-        require(NUM, x0_scale=self.x0_scale)
+        for f in fields(self):
+            require(f.metadata["kind"], **{f.name: getattr(self, f.name)})
 
 
 @dataclass
-class JadeConfig(_RunConfig):
+class JadeConfig(RunConfig):
     """Parameters of the curvature-tracking update.
 
     epsilon is the convex-combination weight of the local Newton-type
@@ -147,13 +157,8 @@ class JadeConfig(_RunConfig):
     z entries are clamped below at z_floor before dividing.
     """
 
-    epsilon: float = 0.05
-    z_floor: float = 1e-8
-
-    def __post_init__(self):
-        super().__post_init__()
-        require(PROB, epsilon=self.epsilon)
-        require(POS_NUM, z_floor=self.z_floor)
+    epsilon: float = _param(PROB, 0.05)
+    z_floor: float = _param(POS_NUM, 1e-8)
 
     @property
     def consensus_weight(self) -> float:
@@ -162,14 +167,10 @@ class JadeConfig(_RunConfig):
 
 
 @dataclass
-class BaselineConfig(_RunConfig):
+class BaselineConfig(RunConfig):
     """Parameters of the gradient-estimate baselines (step size eta)."""
 
-    eta: float = 0.1
-
-    def __post_init__(self):
-        super().__post_init__()
-        require(NONNEG, eta=self.eta)
+    eta: float = _param(NONNEG, 0.1)
 
 
 def jade_step(

@@ -8,8 +8,8 @@ sha256 hash of the fully defaulted config is stamped into every output
 file, and re-running a config reproduces every CSV byte for byte.
 
 Schema (each default lives in one place, named in parentheses).  Every
-value's kind is one entry of errors.KINDS, checked by errors.require, the
-same check the run configs, instance builders and topology builder call;
+value's kind is one entry of errors.KINDS, declared once beside its default
+and checked by errors.require, as the run configs and builders check it;
 numbers are JSON-native (int or float, never a bool) and finite:
 
     topology    name plus the topology's parameters and their kinds, see
@@ -18,16 +18,17 @@ numbers are JSON-native (int or float, never a bool) and finite:
                 objectives.FAMILIES; only the keys a config sets are passed
                 to the family's builder, so the builder signature holds the
                 defaults; the agent count always comes from the topology
-    mu          finite-difference step
+    mu          finite-difference step (RunConfig, as are the next three)
     budget      max queries per agent
+    record_every  trace stride
+    x0_scale    scale of the seeded initial iterates
     seeds       list of distinct integers
-    record_every  trace stride (JadeConfig / BaselineConfig)
-    x0_scale    scale of the seeded initial iterates (JadeConfig / BaselineConfig)
     out_dir     output directory, a non-empty path string ("results")
     algorithms  list of {name, label?, mu?, and the algorithm's own
                 parameters: epsilon?, z_floor? (JadeConfig) or eta?
                 (BaselineConfig)}; a label (default: the name) is unique
-                and one file-name component
+                and one file-name component; checked like topology and
+                instance, so a message names a key as algorithms.<key>
 
 Outputs: one `<label>_seed<seed>.csv` trace per run and one
 `<label>_aggregate.csv` per algorithm entry with columns
@@ -48,8 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import (
-    ALGORITHMS, CONFIG_CLASS, BaselineConfig, JadeConfig, draw_initial_iterates,
-    gradient_tracking_step, initial_state, run,
+    CONFIG_CLASS, BaselineConfig, JadeConfig, RunConfig, draw_initial_iterates,
+    gradient_tracking_step, initial_state, param_kinds, run,
 )
 from .errors import (
     FILE_NAME, LIST, OBJECT, PATH, POS_NUM, SEEDS, ConfigurationError, InstanceConstructionError,
@@ -70,10 +71,17 @@ from .oracle import (
 from .rng import Xoshiro256
 
 DEFAULTS = {
-    "record_every": BaselineConfig.record_every,
-    "x0_scale": BaselineConfig.x0_scale,
+    "record_every": RunConfig.record_every,
+    "x0_scale": RunConfig.x0_scale,
     "out_dir": "results",
 }
+
+#: the run parameters every algorithm takes -> their kinds, declared on the run configs
+_RUN_KINDS = param_kinds(RunConfig)
+
+#: top-level key -> kind; the keys that DEFAULTS does not fill are required
+_TOP_KINDS = {"out_dir": PATH, "topology": OBJECT, "instance": OBJECT, "seeds": SEEDS,
+              "algorithms": LIST, **_RUN_KINDS}
 
 #: topology name -> (required keys, optional keys), each mapping a key to its kind
 _TOPOLOGY_SCHEMAS = {name: (kinds, {}) for name, (_, kinds) in TOPOLOGIES.items()}
@@ -81,16 +89,12 @@ _TOPOLOGY_SCHEMAS = {name: (kinds, {}) for name, (_, kinds) in TOPOLOGIES.items(
 #: family -> (required keys, optional keys), each mapping a key to its kind
 _INSTANCE_SCHEMAS = {name: entry[1:] for name, entry in FAMILIES.items()}
 
-_TOP_KEYS = {
-    "topology",
-    "instance",
-    "mu",
-    "budget",
-    "seeds",
-    "record_every",
-    "x0_scale",
-    "out_dir",
-    "algorithms",
+#: algorithm -> (required keys, optional keys) of its entries: a label, an own
+#: mu and the parameters its config class adds to the run parameters
+_ALGORITHM_SCHEMAS = {
+    name: ({}, {"label": FILE_NAME, "mu": _RUN_KINDS["mu"]} | {
+        key: kind for key, kind in param_kinds(cls).items() if key not in _RUN_KINDS})
+    for name, cls in CONFIG_CLASS.items()
 }
 
 
@@ -129,8 +133,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.data = _validate_config(self.data)
-        for entry in self.data["algorithms"]:
-            algorithm_config(self, entry)  # the algorithm config checks every parameter
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         self.config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -155,41 +157,26 @@ class ExperimentConfig:
 def _validate_config(raw: dict) -> dict:
     require(OBJECT, config=raw)
     cfg = copy.deepcopy(raw)
-    _reject_unknown(cfg, _TOP_KEYS, "config")
-    _require(cfg, ["topology", "instance", "mu", "budget", "seeds", "algorithms"], "config")
+    _reject_unknown(cfg, set(_TOP_KINDS), "config")
+    _require(cfg, set(_TOP_KINDS) - set(DEFAULTS), "config")
     for key, default in DEFAULTS.items():
         cfg.setdefault(key, default)
+    for key, kind in _TOP_KINDS.items():
+        require(kind, **{key: cfg[key]})
 
-    require(PATH, out_dir=cfg["out_dir"])
     _check_schema(cfg["topology"], "name", _TOPOLOGY_SCHEMAS, "topology")
     _check_schema(cfg["instance"], "family", _INSTANCE_SCHEMAS, "instance")
-    require(SEEDS, seeds=cfg["seeds"])
-
-    require(LIST, algorithms=cfg["algorithms"])
     labels = set()
     for entry in cfg["algorithms"]:
-        require(OBJECT, **{"algorithm entry": entry})
-        name = entry.get("name")
-        if name not in sorted(ALGORITHMS):
-            raise ConfigurationError(
-                f"algorithm name must be one of {sorted(ALGORITHMS)}, got {name!r}"
-            )
-        defaults = _algorithm_defaults(name)
-        _reject_unknown(entry, {"name", "label", "mu"} | set(defaults), f"algorithms[{name}]")
-        for key, default in defaults.items():
-            entry.setdefault(key, default)
-        label = entry.setdefault("label", name)
-        require(FILE_NAME, label=label)  # a label names output files
+        _check_schema(entry, "name", _ALGORITHM_SCHEMAS, "algorithms")
+        for f in fields(CONFIG_CLASS[entry["name"]]):
+            if f.name not in _RUN_KINDS:
+                entry.setdefault(f.name, f.default)
+        label = entry.setdefault("label", entry["name"])
         if label in labels:
             raise ConfigurationError(f"duplicate algorithm label '{label}'")
         labels.add(label)
     return cfg
-
-
-def _algorithm_defaults(name: str) -> dict:
-    """An algorithm's own parameters with their defaults: the fields of its
-    config class that are not top-level config keys."""
-    return {f.name: f.default for f in fields(CONFIG_CLASS[name]) if f.name not in _TOP_KEYS}
 
 
 def build_topology(cfg: ExperimentConfig) -> tuple:
@@ -207,19 +194,10 @@ def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
 
 
 def algorithm_config(cfg: ExperimentConfig, entry: dict):
-    """Materialize the per-run config for one algorithm entry.
-
-    The config is built with the top-level mu first, so that value is
-    checked even when the entry overrides it.
-    """
-    config = CONFIG_CLASS[entry["name"]](
-        mu=cfg.data["mu"],
-        budget=cfg.data["budget"],
-        record_every=cfg.data["record_every"],
-        x0_scale=cfg.data["x0_scale"],
-        **{key: entry[key] for key in _algorithm_defaults(entry["name"])},
-    )
-    return replace(config, mu=entry["mu"]) if "mu" in entry else config
+    """The per-run config of one algorithm entry: its own keys, then the
+    top-level run parameters it does not set."""
+    cls, values = CONFIG_CLASS[entry["name"]], cfg.data | entry
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------

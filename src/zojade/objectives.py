@@ -592,7 +592,7 @@ def load_csv(path: str, has_header: bool = False) -> tuple:
 
     Raises a configuration error naming the path for a file that cannot be
     opened or is not UTF-8, and for files with no data rows, and naming the
-    offending row for ragged or non-numeric content.
+    offending row for ragged, non-numeric or non-finite (nan, inf) content.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -616,6 +616,8 @@ def load_csv(path: str, has_header: bool = False) -> tuple:
             values.append([float(cell) for cell in row])
         except ValueError as exc:
             raise ConfigurationError(f"{path}: row {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, values[-1])):
+            raise ConfigurationError(f"{path}: row {line_no}: non-finite value in {row}")
     table = np.array(values)
     return table[:, :-1], table[:, -1]
 

@@ -414,6 +414,20 @@ def test_unknown_algorithm_rejected():
         run("newton", inst, P, [(JadeConfig(mu=0.1), 1)])
 
 
+def test_run_rejects_a_consensus_matrix_of_the_wrong_size():
+    inst = separable_quadratic_instance(2, 2, seed=1)
+    P = metropolis_hastings(topology_from_spec("complete", 3))
+    with pytest.raises(ConfigurationError, match="^consensus matrix is 3x3 but the instance has 2"):
+        run("zo_jade", inst, P, [(JadeConfig(mu=0.1), 1)])
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 3, 2), (1, 2, 4, 2)])
+def test_initial_state_rejects_iterates_of_the_wrong_shape(shape):
+    P = metropolis_hastings(topology_from_spec("ring", 4))
+    with pytest.raises(ConfigurationError, match=rf"^x0 must be .* n=4, got \({shape[0]},"):
+        initial_state(np.zeros(shape), P)
+
+
 @pytest.mark.parametrize("algorithm, replicas, named", [
     ("gradient_tracking", [(JadeConfig(mu=0.1, budget=40), 1)],
      ["gradient_tracking", "BaselineConfig", "JadeConfig(mu=0.1, budget=40"]),

@@ -3,6 +3,7 @@ over every numeric schema key, and a guard against a second vocabulary."""
 
 import ast
 import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from zojade.errors import (
     BOOL, FILE_NAME, INT, INTS, KINDS, LIST, NONNEG, NUM, OBJECT, PAIR, PATH, POS_INT, POS_NUM,
     PROB, SEEDS, require,
 )
-from zojade.harness import _INSTANCE_SCHEMAS, _TOPOLOGY_SCHEMAS
+from zojade.algorithms import CONFIG_CLASS, JadeConfig
+from zojade.harness import _ALGORITHM_SCHEMAS, _INSTANCE_SCHEMAS, _TOPOLOGY_SCHEMAS
 from zojade.objectives import FAMILIES
 
 nan, inf = math.nan, math.inf
@@ -145,7 +147,7 @@ def _bad_values(kind):
 def _numeric_keys(schemas):
     for tag, (required, optional) in schemas.items():
         for key, kind in {**required, **optional}.items():
-            if kind not in (BOOL, PATH):
+            if kind not in (BOOL, PATH, FILE_NAME):
                 yield tag, key, kind
 
 
@@ -186,6 +188,27 @@ def test_instance_parse_and_build_reject_the_same_values(family, key, value):
     params = {"lam" if k == "lambda" else k: v for k, v in params.items() if k != "path"}
     with pytest.raises(ConfigurationError, match=f"^{'lam' if key == 'lambda' else key} must be"):
         build(**params)
+
+
+@pytest.mark.parametrize("name, key, value", _cases(_ALGORITHM_SCHEMAS))
+def test_algorithm_entry_and_config_class_reject_the_same_values(name, key, value):
+    config = _config({"name": "ring", "n": 3}, {"family": "quartic"})
+    with pytest.raises(ConfigurationError, match=rf"^algorithms\.{key} must be"):
+        ExperimentConfig(config | {"algorithms": [{"name": name, key: value}]})
+    with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+        CONFIG_CLASS[name](**{"mu": 0.05, key: value})
+
+
+def test_every_run_config_field_declares_a_kind():
+    for cls in set(CONFIG_CLASS.values()):
+        assert all(f.metadata.get("kind") in KINDS for f in fields(cls)), cls
+
+    @dataclass
+    class Undeclared(JadeConfig):
+        extra: float = 1.0
+
+    with pytest.raises(KeyError, match="kind"):
+        Undeclared(mu=0.05)
 
 
 # --- inputs that slipped past the old checks ---------------------------------------

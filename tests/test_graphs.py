@@ -167,6 +167,17 @@ def test_corrupted_matrix_flagged():
     assert any("row sums" in p for p in problems)
 
 
+def test_check_weights_names_asymmetry_and_negative_entries():
+    W = metropolis_hastings(topology_from_spec("path", 3))
+    skewed = W.copy()
+    skewed[0, 1] += 1e-3  # row 0 and column 1 now sum to 1.001
+    assert check_weights(skewed) == ["weights are not exactly symmetric",
+                                     "row sums off by 1.000e-03", "column sums off by 1.000e-03"]
+    negative = W + np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    assert negative[0, 1] < 0.0
+    assert check_weights(negative) == [f"negative entry {negative[0, 1]:.3e}"]
+
+
 def test_adjacency_holds_the_edge_set():
     graph = adjacency(4, [(1, 0), (0, 1), (2, 1), (3, 2)])
     expected = np.zeros((4, 4), dtype=bool)

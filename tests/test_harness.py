@@ -3,6 +3,7 @@ import math
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,6 +179,26 @@ def test_gamma_scaling_on_quadratic_sits_at_float_floor():
     assert all(d <= 1e-8 for d in distances)
 
 
+def test_gamma_scaling_excludes_runs_that_stop_short_of_stationarity():
+    # negative control: 20 rounds leave each run's mean iterate far from the estimator zero
+    cfg = JadeConfig(mu=0.2, epsilon=0.5, budget=3 * 20)
+    _, ratios, excluded = gamma_mu_scaling_check(quartic_instance(4), [0.2, 0.1, 0.05], cfg)
+    assert [mu for mu, _ in excluded] == [0.2, 0.1, 0.05]
+    assert all(why.startswith("not stationary: ||grad est|| = ") for _, why in excluded)
+    assert ratios == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_gamma_scaling_excludes_failed_runs():
+    # negative control: initial iterates of order 1e100 make the quartic's probe values overflow
+    cfg = JadeConfig(mu=0.2, epsilon=0.5, budget=3 * 20, x0_scale=1e100)
+    _, ratios, excluded = gamma_mu_scaling_check(quartic_instance(4), [0.2, 0.1, 0.05], cfg)
+    assert [mu for mu, _ in excluded] == [0.2, 0.1, 0.05]
+    assert all(why.startswith("run failed: objective 'quartic' agent 0 returned inf")
+               for _, why in excluded)
+    assert ratios == []
+
+
 def test_solve_estimator_zero_quartic():
     inst = quartic_instance(4)
     mu = 0.2
@@ -235,6 +256,53 @@ def test_lyapunov_trivial_at_gamma_itself():
     # radius 0 puts the sample point on the estimator zero gamma itself
     _, failures = lyapunov_bounds_check(inst, 1, mu=0.1, radius=0.0)
     assert failures == []
+
+
+def _quadratic(A, m, L1):
+    """The quadratic 0.5 x^T A x of one agent, declared with the constants m and L1."""
+    d = len(A)
+    return ProblemInstance(
+        family=QuadraticObjective(np.asarray(A, dtype=float)[None], np.zeros((1, d))),
+        d=d,
+        x_star=np.zeros(d),
+        f_star=0.0,
+        constants=SmoothnessConstants(m, L1, 0.0, 0.0),
+    )
+
+
+def _failed_bounds(failures):
+    return [line.split(" at ")[0] for line in failures]
+
+
+def test_lyapunov_flags_overstated_strong_convexity():
+    # negative control: f = ||x||^2 declared with m = L1 = 3 gives V = 4 dist^2,
+    # below the lower bound m^2 dist^2 = 9 dist^2; the other three bounds hold
+    _, failures = lyapunov_bounds_check(_quadratic(2.0 * np.eye(2), 3.0, 3.0), 5, mu=0.05)
+    assert _failed_bounds(failures) == ["lower bound failed"] * 5
+
+
+def test_lyapunov_flags_a_curvature_estimate_that_is_not_positive():
+    # negative control: the concave f = -||x||^2 / 2 declared with m = L1 = 1
+    # meets the three norm bounds, but its curvature estimate is -1
+    _, failures = lyapunov_bounds_check(_quadratic(-np.eye(2), 1.0, 1.0), 5, mu=0.05)
+    assert _failed_bounds(failures) == ["curvature estimate not positive"] * 5
+
+
+def test_lyapunov_flags_a_curvature_estimate_that_breaks_descent():
+    # negative control: f = x^2 / 2 - cos(2 pi x) / 4 declared with m = L1 = 1.
+    # At mu = 1/2 the cosine drops out of the gradient estimate, which is x, but
+    # adds 4 cos(2 pi x) to the curvature estimate; near 0 that is above 2, so
+    # dV/dx . phi = -2 V / hdiag exceeds alpha V = -V
+    def value_many(X, agents):
+        x = X[..., 0]
+        return 0.5 * x * x - 0.25 * np.cos(2.0 * np.pi * x)
+
+    family = SimpleNamespace(n=1, row_elements=1, value_many=value_many)
+    inst = ProblemInstance(family=family, d=1, x_star=np.zeros(1), f_star=-0.25,
+                           constants=SmoothnessConstants(1.0, 1.0, 0.0, 0.0))
+    alpha, failures = lyapunov_bounds_check(inst, 5, mu=0.5, radius=0.05)
+    assert alpha == -1.0
+    assert _failed_bounds(failures) == ["descent bound failed"] * 5
 
 
 # --- config handling ---------------------------------------------------------------
@@ -625,6 +693,20 @@ def test_cli_seed_override(tmp_path):
     assert sorted(os.listdir(out_dir)) == ["zo_jade_aggregate.csv", "zo_jade_seed7.csv"]
 
 
+def test_cli_rejects_a_seed_list_that_is_not_integers(tmp_path, capsys):
+    path = _write_config(tmp_path, tiny_config(tmp_path))
+    assert cli_main(["run", "--config", path, "--seeds", "1,x"]) == 2
+    assert "bad --seeds value" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_cli_rate_rejects_a_csv_that_is_not_a_trace(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("1,2\n3,4\n", encoding="utf-8")
+    assert cli_main(["rate", "--trace", str(path)]) == 2
+    assert f"{path}: not a trace CSV" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"topology": {"name": "ring", "n": 3}}), encoding="utf-8")
@@ -675,6 +757,21 @@ def test_cli_config_error_exit_code(tmp_path):
         bad.write_text(json.dumps(unreadable), encoding="utf-8")
         assert cli_main(["run", "--config", str(bad)]) == 2, path
         assert cli_main(["verify", "--config", str(bad)]) == 2, path
+
+
+@pytest.mark.parametrize("family, cell", [("ridge_csv", "nan"), ("logistic_csv", "inf")])
+def test_cli_rejects_a_non_finite_data_cell(tmp_path, capsys, family, cell):
+    # such a cell ended a ridge run in a non-finite ground truth and a logistic
+    # run in a LinAlgError traceback, both with exit 1
+    params = _csv_params(tmp_path, family)
+    data = Path(params["path"])
+    rows = data.read_text(encoding="utf-8").splitlines()
+    rows[4] = cell + rows[4][rows[4].index(","):]
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    path = _write_config(tmp_path, tiny_config(tmp_path, instance={"family": family, **params}))
+    assert cli_main(["run", "--config", path]) == 2
+    assert f"{data}: row 5: non-finite value in ['{cell}', " in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_builder_failure_creates_no_output_directory(tmp_path):

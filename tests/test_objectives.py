@@ -24,6 +24,7 @@ from zojade import (
     synthetic_classification,
     topology_from_spec,
 )
+from zojade.objectives import _damped_newton
 
 
 # --- ridge -------------------------------------------------------------------
@@ -430,3 +431,32 @@ def test_load_csv_non_numeric(tmp_path):
     path.write_text("1,2\n3,oops\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="row 2"):
         load_csv(str(path))
+
+
+# --- ground-truth solver ---------------------------------------------------------
+
+
+def test_damped_newton_backtracks_from_an_overshooting_full_step():
+    # f(x) = sqrt(1 + x^2): from x0 = 2 the full Newton step x - x(1 + x^2)
+    # lands at -8, where f is higher, so the line search halves it
+    tried = []
+
+    def value(x):
+        tried.append(float(x[0]))
+        return math.sqrt(1.0 + float(x @ x))
+
+    x = _damped_newton(value, lambda x: x / math.sqrt(1.0 + float(x @ x)),
+                       lambda x: np.eye(1) * (1.0 + float(x @ x)) ** -1.5, np.array([2.0]))
+    assert tried[:4] == [2.0, -8.0, -3.0, -0.5]  # f(x0), then t = 1, 1/2, 1/4
+    assert abs(x[0]) <= 1e-10
+
+
+def test_damped_newton_reports_a_stalled_line_search_and_no_convergence():
+    # every point but x0 = 0 is 1 above it, so none of the 60 halved steps is accepted
+    with pytest.raises(InstanceConstructionError, match="line search stalled"):
+        _damped_newton(lambda x: float(x[0] != 0.0), lambda x: np.ones(1), lambda x: np.eye(1),
+                       np.array([0.0]))
+    # a linear cost descends by one at every step and never reaches a zero gradient
+    with pytest.raises(InstanceConstructionError, match="in 500 iterations"):
+        _damped_newton(lambda x: float(x[0]), lambda x: np.ones(1), lambda x: np.eye(1),
+                       np.array([0.0]))
