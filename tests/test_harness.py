@@ -305,6 +305,21 @@ def test_lyapunov_flags_a_curvature_estimate_that_breaks_descent():
     assert _failed_bounds(failures) == ["descent bound failed"] * 5
 
 
+def test_lyapunov_descent_bound_does_not_cover_a_coupled_convex_quadratic():
+    # outside the descent bound's scope, with exact constants: the symmetric
+    # part of A D^-1 has eigenvalue 1 - 1.469 < m / (2 L1), so the Jacobi
+    # direction -D^-1 g raises V near the eigenvector; the norm bounds hold
+    A = np.array([[17.5, 3.3], [3.3, 1.2]])
+    m, L1 = np.linalg.eigvalsh(A)
+    M = A / np.diag(A)
+    smallest = 1.0 - 3.3 * (1.0 / 1.2 + 1.0 / 17.5) / 2.0
+    assert np.linalg.eigvalsh((M + M.T) / 2.0)[0] == pytest.approx(smallest)
+    assert smallest < m / (2.0 * L1)
+    alpha, failures = lyapunov_bounds_check(_quadratic(A, m, L1), 400, mu=0.05)
+    assert alpha == -m / L1 == pytest.approx(-0.0307, abs=1e-4)
+    assert _failed_bounds(failures) == ["descent bound failed"] * 5
+
+
 # --- config handling ---------------------------------------------------------------
 
 

@@ -1,5 +1,12 @@
+import hashlib
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,8 +99,10 @@ def test_outputs_match_the_reference_implementation(seed):
 
 
 def test_jump_columns_equal_k_scalar_steps():
-    # each column from its unit state, and whole jumps from seeded states
+    # each column from its unit state, and whole jumps through the table from
+    # seeded states
     columns = rng._jump_columns()
+    assert [rng._jump(1 << b) for b in range(256)] == list(columns)
     states = [[1 << b % 64 if i == b // 64 else 0 for i in range(4)] for b in range(256)]
     states += [splitmix64_stream(seed, 4) for seed in (1, -5, 2**64 + 3)]
     for state in states:
@@ -101,7 +110,7 @@ def test_jump_columns_equal_k_scalar_steps():
         gen._s = list(state)
         for _ in range(rng._K):
             gen.next_u64()
-        assert rng._jump(rng._pack(state), columns) == rng._pack(gen._s)
+        assert rng._jump(rng._pack(state)) == rng._pack(gen._s)
 
 
 _CUTOFF, _K = rng._LANE_CUTOFF, rng._K
@@ -142,6 +151,63 @@ def test_array_draws_equal_the_scalar_stream(seed, draws):
         expected = np.array([scalar() for _ in range(math.prod(shape))]).reshape(shape)
         assert out.shape == shape and out.tobytes() == expected.tobytes()
     assert gen.next_u64() == ref.next_u64()
+
+
+def test_a_draw_of_200_lanes_equals_the_scalar_stream():
+    # lane starts 199 table jumps deep, then a tail of 37 scalar steps
+    gen, ref = Xoshiro256(11), Xoshiro256(11)
+    out = gen.uniforms(200 * _K + 37)
+    assert out.tobytes() == np.array([ref.uniform() for _ in range(out.size)]).tobytes()
+    assert gen.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("numpy_cos", [True, False])
+def test_both_cosine_paths_equal_the_scalar_normals(monkeypatch, numpy_cos):
+    if numpy_cos and not rng._numpy_cos_is_libm():
+        pytest.skip("numpy's float64 cosine is not libm's on this host")
+    monkeypatch.setattr(rng, "_numpy_cos_is_libm", lambda: numpy_cos)
+    gen, ref = Xoshiro256(6), Xoshiro256(6)
+    out = gen.normals(_CUTOFF + 3)  # 32 lanes and a tail
+    assert out.tobytes() == np.array([ref.normal() for _ in range(out.size)]).tobytes()
+
+
+def test_the_libm_probe_sees_a_kernel_that_differs_in_the_last_bit():
+    # positive control: a cosine one ulp off on every argument whose low ten
+    # bits are zero (5 of the 4,096 probe arguments) fails the probe
+    def cos_off(x):
+        c = np.cos(x)
+        return np.where(x.view(np.uint64) % 1024 == 0, np.nextafter(c, 2.0), c)
+
+    assert not rng._agrees_with_libm(cos_off, math.cos, 2.0 * math.pi)
+
+
+def test_the_libm_probe_sees_numpys_simd_log():
+    # positive control: numpy's AVX-512 log differs from libm on about 0.4% of
+    # uniforms; under a dispatch whose log is libm's there is nothing to see
+    u = Xoshiro256(12).uniforms(2**16)
+    if np.log(u).tobytes() == rng._libm(math.log, u).tobytes():
+        pytest.skip("numpy's float64 log is libm's on this host")
+    assert not rng._agrees_with_libm(np.log, math.log)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="numpy's X86_V3 and X86_V4 targets exist on x86-64 only")
+def test_a_draw_under_numpys_x86_v3_dispatch_equals_the_in_process_draw():
+    # numpy's AVX2 kernels in place of its AVX-512 ones: the normals keep their
+    # bytes whichever cosine path the probe picks there
+    script = (
+        "import hashlib, json; from zojade import Xoshiro256, rng; "
+        "out = Xoshiro256(5).normals(40, 25, 9); "
+        "print(json.dumps([hashlib.sha256(out.tobytes()).hexdigest(), rng._numpy_cos_is_libm()]))"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=str(Path(rng.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    digest, numpy_cos = json.loads(done.stdout)
+    print(f"X86_V3 dispatch: the cosine is {'numpy' if numpy_cos else 'libm'}'s")
+    # 9,000 normals: 35 lanes and a tail of 40
+    assert digest == hashlib.sha256(Xoshiro256(5).normals(40, 25, 9).tobytes()).hexdigest()
 
 
 def test_lane_box_muller_replaces_a_zero_u1_like_the_scalar_one():
