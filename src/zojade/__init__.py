@@ -78,7 +78,6 @@ from .oracle import (
     descent_coefficient,
     estimate_both,
     estimate_gradient,
-    estimate_hessian_diag,
     gradient_error_bound,
     gradient_lipschitz_bound,
     hessian_error_bound,

@@ -160,11 +160,6 @@ class JadeConfig(RunConfig):
     epsilon: float = _param(PROB, 0.05)
     z_floor: float = _param(POS_NUM, 1e-8)
 
-    @property
-    def consensus_weight(self) -> float:
-        """1 - epsilon, the weight of the averaged iterates in the update."""
-        return 1.0 - self.epsilon
-
 
 @dataclass
 class BaselineConfig(RunConfig):
@@ -188,7 +183,7 @@ def jade_step(
     if np.count_nonzero(clamped):
         clamps = clamps + np.count_nonzero(clamped, axis=(-2, -1))
     z_safe = np.maximum(z_new, cfg.z_floor)
-    x_new = cfg.consensus_weight * (P @ state.x) + cfg.epsilon * (y_new / z_safe)
+    x_new = (1.0 - cfg.epsilon) * (P @ state.x) + cfg.epsilon * (y_new / z_safe)
     return state.next(x=x_new, g=g_new, h=hdiags, y=y_new, z=z_new, clamps=clamps)
 
 
@@ -253,8 +248,6 @@ def _replica_params(cfgs: list) -> SimpleNamespace:
         values = tuple(getattr(c, name) for c in cfgs)
         params[name] = values[0] if len(set(values)) == 1 else (
             values if name == "mu" else np.reshape(values, (-1, 1, 1)))
-    if "epsilon" in params:
-        params["consensus_weight"] = 1.0 - params["epsilon"]
     return SimpleNamespace(**params)
 
 

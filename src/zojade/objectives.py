@@ -16,8 +16,8 @@ Each family stacks its agents' parameters along a leading agent axis.
 `value_many(X, agents)` returns the values (..., m, k) of the m agents in
 the slice `agents`, each at its own points X:(..., m, k, d), or all at
 shared points when that axis has length 1; each (k, d) slab of a leading
-replica axis goes through the arithmetic of a separate call.  One evaluated
-row takes at most `row_elements` elements in any temporary.
+replica axis goes through the arithmetic of a separate call.  A call holds
+`row_elements` elements at once per evaluated row, every temporary together.
 `gradient(x, agents)` and `hessian(x, agents)` give those agents'
 derivatives at one point x, for the experimenter's ground truth.
 
@@ -119,10 +119,10 @@ class LogisticObjective:
         self.w = float(w)
         self.counts = counts
         self.n = n
-        self.row_elements = max(d, rows)
+        self.row_elements = max(d, 2 * rows)  # the margins and their losses
         self._divisor = np.maximum(counts, 1).astype(float)[:, None]
         padded = np.arange(rows) >= counts[:, None]
-        self._keep = (~padded).astype(float)[..., None] if padded.any() else None
+        self._padded = padded[..., None] if padded.any() else None
 
     def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -136,8 +136,8 @@ class LogisticObjective:
         np.exp(loss, out=loss)
         np.log1p(loss, out=loss)
         loss -= np.minimum(z, 0.0, out=z)
-        if self._keep is not None:
-            loss *= self._keep[agents]
+        if self._padded is not None:  # a broadcast multiply would buffer up to 52 KB
+            np.copyto(loss, 0.0, where=self._padded[agents])
         return loss.sum(axis=-2) / self._divisor[agents] + ridge
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
@@ -166,7 +166,7 @@ class QuarticObjective:
         self.q = float(q)
         self.a = float(a)
         self.b = b
-        self.n, self.row_elements = b.shape
+        self.n, self.row_elements = b.shape[0], 4 * b.shape[1]  # X2 and three terms at once
 
     def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -195,9 +195,9 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 @dataclass
 class ProblemInstance:
     """A shared optimization problem: the agents' costs as one stacked family
-    (a QuadraticObjective, LogisticObjective or QuarticObjective, or any
-    object with the same `n`, `row_elements` and `value_many`) plus the
-    centralized ground truth (x*, f*, constants) only the experimenter sees."""
+    (a QuadraticObjective, LogisticObjective or QuarticObjective, or any object
+    with the same `n`, `value_many` and `row_elements`, what a call holds per
+    row) plus the centralized ground truth (x*, f*, constants) only the experimenter sees."""
 
     family: object
     d: int
@@ -222,8 +222,8 @@ class ProblemInstance:
             name=self.name,
         )
 
-    # Averaged-cost diagnostics; none of these touch the query counters.
-    # Agents are evaluated in the oracle's blocks, so temporaries stay bounded.
+    # Averaged-cost diagnostics; none touch the query counters.  The agents go
+    # in the oracle's blocks and add up in order, so no block boundary moves a sum.
     def global_value_many(self, X: np.ndarray) -> np.ndarray:
         """Averaged cost (..., k) at the points X:(..., k, d)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))[..., None, :, :]  # shared by the agents
@@ -244,10 +244,10 @@ class ProblemInstance:
         return self._agent_sum(self.family.hessian, x) / self.n
 
     def _agent_sum(self, method, x: np.ndarray) -> np.ndarray:
-        """Sum over the agents of method(x, block), one agent block at a time."""
+        """Sum over the agents, in order, of method(x, block), one agent block at a time."""
         x = np.asarray(x, dtype=float)
         blocks = agent_blocks(self.n, self.d * self.family.row_elements)
-        return sum(method(x, block).sum(axis=0) for block in blocks)
+        return sum(term for block in blocks for term in method(x, block))
 
     def global_black_box(self) -> BlackBoxObjective:
         """Fresh one-agent query counter around the averaged cost (diagnostics only)."""

@@ -46,9 +46,12 @@ class SmoothnessConstants:
             raise ValueError(f"smoothness constants {missing} are not available")
 
 
-#: Elements that one block of probe points, or the temporaries a cost takes
-#: to evaluate it, may hold; agents are probed and evaluated in blocks of
-#: consecutive agents under this budget (one agent at least).
+#: Elements that one block of probe points, or everything a cost holds at once
+#: to evaluate it, may take; agents are probed and evaluated in blocks of
+#: consecutive agents under this budget (one agent at least).  So a cost that
+#: holds two arrays per row, as the logistic margins and their losses, keeps
+#: each within 2^14 elements, the 128 KiB of glibc's default mmap threshold;
+#: two arrays above it made malloc trim and refault its heap top every call.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -63,9 +66,9 @@ class BlackBoxObjective:
     """Query counter around the batch cost function of n agents.
 
     `batch_fn(X, block)` returns the values (..., m, k) of the m agents in
-    the slice `block`, each at its own points X:(..., m, k, d), and one
-    evaluated row takes `row_elements` elements of temporaries.  A single
-    cost is the one-agent case, `agents` = 1.  Every evaluation goes through
+    the slice `block`, each at its own points X:(..., m, k, d), holding
+    `row_elements` elements at once per evaluated row.  A single cost is the
+    one-agent case, `agents` = 1.  Every evaluation goes through
     :meth:`evaluate_probes`, which counts one query per point in
     `agent_queries`; the ground truth behind the function belongs to the
     experimenter and is never reachable from here.
@@ -103,16 +106,15 @@ class BlackBoxObjective:
         replicas it goes to `failures` instead and zeroes the replica's values,
         so that the rest of its discarded round stays finite."""
         x = np.asarray(x, dtype=float)
-        counts = self.agent_queries[self.live]
-        n, k = counts.shape[-1], offsets.shape[-2]
-        if x.shape != counts.shape + (self.dim,):
+        shape = self.agent_queries[self.live].shape
+        n, k = shape[-1], offsets.shape[-2]
+        if x.shape != shape + (self.dim,):
             raise ValueError(f"objective '{self.name}' takes points of shape "
-                             f"{counts.shape + (self.dim,)}, got shape {x.shape}")
-        values = np.empty(counts.shape + (k,))
-        for block in agent_blocks(n, counts.size // n * k * self._row_elements):
-            counts[..., block] += k
+                             f"{shape + (self.dim,)}, got shape {x.shape}")
+        values = np.empty(shape + (k,))
+        for block in agent_blocks(n, values.size // n * self._row_elements):
             values[..., block, :] = self._batch_fn(x[..., block, None, :] + offsets, block)
-        self.agent_queries[self.live] = counts
+        self.agent_queries[self.live] += k
         if np.isfinite(values).all():
             return values
         rows = np.broadcast_to(offsets, values.shape[:-2] + (1,) + offsets.shape[-2:])

@@ -168,7 +168,7 @@ def test_value_many_with_a_replica_axis_equals_separate_calls(
 )
 @example(replicas=5, n=20, d=1, k=21)
 def test_agent_blocks_count_replica_rows_against_the_budget(replicas, n, d, k):
-    rows_elements = 25  # a logistic family's temporaries per evaluated row
+    rows_elements = 25  # what a family holds per evaluated row
     calls = []
 
     def batch_fn(X, block):
@@ -188,6 +188,77 @@ def test_agent_blocks_count_replica_rows_against_the_budget(replicas, n, d, k):
         lo = block.stop
     assert lo == n
     assert objective.agent_queries.tolist() == [[k] * n] * replicas
+
+
+# The workloads' shapes, (family, replicas R, agents n, d, logistic rows N,
+# probes per agent k): paper_n20's ridge and logistic runs, scale_n200's
+# logistic run, verify_desk's quartic gamma ladder, and at the paper's shape
+# a quartic and a logistic family padded as unequal shards pad it.
+WORKLOAD_SHAPES = [
+    ("quadratic", 5, 20, 10, 0, 21),
+    ("logistic", 5, 20, 10, 25, 21),
+    ("logistic", 1, 200, 50, 25, 101),
+    ("quartic", 3, 4, 1, 0, 3),
+    ("quartic", 5, 20, 10, 0, 21),
+    ("padded logistic", 5, 20, 10, 25, 21),
+]
+
+
+def _workload_family(kind, n, d, N, rng):
+    if kind == "quadratic":
+        return QuadraticObjective(np.tile(np.eye(d), (n, 1, 1)), rng.normal(size=(n, d)))
+    if kind == "logistic":
+        return LogisticObjective(rng.normal(size=(n, N, d)), w=0.1)
+    if kind == "padded logistic":
+        counts = np.arange(n) % 2 + N - 1
+        return LogisticObjective(rng.normal(size=(n, N, d)), w=0.1, counts=counts)
+    return QuarticObjective(1.0, 1.0, rng.normal(size=(n, d)))
+
+
+@pytest.mark.parametrize("kind, R, n, d, N, k", WORKLOAD_SHAPES)
+def test_row_elements_cover_what_value_many_holds(kind, R, n, d, N, k):
+    # the oracle sizes its blocks by the declared width, so the width must
+    # cover every element one value_many call holds at once, measured here
+    # on the largest block the oracle hands the family.  Allowance: five
+    # (..., k) vectors per row (a logistic call holds four: its ridge term,
+    # its sum over the samples, the mean and the result) and 2 KiB for the
+    # array headers of a call, which only tiny blocks notice
+    family = _workload_family(kind, n, d, N, np.random.default_rng(3))
+    block = oracle.agent_blocks(n, R * k * max(d, family.row_elements))[0]
+    rows = R * (block.stop - block.start) * k
+    X = np.random.default_rng(4).normal(size=(R, block.stop - block.start, k, d))
+    family.value_many(X, block)  # numpy's first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        family.value_many(X, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowed = 8 * rows * (family.row_elements + 5) + 2048
+    assert peak <= allowed, (
+        f"{kind} holds {peak / (8 * rows):.1f} elements per row, declares {family.row_elements}")
+
+
+@pytest.mark.parametrize("R, n, d, N, k, width, calls", [
+    (1, 200, 50, 25, 101, 6, 34),  # scale_n200
+    (5, 20, 10, 25, 21, 6, 4),  # paper_n20's logistic runs
+])
+def test_logistic_blocks_keep_each_margin_array_at_128_kib(R, n, d, N, k, width, calls):
+    # a block's margins and their losses are live together; each stays at
+    # or below glibc's 128 KiB mmap threshold, above which malloc trimmed and
+    # refaulted the top of its heap at every call
+    family = LogisticObjective(np.random.default_rng(6).normal(size=(n, N, d)), w=0.1)
+    blocks = []
+
+    def value_many(X, agents):
+        blocks.append(agents.stop - agents.start)
+        return family.value_many(X, agents)
+
+    objective = BlackBoxObjective(value_many, d, agents=n, replicas=R,
+                                  row_elements=family.row_elements)
+    oracle.estimate_both(objective, np.zeros((R, n, d)), 1e-3)
+    assert len(blocks) == calls and max(blocks) == width
+    assert max(blocks) * R * N * k * 8 <= 128 * 2**10
 
 
 def _suite(family, n, d, seed):

@@ -1,12 +1,15 @@
 import math
 import re
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from zojade import (
     ConfigurationError,
+    ExperimentConfig,
     InstanceConstructionError,
     LogisticObjective,
     QuarticObjective,
@@ -24,7 +27,10 @@ from zojade import (
     synthetic_classification,
     topology_from_spec,
 )
+from zojade import harness, oracle
 from zojade.objectives import _damped_newton
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # --- ridge -------------------------------------------------------------------
@@ -357,6 +363,20 @@ def test_reported_constants():
     logi = synthetic_classification(3, 8, 2, seed=8, w=0.25)
     assert logi.constants.m == 0.25
     assert logi.constants.L1 >= 0.25 and logi.constants.L3 > 0.0
+
+
+@pytest.mark.parametrize("path", [
+    "configs/quickstart.json", "configs/logistic.json", "bench/scale_n200.json"])
+def test_ground_truth_does_not_depend_on_the_block_budget(path):
+    # the centralized solve adds the agents in order whatever the blocks, so
+    # x* and f* are the same bits under every budget
+    cfg = ExperimentConfig.from_file(str(ROOT / path))
+    truths = set()
+    for budget in (2**11, 2**13, 2**15, 2**17, 2**20):
+        with mock.patch.object(oracle, "_BLOCK_ELEMENTS", budget):
+            inst = harness.build_instance(cfg)
+        truths.add((inst.x_star.tobytes(), inst.f_star))
+    assert len(truths) == 1
 
 
 def test_fresh_objectives_reset_counters():

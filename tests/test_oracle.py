@@ -11,7 +11,6 @@ from zojade import (
     descent_coefficient,
     estimate_both,
     estimate_gradient,
-    estimate_hessian_diag,
     gradient_error_bound,
     gradient_lipschitz_bound,
     hessian_error_bound,
@@ -19,6 +18,7 @@ from zojade import (
     synthetic_classification,
 )
 from zojade.harness import VerifyReport, check_quadratic_exactness, random_dominant_quadratic
+from zojade.oracle import estimate_hessian_diag
 
 
 # One-agent black boxes: a batch function maps points X:(1, k, d) to values (1, k).
