@@ -45,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, require
-from .metrics import RunTrace, TraceRow, ef_mode, loss_metric
+from .metrics import RunTrace, TraceRow, ef_mode, loss_metric, squares
 from .objectives import ProblemInstance
 from .oracle import BlackBoxObjective, estimate_both, estimate_gradient
 from .rng import Xoshiro256
@@ -81,30 +81,37 @@ class NetworkState:
         return NetworkState(self.x[rows], self.g[rows], self.h[rows], self.y[rows], self.z[rows],
                             self.P, self.iteration, self.clamps[rows])
 
-    def consensus_error(self) -> float:
-        """Norm of the agents' displacement from their mean iterate ((n, d) state),
-        scaled by the largest |deviation| where the squares would overflow."""
-        dev = self.x - self.x.mean(axis=0)
-        largest = float(np.abs(dev).max())
-        if largest < np.inf and largest * largest * dev.size > np.finfo(float).max:
-            return largest * float(np.linalg.norm(dev / largest))
-        return float(np.linalg.norm(dev))
+    def consensus_error(self):
+        """Norm of the agents' displacement from their mean iterate, one per
+        replica of a stack (a float for one (n, d) state), each scaled by its
+        largest |deviation| where its squares would overflow."""
+        dev = self.x - self.x.mean(axis=-2, keepdims=True)
+        dev = dev.reshape(dev.shape[:-2] + (-1,))
+        largest = np.abs(dev).max(axis=-1)
+        with np.errstate(over="ignore"):
+            big = (largest < np.inf) & (largest * largest * dev.shape[-1] > np.finfo(float).max)
+        scale = np.where(big, largest, 1.0)
+        return _per_replica(scale * np.sqrt(squares(dev / scale[..., None])))
 
     def tracking_residuals(self) -> tuple:
-        """Relative conservation residuals of (y vs g) and (z vs h) node sums
-        ((n, d) state)."""
+        """Relative conservation residuals of (y vs g) and (z vs h) node sums,
+        one per replica of a stack (a float for one (n, d) state)."""
         return (
-            _relative_residual(self.y.sum(axis=0), self.g.sum(axis=0)),
-            _relative_residual(self.z.sum(axis=0), self.h.sum(axis=0)),
+            _relative_residual(self.y.sum(axis=-2), self.g.sum(axis=-2)),
+            _relative_residual(self.z.sum(axis=-2), self.h.sum(axis=-2)),
         )
 
 
-def _relative_residual(tracked_sum: np.ndarray, signal_sum: np.ndarray) -> float:
-    num = float(np.max(np.abs(tracked_sum - signal_sum)))
-    if num == 0.0:
-        return 0.0
-    den = float(np.max(np.abs(signal_sum)))
-    return num / max(den, 1e-300)
+def _relative_residual(tracked_sum: np.ndarray, signal_sum: np.ndarray):
+    num = np.abs(tracked_sum - signal_sum).max(axis=-1)
+    den = np.maximum(np.abs(signal_sum).max(axis=-1), 1e-300)
+    with np.errstate(over="ignore"):
+        return _per_replica(np.where(num == 0.0, 0.0, num / den))
+
+
+def _per_replica(values: np.ndarray):
+    """An (R,) array as it is; the 0-d value of one (n, d) state as a float."""
+    return values if values.ndim else float(values)
 
 
 def initial_state(x0: np.ndarray, P: np.ndarray) -> NetworkState:
@@ -283,13 +290,17 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
 
     def record(batch: NetworkState, ids: list) -> None:
         """Append the row of `batch` to the traces `ids` of its replicas."""
-        for r, (t, e_f) in enumerate(zip(ids, loss_metric(instance, batch.x))):
-            one = batch.take(r)
-            ry, rz = one.tracking_residuals()
-            traces[t].rows.append(TraceRow(
-                iteration=one.iteration, queries_per_agent=one.iteration * per_step,
-                e_f=float(e_f), consensus_error=one.consensus_error(),
-                tracking_residual_y=ry, tracking_residual_z=rz, clamp_count=int(one.clamps)))
+        columns = (loss_metric(instance, batch.x), batch.consensus_error(),
+                   *batch.tracking_residuals(), batch.clamps)
+        for t, *values in zip(ids, *(c.tolist() for c in columns)):
+            traces[t].rows.append(TraceRow(batch.iteration, batch.iteration * per_step, *values))
+
+    def finish(batch: NetworkState, ids: list) -> None:
+        """Record `batch` unless its step is recorded, and keep each replica's iterates."""
+        if traces[ids[0]].rows[-1].iteration != batch.iteration:
+            record(batch, ids)
+        for t, x in zip(ids, batch.x):
+            traces[t].final_x = x.copy()
 
     record(state, live)
     while live and (state.iteration + 1) * per_step <= budget:
@@ -304,13 +315,10 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
                                    f"coordinate {k} became {x[i, k]!r}")
         if failures:  # freeze the failed replicas where their separate runs stop
             failed = sorted(failures)
-            frozen = state.take(failed)
             ids = [live[r] for r in failed]
-            if traces[ids[0]].rows[-1].iteration != frozen.iteration:
-                record(frozen, ids)
-            for j, (r, t) in enumerate(zip(failed, ids)):
+            finish(state.take(failed), ids)
+            for r, t in zip(failed, ids):
                 traces[t].failed, traces[t].diagnostic = True, failures[r]
-                traces[t].final_x = frozen.x[j].copy()
             keep = [r for r in range(len(live)) if r not in failures]
             new = new.take(keep)
             live = [live[r] for r in keep]
@@ -321,8 +329,6 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
         state = new
         if state.iteration % record_every == 0:
             record(state, live)
-    if live and traces[live[0]].rows[-1].iteration != state.iteration:
-        record(state, live)
-    for r, t in enumerate(live):
-        traces[t].final_x = state.x[r].copy()
+    if live:
+        finish(state, live)
     return traces

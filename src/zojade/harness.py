@@ -59,6 +59,7 @@ from .errors import (
 from .graphs import TOPOLOGIES, check_weights, metropolis_hastings, spectral_gap, topology_from_spec
 from .metrics import (
     TRACE_COLUMNS, AggregateCurve, RunTrace, aggregate_traces, fit_exponential_rate, loss_metric,
+    squares,
 )
 from .objectives import (
     FAMILIES, ProblemInstance, QuadraticObjective, quartic_instance, ridge_synthetic,
@@ -433,7 +434,9 @@ def lyapunov_bounds_check(
     dV/dx is itself only available through function queries, so it is
     approximated by central differences of V with inner step mu/100 and
     all tolerances are inflated by a Richardson estimate of the
-    differencing error.  Steps above the admissible mu are rejected.
+    differencing error.  All samples go in one oracle call for the
+    estimates, and in one for each side of V's differences at each inner
+    step.  Steps above the admissible mu are rejected.
 
     The descent bound covers Hessians H whose H D^-1, D the diagonal of H,
     has a symmetric part with smallest eigenvalue at least m / (2 L1).  On a
@@ -460,53 +463,33 @@ def lyapunov_bounds_check(
     alpha = descent_coefficient(mu, m, L1, L3, d)
 
     samples = gamma + radius * Xoshiro256(2024).normals(points, d)
-    gb = instance.global_black_box()
+    grad, hdiag = estimate_both(instance.global_black_box(points), samples, mu)
+    v = squares(grad)
+    dist2 = np.sum((samples - gamma) ** 2, axis=-1)
+    dist = np.sqrt(dist2)
+    slack = 1e-9 * (1.0 + v + K * K * dist2)
 
-    def V(x: np.ndarray) -> float:
-        grad = estimate_gradient(gb, x[None], mu)[0]
-        return float(grad @ grad)
+    def dV(h: float) -> np.ndarray:
+        """(V(x + h e_k) - V(x - h e_k)) / (2 h) at every sample x and coordinate k."""
+        box = instance.global_black_box(points * d)
+        sides = (samples[:, None, :] + h * np.eye(d), samples[:, None, :] - h * np.eye(d))
+        plus, minus = (squares(estimate_gradient(box, S.reshape(-1, d), mu)) for S in sides)
+        return (plus - minus).reshape(points, d) / (2.0 * h)
 
-    def fd_grad_of_V(x: np.ndarray, h: float) -> np.ndarray:
-        out = np.empty(d)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            out[k] = (V(x + e) - V(x - e)) / (2.0 * h)
-        return out
-
-    failures = []
     mu_in = mu / 100.0
-    for x in samples:
-        (grad,), (hdiag,) = estimate_both(gb, x[None], mu)
-        v = float(grad @ grad)
-        dist2 = float(np.sum((x - gamma) ** 2))
-        dist = math.sqrt(dist2)
-
-        slack = 1e-9 * (1.0 + v + K * K * dist2)
-        if v > K * K * dist2 + slack:
-            failures.append(f"upper bound failed at {x.tolist()}")
-        if v < lower_coef * dist2 - slack:
-            failures.append(f"lower bound failed at {x.tolist()}")
-
-        coarse = fd_grad_of_V(x, mu_in)
-        fine = fd_grad_of_V(x, mu_in / 2.0)
-        fd_error = 4.0 / 3.0 * float(np.linalg.norm(coarse - fine)) + 1e-10 * (
-            1.0 + float(np.linalg.norm(fine))
-        )
-        dv = fine
-        dv_norm = float(np.linalg.norm(dv))
-        if dv_norm > dv_coef * dist + fd_error + 1e-9 * (1.0 + dv_coef * dist):
-            failures.append(f"derivative-norm bound failed at {x.tolist()}")
-
-        if np.any(hdiag <= 0.0):
-            failures.append(f"curvature estimate not positive at {x.tolist()}")
-            continue
-        phi = -grad / hdiag
-        q = float(dv @ phi)
-        q_slack = fd_error * float(np.linalg.norm(phi)) + 1e-9 * (1.0 + abs(alpha) * v)
-        if q > alpha * v + q_slack:
-            failures.append(f"descent bound failed at {x.tolist()}")
-    return alpha, failures
+    coarse, fine = dV(mu_in), dV(mu_in / 2.0)
+    dv_norm = np.sqrt(squares(fine))
+    fd_error = 4.0 / 3.0 * np.sqrt(squares(coarse - fine)) + 1e-10 * (1.0 + dv_norm)
+    steep = dv_norm > dv_coef * dist + fd_error + 1e-9 * (1.0 + dv_coef * dist)
+    positive = np.all(hdiag > 0.0, axis=-1)
+    phi = -grad / np.where(positive[:, None], hdiag, 1.0)
+    q_slack = fd_error * np.sqrt(squares(phi)) + 1e-9 * (1.0 + abs(alpha) * v)
+    ascent = (fine[:, None, :] @ phi[:, :, None])[:, 0, 0] > alpha * v + q_slack
+    failed = np.column_stack([v > K * K * dist2 + slack, v < lower_coef * dist2 - slack,
+                              steep, ~positive, positive & ascent])
+    names = ("upper bound failed", "lower bound failed", "derivative-norm bound failed",
+             "curvature estimate not positive", "descent bound failed")
+    return alpha, [f"{names[j]} at {samples[i].tolist()}" for i, j in np.argwhere(failed)]
 
 
 # ---------------------------------------------------------------------------

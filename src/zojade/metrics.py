@@ -34,6 +34,12 @@ def loss_metric(instance: ProblemInstance, x_list: np.ndarray):
     return gap if gap.ndim else float(gap)
 
 
+def squares(f: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis of f, one BLAS dot per row, the
+    dot that np.linalg.norm takes of a single vector."""
+    return (f[..., None, :] @ f[..., :, None])[..., 0, 0]
+
+
 @dataclass
 class TraceRow:
     iteration: int

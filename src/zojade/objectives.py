@@ -249,11 +249,11 @@ class ProblemInstance:
         blocks = agent_blocks(self.n, self.d * self.family.row_elements)
         return sum(term for block in blocks for term in method(x, block))
 
-    def global_black_box(self) -> BlackBoxObjective:
-        """Fresh one-agent query counter around the averaged cost (diagnostics only)."""
-        return BlackBoxObjective(
-            lambda X, block: self.global_value_many(X[0])[None], self.d, name=self.name + ":global"
-        )
+    def global_black_box(self, points: int = 1) -> BlackBoxObjective:
+        """Fresh query counter around the averaged cost at `points` points, each
+        probed as one agent (diagnostics only)."""
+        return BlackBoxObjective(lambda X, block: self.global_value_many(X), self.d,
+                                 agents=points, name=self.name + ":global")
 
 
 def _instance(

@@ -166,12 +166,13 @@ def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu) -> np.ndarray:
 
 
 def estimate_hessian_diag(
-    f: BlackBoxObjective, x: np.ndarray, mu: float, center: np.ndarray
+    f: BlackBoxObjective, x: np.ndarray, mu, center: np.ndarray
 ) -> np.ndarray:
-    """Hessian-diagonal estimates (..., n, d) at x:(..., n, d) around the known
-    center values f_i(x[i]), one per agent; 2d queries per agent."""
+    """Hessian-diagonal estimates (..., n, d) at x:(n, d), or (R, n, d) with a step
+    mu or a tuple of each replica's, around the known center values f_i(x[i]),
+    one per agent; 2d queries per agent."""
     _, squared, offsets = _probes(f.dim, mu)
-    values = f.evaluate_probes(x, offsets[:-1])
+    values = f.evaluate_probes(x, offsets[..., :-1, :])
     center = np.asarray(center, dtype=float)[..., None]
     return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / squared
 

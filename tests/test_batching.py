@@ -22,6 +22,7 @@ from zojade import (
     QuadraticObjective,
     QuarticObjective,
     SmoothnessConstants,
+    draw_initial_iterates,
     initial_state,
     jade_step,
     loss_metric,
@@ -385,6 +386,74 @@ def test_consensus_error_of_iterates_whose_squares_overflow_is_finite():
     deviation = (trace.final_x - trace.final_x.mean(axis=0)) / 1e158
     assert trace.rows[-1].consensus_error == pytest.approx(
         1e158 * np.sqrt(np.sum(deviation * deviation)), rel=1e-14)
+
+
+def _reference_row_metrics(x, g, h, y, z):
+    """Consensus error and both tracking residuals of one replica's (n, d)
+    state, in the per-replica formulas the trace rows were first measured with."""
+    dev = x - x.mean(axis=0)
+    largest = float(np.abs(dev).max())
+    if largest < np.inf and largest * largest * dev.size > np.finfo(float).max:
+        consensus = largest * float(np.linalg.norm(dev / largest))
+    else:
+        consensus = float(np.linalg.norm(dev))
+
+    def residual(tracked_sum, signal_sum):
+        num = float(np.max(np.abs(tracked_sum - signal_sum)))
+        if num == 0.0:
+            return 0.0
+        return num / max(float(np.max(np.abs(signal_sum))), 1e-300)
+
+    return consensus, residual(y.sum(axis=0), g.sum(axis=0)), residual(z.sum(axis=0), h.sum(axis=0))
+
+
+def _assert_rows_are_the_reference(state):
+    """The stack's metrics, one per replica, are bitwise the reference's; one
+    replica's (n, d) state gives the same values as floats."""
+    stacked = np.column_stack([state.consensus_error(), *state.tracking_residuals()])
+    for r in range(len(state.x)):
+        want = _reference_row_metrics(state.x[r], state.g[r], state.h[r], state.y[r], state.z[r])
+        assert stacked[r].tobytes() == np.array(want).tobytes()
+        one = state.take(r)
+        got = [one.consensus_error(), *one.tracking_residuals()]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == stacked[r].tobytes()
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic", "quartic"])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_stacked_row_metrics_are_the_per_replica_formulas(algorithm, family):
+    # four seeds stepped as one stack, checked at every step, then the stack
+    # of three that a freeze of replica 1 leaves; the baselines track no z or h
+    inst = _suite(family, 5, 3, seed=2)
+    P = metropolis_hastings(topology_from_spec("ring", 5))
+    if algorithm == "zo_jade":
+        cfg = JadeConfig(mu=0.05, epsilon=0.3)
+    else:
+        cfg = BaselineConfig(mu=0.05, eta=0.5 / inst.constants.L1)
+    state = initial_state(np.stack([draw_initial_iterates(s, 5, inst.d, 1.0) for s in range(4)]), P)
+    box = inst.black_boxes(4)
+    for _ in range(25):
+        _assert_rows_are_the_reference(state)
+        state = ALGORITHMS[algorithm][0](state, box, cfg)
+    _assert_rows_are_the_reference(state.take([0, 2, 3]))
+    assert (state.tracking_residuals()[1] == 0.0).all() == (algorithm != "zo_jade")
+
+
+def test_stacked_consensus_error_rescales_each_overflowing_replica():
+    # seed 11's iterates reach 2.6e158 at step 3, where the sum of their squared
+    # deviations overflows; seed 2's stay small in the same stack
+    family = Explosive([0.2, 0.3, 0.25])
+    inst = ProblemInstance(family, 2, np.zeros(2), 1.0, SmoothnessConstants())
+    P = metropolis_hastings(topology_from_spec("complete", family.n))
+    cfg = BaselineConfig(mu=0.1, eta=0.5)
+    state = initial_state(np.stack([draw_initial_iterates(s, 3, 2, 1.5) for s in (11, 2)]), P)
+    box = inst.black_boxes(2)
+    for _ in range(3):
+        state = ALGORITHMS["consensus_gd"][0](state, box, cfg)
+        _assert_rows_are_the_reference(state)
+    errors = state.consensus_error()
+    assert 1e158 < errors[0] < np.inf and errors[1] < 10.0
 
 
 @pytest.mark.parametrize("family, algorithm, seeds, mus, fails, cfg, diagnostic", [

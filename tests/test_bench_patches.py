@@ -109,3 +109,26 @@ def test_the_gamma_ladder_runs_as_one_batch_under_the_span_patches(monkeypatch):
     # 3 replicas x 4 agents x (2d + 1 = 3) x 4,000 steps, then one 2d-query
     # stationarity estimate per mu on the global cost
     assert metrics["oracle.queries"] == hooks.queries() == 3 * 4 * 3 * 4000 + 3 * 2
+
+
+def test_the_lyapunov_battery_counts_each_query_once_under_the_span_patches(monkeypatch):
+    # each battery makes five oracle calls over all its samples (the estimates,
+    # then both sides of V's differences at two inner steps); the other 10 are
+    # the Newton steps of the logistic and quartic estimator-zero solves.  No
+    # estimator call nests in another, so the traced queries are the counters'
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import spans
+    import workloads
+
+    tracer, patches = spans.Tracer(), spans.Patches()
+    report = harness.VerifyReport()
+    try:
+        hooks = workloads.Hooks(patches)
+        spans.instrument(tracer, patches)
+        harness.check_lyapunov(report, points=40)
+    finally:
+        patches.restore()
+    assert report.all_passed, report.checks
+    metrics = spans.layer_metrics(tracer.arrays())
+    assert metrics["oracle.queries"] == hooks.queries() == 9118
+    assert metrics["oracle.calls"] == 3 * 5 + 10

@@ -4,6 +4,7 @@ import os
 import re
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from zojade import (
     ProblemInstance,
     QuadraticObjective,
     SmoothnessConstants,
+    Xoshiro256,
     aggregate_traces,
+    descent_coefficient,
+    estimate_both,
     estimate_gradient,
     fit_exponential_rate,
     gamma_mu_scaling_check,
@@ -28,10 +32,13 @@ from zojade import (
     run_experiment,
     separable_quadratic_instance,
     solve_estimator_zero,
+    synthetic_classification,
 )
+from zojade import harness
 from zojade.cli import main as cli_main
-from zojade.metrics import ef_mode
+from zojade.metrics import ef_mode, squares
 from zojade.objectives import FAMILIES
+from zojade.oracle import gradient_lipschitz_bound
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -270,6 +277,21 @@ def _quadratic(A, m, L1):
     )
 
 
+def _wavy():
+    """x^2 / 2 - cos(2 pi x) / 4 of one agent, declared with m = L1 = 1."""
+    def value_many(X, agents):
+        x = X[..., 0]
+        return 0.5 * x * x - 0.25 * np.cos(2.0 * np.pi * x)
+
+    family = SimpleNamespace(n=1, row_elements=1, value_many=value_many)
+    return ProblemInstance(family=family, d=1, x_star=np.zeros(1), f_star=-0.25,
+                           constants=SmoothnessConstants(1.0, 1.0, 0.0, 0.0))
+
+
+#: A convex quadratic outside the descent bound's scope (see the test below).
+COUPLED = np.array([[17.5, 3.3], [3.3, 1.2]])
+
+
 def _failed_bounds(failures):
     return [line.split(" at ")[0] for line in failures]
 
@@ -293,14 +315,7 @@ def test_lyapunov_flags_a_curvature_estimate_that_breaks_descent():
     # At mu = 1/2 the cosine drops out of the gradient estimate, which is x, but
     # adds 4 cos(2 pi x) to the curvature estimate; near 0 that is above 2, so
     # dV/dx . phi = -2 V / hdiag exceeds alpha V = -V
-    def value_many(X, agents):
-        x = X[..., 0]
-        return 0.5 * x * x - 0.25 * np.cos(2.0 * np.pi * x)
-
-    family = SimpleNamespace(n=1, row_elements=1, value_many=value_many)
-    inst = ProblemInstance(family=family, d=1, x_star=np.zeros(1), f_star=-0.25,
-                           constants=SmoothnessConstants(1.0, 1.0, 0.0, 0.0))
-    alpha, failures = lyapunov_bounds_check(inst, 5, mu=0.5, radius=0.05)
+    alpha, failures = lyapunov_bounds_check(_wavy(), 5, mu=0.5, radius=0.05)
     assert alpha == -1.0
     assert _failed_bounds(failures) == ["descent bound failed"] * 5
 
@@ -309,7 +324,7 @@ def test_lyapunov_descent_bound_does_not_cover_a_coupled_convex_quadratic():
     # outside the descent bound's scope, with exact constants: the symmetric
     # part of A D^-1 has eigenvalue 1 - 1.469 < m / (2 L1), so the Jacobi
     # direction -D^-1 g raises V near the eigenvector; the norm bounds hold
-    A = np.array([[17.5, 3.3], [3.3, 1.2]])
+    A = COUPLED
     m, L1 = np.linalg.eigvalsh(A)
     M = A / np.diag(A)
     smallest = 1.0 - 3.3 * (1.0 / 1.2 + 1.0 / 17.5) / 2.0
@@ -318,6 +333,114 @@ def test_lyapunov_descent_bound_does_not_cover_a_coupled_convex_quadratic():
     alpha, failures = lyapunov_bounds_check(_quadratic(A, m, L1), 400, mu=0.05)
     assert alpha == -m / L1 == pytest.approx(-0.0307, abs=1e-4)
     assert _failed_bounds(failures) == ["descent bound failed"] * 5
+
+
+def _reference_lyapunov_bounds_check(inst, points, mu, radius=1.0):
+    """The battery as first written: one sample at a time, and V's central
+    differences one coordinate at a time, each V one oracle call on a box that
+    adapts the averaged cost to one point.  Returns alpha, the failures, the
+    (coarse, fine) differences of V at each sample and the box's queries."""
+    c, d = inst.constants, inst.d
+    gamma = solve_estimator_zero(inst, mu)
+    K = gradient_lipschitz_bound(c.L1, c.L2, mu, d)
+    u = d * mu * mu * c.L3 / 6.0
+    lower_coef = c.m * c.m - 2.0 * c.L1 * u - u * u
+    dv_coef = (2.0 * c.L1 + mu * c.L3 * d / 3.0) * K
+    alpha = descent_coefficient(mu, c.m, c.L1, c.L3, d)
+    samples = gamma + radius * Xoshiro256(2024).normals(points, d)
+    gb = BlackBoxObjective(lambda X, block: inst.global_value_many(X[0])[None], d)
+
+    def V(x):
+        grad = estimate_gradient(gb, x[None], mu)[0]
+        return float(grad @ grad)
+
+    def fd_grad_of_V(x, h):
+        out = np.empty(d)
+        for k in range(d):
+            e = np.zeros(d)
+            e[k] = h
+            out[k] = (V(x + e) - V(x - e)) / (2.0 * h)
+        return out
+
+    failures, differences = [], []
+    mu_in = mu / 100.0
+    for x in samples:
+        (grad,), (hdiag,) = estimate_both(gb, x[None], mu)
+        v = float(grad @ grad)
+        dist2 = float(np.sum((x - gamma) ** 2))
+        dist = math.sqrt(dist2)
+        slack = 1e-9 * (1.0 + v + K * K * dist2)
+        if v > K * K * dist2 + slack:
+            failures.append(f"upper bound failed at {x.tolist()}")
+        if v < lower_coef * dist2 - slack:
+            failures.append(f"lower bound failed at {x.tolist()}")
+        coarse = fd_grad_of_V(x, mu_in)
+        fine = fd_grad_of_V(x, mu_in / 2.0)
+        differences.append((coarse, fine))
+        fd_error = 4.0 / 3.0 * float(np.linalg.norm(coarse - fine)) + 1e-10 * (
+            1.0 + float(np.linalg.norm(fine))
+        )
+        dv_norm = float(np.linalg.norm(fine))
+        if dv_norm > dv_coef * dist + fd_error + 1e-9 * (1.0 + dv_coef * dist):
+            failures.append(f"derivative-norm bound failed at {x.tolist()}")
+        if np.any(hdiag <= 0.0):
+            failures.append(f"curvature estimate not positive at {x.tolist()}")
+            continue
+        phi = -grad / hdiag
+        q = float(fine @ phi)
+        q_slack = fd_error * float(np.linalg.norm(phi)) + 1e-9 * (1.0 + abs(alpha) * v)
+        if q > alpha * v + q_slack:
+            failures.append(f"descent bound failed at {x.tolist()}")
+    return alpha, failures, np.array(differences), gb.query_count
+
+
+@pytest.mark.parametrize("make, points, mu, radius", [
+    # the three instances of check_lyapunov at the desk scale of zojade verify,
+    # then at the acceptance scale of criterion 8
+    *[case for points in (40, 100) for case in (
+        (lambda: separable_quadratic_instance(4, 3, seed=21), points, 0.05, 1.0),
+        (lambda: synthetic_classification(4, 12, 4, seed=22, w=0.1, separation=1.5), points,
+         0.02, 0.5),
+        (lambda: quartic_instance(4), points, 0.15, 0.4))],
+    # the negative controls and the pinned counterexample above
+    (lambda: _quadratic(2.0 * np.eye(2), 1.0, 1.0), 5, 0.05, 1.0),
+    (lambda: _quadratic(2.0 * np.eye(2), 3.0, 3.0), 5, 0.05, 1.0),
+    (lambda: _quadratic(-np.eye(2), 1.0, 1.0), 5, 0.05, 1.0),
+    (_wavy, 5, 0.5, 0.05),
+    (lambda: quartic_instance(3), 1, 0.1, 0.0),
+    (lambda: _quadratic(COUPLED, *np.linalg.eigvalsh(COUPLED)), 400, 0.05, 1.0),
+], ids=["quadratic", "logistic", "quartic", "quadratic-100", "logistic-100", "quartic-100",
+        "understated", "overstated", "concave", "wavy", "at-gamma", "coupled"])
+def test_lyapunov_battery_is_the_per_point_loop(make, points, mu, radius):
+    # the same alpha and failures, bitwise the same differences of V, and the
+    # same queries: 2d + 1 at each sample plus 2d for each of its 4d values of V
+    inst = make()
+    alpha, failures, differences, queries = _reference_lyapunov_bounds_check(
+        inst, points, mu, radius)
+    boxes, gradients = [], []
+    global_black_box, estimate = inst.global_black_box, harness.estimate_gradient
+
+    def counted_box(*points):  # the battery names its point count, the zero solve does not
+        box = global_black_box(*points)
+        if points:
+            boxes.append(box)
+        return box
+
+    def kept_gradient(box, x, step):
+        gradients.append(estimate(box, x, step))
+        return gradients[-1]
+
+    with mock.patch.object(inst, "global_black_box", counted_box), \
+            mock.patch.object(harness, "estimate_gradient", kept_gradient):
+        assert lyapunov_bounds_check(inst, points, mu, radius=radius) == (alpha, failures)
+    d = inst.d
+    assert sum(box.query_count for box in boxes) == queries == points * (2 * d + 1 + 8 * d * d)
+    plus_coarse, minus_coarse, plus_fine, minus_fine = (
+        squares(g).reshape(points, d) for g in gradients[-4:])
+    h = mu / 100.0
+    batched = np.stack([(plus_coarse - minus_coarse) / (2.0 * h),
+                        (plus_fine - minus_fine) / (2.0 * (h / 2.0))], axis=1)
+    assert batched.tobytes() == differences.tobytes()
 
 
 # --- config handling ---------------------------------------------------------------

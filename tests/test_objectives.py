@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from zojade import (
+    BlackBoxObjective,
     ConfigurationError,
     ExperimentConfig,
     InstanceConstructionError,
     LogisticObjective,
     QuarticObjective,
     Xoshiro256,
+    estimate_both,
     estimate_gradient,
     gradient_error_bound,
     load_csv,
@@ -480,3 +482,25 @@ def test_damped_newton_reports_a_stalled_line_search_and_no_convergence():
     with pytest.raises(InstanceConstructionError, match="in 500 iterations"):
         _damped_newton(lambda x: float(x[0]), lambda x: np.ones(1), lambda x: np.eye(1),
                        np.array([0.0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: separable_quadratic_instance(4, 3, seed=21),
+    lambda: ridge_synthetic(3, 6, 4, seed=61),
+    lambda: synthetic_classification(4, 12, 4, seed=22, w=0.1, separation=1.5),
+    lambda: quartic_instance(4),
+], ids=["quadratic", "ridge", "logistic", "quartic"])
+def test_a_global_box_of_many_points_is_one_point_boxes(make):
+    # each point is probed as one agent of the box, bitwise as a box that adapts
+    # the averaged cost to that point alone, and counts its own 2d + 1 queries
+    inst = make()
+    points, k = 7, 2 * inst.d + 1
+    x = Xoshiro256(5).normals(points, inst.d)
+    box = inst.global_black_box(points)
+    grad, hdiag = estimate_both(box, x, 0.03)
+    assert box.agent_queries.tolist() == [k] * points and box.query_count == points * k
+    for i in range(points):
+        alone = BlackBoxObjective(lambda X, block: inst.global_value_many(X[0])[None], inst.d)
+        g, h = estimate_both(alone, x[i][None], 0.03)
+        assert (g.tobytes(), h.tobytes()) == (grad[i].tobytes(), hdiag[i].tobytes())
+        assert alone.query_count == k

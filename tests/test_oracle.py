@@ -92,6 +92,24 @@ def test_hessian_diag_of_affine_is_zero():
     assert np.max(np.abs(h)) <= 1e-9
 
 
+def test_hessian_diag_takes_a_tuple_of_each_replicas_step():
+    # the tuple probes each replica with its own step, 2d queries per agent,
+    # and gives the Hessian-diagonal estimate of estimate_both
+    def box():
+        return BlackBoxObjective(lambda X, block: np.sum(X**4 - X, axis=-1), 2, agents=3,
+                                 replicas=2)
+
+    x = Xoshiro256(5).normals(2, 3, 2)
+    center = np.sum(x**4 - x, axis=-1)
+    obj, both = box(), box()
+    h = estimate_hessian_diag(obj, x, (0.1, 0.2), center)
+    assert obj.agent_queries.tolist() == [[4, 4, 4], [4, 4, 4]]
+    assert h.tobytes() == estimate_both(both, x, (0.1, 0.2))[1].tobytes()
+    for r, mu in enumerate((0.1, 0.2)):
+        alone = BlackBoxObjective(lambda X, block: np.sum(X**4 - X, axis=-1), 2, agents=3)
+        assert h[r].tobytes() == estimate_hessian_diag(alone, x[r], mu, center[r]).tobytes()
+
+
 # --- joint estimator ---------------------------------------------------------
 
 
