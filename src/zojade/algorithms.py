@@ -45,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, require
-from .metrics import RunTrace, TraceRow, ef_mode, loss_metric, squares
+from .metrics import RunTrace, TraceRow, ef_mode, loss_metric, per_replica, squares
 from .objectives import ProblemInstance
 from .oracle import BlackBoxObjective, estimate_both, estimate_gradient
 from .rng import Xoshiro256
@@ -86,12 +86,12 @@ class NetworkState:
         replica of a stack (a float for one (n, d) state), each scaled by its
         largest |deviation| where its squares would overflow."""
         dev = self.x - self.x.mean(axis=-2, keepdims=True)
-        dev = dev.reshape(dev.shape[:-2] + (-1,))
+        dev = dev.reshape(dev.shape[:-2] + (dev.shape[-2] * dev.shape[-1],))
         largest = np.abs(dev).max(axis=-1)
         with np.errstate(over="ignore"):
             big = (largest < np.inf) & (largest * largest * dev.shape[-1] > np.finfo(float).max)
         scale = np.where(big, largest, 1.0)
-        return _per_replica(scale * np.sqrt(squares(dev / scale[..., None])))
+        return per_replica(scale * np.sqrt(squares(dev / scale[..., None])))
 
     def tracking_residuals(self) -> tuple:
         """Relative conservation residuals of (y vs g) and (z vs h) node sums,
@@ -106,12 +106,7 @@ def _relative_residual(tracked_sum: np.ndarray, signal_sum: np.ndarray):
     num = np.abs(tracked_sum - signal_sum).max(axis=-1)
     den = np.maximum(np.abs(signal_sum).max(axis=-1), 1e-300)
     with np.errstate(over="ignore"):
-        return _per_replica(np.where(num == 0.0, 0.0, num / den))
-
-
-def _per_replica(values: np.ndarray):
-    """An (R,) array as it is; the 0-d value of one (n, d) state as a float."""
-    return values if values.ndim else float(values)
+        return per_replica(np.where(num == 0.0, 0.0, num / den))
 
 
 def initial_state(x0: np.ndarray, P: np.ndarray) -> NetworkState:
@@ -327,7 +322,7 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
             objective.live = np.array(live, dtype=np.intp)
             failures.clear()
         state = new
-        if state.iteration % record_every == 0:
+        if live and state.iteration % record_every == 0:
             record(state, live)
     if live:
         finish(state, live)

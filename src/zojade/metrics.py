@@ -31,7 +31,12 @@ def loss_metric(instance: ProblemInstance, x_list: np.ndarray):
     gap = values.mean(axis=-1) - instance.f_star
     if ef_mode(instance) == "relative":
         gap = gap / abs(instance.f_star)
-    return gap if gap.ndim else float(gap)
+    return per_replica(gap)
+
+
+def per_replica(values: np.ndarray):
+    """An (R,) array as it is; the 0-d value of one (n, d) state as a float."""
+    return values if values.ndim else float(values)
 
 
 def squares(f: np.ndarray) -> np.ndarray:

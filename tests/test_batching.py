@@ -388,6 +388,24 @@ def test_consensus_error_of_iterates_whose_squares_overflow_is_finite():
         1e158 * np.sqrt(np.sum(deviation * deviation)), rel=1e-14)
 
 
+@pytest.mark.parametrize("record_every", [1, 4])
+def test_a_run_whose_only_replica_fails_on_a_recorded_step_returns_its_failed_trace(record_every):
+    # seed 11 fails at step 4, so the recorded step after it has no replica left
+    family = Explosive([0.2, 0.3, 0.25])
+    inst = ProblemInstance(family, 2, np.zeros(2), 1.0, SmoothnessConstants())
+    P = metropolis_hastings(topology_from_spec("complete", family.n))
+    cfg = BaselineConfig(mu=0.1, eta=0.5, budget=240, x0_scale=1.5, record_every=record_every)
+    [trace] = run("consensus_gd", inst, P, [(cfg, 11)])
+    assert trace.failed
+    assert [row.iteration for row in trace.rows] == list(range(0, 4, record_every)) + [3] * (record_every > 1)
+
+
+def test_the_metrics_of_an_empty_stack_are_empty():
+    state = initial_state(np.zeros((0, 3, 2)), np.eye(3))
+    assert state.consensus_error().shape == (0,)
+    assert all(r.shape == (0,) for r in state.tracking_residuals())
+
+
 def _reference_row_metrics(x, g, h, y, z):
     """Consensus error and both tracking residuals of one replica's (n, d)
     state, in the per-replica formulas the trace rows were first measured with."""
