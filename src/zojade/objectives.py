@@ -16,8 +16,13 @@ Each family stacks its agents' parameters along a leading agent axis.
 `value_many(X, agents)` returns the values (..., m, k) of the m agents in
 the slice `agents`, each at its own points X:(..., m, k, d), or all at
 shared points when that axis has length 1; each (k, d) slab of a leading
-replica axis goes through the arithmetic of a separate call.  A call holds
-`row_elements` elements at once per evaluated row, every temporary together.
+replica axis goes through the arithmetic of a separate call.  A family whose
+`takes_step` is true also takes the estimators' coordinate probes by their
+centers: `value_many(x, agents, step, k)` with x:(..., m, d) and a step mu
+(or an (R, 1, 1) column of each replica's) returns the values (..., m, k) at
+the first k probes x + mu e_0, x - mu e_0, ..., x - mu e_{d-1}, x, with no
+probe point built.  The logistic family does so from d = 30 on.  A call
+holds `row_elements` elements at once per evaluated row, every temporary together.
 `gradient(x, agents)` and `hessian(x, agents)` give those agents'
 derivatives at one point x, for the experimenter's ground truth.
 
@@ -54,6 +59,12 @@ _GRAD_TOL = 1e-10  # required accuracy of every centralized x* solve
 _SIG2 = 0.25
 _SIG3 = 1.0 / (6.0 * math.sqrt(3.0))
 _SIG4 = 0.125
+
+#: Smallest d at which the logistic family evaluates coordinate probes from
+#: their centers; below it the dense product of points and samples is faster
+#: (a round at N = 25 took 1.04-1.06x at d = 28 and 0.98x at d = 30 with 5
+#: replicas, 0.97x and 0.90x with one; README, Batched evaluation).
+_STEP_MIN_D = 30
 
 
 class QuadraticObjective:
@@ -120,14 +131,19 @@ class LogisticObjective:
         self.counts = counts
         self.n = n
         self.row_elements = max(d, 2 * rows)  # the margins and their losses
+        self.takes_step = d >= _STEP_MIN_D
         self._divisor = np.maximum(counts, 1).astype(float)[:, None]
         padded = np.arange(rows) >= counts[:, None]
         self._padded = padded[..., None] if padded.any() else None
 
-    def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+    def value_many(self, X: np.ndarray, agents: slice = slice(None), step=None,
+                   k: int = 0) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
-        z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (..., m, N, k)
+        if step is None:
+            ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
+            z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (..., m, N, k)
+        else:
+            ridge, z = self._coordinate_terms(X, agents, step, k)
         # log(1 + exp(-z)) = log1p(exp(-|z|)) - min(z, 0): exp never overflows,
         # and numpy's exp and log1p run as SIMD loops where logaddexp calls
         # the scalar libm per element
@@ -139,6 +155,30 @@ class LogisticObjective:
         if self._padded is not None:  # a broadcast multiply would buffer up to 52 KB
             np.copyto(loss, 0.0, where=self._padded[agents])
         return loss.sum(axis=-2) / self._divisor[agents] + ridge
+
+    def _coordinate_terms(self, x: np.ndarray, agents: slice, step, k: int) -> tuple:
+        """Ridge terms (..., m, k) and margins (..., m, N, k) at the first k
+        coordinate probes of the centers x:(..., m, d), from the center margins:
+        U (x +- mu e_j) = Ux +- mu U[:, j] and ||x +- mu e_j||^2 = ||x||^2 + mu^2
+        +- 2 mu x_j.  mu U is written into the margin array, not held apart."""
+        mu = np.asarray(step, dtype=float)
+        d = x.shape[-1]
+        U = self.U[agents]
+        center = U @ x[..., None]  # (..., m, N, 1)
+        z = np.empty(center.shape[:-1] + (k,))
+        np.multiply(U, mu[..., None], out=z[..., 0:2 * d:2])
+        np.multiply(U, -mu[..., None], out=z[..., 1:2 * d:2])
+        z[..., 2 * d:] = 0.0
+        z += center  # one pass over whole rows beats one per sign
+        squares = np.einsum("...i,...i->...", x, x)[..., None]
+        ridge = np.empty(x.shape[:-1] + (k,))
+        with np.errstate(over="ignore"):  # to inf without a warning, as the points' einsum
+            np.multiply(x, 2.0 * mu, out=ridge[..., 0:2 * d:2])
+            np.multiply(x, -2.0 * mu, out=ridge[..., 1:2 * d:2])
+            ridge[..., :2 * d] += squares + mu * mu
+        ridge[..., 2 * d:] = squares
+        ridge *= 0.5 * self.w
+        return ridge, z
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         U = self.U[agents]
@@ -197,7 +237,8 @@ class ProblemInstance:
     """A shared optimization problem: the agents' costs as one stacked family
     (a QuadraticObjective, LogisticObjective or QuarticObjective, or any object
     with the same `n`, `value_many` and `row_elements`, what a call holds per
-    row) plus the centralized ground truth (x*, f*, constants) only the experimenter sees."""
+    row, and optionally `takes_step`) plus the centralized ground truth (x*,
+    f*, constants) only the experimenter sees."""
 
     family: object
     d: int
@@ -219,6 +260,7 @@ class ProblemInstance:
             agents=self.n,
             replicas=replicas,
             row_elements=self.family.row_elements,
+            takes_step=getattr(self.family, "takes_step", False),
             name=self.name,
         )
 

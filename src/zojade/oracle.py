@@ -8,7 +8,10 @@ two estimators is
 
 so both can be formed from the same 2d probe values plus one center value,
 2d + 1 queries in total.  The probe order is fixed (k ascending, +mu before
--mu, center last) to make query traces reproducible.  The estimators work
+-mu, center last) to make query traces reproducible.  Since the layout is
+known by construction, a family that takes steps receives the probes as
+their centers and mu, and builds no probe point; every other evaluation
+gets the points.  The estimators work
 on all agents at once: x holds one row per agent, and a single cost is the
 one-agent case; a batched run adds a leading replica axis, one network
 copy per seed.
@@ -67,7 +70,9 @@ class BlackBoxObjective:
 
     `batch_fn(X, block)` returns the values (..., m, k) of the m agents in
     the slice `block`, each at its own points X:(..., m, k, d), holding
-    `row_elements` elements at once per evaluated row.  A single cost is the
+    `row_elements` elements at once per evaluated row; with `takes_step`,
+    `batch_fn(x, block, mu, k)` returns them at the first k coordinate probes
+    of the centers x:(..., m, d) (see :func:`_probes`).  A single cost is the
     one-agent case, `agents` = 1.  Every evaluation goes through
     :meth:`evaluate_probes`, which counts one query per point in
     `agent_queries`; the ground truth behind the function belongs to the
@@ -80,8 +85,9 @@ class BlackBoxObjective:
     """
 
     def __init__(self, batch_fn, dim: int, *, agents: int = 1, replicas: int | None = None,
-                 row_elements=None, name: str = ""):
+                 row_elements=None, takes_step: bool = False, name: str = ""):
         self._batch_fn = batch_fn
+        self._takes_step = takes_step
         self.dim = dim
         self.name = name
         shape = (agents,) if replicas is None else (replicas, agents)
@@ -95,11 +101,13 @@ class BlackBoxObjective:
         """Queries of all agents (and replicas) together."""
         return int(self.agent_queries.sum())
 
-    def evaluate_probes(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    def evaluate_probes(self, x: np.ndarray, offsets: np.ndarray, step=None) -> np.ndarray:
         """Values (..., n, k) of every agent i at x[..., i, :] + offsets[..., j, :]
         for x:(n, d), or (R, n, d) with replicas and offsets (k, d) or each
         replica's own (R, 1, k, d), built and evaluated one agent block at a
-        time; a block of m agents holds R * m * k probe rows.
+        time; a block of m agents holds R * m * k probe rows.  A `step` says
+        that the offsets are the first k rows of `_probes`' layout at that
+        mu, so a counter that takes steps hands the family the centers.
 
         A non-finite value raises, naming the agent, its probe (the displaced
         coordinate and sign of its offset row, or `center`) and its point; with
@@ -113,7 +121,10 @@ class BlackBoxObjective:
                              f"{shape + (self.dim,)}, got shape {x.shape}")
         values = np.empty(shape + (k,))
         for block in agent_blocks(n, values.size // n * self._row_elements):
-            values[..., block, :] = self._batch_fn(x[..., block, None, :] + offsets, block)
+            if step is not None and self._takes_step:
+                values[..., block, :] = self._batch_fn(x[..., block, :], block, step, k)
+            else:
+                values[..., block, :] = self._batch_fn(x[..., block, None, :] + offsets, block)
         self.agent_queries[self.live] += k
         if np.isfinite(values).all():
             return values
@@ -140,13 +151,15 @@ class BlackBoxObjective:
 
 @functools.lru_cache(maxsize=128)
 def _probes(d: int, mu) -> tuple:
-    """(2 mu, mu^2, offsets (2d + 1, d)) of a probe step mu, the offsets +mu e_k,
-    then -mu e_k for k ascending, then the center; a tuple of R replicas' steps
-    gives (R, 1, 1) columns and offsets (R, 1, 2d + 1, d), cached per run."""
+    """(mu, 2 mu, mu^2, offsets (2d + 1, d)) of a probe step mu, the offsets
+    +mu e_k, then -mu e_k for k ascending, then the center; a tuple of R
+    replicas' steps gives (R, 1, 1) columns and offsets (R, 1, 2d + 1, d),
+    cached per run."""
     if isinstance(mu, tuple):
-        twice, squared, offsets = zip(*(_probes(d, step) for step in mu))
+        step, twice, squared, offsets = zip(*(_probes(d, one) for one in mu))
         column = (-1, 1, 1)
-        return np.reshape(twice, column), np.reshape(squared, column), np.stack(offsets)[:, None]
+        return (np.reshape(step, column), np.reshape(twice, column), np.reshape(squared, column),
+                np.stack(offsets)[:, None])
     if not 0.0 < mu < math.inf:  # NaN fails the comparison too
         raise ValueError(f"mu must be positive and finite, got {mu}")
     offsets = np.zeros((2 * d + 1, d))
@@ -154,14 +167,14 @@ def _probes(d: int, mu) -> tuple:
     offsets[2 * k, k] = mu
     offsets[2 * k + 1, k] = -mu
     offsets.flags.writeable = False
-    return 2.0 * mu, mu * mu, offsets
+    return mu, 2.0 * mu, mu * mu, offsets
 
 
 def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu) -> np.ndarray:
     """Central-difference gradient estimates (..., n, d) at every agent's row of
     x:(n, d), or (R, n, d) with a step mu or a tuple of each replica's; 2d queries per agent."""
-    twice, _, offsets = _probes(f.dim, mu)
-    values = f.evaluate_probes(x, offsets[..., :-1, :])
+    step, twice, _, offsets = _probes(f.dim, mu)
+    values = f.evaluate_probes(x, offsets[..., :-1, :], step)
     return (values[..., 0::2] - values[..., 1::2]) / twice
 
 
@@ -171,8 +184,8 @@ def estimate_hessian_diag(
     """Hessian-diagonal estimates (..., n, d) at x:(n, d), or (R, n, d) with a step
     mu or a tuple of each replica's, around the known center values f_i(x[i]),
     one per agent; 2d queries per agent."""
-    _, squared, offsets = _probes(f.dim, mu)
-    values = f.evaluate_probes(x, offsets[..., :-1, :])
+    step, _, squared, offsets = _probes(f.dim, mu)
+    values = f.evaluate_probes(x, offsets[..., :-1, :], step)
     center = np.asarray(center, dtype=float)[..., None]
     return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / squared
 
@@ -186,8 +199,8 @@ def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu) -> tuple:
     extra center evaluation completes the second difference, 2d + 1
     queries per agent in total.
     """
-    twice, squared, offsets = _probes(f.dim, mu)
-    values = f.evaluate_probes(x, offsets)
+    step, twice, squared, offsets = _probes(f.dim, mu)
+    values = f.evaluate_probes(x, offsets, step)
     plus = values[..., 0:-1:2]
     minus = values[..., 1:-1:2]
     center = values[..., -1:]

@@ -34,6 +34,8 @@ from zojade import (
     topology_from_spec,
 )
 from zojade import oracle
+from zojade.errors import EvaluationError
+from zojade.objectives import _STEP_MIN_D
 
 
 def _family(kind, n, d, rng):
@@ -193,12 +195,14 @@ def test_agent_blocks_count_replica_rows_against_the_budget(replicas, n, d, k):
 
 # The workloads' shapes, (family, replicas R, agents n, d, logistic rows N,
 # probes per agent k): paper_n20's ridge and logistic runs, scale_n200's
-# logistic run, verify_desk's quartic gamma ladder, and at the paper's shape
-# a quartic and a logistic family padded as unequal shards pad it.
+# logistic run (on points, and from the centers as the oracle calls it),
+# verify_desk's quartic gamma ladder, and at the paper's shape a quartic and
+# a logistic family padded as unequal shards pad it.
 WORKLOAD_SHAPES = [
     ("quadratic", 5, 20, 10, 0, 21),
     ("logistic", 5, 20, 10, 25, 21),
     ("logistic", 1, 200, 50, 25, 101),
+    ("logistic from centers", 1, 200, 50, 25, 101),
     ("quartic", 3, 4, 1, 0, 3),
     ("quartic", 5, 20, 10, 0, 21),
     ("padded logistic", 5, 20, 10, 25, 21),
@@ -208,7 +212,7 @@ WORKLOAD_SHAPES = [
 def _workload_family(kind, n, d, N, rng):
     if kind == "quadratic":
         return QuadraticObjective(np.tile(np.eye(d), (n, 1, 1)), rng.normal(size=(n, d)))
-    if kind == "logistic":
+    if kind.startswith("logistic"):
         return LogisticObjective(rng.normal(size=(n, N, d)), w=0.1)
     if kind == "padded logistic":
         counts = np.arange(n) % 2 + N - 1
@@ -227,11 +231,15 @@ def test_row_elements_cover_what_value_many_holds(kind, R, n, d, N, k):
     family = _workload_family(kind, n, d, N, np.random.default_rng(3))
     block = oracle.agent_blocks(n, R * k * max(d, family.row_elements))[0]
     rows = R * (block.stop - block.start) * k
-    X = np.random.default_rng(4).normal(size=(R, block.stop - block.start, k, d))
-    family.value_many(X, block)  # numpy's first-call caches stay out of the measurement
+    if kind.endswith("from centers"):  # the estimators' call: centers, step and probe count
+        args = (np.random.default_rng(4).normal(size=(R, block.stop - block.start, d)), block,
+                1e-3, k)
+    else:
+        args = (np.random.default_rng(4).normal(size=(R, block.stop - block.start, k, d)), block)
+    family.value_many(*args)  # numpy's first-call caches stay out of the measurement
     tracemalloc.start()
     try:
-        family.value_many(X, block)
+        family.value_many(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,16 +255,17 @@ def test_row_elements_cover_what_value_many_holds(kind, R, n, d, N, k):
 def test_logistic_blocks_keep_each_margin_array_at_128_kib(R, n, d, N, k, width, calls):
     # a block's margins and their losses are live together; each stays at
     # or below glibc's 128 KiB mmap threshold, above which malloc trimmed and
-    # refaulted the top of its heap at every call
+    # refaulted the top of its heap at every call.  The family's own path,
+    # from the centers at scale_n200's d, gets the same blocks
     family = LogisticObjective(np.random.default_rng(6).normal(size=(n, N, d)), w=0.1)
     blocks = []
 
-    def value_many(X, agents):
+    def value_many(X, agents, *step):
         blocks.append(agents.stop - agents.start)
-        return family.value_many(X, agents)
+        return family.value_many(X, agents, *step)
 
     objective = BlackBoxObjective(value_many, d, agents=n, replicas=R,
-                                  row_elements=family.row_elements)
+                                  row_elements=family.row_elements, takes_step=family.takes_step)
     oracle.estimate_both(objective, np.zeros((R, n, d)), 1e-3)
     assert len(blocks) == calls and max(blocks) == width
     assert max(blocks) * R * N * k * 8 <= 128 * 2**10
@@ -316,11 +325,18 @@ _REPLICA = st.tuples(st.floats(0.01, 0.3), st.floats(0.05, 1.0), st.floats(1e-8,
 @example(algorithm="zo_jade", family="quartic",
          draws=[(0.2, 0.5, 1e-8, 1.0, 0), (0.1, 0.5, 1e-8, 1.0, 0), (0.05, 0.5, 1e-8, 1.0, 0)],
          n=4, d=1, steps=20, record_every=4, seed=1)
+@example(algorithm="zo_jade", family="logistic",
+         draws=[(0.05, 0.3, 1e-8, 1.0, 0), (0.1, 0.3, 1e-8, 0.5, 1), (0.02, 0.6, 1e-8, 1.0, 1)],
+         n=3, d=_STEP_MIN_D - 1, steps=8, record_every=3, seed=5)
+@example(algorithm="gradient_tracking", family="logistic",
+         draws=[(0.05, 0.3, 1e-8, 1.0, 0), (0.2, 0.5, 1e-8, 1.0, 2)],
+         n=2, d=_STEP_MIN_D - 1, steps=6, record_every=2, seed=3)
 def test_batched_run_equals_the_separate_runs(
     algorithm, family, draws, n, d, steps, record_every, seed
 ):
     # each replica draws its own config, and seeds repeat across configs; the
-    # last example is the gamma-scaling check's mu ladder in small
+    # quartic example is the gamma-scaling check's mu ladder in small, and the
+    # logistic ones at the crossover evaluate their probes from the centers
     inst = _suite(family, n, d, seed)
     P = metropolis_hastings(topology_from_spec("ring", n))
     per_step = ALGORITHMS[algorithm][1](inst.d)
@@ -508,3 +524,118 @@ def test_a_diverging_replica_stops_alone_where_its_separate_run_stops(
         if trace.failed:
             assert diagnostic in trace.diagnostic
             assert trace.rows[-1].queries_per_agent < counters[0].agent_queries[r, 0]
+
+
+def test_the_logistic_family_takes_steps_from_the_crossover_d_on():
+    # the rule is a property of the family's input, its d; no other family takes steps
+    assert not synthetic_classification(_STEP_MIN_D - 1, 3, 2, seed=1).family.takes_step
+    inst = synthetic_classification(_STEP_MIN_D, 3, 2, seed=1)
+    assert inst.family.takes_step and inst.black_boxes()._takes_step
+    for small in (separable_quadratic_instance(2, 40, seed=1), quartic_instance(2, 40)):
+        assert not small.black_boxes()._takes_step
+
+
+def _boxes(family, d, n, R):
+    """The family's query counters from the centers and on points."""
+    return [BlackBoxObjective(family.value_many, d, agents=n, replicas=R,
+                              row_elements=family.row_elements, takes_step=takes)
+            for takes in (True, False)]
+
+
+U_ROUND = 2.0**-53
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    d=st.integers(_STEP_MIN_D, _STEP_MIN_D + 12),
+    replicas=st.integers(1, 3),
+    per_replica=st.booleans(),
+    center=st.booleans(),
+    scale=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coordinate_probes_from_the_centers_match_the_points(
+    n, d, replicas, per_replica, center, scale, seed
+):
+    # k = 2d + 1 probes (with the center, as estimate_both) or 2d (as
+    # estimate_gradient), at one step or a tuple of each replica's.  Both
+    # paths round each margin within (d + 2) u of the magnitudes it sums, so
+    # a value moves by at most 4 (d + 2) u (M + |f|), where M is f with every
+    # product and term taken in absolute value; the estimates move by the
+    # differences of those bounds over mu and mu^2, and a few u of themselves
+    rng = np.random.default_rng(seed)
+    family, _ = _family("logistic", n, d, rng)
+    x = scale * rng.normal(size=(replicas, n, d))
+    mus = rng.uniform(1e-4, 0.3, size=replicas)
+    mu = tuple(mus.tolist()) if per_replica else float(mus[0])
+    step, _, _, offsets = oracle._probes(d, mu)
+    k = 2 * d + center
+    structured, points = (box.evaluate_probes(x, offsets[..., :k, :], step)
+                          for box in _boxes(family, d, n, replicas))
+    P = x[..., None, :] + offsets[..., :k, :]
+    M = (np.einsum("nsd,rnkd->rnk", np.abs(family.U), np.abs(P)) / family._divisor
+         + 0.5 * family.w * np.einsum("rnkd,rnkd->rnk", P, P))
+    bound = 4 * (d + 2) * U_ROUND * (M + np.abs(points))
+    assert np.isfinite(structured).all()
+    assert (np.abs(structured - points) <= bound).all()
+
+    estimator = oracle.estimate_both if center else oracle.estimate_gradient
+    fast, slow = (estimator(box, x, mu) for box in _boxes(family, d, n, replicas))
+    mu_col = np.reshape(mus if per_replica else mus[:1], (-1, 1, 1))
+    worst = bound.max(axis=-1, keepdims=True)
+    if center:
+        (g_fast, h_fast), (g_slow, h_slow) = fast, slow
+        assert (np.abs(h_fast - h_slow)
+                <= 4 * worst / mu_col**2 + 8 * U_ROUND * np.abs(h_slow)).all()
+    else:
+        g_fast, g_slow = fast, slow
+    assert (np.abs(g_fast - g_slow) <= worst / mu_col + 4 * U_ROUND * np.abs(g_slow)).all()
+
+
+@pytest.mark.parametrize("replicas", [None, 2])
+def test_a_probe_that_overflows_from_the_centers_fails_as_on_points(replicas):
+    # agent 2's coordinate 3 at 1.3e154 with mu = 1e153: only its +mu probe
+    # squares past the float range, on points in the ridge einsum and from
+    # the centers in ||x||^2 + mu^2 + 2 mu x_3; same value, same probe, same
+    # text, and no warning (the suite turns one into an error)
+    inst = synthetic_classification(_STEP_MIN_D, 3, 4, seed=1)
+    x = np.full((4, _STEP_MIN_D), 0.1)
+    x[2, 3] = 1.3e154
+    if replicas:
+        x = np.stack([np.full((4, _STEP_MIN_D), 0.1), x])
+    messages = []
+    for box in _boxes(inst.family, _STEP_MIN_D, 4, replicas):
+        if replicas:
+            oracle.estimate_both(box, x, 1e153)
+            assert list(box.failures) == [1]
+            messages.append(box.failures[1])
+        else:
+            with pytest.raises(EvaluationError) as failure:
+                oracle.estimate_both(box, x, 1e153)
+            messages.append(str(failure.value))
+    assert messages[0] == messages[1]
+    assert "agent 2 returned inf at probe point" in messages[0]
+    assert messages[0].endswith("(coordinate 3, +mu)")
+
+
+def test_a_logistic_iterate_that_overflows_from_the_centers_fails_as_on_points():
+    # at x0_scale 1e160 replica 0's iterate squares past the float range, so
+    # its first round fails; replica 1 converges beside it.  From the centers
+    # and on points the failure comes at the same step with the same text
+    inst = synthetic_classification(_STEP_MIN_D, 3, 4, seed=1)
+    P = metropolis_hastings(topology_from_spec("ring", 4))
+    per_step = 2 * inst.d + 1
+    replicas = [(JadeConfig(mu=1e-3, budget=20 * per_step, x0_scale=1e160), 1),
+                (JadeConfig(mu=1e-3, budget=20 * per_step), 2)]
+    traces = []
+    for takes in (True, False):
+        with mock.patch.object(inst.family, "takes_step", takes):
+            traces.append(run("zo_jade", inst, P, replicas))
+    (blown, fine), (blown_points, fine_points) = traces
+    assert blown.failed and not fine.failed
+    assert [row.iteration for row in blown.rows] == [row.iteration for row in blown_points.rows]
+    assert blown.diagnostic == blown_points.diagnostic
+    assert "agent 0 returned inf at probe point" in blown.diagnostic
+    assert fine.rows[-1].iteration == fine_points.rows[-1].iteration == 20
+    assert fine.rows[-1].e_f == pytest.approx(fine_points.rows[-1].e_f, rel=1e-6)
