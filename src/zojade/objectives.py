@@ -21,8 +21,10 @@ replica axis goes through the arithmetic of a separate call.  A family whose
 centers: `value_many(x, agents, step, k)` with x:(..., m, d) and a step mu
 (or an (R, 1, 1) column of each replica's) returns the values (..., m, k) at
 the first k probes x + mu e_0, x - mu e_0, ..., x - mu e_{d-1}, x, with no
-probe point built.  The logistic family does so from d = 30 on.  A call
-holds `row_elements` elements at once per evaluated row, every temporary together.
+probe point built.  The logistic family does so from d = 30 on and the
+quadratic from d = 8 on, each d the measured crossover of its own cost.  A
+call holds `row_elements` elements at once per evaluated row, every
+temporary together.
 `gradient(x, agents)` and `hessian(x, agents)` give those agents'
 derivatives at one point x, for the experimenter's ground truth.
 
@@ -64,7 +66,14 @@ _SIG4 = 0.125
 #: their centers; below it the dense product of points and samples is faster
 #: (a round at N = 25 took 1.04-1.06x at d = 28 and 0.98x at d = 30 with 5
 #: replicas, 0.97x and 0.90x with one; README, Batched evaluation).
-_STEP_MIN_D = 30
+_LOGISTIC_STEP_MIN_D = 30
+
+#: Smallest d at which the quadratic family evaluates coordinate probes from
+#: their centers; below it the product of points and A is cheaper than the
+#: centers' dozen calls (a round took 0.93x at d = 6 and 0.84x at d = 8 with
+#: 5 replicas of 6 agents, 1.21x and 1.18x with one of 5; README, Batched
+#: evaluation).  The desk checks' quadratics, d <= 4, stay on points.
+_QUADRATIC_STEP_MIN_D = 8
 
 
 class QuadraticObjective:
@@ -89,14 +98,39 @@ class QuadraticObjective:
         self.c = c
         self.n = A.shape[0]
         self.row_elements = A.shape[1]
+        self.takes_step = A.shape[1] >= _QUADRATIC_STEP_MIN_D
+        self._diagonal = np.diagonal(self.A, axis1=1, axis2=2).copy()
 
-    def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+    def value_many(self, X: np.ndarray, agents: slice = slice(None), step=None,
+                   k: int = 0) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        if step is not None:
+            return self._coordinate_values(X, agents, step, k)
         return (
             0.5 * np.einsum("...ij,...ij->...i", X, X @ self.A[agents])
             + (X @ self.b[agents, :, None])[..., 0]
             + self.c[agents, None]
         )
+
+    def _coordinate_values(self, x: np.ndarray, agents: slice, mu, k: int) -> np.ndarray:
+        """Values (..., m, k) at the first k coordinate probes of the centers
+        x:(..., m, d), from one product Ax per agent: with g = Ax + b,
+        2 f(x +- mu e_j) = 2 f(x) + mu^2 A_jj +- 2 mu g_j.  The values are
+        summed doubled and halved last, as the points' quadratic form is, so
+        a probe goes to inf or nan where its point does, without a warning."""
+        d = x.shape[-1]
+        out = np.empty(x.shape[:-1] + (k,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (x[..., None, :] @ self.A[agents])[..., 0, :]  # x^T A = (Ax)^T, A symmetric
+            g += self.b[agents]
+            center = np.einsum("...i,...i->...", x, g + self.b[agents]) + 2.0 * self.c[agents]
+            curved = (mu * mu) * self._diagonal[agents] + center[..., None]
+            g *= 2.0 * mu
+            np.add(curved, g, out=out[..., 0:2 * d:2])
+            np.subtract(curved, g, out=out[..., 1:2 * d:2])
+            out[..., 2 * d:] = center[..., None]
+            out *= 0.5
+        return out
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         return self.A[agents] @ x + self.b[agents]
@@ -131,7 +165,7 @@ class LogisticObjective:
         self.counts = counts
         self.n = n
         self.row_elements = max(d, 2 * rows)  # the margins and their losses
-        self.takes_step = d >= _STEP_MIN_D
+        self.takes_step = d >= _LOGISTIC_STEP_MIN_D
         self._divisor = np.maximum(counts, 1).astype(float)[:, None]
         padded = np.arange(rows) >= counts[:, None]
         self._padded = padded[..., None] if padded.any() else None
@@ -238,7 +272,9 @@ class ProblemInstance:
     (a QuadraticObjective, LogisticObjective or QuarticObjective, or any object
     with the same `n`, `value_many` and `row_elements`, what a call holds per
     row, and optionally `takes_step`) plus the centralized ground truth (x*,
-    f*, constants) only the experimenter sees."""
+    f*, constants) only the experimenter sees.  Only the estimators' calls
+    through `black_boxes` may reach a family from the centers; the
+    averaged-cost diagnostics below always hand it points."""
 
     family: object
     d: int
@@ -273,8 +309,10 @@ class ProblemInstance:
         for block in agent_blocks(self.n, values.size // self.n * self.family.row_elements):
             values[..., block, :] = self.family.value_many(X, block)
         # a running sum adds the agents in order; values.sum(axis=-2) would
-        # switch to pairwise summation for a single point and move f(x*)
-        return values.cumsum(axis=-2)[..., -1, :] / self.n
+        # switch to pairwise summation for a single point and move f(x*).
+        # Finite values that sum past the float range give inf, without a warning
+        with np.errstate(over="ignore"):
+            return values.cumsum(axis=-2)[..., -1, :] / self.n
 
     def global_value(self, x: np.ndarray) -> float:
         return float(self.global_value_many(np.asarray(x, dtype=float)[None, :])[0])

@@ -72,7 +72,9 @@ class BlackBoxObjective:
     the slice `block`, each at its own points X:(..., m, k, d), holding
     `row_elements` elements at once per evaluated row; with `takes_step`,
     `batch_fn(x, block, mu, k)` returns them at the first k coordinate probes
-    of the centers x:(..., m, d) (see :func:`_probes`).  A single cost is the
+    of the centers x:(..., m, d) (see :func:`_probes`).  A counter built
+    without `takes_step` hands its function points only, whatever the
+    function could take.  A single cost is the
     one-agent case, `agents` = 1.  Every evaluation goes through
     :meth:`evaluate_probes`, which counts one query per point in
     `agent_queries`; the ground truth behind the function belongs to the

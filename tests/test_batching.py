@@ -3,8 +3,10 @@ in agent blocks under a fixed element budget, exactly as one agent at a time;
 and the replica-batched run: the seeds of one entry advance as one (R, n, d)
 stack, bitwise as their separate runs."""
 
+import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from zojade import (
     ALGORITHMS,
     BaselineConfig,
     BlackBoxObjective,
+    ExperimentConfig,
     JadeConfig,
     LogisticObjective,
     ProblemInstance,
@@ -35,7 +38,13 @@ from zojade import (
 )
 from zojade import oracle
 from zojade.errors import EvaluationError
-from zojade.objectives import _STEP_MIN_D
+from zojade.harness import (
+    VerifyReport, build_instance, build_topology, check_quadratic_exactness,
+)
+from zojade.objectives import _LOGISTIC_STEP_MIN_D, _QUADRATIC_STEP_MIN_D
+
+QUICKSTART = ExperimentConfig.from_file(
+    str(Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"))
 
 
 def _family(kind, n, d, rng):
@@ -195,11 +204,13 @@ def test_agent_blocks_count_replica_rows_against_the_budget(replicas, n, d, k):
 
 # The workloads' shapes, (family, replicas R, agents n, d, logistic rows N,
 # probes per agent k): paper_n20's ridge and logistic runs, scale_n200's
-# logistic run (on points, and from the centers as the oracle calls it),
-# verify_desk's quartic gamma ladder, and at the paper's shape a quartic and
-# a logistic family padded as unequal shards pad it.
+# logistic run, the ridge and scale_n200's runs also from the centers as the
+# oracle calls them (both at or above their family's d rule), verify_desk's
+# quartic gamma ladder, and at the paper's shape a quartic and a logistic
+# family padded as unequal shards pad it.
 WORKLOAD_SHAPES = [
     ("quadratic", 5, 20, 10, 0, 21),
+    ("quadratic from centers", 5, 20, 10, 0, 21),
     ("logistic", 5, 20, 10, 25, 21),
     ("logistic", 1, 200, 50, 25, 101),
     ("logistic from centers", 1, 200, 50, 25, 101),
@@ -210,7 +221,7 @@ WORKLOAD_SHAPES = [
 
 
 def _workload_family(kind, n, d, N, rng):
-    if kind == "quadratic":
+    if kind.startswith("quadratic"):
         return QuadraticObjective(np.tile(np.eye(d), (n, 1, 1)), rng.normal(size=(n, d)))
     if kind.startswith("logistic"):
         return LogisticObjective(rng.normal(size=(n, N, d)), w=0.1)
@@ -327,16 +338,23 @@ _REPLICA = st.tuples(st.floats(0.01, 0.3), st.floats(0.05, 1.0), st.floats(1e-8,
          n=4, d=1, steps=20, record_every=4, seed=1)
 @example(algorithm="zo_jade", family="logistic",
          draws=[(0.05, 0.3, 1e-8, 1.0, 0), (0.1, 0.3, 1e-8, 0.5, 1), (0.02, 0.6, 1e-8, 1.0, 1)],
-         n=3, d=_STEP_MIN_D - 1, steps=8, record_every=3, seed=5)
+         n=3, d=_LOGISTIC_STEP_MIN_D - 1, steps=8, record_every=3, seed=5)
 @example(algorithm="gradient_tracking", family="logistic",
          draws=[(0.05, 0.3, 1e-8, 1.0, 0), (0.2, 0.5, 1e-8, 1.0, 2)],
-         n=2, d=_STEP_MIN_D - 1, steps=6, record_every=2, seed=3)
+         n=2, d=_LOGISTIC_STEP_MIN_D - 1, steps=6, record_every=2, seed=3)
+@example(algorithm="zo_jade", family="quadratic",
+         draws=[(0.05, 0.3, 1e-8, 1.0, 0), (0.1, 0.3, 1e-8, 0.5, 1), (0.02, 0.6, 1e-8, 1.0, 1)],
+         n=3, d=_QUADRATIC_STEP_MIN_D, steps=8, record_every=3, seed=5)
+@example(algorithm="consensus_gd", family="quadratic",
+         draws=[(0.05, 0.3, 1e-8, 1.0, 0), (0.2, 0.5, 1e-8, 1.0, 2)],
+         n=2, d=_QUADRATIC_STEP_MIN_D, steps=6, record_every=2, seed=3)
 def test_batched_run_equals_the_separate_runs(
     algorithm, family, draws, n, d, steps, record_every, seed
 ):
     # each replica draws its own config, and seeds repeat across configs; the
     # quartic example is the gamma-scaling check's mu ladder in small, and the
-    # logistic ones at the crossover evaluate their probes from the centers
+    # logistic and quadratic ones at their rules' d evaluate their probes
+    # from the centers
     inst = _suite(family, n, d, seed)
     P = metropolis_hastings(topology_from_spec("ring", n))
     per_step = ALGORITHMS[algorithm][1](inst.d)
@@ -527,12 +545,35 @@ def test_a_diverging_replica_stops_alone_where_its_separate_run_stops(
 
 
 def test_the_logistic_family_takes_steps_from_the_crossover_d_on():
-    # the rule is a property of the family's input, its d; no other family takes steps
-    assert not synthetic_classification(_STEP_MIN_D - 1, 3, 2, seed=1).family.takes_step
-    inst = synthetic_classification(_STEP_MIN_D, 3, 2, seed=1)
+    # the rule is a property of the family's input, its d; the quartic never takes steps
+    assert not synthetic_classification(_LOGISTIC_STEP_MIN_D - 1, 3, 2, seed=1).family.takes_step
+    inst = synthetic_classification(_LOGISTIC_STEP_MIN_D, 3, 2, seed=1)
     assert inst.family.takes_step and inst.black_boxes()._takes_step
-    for small in (separable_quadratic_instance(2, 40, seed=1), quartic_instance(2, 40)):
-        assert not small.black_boxes()._takes_step
+    assert not quartic_instance(2, 40).black_boxes()._takes_step
+
+
+def test_the_ridge_quadratic_takes_steps_from_its_own_crossover_d_on():
+    # its own rule, also from d alone: verify_desk's quadratics (d <= 4) stay
+    # on points, and the quickstart ridge (d = 10) takes steps
+    for d in (3, 4, _QUADRATIC_STEP_MIN_D - 1):
+        assert not separable_quadratic_instance(2, d, seed=1).black_boxes()._takes_step
+    for inst in (separable_quadratic_instance(2, _QUADRATIC_STEP_MIN_D, seed=1),
+                 build_instance(QUICKSTART)):
+        assert inst.family.takes_step and inst.black_boxes()._takes_step
+
+
+def test_the_averaged_cost_and_the_exactness_check_stay_on_points():
+    # global_value_many (so f*, loss_metric and e_f), global_black_box and the
+    # estimators' exactness check (d up to 12) evaluate real probe points
+    inst = build_instance(QUICKSTART)
+    x = np.random.default_rng(1).normal(size=(3, inst.d))
+    report = VerifyReport()
+    with mock.patch.object(QuadraticObjective, "_coordinate_values",
+                           side_effect=AssertionError("evaluated from the centers")):
+        inst.global_value_many(x)
+        oracle.estimate_both(inst.global_black_box(3), x, 1e-3)
+        check_quadratic_exactness(report, seed=11, trials=30, d_max=12, mus=(1e-1, 1e-3))
+    assert report.all_passed
 
 
 def _boxes(family, d, n, R):
@@ -545,27 +586,47 @@ def _boxes(family, d, n, R):
 U_ROUND = 2.0**-53
 
 
+def _magnitudes(family, x, offsets):
+    """M (R, n, k): the family's value at each probe point with every product
+    and term taken in absolute value, the quadratic's at |x| + |offset|."""
+    if isinstance(family, QuadraticObjective):
+        P = np.abs(x[..., None, :]) + np.abs(offsets)
+        return (0.5 * np.einsum("rnki,nij,rnkj->rnk", P, np.abs(family.A), P)
+                + np.einsum("rnki,ni->rnk", P, np.abs(family.b)) + np.abs(family.c)[:, None])
+    P = x[..., None, :] + offsets
+    return (np.einsum("nsd,rnkd->rnk", np.abs(family.U), np.abs(P)) / family._divisor
+            + 0.5 * family.w * np.einsum("rnkd,rnkd->rnk", P, P))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
+    kind=st.sampled_from(["logistic", "quadratic"]),
     n=st.integers(1, 5),
-    d=st.integers(_STEP_MIN_D, _STEP_MIN_D + 12),
+    above=st.integers(0, 12),
     replicas=st.integers(1, 3),
     per_replica=st.booleans(),
     center=st.booleans(),
     scale=st.floats(0.01, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(kind="quadratic", n=30, above=12, replicas=3, per_replica=True, center=True, scale=1.0,
+         seed=1)  # three blocks of 13, 13 and 4 agents
 def test_coordinate_probes_from_the_centers_match_the_points(
-    n, d, replicas, per_replica, center, scale, seed
+    kind, n, above, replicas, per_replica, center, scale, seed
 ):
     # k = 2d + 1 probes (with the center, as estimate_both) or 2d (as
-    # estimate_gradient), at one step or a tuple of each replica's.  Both
-    # paths round each margin within (d + 2) u of the magnitudes it sums, so
-    # a value moves by at most 4 (d + 2) u (M + |f|), where M is f with every
-    # product and term taken in absolute value; the estimates move by the
-    # differences of those bounds over mu and mu^2, and a few u of themselves
+    # estimate_gradient), at one step or a tuple of each replica's, at d
+    # from the family's rule up.  A value is a sum of at most 2d + 4 rounded
+    # products and terms: a logistic margin sums d + 2 on both paths, and the
+    # quadratic's 2 f(x +- mu e_j) = x^T (Ax + 2b) + 2c + mu^2 A_jj +- 2 mu
+    # (Ax + b)_j (2d + 5 roundings, halving is exact) has terms bounded by
+    # |x| + mu e_j, where the points' form (2d + 2) has them at |x +- mu e_j|.
+    # So a value moves by at most 4 (d + 2) u (M + |f|), with M the cost
+    # with every product and term taken in absolute value; the estimates move
+    # by the differences of those bounds over mu and mu^2, and a few u of themselves
+    d = above + (_LOGISTIC_STEP_MIN_D if kind == "logistic" else _QUADRATIC_STEP_MIN_D)
     rng = np.random.default_rng(seed)
-    family, _ = _family("logistic", n, d, rng)
+    family, _ = _family(kind, n, d, rng)
     x = scale * rng.normal(size=(replicas, n, d))
     mus = rng.uniform(1e-4, 0.3, size=replicas)
     mu = tuple(mus.tolist()) if per_replica else float(mus[0])
@@ -573,10 +634,7 @@ def test_coordinate_probes_from_the_centers_match_the_points(
     k = 2 * d + center
     structured, points = (box.evaluate_probes(x, offsets[..., :k, :], step)
                           for box in _boxes(family, d, n, replicas))
-    P = x[..., None, :] + offsets[..., :k, :]
-    M = (np.einsum("nsd,rnkd->rnk", np.abs(family.U), np.abs(P)) / family._divisor
-         + 0.5 * family.w * np.einsum("rnkd,rnkd->rnk", P, P))
-    bound = 4 * (d + 2) * U_ROUND * (M + np.abs(points))
+    bound = 4 * (d + 2) * U_ROUND * (_magnitudes(family, x, offsets[..., :k, :]) + np.abs(points))
     assert np.isfinite(structured).all()
     assert (np.abs(structured - points) <= bound).all()
 
@@ -593,40 +651,67 @@ def test_coordinate_probes_from_the_centers_match_the_points(
     assert (np.abs(g_fast - g_slow) <= worst / mu_col + 4 * U_ROUND * np.abs(g_slow)).all()
 
 
+def _one_probe_overflows(kind):
+    """(instance, x, mu, j): an instance at its family's rule, centers x (4, d)
+    and a step mu at which only agent 2's +mu probe of coordinate j passes the
+    float range."""
+    if kind == "logistic":  # the ridge term ||x||^2 + mu^2 + 2 mu x_3 at x_3 = 1.3e154
+        inst = synthetic_classification(_LOGISTIC_STEP_MIN_D, 3, 4, seed=1)
+        j, x_j, mu = 3, 1.3e154, 1e153
+    else:
+        # the unhalved form a_j (x_j + mu)^2 = 2e308 from a_j x_j^2 = 1.5e308, on
+        # the coordinate of the largest curvature a_j, so that mu^2 a_i keeps
+        # every other probe below the range
+        inst = separable_quadratic_instance(4, _QUADRATIC_STEP_MIN_D, seed=1)
+        a = np.diagonal(inst.family.A[2])
+        j = int(np.argmax(a))
+        x_j = math.sqrt(1.5e308 / a[j])
+        mu = (math.sqrt(4 / 3) - 1) * x_j
+    x = np.full((4, inst.d), 0.1)
+    x[2, j] = x_j
+    return inst, x, mu, j
+
+
 @pytest.mark.parametrize("replicas", [None, 2])
-def test_a_probe_that_overflows_from_the_centers_fails_as_on_points(replicas):
-    # agent 2's coordinate 3 at 1.3e154 with mu = 1e153: only its +mu probe
-    # squares past the float range, on points in the ridge einsum and from
-    # the centers in ||x||^2 + mu^2 + 2 mu x_3; same value, same probe, same
-    # text, and no warning (the suite turns one into an error)
-    inst = synthetic_classification(_STEP_MIN_D, 3, 4, seed=1)
-    x = np.full((4, _STEP_MIN_D), 0.1)
-    x[2, 3] = 1.3e154
+@pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+def test_a_probe_that_overflows_from_the_centers_fails_as_on_points(kind, replicas):
+    # agent 2's +mu probe of coordinate j alone goes past the float range,
+    # on points in the einsum and from the centers in the sum of the
+    # center's terms; same value, same probe, same text, and no warning (the
+    # suite turns one into an error)
+    inst, x, mu, j = _one_probe_overflows(kind)
     if replicas:
-        x = np.stack([np.full((4, _STEP_MIN_D), 0.1), x])
+        x = np.stack([np.full(x.shape, 0.1), x])
     messages = []
-    for box in _boxes(inst.family, _STEP_MIN_D, 4, replicas):
+    for box in _boxes(inst.family, inst.d, 4, replicas):
         if replicas:
-            oracle.estimate_both(box, x, 1e153)
+            oracle.estimate_both(box, x, mu)
             assert list(box.failures) == [1]
             messages.append(box.failures[1])
         else:
             with pytest.raises(EvaluationError) as failure:
-                oracle.estimate_both(box, x, 1e153)
+                oracle.estimate_both(box, x, mu)
             messages.append(str(failure.value))
     assert messages[0] == messages[1]
     assert "agent 2 returned inf at probe point" in messages[0]
-    assert messages[0].endswith("(coordinate 3, +mu)")
+    assert messages[0].endswith(f"(coordinate {j}, +mu)")
 
 
-def test_a_logistic_iterate_that_overflows_from_the_centers_fails_as_on_points():
-    # at x0_scale 1e160 replica 0's iterate squares past the float range, so
-    # its first round fails; replica 1 converges beside it.  From the centers
-    # and on points the failure comes at the same step with the same text
-    inst = synthetic_classification(_STEP_MIN_D, 3, 4, seed=1)
-    P = metropolis_hastings(topology_from_spec("ring", 4))
+@pytest.mark.parametrize("make, x0_scale, returned", [
+    (lambda: (synthetic_classification(_LOGISTIC_STEP_MIN_D, 3, 4, seed=1),
+              metropolis_hastings(topology_from_spec("ring", 4))), 1e160, "inf"),
+    (lambda: (build_instance(QUICKSTART), build_topology(QUICKSTART)[1]), 1e155, "nan"),
+    (lambda: (build_instance(QUICKSTART), build_topology(QUICKSTART)[1]), 1e160, "nan"),
+], ids=["logistic", "quickstart-1e155", "quickstart-1e160"])
+def test_an_iterate_that_overflows_from_the_centers_fails_as_on_points(make, x0_scale, returned):
+    # replica 0 starts at x0_scale and fails in its first round; replica 1
+    # converges beside it.  The logistic iterate squares past the float range
+    # to inf; the quickstart ridge's (d = 10) quadratic form has terms of both
+    # signs past it, so it is nan at the center and every probe.  From the
+    # centers and on points the failure comes at the same step with the same text
+    inst, P = make()
     per_step = 2 * inst.d + 1
-    replicas = [(JadeConfig(mu=1e-3, budget=20 * per_step, x0_scale=1e160), 1),
+    replicas = [(JadeConfig(mu=1e-3, budget=20 * per_step, x0_scale=x0_scale), 1),
                 (JadeConfig(mu=1e-3, budget=20 * per_step), 2)]
     traces = []
     for takes in (True, False):
@@ -636,6 +721,6 @@ def test_a_logistic_iterate_that_overflows_from_the_centers_fails_as_on_points()
     assert blown.failed and not fine.failed
     assert [row.iteration for row in blown.rows] == [row.iteration for row in blown_points.rows]
     assert blown.diagnostic == blown_points.diagnostic
-    assert "agent 0 returned inf at probe point" in blown.diagnostic
+    assert f"agent 0 returned {returned} at probe point" in blown.diagnostic
     assert fine.rows[-1].iteration == fine_points.rows[-1].iteration == 20
     assert fine.rows[-1].e_f == pytest.approx(fine_points.rows[-1].e_f, rel=1e-6)

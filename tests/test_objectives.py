@@ -12,9 +12,11 @@ from zojade import (
     ConfigurationError,
     ExperimentConfig,
     InstanceConstructionError,
+    JadeConfig,
     LogisticObjective,
     QuarticObjective,
     Xoshiro256,
+    draw_initial_iterates,
     estimate_both,
     estimate_gradient,
     gradient_error_bound,
@@ -23,6 +25,7 @@ from zojade import (
     quartic_instance,
     ridge_instance_from_shards,
     ridge_synthetic,
+    run,
     separable_quadratic_instance,
     shard_round_robin,
     standardize_features,
@@ -504,3 +507,19 @@ def test_a_global_box_of_many_points_is_one_point_boxes(make):
         g, h = estimate_both(alone, x[i][None], 0.03)
         assert (g.tobytes(), h.tobytes()) == (grad[i].tobytes(), hdiag[i].tobytes())
         assert alone.query_count == k
+
+
+def test_an_averaged_cost_that_sums_past_the_float_range_is_inf_without_a_warning():
+    # at x0_scale 1e153 every quickstart agent's cost at agent 1's iterate is
+    # finite, up to 7.6e307, and their running sum is not: e_f at step 0 is
+    # inf, where the sum's overflow warning became an error under the
+    # suite's -W error
+    cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "quickstart.json"))
+    inst = harness.build_instance(cfg)
+    x0 = draw_initial_iterates(1, inst.n, inst.d, 1e153)
+    values = inst.family.value_many(x0[None, 1:2])  # every agent's cost at iterate 1
+    assert np.isfinite(values).all()
+    assert inst.global_value_many(x0[1:2]) == [math.inf]
+    [trace] = run("zo_jade", inst, harness.build_topology(cfg)[1],
+                  [(JadeConfig(mu=1e-3, budget=20 * (2 * inst.d + 1), x0_scale=1e153), 1)])
+    assert trace.rows[0].e_f == math.inf
