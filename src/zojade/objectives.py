@@ -169,6 +169,7 @@ class LogisticObjective:
         self._divisor = np.maximum(counts, 1).astype(float)[:, None]
         padded = np.arange(rows) >= counts[:, None]
         self._padded = padded[..., None] if padded.any() else None
+        self._weights = np.where(padded, 0.0, 1.0 / self._divisor)[:, None, :]  # (n, 1, N)
 
     def value_many(self, X: np.ndarray, agents: slice = slice(None), step=None,
                    k: int = 0) -> np.ndarray:
@@ -186,9 +187,10 @@ class LogisticObjective:
         np.exp(loss, out=loss)
         np.log1p(loss, out=loss)
         loss -= np.minimum(z, 0.0, out=z)
+        # at an inf x a padding margin is 0 * inf = nan, which a zero weight keeps
         if self._padded is not None:  # a broadcast multiply would buffer up to 52 KB
             np.copyto(loss, 0.0, where=self._padded[agents])
-        return loss.sum(axis=-2) / self._divisor[agents] + ridge
+        return (self._weights[agents] @ loss)[..., 0, :] + ridge
 
     def _coordinate_terms(self, x: np.ndarray, agents: slice, step, k: int) -> tuple:
         """Ridge terms (..., m, k) and margins (..., m, N, k) at the first k

@@ -206,8 +206,9 @@ def test_agent_blocks_count_replica_rows_against_the_budget(replicas, n, d, k):
 # probes per agent k): paper_n20's ridge and logistic runs, scale_n200's
 # logistic run, the ridge and scale_n200's runs also from the centers as the
 # oracle calls them (both at or above their family's d rule), verify_desk's
-# quartic gamma ladder, and at the paper's shape a quartic and a logistic
-# family padded as unequal shards pad it.
+# quartic gamma ladder, at the paper's shape a quartic and a logistic
+# family padded as unequal shards pad it, and the padded logistic family
+# from the centers at scale_n200's shape.
 WORKLOAD_SHAPES = [
     ("quadratic", 5, 20, 10, 0, 21),
     ("quadratic from centers", 5, 20, 10, 0, 21),
@@ -217,6 +218,7 @@ WORKLOAD_SHAPES = [
     ("quartic", 3, 4, 1, 0, 3),
     ("quartic", 5, 20, 10, 0, 21),
     ("padded logistic", 5, 20, 10, 25, 21),
+    ("padded logistic from centers", 1, 200, 50, 25, 101),
 ]
 
 
@@ -225,7 +227,7 @@ def _workload_family(kind, n, d, N, rng):
         return QuadraticObjective(np.tile(np.eye(d), (n, 1, 1)), rng.normal(size=(n, d)))
     if kind.startswith("logistic"):
         return LogisticObjective(rng.normal(size=(n, N, d)), w=0.1)
-    if kind == "padded logistic":
+    if kind.startswith("padded logistic"):
         counts = np.arange(n) % 2 + N - 1
         return LogisticObjective(rng.normal(size=(n, N, d)), w=0.1, counts=counts)
     return QuarticObjective(1.0, 1.0, rng.normal(size=(n, d)))
@@ -236,8 +238,8 @@ def test_row_elements_cover_what_value_many_holds(kind, R, n, d, N, k):
     # the oracle sizes its blocks by the declared width, so the width must
     # cover every element one value_many call holds at once, measured here
     # on the largest block the oracle hands the family.  Allowance: five
-    # (..., k) vectors per row (a logistic call holds four: its ridge term,
-    # its sum over the samples, the mean and the result) and 2 KiB for the
+    # (..., k) vectors per row (a logistic call holds three: its ridge term,
+    # its weighted mean over the samples and the result) and 2 KiB for the
     # array headers of a call, which only tiny blocks notice
     family = _workload_family(kind, n, d, N, np.random.default_rng(3))
     block = oracle.agent_blocks(n, R * k * max(d, family.row_elements))[0]
@@ -695,6 +697,61 @@ def test_a_probe_that_overflows_from_the_centers_fails_as_on_points(kind, replic
     assert messages[0] == messages[1]
     assert "agent 2 returned inf at probe point" in messages[0]
     assert messages[0].endswith(f"(coordinate {j}, +mu)")
+
+
+def _padded_logistic(counts, d, seed):
+    """A logistic family whose agent i owns counts[i] random rows of
+    max(counts), the rest zero padding as unequal shards pad them."""
+    counts = np.asarray(counts)
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(len(counts), int(counts.max()), d))
+    U[np.arange(U.shape[1]) >= counts[:, None]] = 0.0
+    return LogisticObjective(U, 0.1, counts)
+
+
+@pytest.mark.parametrize("d, paths", [(4, (False,)), (_LOGISTIC_STEP_MIN_D, (True, False))],
+                         ids=["points", "both paths"])
+def test_an_empty_shard_at_an_inf_coordinate_returns_inf(d, paths):
+    # agent 1 owns no rows, so its every margin is a padding row's 0 * inf =
+    # nan (numpy warns of it, which the suite would raise); the padding mask
+    # zeroes those losses and the ridge term's inf is what the message names,
+    # on points and from the centers alike.  A zero weight alone would leave
+    # the nan standing
+    family = _padded_logistic([3, 0, 1], d, seed=2)
+    x = np.full((3, d), 0.1)
+    x[1, 0] = np.inf
+    messages = []
+    for takes in paths:
+        box = BlackBoxObjective(family.value_many, d, agents=3,
+                                row_elements=family.row_elements, takes_step=takes)
+        with pytest.raises(EvaluationError) as failure, np.errstate(invalid="ignore"):
+            oracle.estimate_both(box, x, 1e-3)
+        messages.append(str(failure.value))
+    assert messages == [messages[0]] * len(paths)
+    probe = [math.inf] + [0.1] * (d - 1)
+    assert messages[0].endswith(f"agent 1 returned inf at probe point {probe} (coordinate 0, +mu)")
+
+
+@pytest.mark.parametrize("replicas", [None, 3])
+@pytest.mark.parametrize("estimator", [oracle.estimate_both, oracle.estimate_gradient])
+def test_centers_values_do_not_depend_on_the_agent_blocks(estimator, replicas):
+    # each agent's mean is a product of its weight row and its losses, so
+    # all agents in one block and each agent alone give the same bytes, as
+    # test_batched_evaluation_matches_per_agent checks on points
+    n, d = 7, _LOGISTIC_STEP_MIN_D + 3
+    family = _padded_logistic([5, 0, 2, 5, 1, 3, 4], d, seed=4)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n, d) if replicas is None else (replicas, n, d))
+    mu = 1e-3 if replicas is None else tuple(rng.uniform(1e-4, 0.3, size=replicas).tolist())
+    estimates = []
+    for elements in (10**9, 1):
+        with mock.patch.object(oracle, "_BLOCK_ELEMENTS", elements):
+            box = _instance(family, d).black_boxes(replicas)
+            assert box._takes_step
+            estimates.append(np.stack(estimator(box, x, mu)))
+    together, alone = estimates
+    assert np.isfinite(together).all()
+    assert together.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("make, x0_scale, returned", [
