@@ -17,14 +17,14 @@ Each family stacks its agents' parameters along a leading agent axis.
 the slice `agents`, each at its own points X:(..., m, k, d), or all at
 shared points when that axis has length 1; each (k, d) slab of a leading
 replica axis goes through the arithmetic of a separate call.  A family whose
-`takes_step` is true also takes the estimators' coordinate probes by their
-centers: `value_many(x, agents, step, k)` with x:(..., m, d) and a step mu
-(or an (R, 1, 1) column of each replica's) returns the values (..., m, k) at
-the first k probes x + mu e_0, x - mu e_0, ..., x - mu e_{d-1}, x, with no
-probe point built.  The logistic family does so from d = 30 on and the
-quadratic from d = 8 on, each d the measured crossover of its own cost.  A
-call holds `row_elements` elements at once per evaluated row, every
-temporary together.
+`takes_step` is true also takes the estimators' probes by their centers:
+the counter's `evaluate_probes(x, mu, k)` calls `value_many(x, agents, step,
+k)` with x:(..., m, d) and the step mu (or an (R, 1, 1) column of each
+replica's), which returns the values (..., m, k) at the first k probes x +
+mu e_0, x - mu e_0, ..., x - mu e_{d-1}, x, with no probe point built.  The
+logistic family does so from d = 30 on and the quadratic from d = 8 on, each
+d the measured crossover of its own cost.  A call holds `row_elements`
+elements at once per evaluated row, every temporary together.
 `gradient(x, agents)` and `hessian(x, agents)` give those agents'
 derivatives at one point x, for the experimenter's ground truth.
 
@@ -174,11 +174,12 @@ class LogisticObjective:
     def value_many(self, X: np.ndarray, agents: slice = slice(None), step=None,
                    k: int = 0) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if step is None:
-            ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
-            z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (..., m, N, k)
-        else:
-            ridge, z = self._coordinate_terms(X, agents, step, k)
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as the points' einsum
+            if step is None:
+                ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
+                z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (..., m, N, k)
+            else:
+                ridge, z = self._coordinate_terms(X, agents, step, k)
         # log(1 + exp(-z)) = log1p(exp(-|z|)) - min(z, 0): exp never overflows,
         # and numpy's exp and log1p run as SIMD loops where logaddexp calls
         # the scalar libm per element
@@ -196,7 +197,9 @@ class LogisticObjective:
         """Ridge terms (..., m, k) and margins (..., m, N, k) at the first k
         coordinate probes of the centers x:(..., m, d), from the center margins:
         U (x +- mu e_j) = Ux +- mu U[:, j] and ||x +- mu e_j||^2 = ||x||^2 + mu^2
-        +- 2 mu x_j.  mu U is written into the margin array, not held apart."""
+        +- 2 mu x_j, or inf with ||x||^2 as on points, where an infinite x_j
+        makes the sum inf - inf.  mu U is written into the margin array, not
+        held apart; the caller keeps overflow and inf - inf silent."""
         mu = np.asarray(step, dtype=float)
         d = x.shape[-1]
         U = self.U[agents]
@@ -208,11 +211,11 @@ class LogisticObjective:
         z += center  # one pass over whole rows beats one per sign
         squares = np.einsum("...i,...i->...", x, x)[..., None]
         ridge = np.empty(x.shape[:-1] + (k,))
-        with np.errstate(over="ignore"):  # to inf without a warning, as the points' einsum
-            np.multiply(x, 2.0 * mu, out=ridge[..., 0:2 * d:2])
-            np.multiply(x, -2.0 * mu, out=ridge[..., 1:2 * d:2])
-            ridge[..., :2 * d] += squares + mu * mu
+        np.multiply(x, 2.0 * mu, out=ridge[..., 0:2 * d:2])
+        np.multiply(x, -2.0 * mu, out=ridge[..., 1:2 * d:2])
+        ridge[..., :2 * d] += squares + mu * mu
         ridge[..., 2 * d:] = squares
+        np.copyto(ridge, squares, where=np.isinf(squares))
         ridge *= 0.5 * self.w
         return ridge, z
 

@@ -8,13 +8,12 @@ two estimators is
 
 so both can be formed from the same 2d probe values plus one center value,
 2d + 1 queries in total.  The probe order is fixed (k ascending, +mu before
--mu, center last) to make query traces reproducible.  Since the layout is
-known by construction, a family that takes steps receives the probes as
-their centers and mu, and builds no probe point; every other evaluation
-gets the points.  The estimators work
-on all agents at once: x holds one row per agent, and a single cost is the
-one-agent case; a batched run adds a leading replica axis, one network
-copy per seed.
+-mu, center last) to make query traces reproducible, and a probe is known
+by its place in it alone: a family that takes steps receives the probes as
+their centers and mu, and a failing probe is named from its index.  The
+estimators work on all agents at once: x holds one row per agent, and a
+single cost is the one-agent case; a batched run adds a leading replica
+axis, one network copy per seed.
 
 The closed-form error, Lipschitz and admissible-step bounds for these
 estimators live here as plain functions of the smoothness constants
@@ -71,11 +70,9 @@ class BlackBoxObjective:
     `batch_fn(X, block)` returns the values (..., m, k) of the m agents in
     the slice `block`, each at its own points X:(..., m, k, d), holding
     `row_elements` elements at once per evaluated row; with `takes_step`,
-    `batch_fn(x, block, mu, k)` returns them at the first k coordinate probes
-    of the centers x:(..., m, d) (see :func:`_probes`).  A counter built
-    without `takes_step` hands its function points only, whatever the
-    function could take.  A single cost is the
-    one-agent case, `agents` = 1.  Every evaluation goes through
+    `batch_fn(x, block, mu, k)` returns them at the first k probes of
+    `_probes`' layout around the centers x:(..., m, d).  A single cost is
+    the one-agent case, `agents` = 1.  Every evaluation goes through
     :meth:`evaluate_probes`, which counts one query per point in
     `agent_queries`; the ground truth behind the function belongs to the
     experimenter and is never reachable from here.
@@ -103,30 +100,32 @@ class BlackBoxObjective:
         """Queries of all agents (and replicas) together."""
         return int(self.agent_queries.sum())
 
-    def evaluate_probes(self, x: np.ndarray, offsets: np.ndarray, step=None) -> np.ndarray:
-        """Values (..., n, k) of every agent i at x[..., i, :] + offsets[..., j, :]
-        for x:(n, d), or (R, n, d) with replicas and offsets (k, d) or each
-        replica's own (R, 1, k, d), built and evaluated one agent block at a
-        time; a block of m agents holds R * m * k probe rows.  A `step` says
-        that the offsets are the first k rows of `_probes`' layout at that
-        mu, so a counter that takes steps hands the family the centers.
+    def evaluate_probes(self, x: np.ndarray, mu, k: int) -> np.ndarray:
+        """Values (..., n, k) of every agent i at the first k probes of
+        `_probes`' layout around x[..., i, :] at step mu (a float, or a tuple
+        of each replica's) for x:(n, d), or (R, n, d) with replicas; k = 2d
+        for a gradient, 2d + 1 with the center.  A block of m agents at a
+        time holds R * m * k probe rows: a counter that takes steps hands
+        the family their centers, any other builds their points.
 
-        A non-finite value raises, naming the agent, its probe (the displaced
-        coordinate and sign of its offset row, or `center`) and its point; with
+        A non-finite value raises, naming the agent, its probe (coordinate
+        j // 2 and the sign of probe j, or `center`) and its point; with
         replicas it goes to `failures` instead and zeroes the replica's values,
         so that the rest of its discarded round stays finite."""
+        step, _, _, offsets = _probes(self.dim, mu)
         x = np.asarray(x, dtype=float)
         shape = self.agent_queries[self.live].shape
-        n, k = shape[-1], offsets.shape[-2]
+        n = shape[-1]
         if x.shape != shape + (self.dim,):
             raise ValueError(f"objective '{self.name}' takes points of shape "
                              f"{shape + (self.dim,)}, got shape {x.shape}")
         values = np.empty(shape + (k,))
         for block in agent_blocks(n, values.size // n * self._row_elements):
-            if step is not None and self._takes_step:
+            if self._takes_step:
                 values[..., block, :] = self._batch_fn(x[..., block, :], block, step, k)
             else:
-                values[..., block, :] = self._batch_fn(x[..., block, None, :] + offsets, block)
+                values[..., block, :] = self._batch_fn(
+                    x[..., block, None, :] + offsets[..., :k, :], block)
         self.agent_queries[self.live] += k
         if np.isfinite(values).all():
             return values
@@ -136,13 +135,10 @@ class BlackBoxObjective:
             if not bad.size:
                 continue
             i, j = (int(v) for v in bad[0])
-            offset = rows[r][0, j]
-            moved = np.flatnonzero(offset)
-            probe = (f"coordinate {moved[0]}, {'+-'[int(offset[moved[0]] < 0)]}mu"
-                     if moved.size else "center")
+            probe = f"coordinate {j // 2}, {'+-'[j % 2]}mu" if j < 2 * self.dim else "center"
             message = (
                 f"objective '{self.name}' agent {i} returned {float(values[r][i, j])!r} at "
-                f"probe point {(x[r][i] + offset).tolist()} ({probe})"
+                f"probe point {(x[r][i] + rows[r][0, j]).tolist()} ({probe})"
             )
             if self.failures is None:
                 raise EvaluationError(message)
@@ -175,8 +171,8 @@ def _probes(d: int, mu) -> tuple:
 def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu) -> np.ndarray:
     """Central-difference gradient estimates (..., n, d) at every agent's row of
     x:(n, d), or (R, n, d) with a step mu or a tuple of each replica's; 2d queries per agent."""
-    step, twice, _, offsets = _probes(f.dim, mu)
-    values = f.evaluate_probes(x, offsets[..., :-1, :], step)
+    twice = _probes(f.dim, mu)[1]
+    values = f.evaluate_probes(x, mu, 2 * f.dim)
     return (values[..., 0::2] - values[..., 1::2]) / twice
 
 
@@ -186,8 +182,8 @@ def estimate_hessian_diag(
     """Hessian-diagonal estimates (..., n, d) at x:(n, d), or (R, n, d) with a step
     mu or a tuple of each replica's, around the known center values f_i(x[i]),
     one per agent; 2d queries per agent."""
-    step, _, squared, offsets = _probes(f.dim, mu)
-    values = f.evaluate_probes(x, offsets[..., :-1, :], step)
+    squared = _probes(f.dim, mu)[2]
+    values = f.evaluate_probes(x, mu, 2 * f.dim)
     center = np.asarray(center, dtype=float)[..., None]
     return (values[..., 0::2] - 2.0 * center + values[..., 1::2]) / squared
 
@@ -201,8 +197,8 @@ def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu) -> tuple:
     extra center evaluation completes the second difference, 2d + 1
     queries per agent in total.
     """
-    step, twice, squared, offsets = _probes(f.dim, mu)
-    values = f.evaluate_probes(x, offsets, step)
+    _, twice, squared, _ = _probes(f.dim, mu)
+    values = f.evaluate_probes(x, mu, 2 * f.dim + 1)
     plus = values[..., 0:-1:2]
     minus = values[..., 1:-1:2]
     center = values[..., -1:]

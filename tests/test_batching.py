@@ -94,21 +94,23 @@ def _instance(family, d):
     kind=st.sampled_from(["quadratic", "logistic", "quartic"]),
     n=st.integers(1, 7),
     d=st.integers(1, 5),
-    k=st.integers(1, 9),
+    center=st.booleans(),
     mu=st.floats(1e-4, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_evaluation_matches_per_agent(kind, n, d, k, mu, seed):
+def test_batched_evaluation_matches_per_agent(kind, n, d, center, mu, seed):
+    # k = 2d + 1 probes with the center, or 2d for a gradient
     rng = np.random.default_rng(seed)
     family, reference = _family(kind, n, d, rng)
     x = rng.normal(size=(n, d))
-    offsets = mu * rng.normal(size=(k, d))
+    k = 2 * d + center
+    offsets = oracle._probes(d, mu)[3][:k]
     objective = _instance(family, d).black_boxes()
     with mock.patch.object(oracle, "_BLOCK_ELEMENTS", 10**9):
-        together = objective.evaluate_probes(x, offsets)
+        together = objective.evaluate_probes(x, mu, k)
     assert objective.agent_queries.tolist() == [k] * n
     with mock.patch.object(oracle, "_BLOCK_ELEMENTS", 1):
-        alone = objective.evaluate_probes(x, offsets)
+        alone = objective.evaluate_probes(x, mu, k)
     assert objective.agent_queries.tolist() == [2 * k] * n
     assert objective.query_count == 2 * k * n
     assert together.shape == (n, k)
@@ -176,11 +178,12 @@ def test_value_many_with_a_replica_axis_equals_separate_calls(
     replicas=st.integers(1, 5),
     n=st.integers(1, 40),
     d=st.integers(1, 60),
-    k=st.integers(1, 121),
+    center=st.booleans(),
 )
-@example(replicas=5, n=20, d=1, k=21)
-def test_agent_blocks_count_replica_rows_against_the_budget(replicas, n, d, k):
+@example(replicas=5, n=20, d=10, center=True)  # paper_n20's shape, k = 21
+def test_agent_blocks_count_replica_rows_against_the_budget(replicas, n, d, center):
     rows_elements = 25  # what a family holds per evaluated row
+    k = 2 * d + center
     calls = []
 
     def batch_fn(X, block):
@@ -189,7 +192,7 @@ def test_agent_blocks_count_replica_rows_against_the_budget(replicas, n, d, k):
 
     objective = BlackBoxObjective(batch_fn, d, agents=n, replicas=replicas,
                                   row_elements=rows_elements)
-    objective.evaluate_probes(np.zeros((replicas, n, d)), np.zeros((k, d)))
+    objective.evaluate_probes(np.zeros((replicas, n, d)), 0.1, k)
     per_agent = replicas * k * max(d, rows_elements)
     assert [block for _, block in calls] == oracle.agent_blocks(n, per_agent)
     lo = 0
@@ -632,10 +635,9 @@ def test_coordinate_probes_from_the_centers_match_the_points(
     x = scale * rng.normal(size=(replicas, n, d))
     mus = rng.uniform(1e-4, 0.3, size=replicas)
     mu = tuple(mus.tolist()) if per_replica else float(mus[0])
-    step, _, _, offsets = oracle._probes(d, mu)
+    offsets = oracle._probes(d, mu)[3]
     k = 2 * d + center
-    structured, points = (box.evaluate_probes(x, offsets[..., :k, :], step)
-                          for box in _boxes(family, d, n, replicas))
+    structured, points = (box.evaluate_probes(x, mu, k) for box in _boxes(family, d, n, replicas))
     bound = 4 * (d + 2) * U_ROUND * (_magnitudes(family, x, offsets[..., :k, :]) + np.abs(points))
     assert np.isfinite(structured).all()
     assert (np.abs(structured - points) <= bound).all()
@@ -712,24 +714,33 @@ def _padded_logistic(counts, d, seed):
 @pytest.mark.parametrize("d, paths", [(4, (False,)), (_LOGISTIC_STEP_MIN_D, (True, False))],
                          ids=["points", "both paths"])
 def test_an_empty_shard_at_an_inf_coordinate_returns_inf(d, paths):
-    # agent 1 owns no rows, so its every margin is a padding row's 0 * inf =
-    # nan (numpy warns of it, which the suite would raise); the padding mask
-    # zeroes those losses and the ridge term's inf is what the message names,
-    # on points and from the centers alike.  A zero weight alone would leave
-    # the nan standing
-    family = _padded_logistic([3, 0, 1], d, seed=2)
-    x = np.full((3, d), 0.1)
-    x[1, 0] = np.inf
-    messages = []
-    for takes in paths:
-        box = BlackBoxObjective(family.value_many, d, agents=3,
-                                row_elements=family.row_elements, takes_step=takes)
-        with pytest.raises(EvaluationError) as failure, np.errstate(invalid="ignore"):
-            oracle.estimate_both(box, x, 1e-3)
-        messages.append(str(failure.value))
-    assert messages == [messages[0]] * len(paths)
-    probe = [math.inf] + [0.1] * (d - 1)
-    assert messages[0].endswith(f"agent 1 returned inf at probe point {probe} (coordinate 0, +mu)")
+    # agent 1 owns no rows (or two of three), so a padding row's margin is
+    # 0 * inf = nan, without a warning (the suite would raise one); the
+    # padding mask zeroes those losses, and the ridge term is inf at either
+    # sign of x_0 and at every probe, on points and from the centers alike:
+    # from the centers ||x||^2 + mu^2 - 2 mu |x_0| would be inf - inf.  A
+    # zero weight alone would leave the nan standing
+    for inf in (math.inf, -math.inf):
+        for counts in ([3, 0, 1], [3, 2, 1]):
+            family = _padded_logistic(counts, d, seed=2)
+            x = np.full((3, d), 0.1)
+            x[1, 0] = inf
+            step, _, _, offsets = oracle._probes(d, 1e-3)
+            structured = family.value_many(x, slice(None), step, 2 * d + 1)
+            points = family.value_many(x[:, None, :] + offsets, slice(None))
+            assert np.array_equal(structured[1], points[1], equal_nan=True)
+            assert np.isinf(points[1]).all()
+            messages = []
+            for takes in paths:
+                box = BlackBoxObjective(family.value_many, d, agents=3,
+                                        row_elements=family.row_elements, takes_step=takes)
+                with pytest.raises(EvaluationError) as failure:
+                    oracle.estimate_both(box, x, 1e-3)
+                messages.append(str(failure.value))
+            assert messages == [messages[0]] * len(paths)
+            probe = [inf] + [0.1] * (d - 1)
+            assert messages[0].endswith(
+                f"agent 1 returned inf at probe point {probe} (coordinate 0, +mu)")
 
 
 @pytest.mark.parametrize("replicas", [None, 3])

@@ -133,7 +133,7 @@ def test_joint_estimator_bit_identical_to_separate_calls():
     obj = BlackBoxObjective(lambda X, block: np.sum(X**4 - X, axis=-1), 3)
     grad, hdiag = estimate_both(obj, x, 0.07)
     g = estimate_gradient(obj, x, 0.07)
-    center = obj.evaluate_probes(x, np.zeros((1, 3)))[:, 0]
+    center = obj.evaluate_probes(x, 0.07, 7)[:, -1]
     h = estimate_hessian_diag(obj, x, 0.07, center)
     assert np.array_equal(grad, g)
     assert np.array_equal(hdiag, h)
@@ -149,6 +149,27 @@ def test_joint_estimator_matches_analytics_on_quadratic():
     (grad,), (hdiag,) = estimate_both(obj, x[None], 1e-2)
     assert np.linalg.norm(grad - (A @ x + b)) <= 1e-10 * np.linalg.norm(A @ x + b)
     assert np.linalg.norm(hdiag - np.diag(A)) <= 1e-10 * np.linalg.norm(np.diag(A))
+
+
+@pytest.mark.parametrize("takes_step", [True, False])
+@pytest.mark.parametrize("j, probe, offset", [(3, "coordinate 1, -mu", [0.0, -0.5, 0.0]),
+                                              (6, "center", [0.0, 0.0, 0.0])])
+def test_a_failing_probe_is_named_by_its_place_in_the_layout(takes_step, j, probe, offset):
+    # d = 3, k = 2d + 1: probe 3 is x - mu e_1 and probe 6 the center x.  Only
+    # replica 1's agent 2 fails, at its own step 0.5, not replica 0's 0.25
+    d, mu = 3, (0.25, 0.5)
+    x = np.arange(2 * 4 * d).reshape(2, 4, d) / 8.0
+
+    def batch_fn(X, block, step=None, k=0):
+        values = np.zeros(X.shape[:-1] if step is None else X.shape[:-1] + (k,))
+        values[1, 2, j] = math.inf
+        return values
+
+    obj = BlackBoxObjective(batch_fn, d, agents=4, replicas=2, takes_step=takes_step, name="f")
+    estimate_both(obj, x, mu)
+    point = x[1, 2] + offset
+    assert obj.failures == {
+        1: f"objective 'f' agent 2 returned inf at probe point {point.tolist()} ({probe})"}
 
 
 def test_probe_evaluation_error_names_the_point():
@@ -304,11 +325,12 @@ def test_mu_must_be_positive():
         estimate_gradient(sphere(2), np.zeros((1, 2)), 0.0)
     with pytest.raises(ValueError):
         estimate_both(sphere(2), np.zeros((1, 2)), -0.1)
-    # NaN and +inf are rejected as steps, before any probe blames the objective
-    for mu in (math.nan, math.inf):
+    # NaN and +inf are rejected as steps, before any probe blames the
+    # objective, and so is a replica's NaN in a tuple of steps
+    for mu, bad in ((math.nan, math.nan), (math.inf, math.inf), ((0.1, math.nan), math.nan)):
         for estimate in (estimate_gradient, estimate_both):
             obj = sphere(2)
-            with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
+            with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {bad}$"):
                 estimate(obj, np.zeros((1, 2)), mu)
             assert obj.query_count == 0
         with pytest.raises(ValueError, match="^mu must be positive"):
