@@ -18,13 +18,16 @@ the slice `agents`, each at its own points X:(..., m, k, d), or all at
 shared points when that axis has length 1; each (k, d) slab of a leading
 replica axis goes through the arithmetic of a separate call.  A family whose
 `takes_step` is true also takes the estimators' probes by their centers:
-the counter's `evaluate_probes(x, mu, k)` calls `value_many(x, agents, step,
-k)` with x:(..., m, d) and the step mu (or an (R, 1, 1) column of each
-replica's), which returns the values (..., m, k) at the first k probes x +
-mu e_0, x - mu e_0, ..., x - mu e_{d-1}, x, with no probe point built.  The
-logistic family does so from d = 30 on and the quadratic from d = 8 on, each
-d the measured crossover of its own cost.  A call holds `row_elements`
-elements at once per evaluated row, every temporary together.
+the counter's `evaluate_probes(x, mu, k)` makes one call `value_many(x,
+slice(None), step, k)` with every agent's center, x:(..., n, d), and the
+step mu (or an (R, 1, 1) column of each replica's), which returns the values
+(..., n, k) at the first k probes x + mu e_0, x - mu e_0, ..., x - mu
+e_{d-1}, x, with no probe point built.  The logistic family does so from d
+= 24 on and the quadratic from d = 8 on, each d the measured crossover of
+its own cost.  On points a call holds `row_elements` elements at once per
+evaluated row, every temporary together; from the centers the logistic
+family takes its center margins and ridge terms for all agents at once and
+blocks its margins under the oracle's budget itself.
 `gradient(x, agents)` and `hessian(x, agents)` give those agents'
 derivatives at one point x, for the experimenter's ground truth.
 
@@ -64,9 +67,9 @@ _SIG4 = 0.125
 
 #: Smallest d at which the logistic family evaluates coordinate probes from
 #: their centers; below it the dense product of points and samples is faster
-#: (a round at N = 25 took 1.04-1.06x at d = 28 and 0.98x at d = 30 with 5
-#: replicas, 0.97x and 0.90x with one; README, Batched evaluation).
-_LOGISTIC_STEP_MIN_D = 30
+#: (a round at N = 25 took 0.96-1.01x at d = 20 and 0.88-0.91x at d = 24 with
+#: 5 replicas, 0.90-0.91x and 0.82-0.85x with one; README, Batched evaluation).
+_LOGISTIC_STEP_MIN_D = 24
 
 #: Smallest d at which the quadratic family evaluates coordinate probes from
 #: their centers; below it the product of points and A is cheaper than the
@@ -175,11 +178,15 @@ class LogisticObjective:
                    k: int = 0) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as the points' einsum
-            if step is None:
-                ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
-                z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (..., m, N, k)
-            else:
-                ridge, z = self._coordinate_terms(X, agents, step, k)
+            if step is not None:
+                return self._coordinate_values(X, agents, step, k)
+            ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
+            z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (..., m, N, k)
+        return self._mean_loss(z, agents) + ridge
+
+    def _mean_loss(self, z: np.ndarray, agents: slice) -> np.ndarray:
+        """Each agent's mean log-loss (..., m, k) over its own rows of the
+        margins z:(..., m, N, k), which it overwrites."""
         # log(1 + exp(-z)) = log1p(exp(-|z|)) - min(z, 0): exp never overflows,
         # and numpy's exp and log1p run as SIMD loops where logaddexp calls
         # the scalar libm per element
@@ -191,33 +198,41 @@ class LogisticObjective:
         # at an inf x a padding margin is 0 * inf = nan, which a zero weight keeps
         if self._padded is not None:  # a broadcast multiply would buffer up to 52 KB
             np.copyto(loss, 0.0, where=self._padded[agents])
-        return (self._weights[agents] @ loss)[..., 0, :] + ridge
+        return (self._weights[agents] @ loss)[..., 0, :]
 
-    def _coordinate_terms(self, x: np.ndarray, agents: slice, step, k: int) -> tuple:
-        """Ridge terms (..., m, k) and margins (..., m, N, k) at the first k
-        coordinate probes of the centers x:(..., m, d), from the center margins:
-        U (x +- mu e_j) = Ux +- mu U[:, j] and ||x +- mu e_j||^2 = ||x||^2 + mu^2
-        +- 2 mu x_j, or inf with ||x||^2 as on points, where an infinite x_j
-        makes the sum inf - inf.  mu U is written into the margin array, not
-        held apart; the caller keeps overflow and inf - inf silent."""
+    def _coordinate_values(self, x: np.ndarray, agents: slice, step, k: int) -> np.ndarray:
+        """Values (..., m, k) at the first k coordinate probes of the centers
+        x:(..., m, d), from the center margins: U (x +- mu e_j) = Ux +- mu U[:, j]
+        and ||x +- mu e_j||^2 = ||x||^2 + mu^2 +- 2 mu x_j, or inf with ||x||^2
+        as on points, where an infinite x_j makes the sum inf - inf.  The center
+        margins and the ridge terms, which become the output, are taken for all
+        m agents at once; the margins and their losses go in agent blocks, each
+        with one product mu U.  The caller keeps overflow and inf - inf silent."""
         mu = np.asarray(step, dtype=float)
-        d = x.shape[-1]
-        U = self.U[agents]
-        center = U @ x[..., None]  # (..., m, N, 1)
-        z = np.empty(center.shape[:-1] + (k,))
-        np.multiply(U, mu[..., None], out=z[..., 0:2 * d:2])
-        np.multiply(U, -mu[..., None], out=z[..., 1:2 * d:2])
-        z[..., 2 * d:] = 0.0
-        z += center  # one pass over whole rows beats one per sign
+        rows, d = self.U.shape[1:]
+        center = self.U[agents] @ x[..., None]  # (..., m, N, 1)
         squares = np.einsum("...i,...i->...", x, x)[..., None]
-        ridge = np.empty(x.shape[:-1] + (k,))
-        np.multiply(x, 2.0 * mu, out=ridge[..., 0:2 * d:2])
-        np.multiply(x, -2.0 * mu, out=ridge[..., 1:2 * d:2])
-        ridge[..., :2 * d] += squares + mu * mu
-        ridge[..., 2 * d:] = squares
-        np.copyto(ridge, squares, where=np.isinf(squares))
-        ridge *= 0.5 * self.w
-        return ridge, z
+        out = np.empty(x.shape[:-1] + (k,))
+        np.multiply(x, 2.0 * mu, out=out[..., 0:2 * d:2])
+        np.multiply(x, -2.0 * mu, out=out[..., 1:2 * d:2])
+        out[..., :2 * d] += squares + mu * mu
+        out[..., 2 * d:] = squares
+        np.copyto(out, squares, where=np.isinf(squares))
+        out *= 0.5 * self.w
+        m = x.shape[-2]
+        start = agents.indices(self.n)[0]
+        # a block holds its margins, their losses and mu U, N d per agent
+        for block in agent_blocks(m, out.size // m * (self.row_elements + -(-rows * d // k))):
+            c = center[..., block, :, :]
+            own = slice(start + block.start, start + block.stop)
+            step_margins = self.U[own] * mu[..., None]
+            z = np.empty(c.shape[:-1] + (k,))
+            np.add(c, step_margins, out=z[..., 0:2 * d:2])
+            np.subtract(c, step_margins, out=z[..., 1:2 * d:2])
+            z[..., 2 * d:] = c
+            ridge = out[..., block, :]
+            np.add(self._mean_loss(z, own), ridge, out=ridge)
+        return out
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         U = self.U[agents]
@@ -275,11 +290,11 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 class ProblemInstance:
     """A shared optimization problem: the agents' costs as one stacked family
     (a QuadraticObjective, LogisticObjective or QuarticObjective, or any object
-    with the same `n`, `value_many` and `row_elements`, what a call holds per
-    row, and optionally `takes_step`) plus the centralized ground truth (x*,
-    f*, constants) only the experimenter sees.  Only the estimators' calls
-    through `black_boxes` may reach a family from the centers; the
-    averaged-cost diagnostics below always hand it points."""
+    with the same `n`, `value_many` and `row_elements`, what a call on points
+    holds per row, and optionally `takes_step`) plus the centralized ground
+    truth (x*, f*, constants) only the experimenter sees.  Only the
+    estimators' calls through `black_boxes` may reach a family from the
+    centers; the averaged-cost diagnostics below always hand it points."""
 
     family: object
     d: int

@@ -10,10 +10,10 @@ so both can be formed from the same 2d probe values plus one center value,
 2d + 1 queries in total.  The probe order is fixed (k ascending, +mu before
 -mu, center last) to make query traces reproducible, and a probe is known
 by its place in it alone: a family that takes steps receives the probes as
-their centers and mu, and a failing probe is named from its index.  The
-estimators work on all agents at once: x holds one row per agent, and a
-single cost is the one-agent case; a batched run adds a leading replica
-axis, one network copy per seed.
+their centers and mu, all agents in one call, and a failing probe is named
+from its index.  The estimators work on all agents at once: x holds one
+row per agent, and a single cost is the one-agent case; a batched run adds
+a leading replica axis, one network copy per seed.
 
 The closed-form error, Lipschitz and admissible-step bounds for these
 estimators live here as plain functions of the smoothness constants
@@ -54,6 +54,7 @@ class SmoothnessConstants:
 #: holds two arrays per row, as the logistic margins and their losses, keeps
 #: each within 2^14 elements, the 128 KiB of glibc's default mmap threshold;
 #: two arrays above it made malloc trim and refault its heap top every call.
+#: A family that takes steps blocks its own agents under the same budget.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -70,8 +71,10 @@ class BlackBoxObjective:
     `batch_fn(X, block)` returns the values (..., m, k) of the m agents in
     the slice `block`, each at its own points X:(..., m, k, d), holding
     `row_elements` elements at once per evaluated row; with `takes_step`,
-    `batch_fn(x, block, mu, k)` returns them at the first k probes of
-    `_probes`' layout around the centers x:(..., m, d).  A single cost is
+    the counter makes one call `batch_fn(x, slice(None), mu, k)` per probe
+    set, which returns the values (..., n, k) of every agent at the first k
+    probes of `_probes`' layout around its center, x:(..., n, d), and
+    blocks its own temporaries under the budget.  A single cost is
     the one-agent case, `agents` = 1.  Every evaluation goes through
     :meth:`evaluate_probes`, which counts one query per point in
     `agent_queries`; the ground truth behind the function belongs to the
@@ -104,9 +107,9 @@ class BlackBoxObjective:
         """Values (..., n, k) of every agent i at the first k probes of
         `_probes`' layout around x[..., i, :] at step mu (a float, or a tuple
         of each replica's) for x:(n, d), or (R, n, d) with replicas; k = 2d
-        for a gradient, 2d + 1 with the center.  A block of m agents at a
-        time holds R * m * k probe rows: a counter that takes steps hands
-        the family their centers, any other builds their points.
+        for a gradient, 2d + 1 with the center.  A counter that takes steps
+        hands the family every agent's center in one call; any other builds
+        their points a block of m agents at a time, R * m * k probe rows.
 
         A non-finite value raises, naming the agent, its probe (coordinate
         j // 2 and the sign of probe j, or `center`) and its point; with
@@ -119,11 +122,11 @@ class BlackBoxObjective:
         if x.shape != shape + (self.dim,):
             raise ValueError(f"objective '{self.name}' takes points of shape "
                              f"{shape + (self.dim,)}, got shape {x.shape}")
-        values = np.empty(shape + (k,))
-        for block in agent_blocks(n, values.size // n * self._row_elements):
-            if self._takes_step:
-                values[..., block, :] = self._batch_fn(x[..., block, :], block, step, k)
-            else:
+        if self._takes_step:  # the family blocks its own work
+            values = self._batch_fn(x, slice(None), step, k)
+        else:
+            values = np.empty(shape + (k,))
+            for block in agent_blocks(n, values.size // n * self._row_elements):
                 values[..., block, :] = self._batch_fn(
                     x[..., block, None, :] + offsets[..., :k, :], block)
         self.agent_queries[self.live] += k

@@ -238,20 +238,28 @@ def _workload_family(kind, n, d, N, rng):
 
 @pytest.mark.parametrize("kind, R, n, d, N, k", WORKLOAD_SHAPES)
 def test_row_elements_cover_what_value_many_holds(kind, R, n, d, N, k):
-    # the oracle sizes its blocks by the declared width, so the width must
-    # cover every element one value_many call holds at once, measured here
-    # on the largest block the oracle hands the family.  Allowance: five
-    # (..., k) vectors per row (a logistic call holds three: its ridge term,
-    # its weighted mean over the samples and the result) and 2 KiB for the
-    # array headers of a call, which only tiny blocks notice
+    # the blocks are sized by the declared width, so the width must cover
+    # every element one value_many call holds at once.  On points it is
+    # measured on the largest block the oracle hands the family.  From the
+    # centers the oracle makes one whole call: it holds the output, the
+    # logistic center margins (N per agent) and one block of the family's
+    # own, whose width also counts mu U, ceil(N d / k) per row.  Allowance:
+    # five (..., k) vectors per row (a logistic block holds two: its
+    # weighted mean over the samples and the sum) and 2 KiB for the array
+    # headers of a call, which only tiny blocks notice
     family = _workload_family(kind, n, d, N, np.random.default_rng(3))
-    block = oracle.agent_blocks(n, R * k * max(d, family.row_elements))[0]
-    rows = R * (block.stop - block.start) * k
+    rng = np.random.default_rng(4)
     if kind.endswith("from centers"):  # the estimators' call: centers, step and probe count
-        args = (np.random.default_rng(4).normal(size=(R, block.stop - block.start, d)), block,
-                1e-3, k)
+        width = family.row_elements + -(-N * d // k)
+        block = oracle.agent_blocks(n, R * k * width)[0]
+        args = (rng.normal(size=(R, n, d)), slice(None), 1e-3, k)
+        whole = 8 * R * n * (k + N)
     else:
-        args = (np.random.default_rng(4).normal(size=(R, block.stop - block.start, k, d)), block)
+        width = family.row_elements
+        block = oracle.agent_blocks(n, R * k * max(d, width))[0]
+        args = (rng.normal(size=(R, block.stop - block.start, k, d)), block)
+        whole = 0
+    rows = R * (block.stop - block.start) * k
     family.value_many(*args)  # numpy's first-call caches stay out of the measurement
     tracemalloc.start()
     try:
@@ -259,32 +267,43 @@ def test_row_elements_cover_what_value_many_holds(kind, R, n, d, N, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    allowed = 8 * rows * (family.row_elements + 5) + 2048
+    allowed = whole + 8 * rows * (width + 5) + 2048
     assert peak <= allowed, (
-        f"{kind} holds {peak / (8 * rows):.1f} elements per row, declares {family.row_elements}")
+        f"{kind} holds {(peak - whole) / (8 * rows):.1f} elements per row, declares {width}")
 
 
 @pytest.mark.parametrize("R, n, d, N, k, width, calls", [
-    (1, 200, 50, 25, 101, 6, 34),  # scale_n200
-    (5, 20, 10, 25, 21, 6, 4),  # paper_n20's logistic runs
+    (1, 200, 50, 25, 101, 5, 40),  # scale_n200, from the centers
+    (5, 20, 10, 25, 21, 6, 4),  # paper_n20's logistic runs, on points
 ])
 def test_logistic_blocks_keep_each_margin_array_at_128_kib(R, n, d, N, k, width, calls):
-    # a block's margins and their losses are live together; each stays at
-    # or below glibc's 128 KiB mmap threshold, above which malloc trimmed and
-    # refaulted the top of its heap at every call.  The family's own path,
-    # from the centers at scale_n200's d, gets the same blocks
+    # a block's margins and their losses are live together, and from the
+    # centers its mu U; each stays at or below glibc's 128 KiB mmap
+    # threshold, above which malloc trimmed and refaulted the top of its heap
+    # at every call.  On points the counter blocks the points it builds;
+    # from the centers it makes one call, and the family blocks its margins
     family = LogisticObjective(np.random.default_rng(6).normal(size=(n, N, d)), w=0.1)
-    blocks = []
+    agents, margins = [], []
+    mean_loss = family._mean_loss
 
-    def value_many(X, agents, *step):
-        blocks.append(agents.stop - agents.start)
-        return family.value_many(X, agents, *step)
+    def value_many(X, block, *step):
+        agents.append(block)
+        return family.value_many(X, block, *step)
+
+    def recorded_mean_loss(z, block):
+        margins.append(z.shape)
+        return mean_loss(z, block)
 
     objective = BlackBoxObjective(value_many, d, agents=n, replicas=R,
                                   row_elements=family.row_elements, takes_step=family.takes_step)
-    oracle.estimate_both(objective, np.zeros((R, n, d)), 1e-3)
-    assert len(blocks) == calls and max(blocks) == width
-    assert max(blocks) * R * N * k * 8 <= 128 * 2**10
+    with mock.patch.object(family, "_mean_loss", recorded_mean_loss):
+        oracle.estimate_both(objective, np.zeros((R, n, d)), 1e-3)
+    assert len(agents) == (1 if family.takes_step else calls)
+    assert len(margins) == calls and max(shape[1] for shape in margins) == width
+    assert all(shape[0] == R and shape[2:] == (N, k) for shape in margins)
+    assert sum(shape[1] for shape in margins) == n
+    assert width * R * N * k * 8 <= 128 * 2**10  # the margins, and their losses
+    assert width * N * d * 8 <= 128 * 2**10  # mu U
 
 
 def _suite(family, n, d, seed):
@@ -743,26 +762,77 @@ def test_an_empty_shard_at_an_inf_coordinate_returns_inf(d, paths):
                 f"agent 1 returned inf at probe point {probe} (coordinate 0, +mu)")
 
 
+#: Families from the centers: the logistic family, padded or not, at its
+#: rule's d and above it, and the ridge quadratic at its rule's d
+CENTERS_FAMILIES = {
+    "padded logistic": lambda d: _padded_logistic([5, 0, 2, 5, 1, 3, 4], d, seed=4),
+    "logistic": lambda d: LogisticObjective(np.random.default_rng(4).normal(size=(7, 5, d)), 0.1),
+    "quadratic": lambda d: _family("quadratic", 7, d, np.random.default_rng(4))[0],
+}
+
+
 @pytest.mark.parametrize("replicas", [None, 3])
 @pytest.mark.parametrize("estimator", [oracle.estimate_both, oracle.estimate_gradient])
-def test_centers_values_do_not_depend_on_the_agent_blocks(estimator, replicas):
-    # each agent's mean is a product of its weight row and its losses, so
-    # all agents in one block and each agent alone give the same bytes, as
-    # test_batched_evaluation_matches_per_agent checks on points
-    n, d = 7, _LOGISTIC_STEP_MIN_D + 3
-    family = _padded_logistic([5, 0, 2, 5, 1, 3, 4], d, seed=4)
+@pytest.mark.parametrize("kind, d", [
+    ("padded logistic", _LOGISTIC_STEP_MIN_D), ("padded logistic", _LOGISTIC_STEP_MIN_D + 3),
+    ("logistic", _LOGISTIC_STEP_MIN_D), ("logistic", _LOGISTIC_STEP_MIN_D + 3),
+    ("quadratic", _QUADRATIC_STEP_MIN_D),
+])
+def test_centers_values_do_not_depend_on_the_agent_blocks(kind, d, estimator, replicas):
+    # each agent's value is its own arithmetic, so the counter's one call
+    # gives the bytes of one-agent calls of the family, whatever blocks the
+    # family makes of its agents (all in one, or one each), and so do the
+    # estimates; test_batched_evaluation_matches_per_agent checks the points
+    n = 7
+    family = CENTERS_FAMILIES[kind](d)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(n, d) if replicas is None else (replicas, n, d))
     mu = 1e-3 if replicas is None else tuple(rng.uniform(1e-4, 0.3, size=replicas).tolist())
+    step = oracle._probes(d, mu)[0]
+    k = 2 * d + (estimator is oracle.estimate_both)
+    alone = np.concatenate([family.value_many(x[..., i:i + 1, :], slice(i, i + 1), step, k)
+                            for i in range(n)], axis=-2)
     estimates = []
     for elements in (10**9, 1):
         with mock.patch.object(oracle, "_BLOCK_ELEMENTS", elements):
             box = _instance(family, d).black_boxes(replicas)
             assert box._takes_step
+            assert box.evaluate_probes(x, mu, k).tobytes() == alone.tobytes()
             estimates.append(np.stack(estimator(box, x, mu)))
-    together, alone = estimates
+    together, one_each = estimates
     assert np.isfinite(together).all()
-    assert together.tobytes() == alone.tobytes()
+    assert together.tobytes() == one_each.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["zo_jade", "gradient_tracking"])
+@pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+def test_a_counter_that_takes_steps_makes_one_family_call_per_probe_set(kind, algorithm):
+    # three replicas at three mu; replica 1 starts at 1e160 and fails in its
+    # first round, so the later calls come with `live` a subset.  Each round
+    # is one family call with every live agent's centers and slice(None)
+    if kind == "logistic":
+        inst = synthetic_classification(_LOGISTIC_STEP_MIN_D, 3, 4, seed=1)
+    else:
+        inst = separable_quadratic_instance(4, _QUADRATIC_STEP_MIN_D, seed=1)
+    P = metropolis_hastings(topology_from_spec("ring", 4))
+    per_step = ALGORITHMS[algorithm][1](inst.d)
+    cls = JadeConfig if algorithm == "zo_jade" else BaselineConfig
+    replicas = [(cls(mu=mu, budget=6 * per_step, x0_scale=scale), 1)
+                for mu, scale in ((1e-3, 1.0), (2e-3, 1e160), (3e-3, 1.0))]
+    calls = []
+    value_many = inst.family.value_many
+
+    def recorded(X, agents, *step):
+        if step:  # the averaged cost's diagnostics hand the family points
+            calls.append((X.shape, agents, np.shape(step[0]), step[1]))
+        return value_many(X, agents, *step)
+
+    with mock.patch.object(inst.family, "value_many", recorded):
+        traces = run(algorithm, inst, P, replicas)
+    assert [t.failed for t in traces] == [False, True, False]
+    assert [t.rows[-1].iteration for t in traces] == [6, 0, 6]
+    live = [3] + [2] * 5
+    assert calls == [((R, 4, inst.d), slice(None), (R, 1, 1), per_step) for R in live]
 
 
 @pytest.mark.parametrize("make, x0_scale, returned", [
