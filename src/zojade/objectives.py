@@ -27,7 +27,8 @@ e_{d-1}, x, with no probe point built.  The logistic family does so from d
 its own cost.  On points a call holds `row_elements` elements at once per
 evaluated row, every temporary together; from the centers the logistic
 family takes its center margins and ridge terms for all agents at once and
-blocks its margins under the oracle's budget itself.
+blocks its margins under the oracle's budget itself; the quadratic holds its
+whole call's (..., n, d) temporaries and the output, unblocked.
 `gradient(x, agents)` and `hessian(x, agents)` give those agents'
 derivatives at one point x, for the experimenter's ground truth.
 
@@ -69,6 +70,7 @@ _SIG4 = 0.125
 #: their centers; below it the dense product of points and samples is faster
 #: (a round at N = 25 took 0.96-1.01x at d = 20 and 0.88-0.91x at d = 24 with
 #: 5 replicas, 0.90-0.91x and 0.82-0.85x with one; README, Batched evaluation).
+#: Measured in-process at N = 25 only; no benchmark workload has d in [24, 30).
 _LOGISTIC_STEP_MIN_D = 24
 
 #: Smallest d at which the quadratic family evaluates coordinate probes from

@@ -54,7 +54,8 @@ class SmoothnessConstants:
 #: holds two arrays per row, as the logistic margins and their losses, keeps
 #: each within 2^14 elements, the 128 KiB of glibc's default mmap threshold;
 #: two arrays above it made malloc trim and refault its heap top every call.
-#: A family that takes steps blocks its own agents under the same budget.
+#: From the centers the logistic family blocks its margins under the same
+#: budget; the quadratic holds its whole call's (..., n, d) temporaries.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -73,8 +74,9 @@ class BlackBoxObjective:
     `row_elements` elements at once per evaluated row; with `takes_step`,
     the counter makes one call `batch_fn(x, slice(None), mu, k)` per probe
     set, which returns the values (..., n, k) of every agent at the first k
-    probes of `_probes`' layout around its center, x:(..., n, d), and
-    blocks its own temporaries under the budget.  A single cost is
+    probes of `_probes`' layout around its center, x:(..., n, d); the
+    logistic family blocks its margins under the budget, the quadratic
+    holds (..., n, d) temporaries and the output.  A single cost is
     the one-agent case, `agents` = 1.  Every evaluation goes through
     :meth:`evaluate_probes`, which counts one query per point in
     `agent_queries`; the ground truth behind the function belongs to the
@@ -122,7 +124,7 @@ class BlackBoxObjective:
         if x.shape != shape + (self.dim,):
             raise ValueError(f"objective '{self.name}' takes points of shape "
                              f"{shape + (self.dim,)}, got shape {x.shape}")
-        if self._takes_step:  # the family blocks its own work
+        if self._takes_step:  # one call; the logistic family blocks its margins
             values = self._batch_fn(x, slice(None), step, k)
         else:
             values = np.empty(shape + (k,))

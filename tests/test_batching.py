@@ -241,19 +241,21 @@ def test_row_elements_cover_what_value_many_holds(kind, R, n, d, N, k):
     # the blocks are sized by the declared width, so the width must cover
     # every element one value_many call holds at once.  On points it is
     # measured on the largest block the oracle hands the family.  From the
-    # centers the oracle makes one whole call: it holds the output, the
-    # logistic center margins (N per agent) and one block of the family's
-    # own, whose width also counts mu U, ceil(N d / k) per row.  Allowance:
-    # five (..., k) vectors per row (a logistic block holds two: its
-    # weighted mean over the samples and the sum) and 2 KiB for the array
-    # headers of a call, which only tiny blocks notice
+    # centers the oracle makes one whole call: it holds the logistic center
+    # margins (N per agent), the output rows outside the measured block and
+    # one block of the family's own, whose width also counts mu U,
+    # ceil(N d / k) per row; a block that spans every agent, as the
+    # quadratic's, adds nothing to the points' bound.  Allowance: five
+    # (..., k) vectors per row (the block's output and, in a logistic block,
+    # its weighted mean over the samples and the sum) and 2 KiB for the
+    # array headers of a call, which only tiny blocks notice
     family = _workload_family(kind, n, d, N, np.random.default_rng(3))
     rng = np.random.default_rng(4)
     if kind.endswith("from centers"):  # the estimators' call: centers, step and probe count
         width = family.row_elements + -(-N * d // k)
         block = oracle.agent_blocks(n, R * k * width)[0]
         args = (rng.normal(size=(R, n, d)), slice(None), 1e-3, k)
-        whole = 8 * R * n * (k + N)
+        whole = 8 * R * (n * N + (n - (block.stop - block.start)) * k)
     else:
         width = family.row_elements
         block = oracle.agent_blocks(n, R * k * max(d, width))[0]

@@ -31,8 +31,13 @@ within a round-off bound, which the reference carries along its run:
 In these runs e_f agrees within 1.7e-9 (the quadratic's zo_jade at mu =
 0.01, whose 1/mu^2 is the largest), and each difference is at most 0.12 of
 its bound, which reads 5e-13 to 2e-11 at step 0 and up to 7e-2 after 12
-rounds.  A family that drops the mu^2 term of the quadratic's centers path
-fails on the clamp count: its Hessian diagonal is 0, so every z clamps.
+rounds.  The bound grows with the rounds, but every row is checked, and
+by round 3 it is at most 3.5e-5 (the quadratic's zo_jade at mu = 0.01) and
+below 1e-8 for gradient tracking.  A family that drops the mu^2 term of the
+quadratic's centers path fails on the clamp count: its Hessian diagonal is
+0, so every z clamps.  A gradient-only defect fails on e_f at round 3 in
+all four cases: scaling the +-2 mu g_j of the quadratic's centers path, or
+the +-2 mu x_j of the logistic ridge terms, by 1 + 1e-6.
 """
 
 import math
