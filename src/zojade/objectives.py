@@ -15,20 +15,20 @@ family a config can name: its builder and the kinds of its parameters.
 Each family stacks its agents' parameters along a leading agent axis.
 `value_many(X, agents)` returns the values (..., m, k) of the m agents in
 the slice `agents`, each at its own points X:(..., m, k, d), or all at
-shared points when that axis has length 1; each (k, d) slab of a leading
-replica axis goes through the arithmetic of a separate call.  A family whose
-`takes_step` is true also takes the estimators' probes by their centers:
-the counter's `evaluate_probes(x, mu, k)` makes one call `value_many(x,
-slice(None), step, k)` with every agent's center, x:(..., n, d), and the
-step mu (or an (R, 1, 1) column of each replica's), which returns the values
-(..., n, k) at the first k probes x + mu e_0, x - mu e_0, ..., x - mu
-e_{d-1}, x, with no probe point built.  The logistic family does so from d
-= 24 on and the quadratic from d = 8 on, each d the measured crossover of
-its own cost.  On points a call holds `row_elements` elements at once per
-evaluated row, every temporary together; from the centers the logistic
-family takes its center margins and ridge terms for all agents at once and
-blocks its margins under the oracle's budget itself; the quadratic holds its
-whole call's (..., n, d) temporaries and the output, unblocked.
+shared points when that axis has length 1, holding `row_elements` elements
+at once per evaluated row; each (k, d) slab of a leading replica axis goes
+through the arithmetic of a separate call.  A family whose `takes_step` is
+true also takes the estimators' probes by their centers: one call
+`value_many(x, slice(None), step, k)` covers every agent's center,
+x:(..., n, d), at the step mu (or an (R, 1, 1) column of each replica's),
+and returns the values (..., n, k) at the first k probes x + mu e_0, x - mu
+e_0, ..., x - mu e_{d-1}, x, with no probe point built.  The logistic family
+does so from d = 24 on and the quadratic from d = 8 on, each d the measured
+crossover of its own cost; the logistic blocks its margins under the
+oracle's budget, the quadratic holds its call's (..., n, d) temporaries.
+Every family is silent at overflow and at an infinite coordinate: it returns
+inf or nan without a warning, and the query counter names the agent, the
+probe and the point of the failure.
 `gradient(x, agents)` and `hessian(x, agents)` give those agents'
 derivatives at one point x, for the experimenter's ground truth.
 
@@ -109,32 +109,32 @@ class QuadraticObjective:
     def value_many(self, X: np.ndarray, agents: slice = slice(None), step=None,
                    k: int = 0) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if step is not None:
-            return self._coordinate_values(X, agents, step, k)
-        return (
-            0.5 * np.einsum("...ij,...ij->...i", X, X @ self.A[agents])
-            + (X @ self.b[agents, :, None])[..., 0]
-            + self.c[agents, None]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # the counter judges a non-finite value
+            if step is not None:
+                return self._coordinate_values(X, step, k)
+            return (
+                0.5 * np.einsum("...ij,...ij->...i", X, X @ self.A[agents])
+                + (X @ self.b[agents, :, None])[..., 0]
+                + self.c[agents, None]
+            )
 
-    def _coordinate_values(self, x: np.ndarray, agents: slice, mu, k: int) -> np.ndarray:
-        """Values (..., m, k) at the first k coordinate probes of the centers
-        x:(..., m, d), from one product Ax per agent: with g = Ax + b,
+    def _coordinate_values(self, x: np.ndarray, mu, k: int) -> np.ndarray:
+        """Values (..., n, k) at the first k coordinate probes of every agent's
+        center, x:(..., n, d), from one product Ax per agent: with g = Ax + b,
         2 f(x +- mu e_j) = 2 f(x) + mu^2 A_jj +- 2 mu g_j.  The values are
         summed doubled and halved last, as the points' quadratic form is, so
-        a probe goes to inf or nan where its point does, without a warning."""
+        a probe goes to inf or nan where its point does."""
         d = x.shape[-1]
         out = np.empty(x.shape[:-1] + (k,))
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = (x[..., None, :] @ self.A[agents])[..., 0, :]  # x^T A = (Ax)^T, A symmetric
-            g += self.b[agents]
-            center = np.einsum("...i,...i->...", x, g + self.b[agents]) + 2.0 * self.c[agents]
-            curved = (mu * mu) * self._diagonal[agents] + center[..., None]
-            g *= 2.0 * mu
-            np.add(curved, g, out=out[..., 0:2 * d:2])
-            np.subtract(curved, g, out=out[..., 1:2 * d:2])
-            out[..., 2 * d:] = center[..., None]
-            out *= 0.5
+        g = (x[..., None, :] @ self.A)[..., 0, :]  # x^T A = (Ax)^T, A symmetric
+        g += self.b
+        center = np.einsum("...i,...i->...", x, g + self.b) + 2.0 * self.c
+        curved = (mu * mu) * self._diagonal + center[..., None]
+        g *= 2.0 * mu
+        np.add(curved, g, out=out[..., 0:2 * d:2])
+        np.subtract(curved, g, out=out[..., 1:2 * d:2])
+        out[..., 2 * d:] = center[..., None]
+        out *= 0.5
         return out
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
@@ -179,9 +179,9 @@ class LogisticObjective:
     def value_many(self, X: np.ndarray, agents: slice = slice(None), step=None,
                    k: int = 0) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # silent, as the points' einsum
+        with np.errstate(over="ignore", invalid="ignore"):  # the counter judges a non-finite value
             if step is not None:
-                return self._coordinate_values(X, agents, step, k)
+                return self._coordinate_values(X, step, k)
             ridge = 0.5 * self.w * np.einsum("...ij,...ij->...i", X, X)
             z = self.U[agents] @ np.swapaxes(X, -1, -2)  # margins (..., m, N, k)
         return self._mean_loss(z, agents) + ridge
@@ -202,17 +202,17 @@ class LogisticObjective:
             np.copyto(loss, 0.0, where=self._padded[agents])
         return (self._weights[agents] @ loss)[..., 0, :]
 
-    def _coordinate_values(self, x: np.ndarray, agents: slice, step, k: int) -> np.ndarray:
-        """Values (..., m, k) at the first k coordinate probes of the centers
-        x:(..., m, d), from the center margins: U (x +- mu e_j) = Ux +- mu U[:, j]
+    def _coordinate_values(self, x: np.ndarray, step, k: int) -> np.ndarray:
+        """Values (..., n, k) at the first k coordinate probes of every agent's
+        center, x:(..., n, d), from the center margins: U (x +- mu e_j) = Ux +- mu U[:, j]
         and ||x +- mu e_j||^2 = ||x||^2 + mu^2 +- 2 mu x_j, or inf with ||x||^2
         as on points, where an infinite x_j makes the sum inf - inf.  The center
         margins and the ridge terms, which become the output, are taken for all
-        m agents at once; the margins and their losses go in agent blocks, each
-        with one product mu U.  The caller keeps overflow and inf - inf silent."""
+        agents at once; the margins and their losses go in agent blocks, each
+        with one product mu U."""
         mu = np.asarray(step, dtype=float)
         rows, d = self.U.shape[1:]
-        center = self.U[agents] @ x[..., None]  # (..., m, N, 1)
+        center = self.U @ x[..., None]  # (..., n, N, 1)
         squares = np.einsum("...i,...i->...", x, x)[..., None]
         out = np.empty(x.shape[:-1] + (k,))
         np.multiply(x, 2.0 * mu, out=out[..., 0:2 * d:2])
@@ -221,19 +221,17 @@ class LogisticObjective:
         out[..., 2 * d:] = squares
         np.copyto(out, squares, where=np.isinf(squares))
         out *= 0.5 * self.w
-        m = x.shape[-2]
-        start = agents.indices(self.n)[0]
         # a block holds its margins, their losses and mu U, N d per agent
-        for block in agent_blocks(m, out.size // m * (self.row_elements + -(-rows * d // k))):
+        per_agent = out.size // self.n * (self.row_elements + -(-rows * d // k))
+        for block in agent_blocks(self.n, per_agent):
             c = center[..., block, :, :]
-            own = slice(start + block.start, start + block.stop)
-            step_margins = self.U[own] * mu[..., None]
+            step_margins = self.U[block] * mu[..., None]
             z = np.empty(c.shape[:-1] + (k,))
             np.add(c, step_margins, out=z[..., 0:2 * d:2])
             np.subtract(c, step_margins, out=z[..., 1:2 * d:2])
             z[..., 2 * d:] = c
             ridge = out[..., block, :]
-            np.add(self._mean_loss(z, own), ridge, out=ridge)
+            np.add(self._mean_loss(z, block), ridge, out=ridge)
         return out
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
@@ -266,10 +264,10 @@ class QuarticObjective:
 
     def value_many(self, X: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        X2 = X * X
-        return (0.25 * self.q * X2 * X2 + 0.5 * self.a * X2 + X * self.b[agents, None, :]).sum(
-            axis=-1
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # the counter judges a non-finite value
+            X2 = X * X
+            terms = 0.25 * self.q * X2 * X2 + 0.5 * self.a * X2 + X * self.b[agents, None, :]
+            return terms.sum(axis=-1)
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
         return self.q * x**3 + self.a * x + self.b[agents]
@@ -296,7 +294,9 @@ class ProblemInstance:
     holds per row, and optionally `takes_step`) plus the centralized ground
     truth (x*, f*, constants) only the experimenter sees.  Only the
     estimators' calls through `black_boxes` may reach a family from the
-    centers; the averaged-cost diagnostics below always hand it points."""
+    centers, one call for every agent; the averaged-cost diagnostics below
+    always hand it points.  A family returns a non-finite value silently, and
+    the counter names the agent, the probe and the point."""
 
     family: object
     d: int

@@ -54,8 +54,6 @@ class SmoothnessConstants:
 #: holds two arrays per row, as the logistic margins and their losses, keeps
 #: each within 2^14 elements, the 128 KiB of glibc's default mmap threshold;
 #: two arrays above it made malloc trim and refault its heap top every call.
-#: From the centers the logistic family blocks its margins under the same
-#: budget; the quadratic holds its whole call's (..., n, d) temporaries.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -74,13 +72,12 @@ class BlackBoxObjective:
     `row_elements` elements at once per evaluated row; with `takes_step`,
     the counter makes one call `batch_fn(x, slice(None), mu, k)` per probe
     set, which returns the values (..., n, k) of every agent at the first k
-    probes of `_probes`' layout around its center, x:(..., n, d); the
-    logistic family blocks its margins under the budget, the quadratic
-    holds (..., n, d) temporaries and the output.  A single cost is
-    the one-agent case, `agents` = 1.  Every evaluation goes through
-    :meth:`evaluate_probes`, which counts one query per point in
-    `agent_queries`; the ground truth behind the function belongs to the
-    experimenter and is never reachable from here.
+    probes of `_probes`' layout around its center, x:(..., n, d).  The
+    function returns a non-finite value without a warning; the counter's
+    finite check judges it.  A single cost is the one-agent case, `agents`
+    = 1.  Every evaluation goes through :meth:`evaluate_probes`, which counts
+    one query per point in `agent_queries`; the ground truth behind the
+    function belongs to the experimenter and is never reachable from here.
 
     With `replicas` = R it serves the R seeds of a batched run: points are
     x:(R, n, d), `agent_queries` is (R, n), `live` indexes the replicas the
@@ -124,7 +121,7 @@ class BlackBoxObjective:
         if x.shape != shape + (self.dim,):
             raise ValueError(f"objective '{self.name}' takes points of shape "
                              f"{shape + (self.dim,)}, got shape {x.shape}")
-        if self._takes_step:  # one call; the logistic family blocks its margins
+        if self._takes_step:  # one call with every agent's center
             values = self._batch_fn(x, slice(None), step, k)
         else:
             values = np.empty(shape + (k,))

@@ -43,6 +43,8 @@ from zojade.harness import (
 )
 from zojade.objectives import _LOGISTIC_STEP_MIN_D, _QUADRATIC_STEP_MIN_D
 
+from test_algorithms import Explosive
+
 QUICKSTART = ExperimentConfig.from_file(
     str(Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"))
 
@@ -404,21 +406,6 @@ def test_batched_run_equals_the_separate_runs(
     assert counters[0].agent_queries.shape == (len(replicas), n)
 
 
-class Explosive:
-    """Agent i's cost exp(s_i ||x||^2), which overflows once s_i ||x||^2
-    passes about 709."""
-
-    row_elements = 1
-
-    def __init__(self, scales):
-        self.scales = np.asarray(scales, dtype=float)
-        self.n = len(self.scales)
-
-    def value_many(self, X, agents=slice(None)):
-        with np.errstate(over="ignore"):
-            return np.exp(self.scales[agents, None] * np.sum(X * X, axis=-1))
-
-
 class Cliff:
     """Agent i's cost +-1.5e308 on either side of the plane sum(x) = c_i: a
     probe pair across the plane overflows the gradient estimate to inf."""
@@ -764,6 +751,42 @@ def test_an_empty_shard_at_an_inf_coordinate_returns_inf(d, paths):
                 f"agent 1 returned inf at probe point {probe} (coordinate 0, +mu)")
 
 
+#: One family of each kind on each of its paths: on points below the
+#: family's crossover d, from the centers at it; the quartic has points only
+NON_FINITE_INSTANCES = {
+    "quadratic-points": lambda: separable_quadratic_instance(3, 4, seed=1),
+    "quadratic-centers": lambda: separable_quadratic_instance(3, _QUADRATIC_STEP_MIN_D, seed=1),
+    "logistic-points": lambda: synthetic_classification(4, 3, 3, seed=1),
+    "logistic-centers": lambda: synthetic_classification(_LOGISTIC_STEP_MIN_D, 3, 3, seed=1),
+    "quartic": lambda: quartic_instance(3, d=2),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, 1e200])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_INSTANCES))
+def test_every_family_is_silent_at_a_non_finite_value_and_the_counter_names_it(kind, value):
+    # agent 1's first coordinate is infinite or squares past the float range:
+    # the family returns inf or nan at each of its probes without a warning
+    # (the suite would raise one), on its own path, and only the counter
+    # judges the value, naming the agent, its first probe and that probe's point
+    inst = NON_FINITE_INSTANCES[kind]()
+    box, d = inst.black_boxes(), inst.d
+    assert box._takes_step == kind.endswith("centers")
+    x = np.full((3, d), 0.1)
+    x[1, 0] = value
+    step, _, _, offsets = oracle._probes(d, 1e-3)
+    if box._takes_step:
+        values = inst.family.value_many(x, slice(None), step, 2 * d + 1)
+    else:
+        values = inst.family.value_many(x[:, None, :] + offsets, slice(None))
+    assert np.isfinite(values[[0, 2]]).all() and not np.isfinite(values[1]).any()
+    with pytest.raises(EvaluationError) as failure:
+        oracle.estimate_both(box, x, 1e-3)
+    returned, _, point = str(failure.value).partition(" at probe point ")
+    assert returned.endswith(("agent 1 returned inf", "agent 1 returned nan"))
+    assert point == f"{[value] + [0.1] * (d - 1)} (coordinate 0, +mu)"
+
+
 #: Families from the centers: the logistic family, padded or not, at its
 #: rule's d and above it, and the ridge quadratic at its rule's d
 CENTERS_FAMILIES = {
@@ -782,9 +805,10 @@ CENTERS_FAMILIES = {
 ])
 def test_centers_values_do_not_depend_on_the_agent_blocks(kind, d, estimator, replicas):
     # each agent's value is its own arithmetic, so the counter's one call
-    # gives the bytes of one-agent calls of the family, whatever blocks the
-    # family makes of its agents (all in one, or one each), and so do the
-    # estimates; test_batched_evaluation_matches_per_agent checks the points
+    # gives the bytes of one-agent families built from the family's arrays,
+    # whatever blocks the family makes of its agents (all in one, or one
+    # each), and so do the estimates; test_batched_evaluation_matches_per_agent
+    # checks the points
     n = 7
     family = CENTERS_FAMILIES[kind](d)
     rng = np.random.default_rng(5)
@@ -792,8 +816,14 @@ def test_centers_values_do_not_depend_on_the_agent_blocks(kind, d, estimator, re
     mu = 1e-3 if replicas is None else tuple(rng.uniform(1e-4, 0.3, size=replicas).tolist())
     step = oracle._probes(d, mu)[0]
     k = 2 * d + (estimator is oracle.estimate_both)
-    alone = np.concatenate([family.value_many(x[..., i:i + 1, :], slice(i, i + 1), step, k)
-                            for i in range(n)], axis=-2)
+    if kind == "quadratic":
+        agents = [QuadraticObjective(family.A[i:i + 1], family.b[i:i + 1], family.c[i:i + 1])
+                  for i in range(n)]
+    else:
+        agents = [LogisticObjective(family.U[i:i + 1], family.w, family.counts[i:i + 1])
+                  for i in range(n)]
+    alone = np.concatenate([agent.value_many(x[..., i:i + 1, :], slice(None), step, k)
+                            for i, agent in enumerate(agents)], axis=-2)
     estimates = []
     for elements in (10**9, 1):
         with mock.patch.object(oracle, "_BLOCK_ELEMENTS", elements):

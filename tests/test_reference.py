@@ -1,12 +1,13 @@
 """Whole runs against a transcription of the paper's updates.
 
-The reference below is written as the paper states ZO-JADE and gradient
-tracking: loops over rounds and agents, every probe x_i +- mu e_j and x_i
-built and evaluated alone by a plain per-agent formula of its family,
-the estimates by central differences, and the mixing as sums over each
-agent's neighbours.  It shares with the simulator only the seeded initial
-draw and the instance's data, so it checks the stacked, blocked and
-from-the-centers evaluation end to end.
+The reference below is written as the paper states ZO-JADE, gradient
+tracking and consensus gradient descent: loops over rounds and agents,
+every probe x_i +- mu e_j and x_i built and evaluated alone by a plain
+per-agent formula of its family, the estimates by central differences,
+and the mixing as sums over each agent's neighbours.  It shares with the
+simulator only the seeded initial draw and the instance's data, so it
+checks the stacked and blocked evaluation, on points and from the
+centers, end to end.
 
 The two evaluate the same probe in different orders, so e_f agrees only
 within a round-off bound, which the reference carries along its run:
@@ -18,26 +19,32 @@ within a round-off bound, which the reference carries along its run:
 * Then per round the estimates differ by at most nu / mu (gradient) and
   4 nu / mu^2 (Hessian diagonal), plus a few u of themselves, and by what
   the iterates' difference E moves them: G E and T E, with G >= |Hessian|
-  and T >= |third derivatives| componentwise (the logistic loss's second
-  and third derivatives are at most 1/4 and 1/(6 sqrt 3)).
+  and T >= |third derivatives| componentwise within |x| + mu (the logistic
+  loss's second and third derivatives are at most 1/4 and 1/(6 sqrt 3);
+  the quartic's, 3 q x^2 + a and 6 q x, grow with |x|).
 * The update is propagated to first order in absolute values: the
   tracked y and z add their signals' bounds through the nonnegative
   weights, and x takes (1 - eps) P E + eps (Dy / z + |y| Dz / z^2), or
-  P E + eta Dy for gradient tracking.
+  P E + eta Dy for gradient tracking, or P E + eta times the gradient
+  estimate's bound for consensus gradient descent.
 * e_f moves by |grad F| . E per agent, averaged, plus the two sides'
   round-off of F at x and at x*, over |f*|; the bound doubles that sum to
-  cover the second-order terms (below 1e-20 in these runs).
+  cover the second-order terms (at most 1e-19 at the last row of these
+  runs, from the two sides' final iterates).
 
 In these runs e_f agrees within 1.7e-9 (the quadratic's zo_jade at mu =
-0.01, whose 1/mu^2 is the largest), and each difference is at most 0.12 of
-its bound, which reads 5e-13 to 2e-11 at step 0 and up to 7e-2 after 12
-rounds.  The bound grows with the rounds, but every row is checked, and
-by round 3 it is at most 3.5e-5 (the quadratic's zo_jade at mu = 0.01) and
-below 1e-8 for gradient tracking.  A family that drops the mu^2 term of the
+0.01 from the centers, whose 1/mu^2 is the largest), and each difference
+is at most 0.12 of its bound, which reads 2e-14 to 2e-11 at step 0 and up
+to 7e-2 after 12 rounds.  The bound grows with the rounds, but every row
+is checked, and by round 3 it is at most 3.5e-5 (the same run) and at
+most 1e-8 for the two baselines.  A family that drops the mu^2 term of the
 quadratic's centers path fails on the clamp count: its Hessian diagonal is
 0, so every z clamps.  A gradient-only defect fails on e_f at round 3 in
-all four cases: scaling the +-2 mu g_j of the quadratic's centers path, or
-the +-2 mu x_j of the logistic ridge terms, by 1 + 1e-6.
+all six cases from the centers: scaling the +-2 mu g_j of the quadratic's
+centers path, or the +-2 mu x_j of the logistic ridge terms, by 1 + 1e-6.
+On points a value defect moves e_f itself, which is evaluated on points,
+and fails at step 0: scaling the quadratic's linear term, the logistic
+ridge term or the quartic term by 1 + 1e-6.
 """
 
 import math
@@ -46,8 +53,9 @@ import numpy as np
 import pytest
 
 from zojade import (
-    BaselineConfig, JadeConfig, LogisticObjective, ProblemInstance, draw_initial_iterates,
-    metropolis_hastings, ridge_synthetic, run, topology_from_spec,
+    BaselineConfig, JadeConfig, LogisticObjective, ProblemInstance, QuadraticObjective,
+    QuarticObjective, draw_initial_iterates, metropolis_hastings, quartic_instance,
+    ridge_synthetic, run, topology_from_spec,
 )
 from zojade.metrics import EF_DENOMINATOR_FLOOR
 from zojade.objectives import _LOGISTIC_STEP_MIN_D, _QUADRATIC_STEP_MIN_D, _logistic_constants
@@ -58,43 +66,74 @@ U_ROUND = 2.0**-53
 class _Cost:
     """Agent i's cost f, its gradient, its magnitude M (every product and
     term in absolute value) at a point, and the bounds G and T on the
-    absolute values of its second and third derivatives, in the loss
-    conventions' formulas."""
-
-    def __init__(self, family, i):
-        if isinstance(family, LogisticObjective):
-            self.S, self.w = family.U[i, :family.counts[i]], family.w
-            count = max(len(self.S), 1)
-            S = np.abs(self.S)
-            self.G = 0.25 * S.T @ S / count + self.w * np.eye(len(S.T))
-            self.T = (S * S).T @ S / (6.0 * math.sqrt(3.0) * count)
-        else:
-            self.A, self.b, self.c = family.A[i], family.b[i], family.c[i]
-            self.G = np.abs(self.A)
-            self.T = np.zeros_like(self.A)
-
-    def __call__(self, x):
-        if hasattr(self, "S"):
-            mean = np.logaddexp(0.0, -(self.S @ x)).mean() if len(self.S) else 0.0
-            return mean + 0.5 * self.w * (x @ x)
-        return 0.5 * (x @ self.A @ x) + self.b @ x + self.c
-
-    def gradient(self, x):
-        if hasattr(self, "S"):
-            loss = -self.S.T @ (0.5 - 0.5 * np.tanh(0.5 * (self.S @ x)))  # sigma(-z)
-            return (loss / len(self.S) if len(self.S) else 0.0) + self.w * x
-        return self.A @ x + self.b
-
-    def magnitude(self, x):
-        if hasattr(self, "S"):
-            S = np.abs(self.S)
-            mean = (S @ x).mean() + math.log(2.0) if len(S) else 0.0
-            return mean + 0.5 * self.w * (x @ x)
-        return 0.5 * (x @ np.abs(self.A) @ x) + np.abs(self.b) @ x + abs(self.c)
+    absolute values of its second and third derivatives within |x| <= r
+    componentwise, in the loss conventions' formulas."""
 
     def roundoff(self, x, value):
         """nu: how far two evaluation orders can put f at a point within |x|."""
         return 4 * (len(x) + 2) * U_ROUND * (self.magnitude(np.abs(x)) + abs(value))
+
+
+class _Quadratic(_Cost):
+    def __init__(self, family, i):
+        self.A, self.b, self.c = family.A[i], family.b[i], family.c[i]
+
+    def __call__(self, x):
+        return 0.5 * (x @ self.A @ x) + self.b @ x + self.c
+
+    def gradient(self, x):
+        return self.A @ x + self.b
+
+    def magnitude(self, x):
+        return 0.5 * (x @ np.abs(self.A) @ x) + np.abs(self.b) @ x + abs(self.c)
+
+    def bounds(self, r):
+        return np.abs(self.A), np.zeros_like(self.A)
+
+
+class _Logistic(_Cost):
+    def __init__(self, family, i):
+        self.S, self.w = family.U[i, :family.counts[i]], family.w
+        count = max(len(self.S), 1)
+        S = np.abs(self.S)
+        self.G = 0.25 * S.T @ S / count + self.w * np.eye(len(S.T))
+        self.T = (S * S).T @ S / (6.0 * math.sqrt(3.0) * count)
+
+    def __call__(self, x):
+        mean = np.logaddexp(0.0, -(self.S @ x)).mean() if len(self.S) else 0.0
+        return mean + 0.5 * self.w * (x @ x)
+
+    def gradient(self, x):
+        loss = -self.S.T @ (0.5 - 0.5 * np.tanh(0.5 * (self.S @ x)))  # sigma(-z)
+        return (loss / len(self.S) if len(self.S) else 0.0) + self.w * x
+
+    def magnitude(self, x):
+        S = np.abs(self.S)
+        mean = (S @ x).mean() + math.log(2.0) if len(S) else 0.0
+        return mean + 0.5 * self.w * (x @ x)
+
+    def bounds(self, r):
+        return self.G, self.T
+
+
+class _Quartic(_Cost):
+    def __init__(self, family, i):
+        self.q, self.a, self.tilt = family.q, family.a, family.b[i]
+
+    def __call__(self, x):
+        return np.sum(self.q * x**4 / 4 + self.a * x**2 / 2 + self.tilt * x)
+
+    def gradient(self, x):
+        return self.q * x**3 + self.a * x + self.tilt
+
+    def magnitude(self, x):
+        return np.sum(self.q * x**4 / 4 + self.a * x**2 / 2 + np.abs(self.tilt) * x)
+
+    def bounds(self, r):
+        return np.diag(3.0 * self.q * r * r + self.a), np.diag(6.0 * self.q * r)
+
+
+COSTS = {QuadraticObjective: _Quadratic, LogisticObjective: _Logistic, QuarticObjective: _Quartic}
 
 
 def _reference(algorithm, instance, P, cfg, seed):
@@ -102,7 +141,7 @@ def _reference(algorithm, instance, P, cfg, seed):
     per agent, e_f, clamp count, the round-off bound on e_f) at step 0,
     every record_every rounds and the last."""
     n, d, mu = instance.n, instance.d, cfg.mu
-    costs = [_Cost(instance.family, i) for i in range(n)]
+    costs = [COSTS[type(instance.family)](instance.family, i) for i in range(n)]
     neighbours = [[j for j in range(n) if P[i, j] != 0.0] for i in range(n)]
     jade = algorithm == "zo_jade"
     per_round = 2 * d + 1 if jade else 2 * d
@@ -144,10 +183,11 @@ def _reference(algorithm, instance, P, cfg, seed):
                 hdiag[j] = (plus - 2.0 * center + minus) / mu**2 if jade else 0.0
                 largest = max(largest, abs(plus), abs(minus))
             nu = f.roundoff(np.abs(x[i]) + mu, largest)
+            G, T = f.bounds(np.abs(x[i]) + mu)
             grads.append(grad)
             hdiags.append(hdiag)
-            grad_bounds.append(nu / mu + 4 * U_ROUND * np.abs(grad) + f.G @ E[i])
-            hdiag_bounds.append(4 * nu / mu**2 + 4 * U_ROUND * np.abs(hdiag) + f.T @ E[i])
+            grad_bounds.append(nu / mu + 4 * U_ROUND * np.abs(grad) + G @ E[i])
+            hdiag_bounds.append(4 * nu / mu**2 + 4 * U_ROUND * np.abs(hdiag) + T @ E[i])
         if jade:
             g_new = [hdiags[i] * x[i] - grads[i] for i in range(n)]
             Dg_new = [np.abs(x[i]) * hdiag_bounds[i] + np.abs(hdiags[i]) * E[i] + grad_bounds[i]
@@ -163,12 +203,15 @@ def _reference(algorithm, instance, P, cfg, seed):
                  for i in range(n)]
             x = [(1.0 - cfg.epsilon) * mix(x, i) + cfg.epsilon * y[i] / safe[i] for i in range(n)]
             g, h, Dg, Dh = g_new, hdiags, Dg_new, hdiag_bounds
-        else:
+        elif algorithm == "gradient_tracking":
             y = [mix([y[j] + grads[j] - g[j] for j in range(n)], i) for i in range(n)]
             Dy = [mix([Dy[j] + grad_bounds[j] + Dg[j] for j in range(n)], i) for i in range(n)]
             E = [mix(E, i) + cfg.eta * Dy[i] for i in range(n)]
             x = [mix(x, i) - cfg.eta * y[i] for i in range(n)]
             g, Dg = grads, grad_bounds
+        else:  # consensus_gd
+            E = [mix(E, i) + cfg.eta * grad_bounds[i] for i in range(n)]
+            x = [mix(x, i) - cfg.eta * grads[i] for i in range(n)]
         if t % cfg.record_every == 0 or t == rounds:
             rows.append(row(t))
     return rows
@@ -190,21 +233,27 @@ def _padded_logistic_instance(counts, d, seed):
     return instance
 
 
-#: The logistic family at its rule's d, with an empty shard and unequal ones,
-#: and the ridge quadratic at its rule's d: both evaluate their probes from the centers
+#: The logistic family with an empty shard and unequal ones and the ridge
+#: quadratic, each at its rule's d (from the centers) and below it (on
+#: points), and the quartic (on points); each with the path it takes
 INSTANCES = {
-    "logistic": lambda: _padded_logistic_instance([3, 0, 1, 2], _LOGISTIC_STEP_MIN_D, seed=1),
-    "quadratic": lambda: ridge_synthetic(_QUADRATIC_STEP_MIN_D, 3, 4, seed=2),
+    "logistic": (lambda: _padded_logistic_instance([3, 0, 1, 2], _LOGISTIC_STEP_MIN_D, seed=1),
+                 True),
+    "logistic-points": (lambda: _padded_logistic_instance([3, 0, 1, 2], 10, seed=1), False),
+    "quadratic": (lambda: ridge_synthetic(_QUADRATIC_STEP_MIN_D, 3, 4, seed=2), True),
+    "quadratic-points": (lambda: ridge_synthetic(4, 3, 4, seed=2), False),
+    "quartic": (lambda: quartic_instance(4, d=2), False),
 }
 
 
-@pytest.mark.parametrize("algorithm", ["zo_jade", "gradient_tracking"])
+@pytest.mark.parametrize("algorithm", ["zo_jade", "gradient_tracking", "consensus_gd"])
 @pytest.mark.parametrize("kind", sorted(INSTANCES))
 def test_a_run_is_the_transcribed_update(kind, algorithm):
     # a batch of two replicas with different mu and seeds, 12 rounds each;
     # the integer columns are equal, e_f agrees within the carried bound
-    instance = INSTANCES[kind]()
-    assert instance.family.takes_step
+    build, takes_step = INSTANCES[kind]
+    instance = build()
+    assert instance.black_boxes()._takes_step == takes_step
     P = metropolis_hastings(topology_from_spec("ring", instance.n))
     if algorithm == "zo_jade":
         cls, params = JadeConfig, {"epsilon": 0.2}
