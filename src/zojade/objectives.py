@@ -29,8 +29,9 @@ oracle's budget, the quadratic holds its call's (..., n, d) temporaries.
 Every family is silent at overflow and at an infinite coordinate: it returns
 inf or nan without a warning, and the query counter names the agent, the
 probe and the point of the failure.
-`gradient(x, agents)` and `hessian(x, agents)` give those agents'
-derivatives at one point x, for the experimenter's ground truth.
+`gradient(x, agents)` and `hessian(x, agents)` give the derivative at x summed
+over the slice's agents, for the experimenter's ground truth; each takes the
+whole slice at once, with no agent loop and no oracle block.
 
 Loss conventions, fixed once and used by all oracles and tests:
 
@@ -138,10 +139,10 @@ class QuadraticObjective:
         return out
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
-        return self.A[agents] @ x + self.b[agents]
+        return _in_order_sum(self.A[agents] @ x + self.b[agents])
 
     def hessian(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
-        return self.A[agents]
+        return _in_order_sum(self.A[agents])
 
 
 class LogisticObjective:
@@ -235,16 +236,20 @@ class LogisticObjective:
         return out
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
-        U = self.U[agents]
-        s = _sigmoid(-(U @ x))  # = 1 - sigma(z)
-        return -(s[:, None, :] @ U)[:, 0, :] / self._divisor[agents] + self.w * x
+        rows, wt, ridge = self._rows(agents)
+        s = _sigmoid(-(rows @ x))  # = 1 - sigma(z)
+        return -(wt * s) @ rows + ridge * x
 
     def hessian(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
+        rows, wt, ridge = self._rows(agents)
+        s = _sigmoid(rows @ x)
+        return _weighted_gram(rows, wt * s * (1.0 - s)) + ridge * np.eye(x.shape[0])
+
+    def _rows(self, agents: slice):
+        """The slice's rows (m N, d), each row's weight in its agent's mean
+        (0 on padding) and the slice's ridge coefficient m w."""
         U = self.U[agents]
-        s = _sigmoid(U @ x)
-        r = s * (1.0 - s)
-        curvature = (U.transpose(0, 2, 1) * r[:, None, :]) @ U
-        return curvature / self._divisor[agents, :, None] + self.w * np.eye(x.shape[0])
+        return U.reshape(-1, U.shape[2]), self._weights[agents].reshape(-1), len(U) * self.w
 
 
 class QuarticObjective:
@@ -270,11 +275,30 @@ class QuarticObjective:
             return terms.sum(axis=-1)
 
     def gradient(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
-        return self.q * x**3 + self.a * x + self.b[agents]
+        return _in_order_sum(self.q * x**3 + self.a * x + self.b[agents])
 
     def hessian(self, x: np.ndarray, agents: slice = slice(None)) -> np.ndarray:
-        diag = np.diag(3.0 * self.q * x * x + self.a)
-        return np.broadcast_to(diag, self.b[agents].shape[:1] + diag.shape)
+        diag = np.broadcast_to(3.0 * self.q * x * x + self.a, self.b[agents].shape)
+        return np.diag(_in_order_sum(diag))
+
+
+def _weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """rows^T diag(weights) rows, summed over fixed chunks of rows, so that a
+    chunk's weighted copy stays within 2^14 elements, glibc's 128 KiB mmap
+    threshold: a weighted copy of all rows stayed resident on the heap after
+    set-up and raised the peak RSS of the runs that followed."""
+    chunk = max(1, 2**14 // rows.shape[1])
+    gram = np.zeros((rows.shape[1],) * 2)
+    for lo in range(0, len(rows), chunk):
+        part = rows[lo:lo + chunk]
+        gram += part.T @ (part * weights[lo:lo + chunk, None])
+    return gram
+
+
+def _in_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading agent axis, adding the agents in order: sum(axis=0)
+    switches to pairwise summation when each agent's term is one number."""
+    return terms.cumsum(axis=0)[-1]
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -322,8 +346,9 @@ class ProblemInstance:
             name=self.name,
         )
 
-    # Averaged-cost diagnostics; none touch the query counters.  The agents go
-    # in the oracle's blocks and add up in order, so no block boundary moves a sum.
+    # Averaged-cost diagnostics; none touch the query counters.  Values go in the
+    # oracle's blocks and add up in order, so no block boundary moves a sum; the
+    # derivatives take no blocks.
     def global_value_many(self, X: np.ndarray) -> np.ndarray:
         """Averaged cost (..., k) at the points X:(..., k, d)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))[..., None, :, :]  # shared by the agents
@@ -340,16 +365,10 @@ class ProblemInstance:
         return float(self.global_value_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._agent_sum(self.family.gradient, x) / self.n
+        return self.family.gradient(np.asarray(x, dtype=float)) / self.n
 
     def global_hessian(self, x: np.ndarray) -> np.ndarray:
-        return self._agent_sum(self.family.hessian, x) / self.n
-
-    def _agent_sum(self, method, x: np.ndarray) -> np.ndarray:
-        """Sum over the agents, in order, of method(x, block), one agent block at a time."""
-        x = np.asarray(x, dtype=float)
-        blocks = agent_blocks(self.n, self.d * self.family.row_elements)
-        return sum(term for block in blocks for term in method(x, block))
+        return self.family.hessian(np.asarray(x, dtype=float)) / self.n
 
     def global_black_box(self, points: int = 1) -> BlackBoxObjective:
         """Fresh query counter around the averaged cost at `points` points, each
@@ -439,37 +458,36 @@ def ridge_instance_from_shards(
     return _instance(family, d, x_star, constants, name)
 
 
-def _logistic_constants(family: LogisticObjective, d: int) -> SmoothnessConstants:
-    """Constants of the averaged log-loss, accumulated agent by agent."""
-    gram = np.zeros((d, d))
-    s3 = 0.0
-    s4 = 0.0
-    for U, count in zip(family.U, family.counts):
-        if count == 0:
-            continue
-        U = U[:count]
-        wt = 1.0 / (family.n * count)
-        gram += wt * U.T @ U
-        norms = np.linalg.norm(U, axis=1)
-        s3 += wt * float(np.sum(norms**3))
-        s4 += wt * float(np.sum(norms**4))
+def _logistic_constants(family: LogisticObjective) -> SmoothnessConstants:
+    """Constants of the averaged log-loss, taken over all rows at once."""
+    rows, wt, _ = family._rows(slice(None))
+    wt = wt / family.n  # each row's weight in the averaged cost
+    gram = _weighted_gram(rows, wt)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))  # no squared copy of U
+    s3 = float(wt @ norms**3)
+    s4 = float(wt @ norms**4)
     w = family.w
     L1 = w + _SIG2 * float(np.linalg.eigvalsh(gram)[-1]) if gram.any() else w
     return SmoothnessConstants(m=w, L1=L1, L2=_SIG3 * s3, L3=_SIG4 * s4)
 
 
-def _damped_newton(value, gradient, hessian, x0):
+def _damped_newton(value, gradient, hessian, x0, name: str):
     """Backtracking Newton with Armijo constant 1e-4 and halving steps.
 
     The sufficient-decrease test carries a machine-noise allowance so the
     final full steps are not rejected once the true decrease falls below
-    the float resolution of the value.
+    the float resolution of the value.  A failure names the instance, the
+    iteration and the gradient norm there.
     """
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(500):
+    for iteration in range(501):
         g = gradient(x)
-        if np.linalg.norm(g) <= _GRAD_TOL:
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm <= _GRAD_TOL:
             return x
+        if iteration == 500:
+            failure = f"failed to reach gradient norm {_GRAD_TOL} in 500 iterations"
+            break
         step = np.linalg.solve(hessian(x), g)
         fx = value(x)
         slope = float(g @ step)
@@ -480,13 +498,10 @@ def _damped_newton(value, gradient, hessian, x0):
                 break
             t *= 0.5
         else:
-            raise InstanceConstructionError("newton line search stalled")
+            failure = f"line search stalled at iteration {iteration}"
+            break
         x = x - t * step
-    if np.linalg.norm(gradient(x)) <= _GRAD_TOL:
-        return x
-    raise InstanceConstructionError(
-        f"newton failed to reach gradient norm {_GRAD_TOL} in 500 iterations"
-    )
+    raise InstanceConstructionError(f"{name}: newton {failure}, ||grad f|| = {grad_norm:.3e}")
 
 
 def logistic_instance(
@@ -530,12 +545,12 @@ def logistic_instance(
         np.multiply(samples[idx], labels[idx, None], out=rows[:, :-1])
         rows[:, -1] = labels[idx]
     family = LogisticObjective(U, w, counts)
-    constants = _logistic_constants(family, d)
+    constants = _logistic_constants(family)
 
     # the averaged cost's value, gradient and Hessian, before x* is known
     averaged = ProblemInstance(family, d, np.zeros(d), 0.0, constants, name)
     x_star = _damped_newton(
-        averaged.global_value, averaged.global_gradient, averaged.global_hessian, np.zeros(d)
+        averaged.global_value, averaged.global_gradient, averaged.global_hessian, np.zeros(d), name
     )
     return _instance(family, d, x_star, constants, name)
 

@@ -252,7 +252,7 @@ def test_consensus_gd_identical_agents_track_centralized_descent():
     objectives = inst.black_boxes()
     for _ in range(25):
         state = consensus_gd_step(state, objectives, cfg)
-        x = x - 0.1 * inst.family.gradient(x)[0]
+        x = x - 0.1 * inst.family.gradient(x, slice(0, 1))
         assert np.max(np.abs(state.x - x)) <= 1e-9
 
 

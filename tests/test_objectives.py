@@ -338,11 +338,11 @@ def test_every_family_matches_analytic_gradients_through_the_oracle():
             mu = 0.01 + 0.02 * rng.uniform()
             # every agent probes the same point, so agent i's row is its own estimate
             est = estimate_gradient(objective, np.tile(x, (inst.n, 1)), mu)
-            true = inst.family.gradient(x)
             for i in range(inst.n):
+                true = inst.family.gradient(x, slice(i, i + 1))
                 bound = gradient_error_bound(agent_L2(inst, i), mu, inst.d)
-                assert np.linalg.norm(est[i] - true[i]) <= bound + 1e-9 * (
-                    1.0 + np.linalg.norm(true[i])
+                assert np.linalg.norm(est[i] - true) <= bound + 1e-9 * (
+                    1.0 + np.linalg.norm(true)
                 )
             assert objective.agent_queries.tolist() == [2 * inst.d * t] * inst.n
 
@@ -370,12 +370,19 @@ def test_reported_constants():
     assert logi.constants.L1 >= 0.25 and logi.constants.L3 > 0.0
 
 
-@pytest.mark.parametrize("path", [
-    "configs/quickstart.json", "configs/logistic.json", "bench/scale_n200.json"])
-def test_ground_truth_does_not_depend_on_the_block_budget(path):
+@pytest.mark.parametrize("path, instance", [
+    ("configs/quickstart.json", None),
+    ("configs/logistic.json", None),
+    ("bench/scale_n200.json", None),
+    # 200 agents of 16 elements a row: two blocks under the smallest budget
+    ("bench/scale_n200.json", {"family": "quartic", "d": 4}),
+], ids=["configs/quickstart.json", "configs/logistic.json", "bench/scale_n200.json", "quartic"])
+def test_ground_truth_does_not_depend_on_the_block_budget(path, instance):
     # the centralized solve adds the agents in order whatever the blocks, so
     # x* and f* are the same bits under every budget
     cfg = ExperimentConfig.from_file(str(ROOT / path))
+    if instance is not None:
+        cfg = ExperimentConfig({**cfg.data, "instance": instance})
     truths = set()
     for budget in (2**11, 2**13, 2**15, 2**17, 2**20):
         with mock.patch.object(oracle, "_BLOCK_ELEMENTS", budget):
@@ -471,20 +478,29 @@ def test_damped_newton_backtracks_from_an_overshooting_full_step():
         return math.sqrt(1.0 + float(x @ x))
 
     x = _damped_newton(value, lambda x: x / math.sqrt(1.0 + float(x @ x)),
-                       lambda x: np.eye(1) * (1.0 + float(x @ x)) ** -1.5, np.array([2.0]))
+                       lambda x: np.eye(1) * (1.0 + float(x @ x)) ** -1.5, np.array([2.0]),
+                       "hyperbola")
     assert tried[:4] == [2.0, -8.0, -3.0, -0.5]  # f(x0), then t = 1, 1/2, 1/4
     assert abs(x[0]) <= 1e-10
 
 
 def test_damped_newton_reports_a_stalled_line_search_and_no_convergence():
-    # every point but x0 = 0 is 1 above it, so none of the 60 halved steps is accepted
-    with pytest.raises(InstanceConstructionError, match="line search stalled"):
-        _damped_newton(lambda x: float(x[0] != 0.0), lambda x: np.ones(1), lambda x: np.eye(1),
-                       np.array([0.0]))
+    # each failure names the instance, the iteration and the gradient norm there.
+    # Full steps of 0.5 go from x0 = 1 down to 0, and every other point is 5
+    # above it, so none of the 60 halved steps from 0 is accepted
+    def stairs(x):
+        return float(x[0]) if x[0] in (1.0, 0.5, 0.0) else 5.0
+
+    with pytest.raises(InstanceConstructionError, match=re.escape(
+            "stairs: newton line search stalled at iteration 2, ||grad f|| = 5.000e-01")):
+        _damped_newton(stairs, lambda x: np.full(1, 0.5), lambda x: np.eye(1),
+                       np.array([1.0]), "stairs")
     # a linear cost descends by one at every step and never reaches a zero gradient
-    with pytest.raises(InstanceConstructionError, match="in 500 iterations"):
+    with pytest.raises(InstanceConstructionError, match=re.escape(
+            "ramp: newton failed to reach gradient norm 1e-10 in 500 iterations, "
+            "||grad f|| = 1.000e+00")):
         _damped_newton(lambda x: float(x[0]), lambda x: np.ones(1), lambda x: np.eye(1),
-                       np.array([0.0]))
+                       np.array([0.0]), "ramp")
 
 
 @pytest.mark.parametrize("make", [

@@ -31,22 +31,33 @@ within a round-off bound, which the reference carries along its run:
   round-off of F at x and at x*, over |f*|; the bound doubles that sum to
   cover the second-order terms (at most 1e-19 at the last row of these
   runs, from the two sides' final iterates).
+* The consensus error ||x - mean x|| moves by at most ||E|| (the
+  projection onto the deviations does not lengthen a vector).  Either
+  side's mean and deviations are off by (n + 2) u (|x_i| + mean |x|) per
+  entry, and its sum of n d squares and root by (n d + 2) u of the error;
+  the bound adds both sides' round-off to ||E||.
 
 In these runs e_f agrees within 1.7e-9 (the quadratic's zo_jade at mu =
 0.01 from the centers, whose 1/mu^2 is the largest), and each difference
-is at most 0.12 of its bound, which reads 2e-14 to 2e-11 at step 0 and up
-to 7e-2 after 12 rounds.  The bound grows with the rounds, but every row
-is checked, and by round 3 it is at most 3.5e-5 (the same run) and at
-most 1e-8 for the two baselines.  A family that drops the mu^2 term of the
+is at most 0.13 of its bound, which reads 2e-14 to 2e-11 at step 0 and up
+to 0.6 after 12 rounds.  The bound grows with the rounds, but every row
+is checked, and by round 3 it is at most 3.9e-5 (the same instance) and
+at most 1.1e-8 for the two baselines.  The consensus error agrees within
+3.6e-11, at most 0.02 of its bound, which reads at most 2.2e-13 at step 0,
+3.1e-6 at round 3 and 0.4 after 12 rounds.  A family that drops the mu^2 term of the
 quadratic's centers path fails on the clamp count: its Hessian diagonal is
 0, so every z clamps.  A gradient-only defect fails on e_f at round 3 in
 all six cases from the centers: scaling the +-2 mu g_j of the quadratic's
 centers path, or the +-2 mu x_j of the logistic ridge terms, by 1 + 1e-6.
 On points a value defect moves e_f itself, which is evaluated on points,
 and fails at step 0: scaling the quadratic's linear term, the logistic
-ridge term or the quartic term by 1 + 1e-6.
+ridge term or the quartic term by 1 + 1e-6.  The zo_jade batch mixes mu
+and epsilon (0.2 and 0.4); handing every replica the first replica's
+epsilon fails on e_f and, with that check taken out, on the consensus
+error, both at round 3 in all five cases.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -55,7 +66,7 @@ import pytest
 from zojade import (
     BaselineConfig, JadeConfig, LogisticObjective, ProblemInstance, QuadraticObjective,
     QuarticObjective, draw_initial_iterates, metropolis_hastings, quartic_instance,
-    ridge_synthetic, run, topology_from_spec,
+    ridge_synthetic, run, separable_quadratic_instance, topology_from_spec,
 )
 from zojade.metrics import EF_DENOMINATOR_FLOOR
 from zojade.objectives import _LOGISTIC_STEP_MIN_D, _QUADRATIC_STEP_MIN_D, _logistic_constants
@@ -107,6 +118,11 @@ class _Logistic(_Cost):
         loss = -self.S.T @ (0.5 - 0.5 * np.tanh(0.5 * (self.S @ x)))  # sigma(-z)
         return (loss / len(self.S) if len(self.S) else 0.0) + self.w * x
 
+    def hessian(self, x):
+        r = 0.25 - 0.25 * np.tanh(0.5 * (self.S @ x)) ** 2  # sigma(z) sigma(-z)
+        curvature = self.S.T @ (self.S * r[:, None])
+        return (curvature / len(self.S) if len(self.S) else 0.0) + self.w * np.eye(len(x))
+
     def magnitude(self, x):
         S = np.abs(self.S)
         mean = (S @ x).mean() + math.log(2.0) if len(S) else 0.0
@@ -138,8 +154,8 @@ COSTS = {QuadraticObjective: _Quadratic, LogisticObjective: _Logistic, QuarticOb
 
 def _reference(algorithm, instance, P, cfg, seed):
     """One replica's run by the transcription: its rows (iteration, queries
-    per agent, e_f, clamp count, the round-off bound on e_f) at step 0,
-    every record_every rounds and the last."""
+    per agent, e_f, clamp count, the round-off bound on e_f, consensus
+    error, its bound) at step 0, every record_every rounds and the last."""
     n, d, mu = instance.n, instance.d, cfg.mu
     costs = [COSTS[type(instance.family)](instance.family, i) for i in range(n)]
     neighbours = [[j for j in range(n) if P[i, j] != 0.0] for i in range(n)]
@@ -166,7 +182,13 @@ def _reference(algorithm, instance, P, cfg, seed):
             slope += np.abs(sum(f.gradient(x[i]) for f in costs) / n) @ E[i] / n
             roundoff += sum(f.roundoff(x[i], v) for f, v in zip(costs, values)) / n / n
         bound = 2.0 * (slope + roundoff + star_roundoff) / scale
-        return t, t * per_round, (F - f_star) / scale, clamps, bound
+        mean, mean_abs = sum(x) / n, sum(np.abs(x)) / n
+        consensus = math.sqrt(sum((xi - mean) @ (xi - mean) for xi in x))
+        magnitude = math.sqrt(sum(np.sum((np.abs(xi) + mean_abs) ** 2) for xi in x))
+        consensus_roundoff = (n + 2) * U_ROUND * magnitude + (n * d + 2) * U_ROUND * consensus
+        spread = math.sqrt(sum(e @ e for e in E))
+        return (t, t * per_round, (F - f_star) / scale, clamps, bound,
+                consensus, spread + 2.0 * consensus_roundoff)
 
     rows = [row(0)]
     for t in range(1, rounds + 1):
@@ -225,7 +247,7 @@ def _padded_logistic_instance(counts, d, seed):
     U = 0.3 * rng.normal(size=(len(counts), int(counts.max()), d))
     U[np.arange(U.shape[1]) >= counts[:, None]] = 0.0
     family = LogisticObjective(U, 0.1, counts)
-    instance = ProblemInstance(family, d, np.zeros(d), 0.0, _logistic_constants(family, d))
+    instance = ProblemInstance(family, d, np.zeros(d), 0.0, _logistic_constants(family))
     x = np.zeros(d)
     for _ in range(30):
         x = x - np.linalg.solve(instance.global_hessian(x), instance.global_gradient(x))
@@ -249,23 +271,121 @@ INSTANCES = {
 @pytest.mark.parametrize("algorithm", ["zo_jade", "gradient_tracking", "consensus_gd"])
 @pytest.mark.parametrize("kind", sorted(INSTANCES))
 def test_a_run_is_the_transcribed_update(kind, algorithm):
-    # a batch of two replicas with different mu and seeds, 12 rounds each;
-    # the integer columns are equal, e_f agrees within the carried bound
+    # a batch of replicas with different mu and seeds, 12 rounds each, and for
+    # zo_jade a third replica at another epsilon; the integer columns are
+    # equal, e_f and the consensus error agree within the carried bounds
     build, takes_step = INSTANCES[kind]
     instance = build()
     assert instance.black_boxes()._takes_step == takes_step
     P = metropolis_hastings(topology_from_spec("ring", instance.n))
-    if algorithm == "zo_jade":
-        cls, params = JadeConfig, {"epsilon": 0.2}
-    else:
-        cls, params = BaselineConfig, {"eta": 0.5 / instance.constants.L1}
     budget = 12 * (2 * instance.d + (algorithm == "zo_jade"))
-    replicas = [(cls(mu=mu, budget=budget, record_every=3, **params), seed)
-                for mu, seed in ((1e-2, 1), (3e-2, 2))]
+    if algorithm == "zo_jade":
+        replicas = [(JadeConfig(mu=mu, epsilon=epsilon, budget=budget, record_every=3), seed)
+                    for mu, epsilon, seed in ((1e-2, 0.2, 1), (3e-2, 0.2, 2), (1e-2, 0.4, 3))]
+    else:
+        eta = 0.5 / instance.constants.L1
+        replicas = [(BaselineConfig(mu=mu, eta=eta, budget=budget, record_every=3), seed)
+                    for mu, seed in ((1e-2, 1), (3e-2, 2))]
     for trace, (cfg, seed) in zip(run(algorithm, instance, P, replicas), replicas):
         reference = _reference(algorithm, instance, P, cfg, seed)
         assert not trace.failed
         assert ([(r.iteration, r.queries_per_agent, r.clamp_count) for r in trace.rows]
-                == [(t, q, c) for t, q, _, c, _ in reference])
-        for r, (_, _, e_f, _, bound) in zip(trace.rows, reference):
+                == [row[:2] + row[3:4] for row in reference])
+        for r, (_, _, e_f, _, bound, consensus, consensus_bound) in zip(trace.rows, reference):
             assert abs(r.e_f - e_f) <= bound, (r.iteration, r.e_f, e_f, bound)
+            assert abs(r.consensus_error - consensus) <= consensus_bound, (
+                r.iteration, r.consensus_error, consensus, consensus_bound)
+
+
+# --- the ground truth's derivatives, summed over a slice of agents ---------------
+
+
+def _derivative_bounds(family, agents, x):
+    """Componentwise bounds on how far two evaluation orders can put the
+    logistic gradient and Hessian summed over a slice: an entry adds at most
+    m N + m + 1 terms, each a weight, a sigmoid factor at most 1 (with an
+    absolute error of a few u) and sample entries, so each order is off by
+    at most 4 (m N + m + 4) u times the terms' absolute sum."""
+    U = np.abs(family.U[agents])
+    m, N = U.shape[:2]
+    rows, wt = U.reshape(m * N, -1), family._weights[agents].reshape(-1)
+    gamma = 4 * (m * N + m + 4) * U_ROUND
+    ridge = m * family.w
+    return (gamma * (wt @ rows + ridge * np.abs(x)),
+            gamma * (rows.T @ (rows * wt[:, None]) + ridge * np.eye(len(x))))
+
+
+#: The padded instance of the runs above (shards of 3, 0, 1 and 2 rows), and
+#: 1,000 rows at d = 50, whose weighted Gram products take four chunks of
+#: rows, the last one partial
+LOGISTIC_TRUTHS = {
+    "padded": INSTANCES["logistic-points"][0],
+    "chunked": lambda: _padded_logistic_instance([25] * 38 + [0, 13], 50, seed=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOGISTIC_TRUTHS))
+def test_logistic_derivatives_are_slice_sums_of_the_per_agent_formula(kind):
+    # a one-agent slice is that agent's formula, the whole family the in-order
+    # sum of its one-agent slices, each within both sides' round-off
+    instance = LOGISTIC_TRUTHS[kind]()
+    family, n = instance.family, instance.n
+    rng = np.random.default_rng(3)
+    for x in (instance.x_star, rng.normal(size=instance.d), 4.0 * rng.normal(size=instance.d)):
+        singles = [slice(i, i + 1) for i in range(n)]
+        for i, agent in enumerate(singles):
+            cost = _Logistic(family, i)
+            grad_bound, hess_bound = _derivative_bounds(family, agent, x)
+            assert np.all(np.abs(family.gradient(x, agent) - cost.gradient(x)) <= 2 * grad_bound)
+            assert np.all(np.abs(family.hessian(x, agent) - cost.hessian(x)) <= 2 * hess_bound)
+        grad_bound, hess_bound = _derivative_bounds(family, slice(None), x)
+        in_order = functools.reduce(np.add, [family.gradient(x, a) for a in singles])
+        assert np.all(np.abs(family.gradient(x) - in_order) <= 2 * grad_bound)
+        in_order = functools.reduce(np.add, [family.hessian(x, a) for a in singles])
+        assert np.all(np.abs(family.hessian(x) - in_order) <= 2 * hess_bound)
+
+
+@pytest.mark.parametrize("kind", sorted(LOGISTIC_TRUTHS))
+def test_logistic_constants_match_a_per_agent_accumulation(kind):
+    # the averaged cost's Gram matrix and row-norm moments, accumulated agent
+    # by agent over each agent's own rows, against the sums over all rows
+    instance = LOGISTIC_TRUTHS[kind]()
+    family, d, n = instance.family, instance.d, instance.n
+    gram, s3, s4 = np.zeros((d, d)), 0.0, 0.0
+    for U, count in zip(family.U, family.counts):
+        if count:
+            U, wt = U[:count], 1.0 / (n * count)
+            gram += wt * U.T @ U
+            norms = np.linalg.norm(U, axis=1)
+            s3 += wt * float(np.sum(norms**3))
+            s4 += wt * float(np.sum(norms**4))
+    constants = _logistic_constants(family)
+    # each entry adds at most n N + n terms, and a row norm's cube d + 3 more
+    gamma = 4 * (family.U.shape[1] * n + n + d + 4) * U_ROUND
+    rows, wt = np.abs(family.U).reshape(-1, d), family._weights.reshape(-1) / n
+    # Weyl: the largest eigenvalue moves by at most the Frobenius norm of the
+    # Gram matrices' difference, and eigvalsh is off by a few d u of the norm
+    magnitude = float(np.linalg.norm(rows.T @ (rows * wt[:, None])))
+    L1 = family.w + 0.25 * float(np.linalg.eigvalsh(gram)[-1])
+    assert abs(constants.L1 - L1) <= 0.25 * (2 * gamma + 8 * d * U_ROUND) * magnitude
+    assert abs(constants.L2 - s3 / (6.0 * math.sqrt(3.0))) <= 2 * gamma * constants.L2
+    assert abs(constants.L3 - s4 / 8.0) <= 2 * gamma * constants.L3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: separable_quadratic_instance(12, 1, seed=3),
+    lambda: ridge_synthetic(_QUADRATIC_STEP_MIN_D, 3, 12, seed=2),
+    lambda: quartic_instance(12),
+    lambda: quartic_instance(12, d=3),
+], ids=["quadratic-d1", "ridge", "quartic-d1", "quartic-d3"])
+def test_quadratic_and_quartic_slice_sums_add_the_agents_in_order(make):
+    # bitwise the in-order sum of the one-agent slices, also at d = 1, where
+    # numpy's sum over the agent axis would add pairwise from 8 agents on
+    instance = make()
+    family = instance.family
+    x = np.random.default_rng(4).normal(size=instance.d)
+    for agents in (slice(None), slice(2, 11)):
+        singles = [slice(i, i + 1) for i in range(*agents.indices(instance.n))]
+        for method in (family.gradient, family.hessian):
+            in_order = functools.reduce(np.add, [method(x, a) for a in singles])
+            assert method(x, agents).tobytes() == in_order.tobytes()
