@@ -44,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, require
+from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, check_entry
 from .metrics import RunTrace, TraceRow, ef_mode, loss_metric, per_replica, squares
 from .objectives import ProblemInstance
 from .oracle import BlackBoxObjective, estimate_both, estimate_gradient
@@ -145,8 +145,7 @@ class RunConfig:
     x0_scale: float = _param(NUM, 1.0)
 
     def __post_init__(self):
-        for f in fields(self):
-            require(f.metadata["kind"], **{f.name: getattr(self, f.name)})
+        check_entry(vars(self), param_kinds(type(self)), type(self).__name__)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of an input
-value's kind that the config schema, the run configs and the builders share."""
+"""Exception types, and the one check of a value's kind and of a parameter
+object's keys that the config schema, the run configs and the builders share."""
 
 import sys
 
@@ -96,3 +96,18 @@ def require(kind: str, **values) -> None:
     for name, value in values.items():
         if not test(value):
             raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_entry(entry: dict, kinds: dict, context: str, prefix: str = "", required=None) -> None:
+    """Raise a ConfigurationError for keys of `entry` outside `kinds`, else for
+    keys of `required` (default: all of `kinds`) it lacks, else for its first
+    value, in `kinds` order, not of its kind, named `prefix` + key."""
+    unknown = sorted(set(entry) - set(kinds), key=str)  # a dict built in Python may mix key types
+    if unknown:
+        raise ConfigurationError(f"{context}: unknown keys {unknown}")
+    missing = sorted(set(kinds if required is None else required) - set(entry))
+    if missing:
+        raise ConfigurationError(f"{context}: missing required keys {missing}")
+    for key, kind in kinds.items():
+        if key in entry:
+            require(kind, **{prefix + key: entry[key]})

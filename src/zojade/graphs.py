@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import INT, INTS, POS_INT, PROB, ConfigurationError, require
+from .errors import INT, INTS, POS_INT, PROB, ConfigurationError, check_entry, require
 from .rng import Xoshiro256
 
 
@@ -156,23 +156,15 @@ TOPOLOGIES = {
 }
 
 
-def topology_from_spec(
-    name: str, n: int, p: float | None = None, seed: int | None = None
-) -> np.ndarray:
+def topology_from_spec(name: str, n: int, **params) -> np.ndarray:
     """Build the adjacency array of a topology of TOPOLOGIES deterministically.
 
-    A parameter the topology does not take must be None, and the ones it
-    takes are checked against their kinds.  The erdos_renyi family redraws
-    until the sample is connected, giving up after 1000 attempts.
+    The parameters, n among them, are checked as a config's topology entry
+    is, so that entry passes straight through.  The erdos_renyi family
+    redraws until the sample is connected, giving up after 1000 attempts.
     """
     if name not in sorted(TOPOLOGIES):  # a list, so that no name needs to be hashable
         raise ConfigurationError(f"unknown topology '{name}'")
     build, kinds = TOPOLOGIES[name]
-    given = {"n": n, "p": p, "seed": seed}
-    unknown = sorted(key for key, value in given.items() if value is not None and key not in kinds)
-    if unknown:
-        raise ConfigurationError(f"topology[{name}]: unknown keys {unknown}")
-    params = {key: given[key] for key in kinds}
-    for key, kind in kinds.items():
-        require(kind, **{key: params[key]})
-    return build(**params)
+    check_entry(params | {"n": n}, kinds, f"topology[{name}]")
+    return build(n, **params)

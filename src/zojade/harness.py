@@ -1,16 +1,16 @@
 """Experiment configuration, runner, bound-verification suite, CSV output.
 
 A JSON config file describes one experiment: a topology, a problem
-instance, a probe step mu, a per-agent query budget, a list of seeds and
-a list of algorithm entries.  Unknown keys anywhere in the file are
-rejected, and so are malformed values, before anything is built.  The
-sha256 hash of the fully defaulted config is stamped into every output
-file, and re-running a config reproduces every CSV byte for byte.
+instance, a probe step mu, a per-agent query budget, a list of seeds and a
+list of algorithm entries.  Unknown or repeated keys anywhere in the file are
+rejected, and so are malformed values, before anything is built.  The sha256
+hash of the fully defaulted config is stamped into every output file, and
+re-running a config reproduces every CSV byte for byte.
 
 Schema (each default lives in one place, named in parentheses).  Every
 value's kind is one entry of errors.KINDS, declared once beside its default
-and checked by errors.require, as the run configs and builders check it;
-numbers are JSON-native (int or float, never a bool) and finite:
+and checked with its object's keys by errors.check_entry, as the run configs
+are; numbers are JSON-native (int or float, never a bool) and finite:
 
     topology    name plus the topology's parameters and their kinds, see
                 graphs.TOPOLOGIES; n is the agent count
@@ -54,7 +54,7 @@ from .algorithms import (
 )
 from .errors import (
     FILE_NAME, LIST, OBJECT, PATH, POS_NUM, SEEDS, ConfigurationError, InstanceConstructionError,
-    require,
+    check_entry, require,
 )
 from .graphs import TOPOLOGIES, check_weights, metropolis_hastings, spectral_gap, topology_from_spec
 from .metrics import (
@@ -99,18 +99,6 @@ _ALGORITHM_SCHEMAS = {
 }
 
 
-def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigurationError(f"{context}: unknown keys {unknown}")
-
-
-def _require(mapping: dict, keys, context: str) -> None:
-    missing = sorted(k for k in keys if k not in mapping)
-    if missing:
-        raise ConfigurationError(f"{context}: missing required keys {missing}")
-
-
 def _check_schema(mapping, tag: str, schemas: dict, context: str) -> None:
     """Check an object whose `tag` key selects its (required, optional) key kinds."""
     require(OBJECT, **{context: mapping})
@@ -118,11 +106,17 @@ def _check_schema(mapping, tag: str, schemas: dict, context: str) -> None:
     if value not in sorted(schemas):  # a list, so that no value needs to be hashable
         raise ConfigurationError(f"{context}.{tag} must be one of {sorted(schemas)}, got {value!r}")
     required, optional = schemas[value]
-    _reject_unknown(mapping, {*required, *optional, tag}, f"{context}[{value}]")
-    _require(mapping, required, f"{context}[{value}]")
-    for key, kind in {**required, **optional}.items():
-        if key in mapping:
-            require(kind, **{f"{context}.{key}": mapping[key]})
+    params = {key: v for key, v in mapping.items() if key != tag}
+    check_entry(params, required | optional, f"{context}[{value}]", f"{context}.", required)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if it gives a key twice, whose last value json keeps silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} given twice")
+    return obj
 
 
 @dataclass
@@ -141,8 +135,8 @@ class ExperimentConfig:
     def from_file(cls, path: str) -> "ExperimentConfig":
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
+        except (OSError, ValueError) as exc:  # not UTF-8, not JSON, or a key given twice
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         return cls(raw)
 
@@ -157,13 +151,8 @@ class ExperimentConfig:
 
 def _validate_config(raw: dict) -> dict:
     require(OBJECT, config=raw)
-    cfg = copy.deepcopy(raw)
-    _reject_unknown(cfg, set(_TOP_KINDS), "config")
-    _require(cfg, set(_TOP_KINDS) - set(DEFAULTS), "config")
-    for key, default in DEFAULTS.items():
-        cfg.setdefault(key, default)
-    for key, kind in _TOP_KINDS.items():
-        require(kind, **{key: cfg[key]})
+    cfg = {**DEFAULTS, **copy.deepcopy(raw)}
+    check_entry(cfg, _TOP_KINDS, "config")
 
     _check_schema(cfg["topology"], "name", _TOPOLOGY_SCHEMAS, "topology")
     _check_schema(cfg["instance"], "family", _INSTANCE_SCHEMAS, "instance")
@@ -181,8 +170,7 @@ def _validate_config(raw: dict) -> dict:
 
 
 def build_topology(cfg: ExperimentConfig) -> tuple:
-    topo = cfg.data["topology"]
-    A = topology_from_spec(topo["name"], topo["n"], p=topo.get("p"), seed=topo.get("seed"))
+    A = topology_from_spec(**cfg.data["topology"])
     return A, metropolis_hastings(A)
 
 

@@ -117,12 +117,15 @@ def aggregate_traces(label: str, traces: list) -> AggregateCurve:
 def fit_exponential_rate(steps: np.ndarray, ef: np.ndarray, tail_fraction: float = 0.5) -> tuple:
     """Least-squares slope of log e_f over the tail of a decay curve.
 
-    Points at or below EF_FIT_FLOOR are dropped (numerical plateau), then
-    the last `tail_fraction` of the remainder is fitted.  Returns
-    (rate per step, r_squared).  Requires at least 10 usable points.
+    A non-finite e_f is refused.  Points at or below EF_FIT_FLOOR are dropped
+    (numerical plateau), then the last `tail_fraction` of the remainder is
+    fitted.  Returns (rate per step, r_squared).  Requires at least 10 usable points.
     """
     steps = np.asarray(steps, dtype=float)
     ef = np.asarray(ef, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(ef))
+    if bad.size:
+        raise ValueError(f"e_f is {ef[bad[0]]} at iteration {steps[bad[0]]:.17g}")
     keep = ef > EF_FIT_FLOOR
     steps, ef = steps[keep], ef[keep]
     if len(ef) < 10:

@@ -1,5 +1,6 @@
 """The one value-kind check: its boundaries, parse-time / build-time parity
-over every numeric schema key, and a guard against a second vocabulary."""
+over every numeric schema key and over a topology's key lists, and a guard
+against a second vocabulary."""
 
 import ast
 import math
@@ -177,6 +178,19 @@ def test_topology_parse_and_build_reject_the_same_values(name, key, value):
         ExperimentConfig(_config({"name": name, **spec}, {"family": "quartic"}))
     with pytest.raises(ConfigurationError, match=f"^{key} must be"):
         topology_from_spec(name, spec.pop("n"), **spec)
+
+
+@pytest.mark.parametrize("spec, keys", [
+    ({"name": "ring", "n": 4, "p": 0.5}, r"unknown keys \['p'\]"),
+    ({"name": "erdos_renyi", "n": 4, "p": 0.5}, r"missing required keys \['seed'\]"),
+], ids=["unknown", "missing"])
+def test_topology_parse_and_build_name_the_same_keys(spec, keys):
+    # one check of the keys, so a config entry and a direct call agree word for word
+    message = rf"^topology\[{spec['name']}\]: {keys}$"
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig(_config(spec, {"family": "quartic"}))
+    with pytest.raises(ConfigurationError, match=message):
+        topology_from_spec(**spec)
 
 
 @pytest.mark.parametrize("family, key, value", _cases(_INSTANCE_SCHEMAS))

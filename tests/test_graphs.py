@@ -293,5 +293,9 @@ def test_topology_takes_only_its_own_parameters():
         topology_from_spec("ring", 4, p=0.5)
     with pytest.raises(ConfigurationError, match=r"unknown keys \['p', 'seed'\]"):
         topology_from_spec("grid", 4, p=0.5, seed=1)
-    with pytest.raises(ConfigurationError, match="^seed must be an integer, got None$"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^topology\[erdos_renyi\]: missing required keys \['seed'\]$"):
         topology_from_spec("erdos_renyi", 4, p=0.5)
+    # None is a value like any other, not "not given"
+    with pytest.raises(ConfigurationError, match=r"^topology\[ring\]: unknown keys \['p'\]$"):
+        topology_from_spec("ring", 4, p=None)

@@ -457,6 +457,9 @@ def test_config_rejects_unknown_keys():
         )
     with pytest.raises(ConfigurationError, match="unknown keys"):
         tiny_config(None, algorithms=[{"name": "zo_jade", "eta": 0.1}])
+    # a config built from a Python dict may hold keys that are not strings
+    with pytest.raises(ConfigurationError, match=r"^config: unknown keys \[1, 'x'\]$"):
+        ExperimentConfig({**tiny_config(None).data, 1: 0, "x": 0})
 
 
 def test_config_requires_core_fields():
@@ -895,6 +898,43 @@ def test_cli_config_error_exit_code(tmp_path):
         bad.write_text(json.dumps(unreadable), encoding="utf-8")
         assert cli_main(["run", "--config", str(bad)]) == 2, path
         assert cli_main(["verify", "--config", str(bad)]) == 2, path
+
+
+@pytest.mark.parametrize("text, key", [
+    ('"mu": 0.05, "mu": 0.01', "mu"),
+    ('"topology": {"name": "ring", "n": 5, "n": 6}', "n"),
+    ('"algorithms": [{"name": "zo_jade", "epsilon": 0.2, "epsilon": 0.5}]', "epsilon"),
+], ids=["top_level", "nested", "in_a_list"])
+def test_cli_rejects_a_key_given_twice(tmp_path, capsys, text, key):
+    # json.load would keep the last of two values without a word; the file is refused
+    data = tiny_config(tmp_path).data
+    name = text.split('"')[1]
+    body = json.dumps({k: v for k, v in data.items() if k != name})
+    path = tmp_path / "repeat.json"
+    path.write_text(body[:-1] + ", " + text + "}", encoding="utf-8")
+    for command in ("run", "verify"):
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot read config {path}: key '{key}' given twice\n")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_cli_rate_refuses_a_trace_whose_e_f_turns_infinite(tmp_path, capsys):
+    # the suite turns numpy's RuntimeWarning into an error, so a fit that
+    # reached log(inf) fails here before it could print a nan rate
+    header = ",".join(harness.TRACE_COLUMNS)
+    rows = [f"{10 * k},{20 * k},{0.5**k if k < 15 else math.inf!r},0.0,0.0,0.0,0"
+            for k in range(20)]
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(["# diverged", header, *rows]) + "\n", encoding="utf-8")
+    assert cli_main(["rate", "--trace", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "rate fit failed: e_f is inf at iteration 150\n")
+    # a nan, which the floor filter would drop without a word, is refused too
+    steps, efs = harness.read_trace_csv(str(path))
+    efs[3] = math.nan
+    with pytest.raises(ValueError, match=r"^e_f is nan at iteration 30$"):
+        fit_exponential_rate(steps, efs)
 
 
 @pytest.mark.parametrize("family, cell", [("ridge_csv", "nan"), ("logistic_csv", "inf")])
