@@ -8,16 +8,16 @@ hash of the fully defaulted config is stamped into every output file, and
 re-running a config reproduces every CSV byte for byte.
 
 Schema (each default lives in one place, named in parentheses).  Every
-value's kind is one entry of errors.KINDS, declared once beside its default
-and checked with its object's keys by errors.check_entry, as the run configs
-are; numbers are JSON-native (int or float, never a bool) and finite:
+value's kind is one entry of errors.KINDS, declared once (an instance
+key's in objectives.PARAM_KINDS) and checked by errors.check_entry;
+numbers are JSON-native (int or float, never a bool) and finite:
 
     topology    name plus the topology's parameters and their kinds, see
                 graphs.TOPOLOGIES; n is the agent count
-    instance    family plus the family's parameters and their kinds, see
-                objectives.FAMILIES; only the keys a config sets are passed
-                to the family's builder, so the builder signature holds the
-                defaults; the agent count always comes from the topology
+    instance    family plus the family's parameters, whose keys
+                objectives.FAMILIES derives from the family builder's
+                signature; only the keys a config sets are passed on, so the
+                signature holds the defaults; n comes from the topology
     mu          finite-difference step (RunConfig, as are the next three)
     budget      max queries per agent
     record_every  trace stride
@@ -177,9 +177,8 @@ def build_topology(cfg: ExperimentConfig) -> tuple:
 def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
     """Call the family's builder with the agent count and the instance keys
     the config sets."""
-    params = {"lam" if k == "lambda" else k: v for k, v in cfg.data["instance"].items()}
-    build = FAMILIES[params.pop("family")][0]
-    return build(n=cfg.data["topology"]["n"], **params)
+    params = dict(cfg.data["instance"])
+    return FAMILIES[params.pop("family")][0](n=cfg.data["topology"]["n"], **params)
 
 
 def algorithm_config(cfg: ExperimentConfig, entry: dict):

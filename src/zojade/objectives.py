@@ -9,8 +9,8 @@ whose arrays are stacked along a leading agent axis, the minimizer of the
 averaged cost computed by an independent centralized solver, and the
 smoothness constants of the averaged cost.  Runs query the agents only
 through the fresh counter of :meth:`ProblemInstance.black_boxes`, which
-evaluates all agents in one call.  :data:`FAMILIES` defines every instance
-family a config can name: its builder and the kinds of its parameters.
+evaluates all agents in one call.  :data:`FAMILIES`, every family a config
+can name, is derived from the builders' signatures and :data:`PARAM_KINDS`.
 
 Each family stacks its agents' parameters along a leading agent axis.
 `value_many(X, agents)` returns the values (..., m, k) of the m agents in
@@ -46,6 +46,7 @@ max(-z, 0) + log1p(exp(-|z|)), which never overflows.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from .errors import (
     BOOL, INT, INTS, KINDS, NONNEG, NUM, PAIR, PATH, POS_INT, POS_NUM, ConfigurationError,
-    InstanceConstructionError, require,
+    InstanceConstructionError, check_entry, require,
 )
 from .oracle import BlackBoxObjective, SmoothnessConstants, agent_blocks
 from .rng import Xoshiro256
@@ -80,6 +81,26 @@ _LOGISTIC_STEP_MIN_D = 24
 #: 5 replicas of 6 agents, 1.21x and 1.18x with one of 5; README, Batched
 #: evaluation).  The desk checks' quadratics, d <= 4, stay on points.
 _QUADRATIC_STEP_MIN_D = 8
+
+#: builder parameter -> kind; a builder checks a parameter before its first use
+PARAM_KINDS = dict(
+    n=POS_INT, d=POS_INT, per_agent=POS_INT, seed=INT, path=PATH, lam=POS_NUM, w=POS_NUM,
+    noise=NUM, separation=NUM, scale_spread=POS_NUM, standardize=BOOL, has_header=BOOL,
+    curvature_range=PAIR, b_scale=NUM, quartic=NONNEG, quad=POS_NUM, b_mean=NUM, b_spread=NUM,
+    box=POS_NUM)
+
+
+def _check(**params) -> None:
+    """Raise a ConfigurationError naming the first of `params` not of its PARAM_KINDS kind."""
+    check_entry(params, {name: PARAM_KINDS[name] for name in params}, "")
+
+
+def _check_finite(name: str, array: np.ndarray) -> None:
+    """Raise a ConfigurationError naming `array` and its first row holding a nan or inf."""
+    bad = ~np.isfinite(array)
+    if bad.any():
+        row = int(np.argwhere(bad)[0, 0])
+        raise ConfigurationError(f"{name}[{row}] is not finite: {array[row].tolist()}")
 
 
 class QuadraticObjective:
@@ -158,7 +179,7 @@ class LogisticObjective:
         U = np.asarray(U, dtype=float)
         if U.ndim != 3:
             raise ConfigurationError("logistic sample stack must be 3-d (agents, rows, d)")
-        require(POS_NUM, w=w)
+        _check(w=w)
         n, rows, d = U.shape
         counts = np.full(n, rows) if counts is None else counts
         integral = KINDS[INTS](counts)
@@ -425,19 +446,19 @@ def ridge_instance_from_shards(
     Each agent owns the regularized least-squares cost of its shard; the
     exact minimizer of the averaged cost comes from the normal equations.
     """
-    require(POS_INT, n=n)
-    require(POS_NUM, lam=lam)
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float).ravel()
     if features.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ConfigurationError(
             f"feature matrix {features.shape} does not match {targets.shape[0]} targets"
         )
-    require(POS_INT, d=features.shape[1])
+    _check(n=n, lam=lam, standardize=standardize, d=features.shape[1])
     if features.shape[0] < n:
         raise ConfigurationError(
             f"need at least one row per agent: {features.shape[0]} rows, {n} agents"
         )
+    _check_finite("features", features)
+    _check_finite("targets", targets)
     if standardize:
         features = standardize_features(features)
     d = features.shape[1]
@@ -518,7 +539,7 @@ def logistic_instance(
     one more than the sample dimension.  The minimizer of the averaged
     cost is found by damped Newton on the analytic loss.
     """
-    require(POS_INT, n=n)
+    _check(n=n, standardize=standardize)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1 and samples.size == 0:
         samples = samples.reshape(0, 0)
@@ -532,6 +553,7 @@ def logistic_instance(
         )
     if count and not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ConfigurationError("labels must be -1 or +1")
+    _check_finite("samples", samples)
     if count and standardize:
         samples = standardize_features(samples)
 
@@ -572,8 +594,7 @@ def synthetic_classification(
     `scale_spread` > 1 gives the sample coordinates geometrically decaying
     scales, like the component variances of spectrally reduced data.
     """
-    require(POS_INT, d=d, per_agent=per_agent, n=n)
-    require(NUM, separation=separation)
+    _check(d=d, per_agent=per_agent, n=n, separation=separation, scale_spread=scale_spread)
     if d < 2:
         raise ConfigurationError(f"synthetic classification needs d >= 2, got {d}")
     rng = Xoshiro256(seed)
@@ -608,8 +629,7 @@ def ridge_synthetic(
     `scale_spread`), mimicking the heterogeneous units of real regression
     data; with `scale_spread` = 1 the features are isotropic.
     """
-    require(POS_INT, d=d, per_agent=per_agent, n=n)
-    require(NUM, noise=noise)
+    _check(d=d, per_agent=per_agent, n=n, noise=noise, scale_spread=scale_spread)
     rng = Xoshiro256(seed)
     count = n * per_agent
     theta = rng.normals(d)
@@ -621,7 +641,6 @@ def ridge_synthetic(
 
 
 def _column_scales(d: int, spread: float) -> np.ndarray:
-    require(POS_NUM, scale_spread=spread)
     if d == 1 or spread == 1.0:
         return np.ones(d)
     return spread ** (np.arange(d) / (d - 1) - 0.5)
@@ -644,10 +663,7 @@ def quartic_instance(
     iterates stay inside the box, so callers should start runs well inside
     it.
     """
-    require(POS_INT, n=n, d=d)
-    require(NONNEG, quartic=quartic)
-    require(POS_NUM, quad=quad, box=box)
-    require(NUM, b_mean=b_mean, b_spread=b_spread)
+    _check(n=n, d=d, quartic=quartic, quad=quad, b_mean=b_mean, b_spread=b_spread, box=box)
     zeta = np.zeros(1) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
     family = QuarticObjective(quartic, quad, np.repeat((b_mean + b_spread * zeta)[:, None], d, 1))
     b_bar = family.b.sum(axis=0) / n
@@ -681,9 +697,7 @@ def separable_quadratic_instance(
     b_scale: float = 1.0,
 ) -> ProblemInstance:
     """Random diagonal quadratics: f_i = 0.5 x^T diag(a_i) x + b_i^T x."""
-    require(POS_INT, n=n, d=d)
-    require(PAIR, curvature_range=curvature_range)
-    require(NUM, b_scale=b_scale)
+    _check(n=n, d=d, curvature_range=curvature_range, b_scale=b_scale)
     lo, hi = curvature_range
     if not 0.0 < lo <= hi:
         raise ConfigurationError(f"invalid curvature range {curvature_range}")
@@ -711,6 +725,7 @@ def load_csv(path: str, has_header: bool = False) -> tuple:
     opened or is not UTF-8, and for files with no data rows, and naming the
     offending row for ragged, non-numeric or non-finite (nan, inf) content.
     """
+    _check(has_header=has_header)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -751,26 +766,23 @@ def _logistic_csv(n: int, path: str, w=0.1, has_header=False, standardize=True) 
     return logistic_instance(samples, labels, n, w, standardize)
 
 
-#: family -> (builder taking the agent count n and the parameters, required
-#: parameter kinds, optional parameter kinds); the config key `lambda` reaches
-#: its builder as `lam`.  The public builders are looked up by their module
-#: names at call time, so that a wrapper installed under such a name is called.
-FAMILIES = {
-    "separable_quadratic": (lambda **kw: separable_quadratic_instance(**kw),
-                            {"d": POS_INT, "seed": INT}, {"curvature_range": PAIR, "b_scale": NUM}),
-    "ridge_synthetic": (lambda **kw: ridge_synthetic(**kw),
-                        {"d": POS_INT, "per_agent": POS_INT, "seed": INT},
-                        {"lambda": POS_NUM, "noise": NUM, "scale_spread": POS_NUM,
-                         "standardize": BOOL}),
-    "synthetic_classification": (lambda **kw: synthetic_classification(**kw),
-                                 {"d": POS_INT, "per_agent": POS_INT, "seed": INT},
-                                 {"w": POS_NUM, "separation": NUM, "scale_spread": POS_NUM,
-                                  "standardize": BOOL}),
-    "ridge_csv": (_ridge_csv, {"path": PATH},
-                  {"lambda": POS_NUM, "has_header": BOOL, "standardize": BOOL}),
-    "logistic_csv": (_logistic_csv, {"path": PATH},
-                     {"w": POS_NUM, "has_header": BOOL, "standardize": BOOL}),
-    "quartic": (lambda **kw: quartic_instance(**kw), {},
-                {"d": POS_INT, "quartic": NONNEG, "quad": POS_NUM, "b_mean": NUM, "b_spread": NUM,
-                 "box": POS_NUM}),
-}
+def _family(builder) -> tuple:
+    """The FAMILIES entry of `builder`: a parameter of its signature without a
+    default is required, one with a default optional, and n is neither; the
+    config key `lambda` reaches it as `lam`.  The builder is looked up by name
+    at call time, so that a wrapper installed under that name is called."""
+    params = inspect.signature(builder).parameters
+    names = {"lambda" if name == "lam" else name: name for name in params if name != "n"}
+    kinds = ({}, {})  # (required, optional): config key -> kind
+    for key, name in names.items():
+        kinds[params[name].default is not params[name].empty][key] = PARAM_KINDS[name]
+    return (lambda **config: globals()[builder.__name__](
+        **{names.get(key, key): value for key, value in config.items()}), *kinds)
+
+
+#: family -> (builder taking n and the config keys, required kinds, optional kinds)
+FAMILIES = {family: _family(builder) for family, builder in {
+    "separable_quadratic": separable_quadratic_instance, "ridge_synthetic": ridge_synthetic,
+    "synthetic_classification": synthetic_classification, "ridge_csv": _ridge_csv,
+    "logistic_csv": _logistic_csv, "quartic": quartic_instance,
+}.items()}

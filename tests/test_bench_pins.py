@@ -71,8 +71,10 @@ def runs_under_x86_v3(request, tmp_path_factory):
     script = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[3]); "
               "from test_bench_pins import _rows; "
               "print(json.dumps(_rows(Path(sys.argv[1]), sys.argv[2])))")
+    # one BLAS thread each, so that the subprocesses' pools do not compete for
+    # the cores with the in-process rows
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-               PYTHONPATH=str(ROOT / "src"))
+               OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
     procs = {}
 
     def stop():

@@ -1,6 +1,6 @@
 """The one value-kind check: its boundaries, parse-time / build-time parity
-over every numeric schema key and over a topology's key lists, and a guard
-against a second vocabulary."""
+over every numeric and boolean schema key and over a topology's key lists,
+and a guard against a second vocabulary."""
 
 import ast
 import math
@@ -13,6 +13,7 @@ import pytest
 from zojade import (
     ConfigurationError,
     ExperimentConfig,
+    load_csv,
     logistic_instance,
     quartic_instance,
     ridge_instance_from_shards,
@@ -202,6 +203,30 @@ def test_instance_parse_and_build_reject_the_same_values(family, key, value):
     params = {"lam" if k == "lambda" else k: v for k, v in params.items() if k != "path"}
     with pytest.raises(ConfigurationError, match=f"^{'lam' if key == 'lambda' else key} must be"):
         build(**params)
+
+
+_BAD_FLAGS = [0, 1, "no", None, np.bool_(True)]
+
+
+@pytest.mark.parametrize("family, key, value", [
+    pytest.param(family, key, value, id=f"{family}.{key}={value!r}")
+    for family, (required, optional) in _INSTANCE_SCHEMAS.items()
+    for key, kind in {**required, **optional}.items() if kind == BOOL
+    for value in _BAD_FLAGS
+])
+def test_instance_parse_and_build_reject_the_same_flags(tmp_path, family, key, value):
+    # a builder once took any truthy value: "no" standardized the data or skipped a row
+    required, build = _INSTANCE_BUILDERS[family]
+    with pytest.raises(ConfigurationError, match=rf"^instance\.{key} must be a boolean, got "):
+        ExperimentConfig(_config({"name": "ring", "n": 3},
+                                 {"family": family, **required, key: value}))
+    with pytest.raises(ConfigurationError, match=f"^{key} must be a boolean, got {value!r}$"):
+        if key == "has_header":
+            data = tmp_path / "data.csv"
+            data.write_text("x,t\n1,2\n3,4\n", encoding="utf-8")
+            load_csv(str(data), has_header=value)
+        else:
+            build(**{k: v for k, v in required.items() if k != "path"}, **{key: value})
 
 
 @pytest.mark.parametrize("name, key, value", _cases(_ALGORITHM_SCHEMAS))

@@ -302,6 +302,29 @@ def test_finite_inputs_that_overflow_fail_the_ground_truth_check(build):
         build()
 
 
+def test_ridge_shards_name_the_first_non_finite_row_before_any_arithmetic():
+    # an infinite target went through the normal equations and failed only the
+    # ground-truth check after them
+    features = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, -1.0]])
+    targets = np.array([1.0, 0.0, -1.0, 2.0])
+    with pytest.raises(ConfigurationError, match=r"^targets\[2\] is not finite: inf$"):
+        ridge_instance_from_shards(features, np.where(targets < 0, math.inf, targets), 2, 0.1)
+    features[3, 1] = math.nan
+    with pytest.raises(ConfigurationError, match=r"^features\[3\] is not finite: \[2\.0, nan\]$"):
+        ridge_instance_from_shards(features, targets, 2, 0.1, standardize=True)
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+def test_logistic_instance_names_the_first_non_finite_sample_before_any_arithmetic(cell):
+    # a nan sample raised numpy's LinAlgError from the constants' eigenvalues, an
+    # infinite one a RuntimeWarning from the arithmetic on it
+    samples = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, -1.0]])
+    samples[[1, 3], 0] = cell
+    message = rf"^samples\[1\] is not finite: \[{cell}, 0\.0\]$"
+    with pytest.raises(ConfigurationError, match=message):
+        logistic_instance(samples, np.array([1.0, -1.0, 1.0, -1.0]), 2, 0.1)
+
+
 # --- sharding, metrics consistency, constants ----------------------------------
 
 
