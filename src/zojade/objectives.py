@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import (
     BOOL, INT, INTS, KINDS, NONNEG, NUM, PAIR, PATH, POS_INT, POS_NUM, ConfigurationError,
-    InstanceConstructionError, check_entry, require,
+    InstanceConstructionError, check_entry,
 )
 from .oracle import BlackBoxObjective, SmoothnessConstants, agent_blocks
 from .rng import Xoshiro256
@@ -278,8 +278,7 @@ class QuarticObjective:
     with shared q and a and the tilts stacked as b (n, d)."""
 
     def __init__(self, q: float, a: float, b: np.ndarray):
-        require(NONNEG, q=q)
-        require(POS_NUM, a=a)
+        check_entry({"q": q, "a": a}, {"q": PARAM_KINDS["quartic"], "a": PARAM_KINDS["quad"]}, "")
         b = np.asarray(b, dtype=float)
         if b.ndim != 2:
             raise ConfigurationError(f"quartic tilts must be stacked (n, d), got {b.shape}")
@@ -766,13 +765,19 @@ def _logistic_csv(n: int, path: str, w=0.1, has_header=False, standardize=True) 
     return logistic_instance(samples, labels, n, w, standardize)
 
 
+#: builder parameter -> the config key that names it, where the two differ
+#: (`lambda` is a Python keyword)
+CONFIG_KEYS = {"lam": "lambda"}
+
+
 def _family(builder) -> tuple:
     """The FAMILIES entry of `builder`: a parameter of its signature without a
-    default is required, one with a default optional, and n is neither; the
-    config key `lambda` reaches it as `lam`.  The builder is looked up by name
-    at call time, so that a wrapper installed under that name is called."""
+    default is required, one with a default optional, and n is neither; a
+    config key reaches it under its CONFIG_KEYS name.  The builder is looked
+    up by name at call time, so that a wrapper installed under that name is
+    called."""
     params = inspect.signature(builder).parameters
-    names = {"lambda" if name == "lam" else name: name for name in params if name != "n"}
+    names = {CONFIG_KEYS.get(name, name): name for name in params if name != "n"}
     kinds = ({}, {})  # (required, optional): config key -> kind
     for key, name in names.items():
         kinds[params[name].default is not params[name].empty][key] = PARAM_KINDS[name]

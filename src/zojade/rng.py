@@ -21,10 +21,12 @@ state ``_K * j`` steps ahead and all lanes can step together as numpy
 spec above defines, and the generator is left in the state the scalar path
 would reach.  Each lane start is the previous one times the transition to
 the power ``_K``, applied through a table of that matrix's images of every
-4-bit chunk of the state.  Box-Muller's log is libm's (``math.log``) one
-element at a time, because numpy's vector log can differ from it in the
-last bit; its cosine is ``np.cos`` when a one-time probe finds numpy's
-float64 cosine bit-identical to ``math.cos``, and ``math.cos`` otherwise.
+4-bit chunk of the state.  Box-Muller's log and cosine must be libm's, the
+functions ``math.log`` and ``math.cos`` call, bit for bit; numpy's SIMD log
+differs from it in the last bit on a few uniforms in a thousand.  So each
+takes the first of three paths that equals libm on a one-time probe:
+numpy's ufunc, the ufunc over the array read back to front (numpy then calls
+libm once per element, in C), or ``math`` mapped over the array.
 The spec does not depend on any of this.
 """
 
@@ -126,13 +128,20 @@ class Xoshiro256:
 
 #: draws converted per block, so that a large array never exists as a list of floats
 _BLOCK = 4096
-#: outputs per lane; even, so that a normal's two uniforms come from one lane
-_K = 512
+#: outputs per lane; even, so that a normal's two uniforms come from one lane.
+#: A lane fill takes _K numpy steps whatever the lane count, so shorter lanes
+#: fill a mid-sized array in fewer steps (10,000 outputs: 2.1 ms at 256, 3.9 ms
+#: at 512, on a 2-vCPU AVX-512 host)
+_K = 256
 #: arrays that consume at least this many outputs are drawn on lanes; the
-#: scalar loop is faster below about 7,000 outputs (16 lanes here)
-_LANE_CUTOFF = 8192
-#: arguments of the one-time check of numpy's cosine against libm's
+#: scalar loop is faster below about 2,300 (normals) to 2,600 (uniforms)
+#: outputs, 9 to 10 lanes here
+_LANE_CUTOFF = 2560
+#: arguments of the one-time check of a path to libm's log or cosine
 _PROBE = 4096
+#: function -> s such that the probe's arguments are s * u, u in [0, 1), as
+#: Box-Muller's are
+_PROBE_SCALE = {"log": 1.0, "cos": _TAU}
 
 
 def _step(s: np.ndarray, t: np.ndarray) -> None:
@@ -221,37 +230,52 @@ def _lane_fill(state: list[int], out: np.ndarray, per: int) -> list[int]:
 
 
 def _gauss_array(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """`_gauss` elementwise.  The log is libm's, one element at a time, because
-    numpy's vector log can differ from it in the last bit (on 17 of the 4,096
-    probe uniforms under numpy's AVX-512 dispatch).  The cosine is numpy's when
-    `_numpy_cos_is_libm` holds, and libm's one element at a time otherwise.
-    sqrt and the products are correctly rounded in both, so numpy's are used."""
+    """`_gauss` elementwise on two arrays of one shape.  The log and the cosine
+    are libm's, each through the path that `_libm_path` picks, applied to 1-D
+    contiguous arrays as in its probe; sqrt and the products are correctly
+    rounded in numpy as in math, so numpy's are used."""
+    shape = u1.shape
+    u1, u2 = u1.ravel(), u2.ravel()
     u1[u1 == 0.0] = _UNIT
-    cos = np.cos if _numpy_cos_is_libm() else functools.partial(_libm, math.cos)
-    return np.sqrt(-2.0 * _libm(math.log, u1)) * cos(_TAU * u2)
+    log, cos = _libm_path("log")[1], _libm_path("cos")[1]
+    return (np.sqrt(-2.0 * log(u1)) * cos(_TAU * u2)).reshape(shape)
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """The scalar math function `fn` mapped over the array `x`."""
-    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    """The scalar math function `fn` mapped over the 1-D array `x`."""
+    return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
 
 
-def _agrees_with_libm(ufunc, fn, scale: float = 1.0) -> bool:
-    """Whether the numpy ufunc equals the math function `fn` bit for bit at the
-    _PROBE arguments scale * u, for u the first _PROBE doubles of seed 0's
-    stream (compared 512 at a time, so the probe allocates little)."""
+def _agrees_with_libm(path, name: str) -> bool:
+    """Whether `path`, applied to a 1-D float64 array, equals the math module's
+    function `name` bit for bit at the _PROBE arguments _PROBE_SCALE[name] * u,
+    for u the first _PROBE doubles of seed 0's stream (compared 512 at a time,
+    so the probe allocates little)."""
+    fn, scale = getattr(math, name), _PROBE_SCALE[name]
     gen = Xoshiro256(0)
     for _ in range(_PROBE // 512):
         x = scale * gen.uniforms(512)
-        if ufunc(x).tobytes() != _libm(fn, x).tobytes():
+        if path(x).tobytes() != _libm(fn, x).tobytes():
             return False
     return True
 
 
+def _libm_paths(name: str) -> dict:
+    """label -> a way to apply the math module's function `name` to a 1-D
+    float64 array, fastest first: numpy's ufunc; the ufunc over the array read
+    back to front, where numpy (2.4) runs no SIMD kernel and calls the C
+    library's function per element, the one the math module calls; and the
+    math function mapped over the array, which is libm by construction."""
+    ufunc = getattr(np, name)
+    return {"numpy": ufunc, "backward": lambda x: ufunc(x[::-1])[::-1],
+            "map": functools.partial(_libm, getattr(math, name))}
+
+
 @functools.cache
-def _numpy_cos_is_libm() -> bool:
-    """Whether numpy's float64 cosine is libm's on the probe arguments 2 pi u,
-    u in [0, 1), checked once per process.  A kernel that differs from libm on
-    a share p of such arguments passes with probability (1 - p)**4096: about
-    4e-8 for numpy's AVX-512 log (17 of the 4,096 uniforms), 2% for p = 0.1%."""
-    return _agrees_with_libm(np.cos, math.cos, _TAU)
+def _libm_path(name: str) -> tuple:
+    """(label, path) of the first of `_libm_paths(name)` that equals the math
+    function on the probe arguments, checked once per process.  A kernel that
+    differs from libm on a share p of the arguments passes with probability
+    (1 - p)**4096: about 4e-8 for numpy's AVX-512 log (17 of the 4,096
+    uniforms), 2% for p = 0.1%."""
+    return next(item for item in _libm_paths(name).items() if _agrees_with_libm(item[1], name))

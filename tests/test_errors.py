@@ -13,8 +13,6 @@ import pytest
 from zojade import (
     ConfigurationError,
     ExperimentConfig,
-    load_csv,
-    logistic_instance,
     quartic_instance,
     ridge_instance_from_shards,
     ridge_synthetic,
@@ -28,7 +26,7 @@ from zojade.errors import (
 )
 from zojade.algorithms import CONFIG_CLASS, JadeConfig
 from zojade.harness import _ALGORITHM_SCHEMAS, _INSTANCE_SCHEMAS, _TOPOLOGY_SCHEMAS
-from zojade.objectives import FAMILIES
+from zojade.objectives import CONFIG_KEYS, FAMILIES
 
 nan, inf = math.nan, math.inf
 
@@ -116,30 +114,31 @@ _BAD_PAIRS = [[1.0], [nan, 4.0], [0.5, inf], [-inf, 4.0], [True, 4.0], [np.int64
 _ROWS = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, -1.0], [-1.0, 0.5], [0.5, 2.0]])
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
-#: family -> (valid required values, direct builder call taking builder keywords)
-_INSTANCE_BUILDERS = {
-    "separable_quadratic": (
-        {"d": 2, "seed": 1}, lambda **kw: separable_quadratic_instance(3, **kw)
-    ),
-    "ridge_synthetic": (
-        {"d": 2, "per_agent": 3, "seed": 1}, lambda **kw: ridge_synthetic(n=3, **kw)
-    ),
-    "synthetic_classification": (
-        {"d": 3, "per_agent": 4, "seed": 1}, lambda **kw: synthetic_classification(n=3, **kw)
-    ),
-    "ridge_csv": (
-        {"path": "data.csv"},
-        lambda **kw: ridge_instance_from_shards(_ROWS, _SIGNS, 3, **{"lam": 0.1, **kw}),
-    ),
-    "logistic_csv": (
-        {"path": "data.csv"}, lambda **kw: logistic_instance(_ROWS, _SIGNS, 3, **{"w": 0.1, **kw})
-    ),
-    "quartic": ({}, lambda **kw: quartic_instance(3, **kw)),
+#: family -> valid values of its required config keys
+_REQUIRED = {
+    "separable_quadratic": {"d": 2, "seed": 1},
+    "ridge_synthetic": {"d": 2, "per_agent": 3, "seed": 1},
+    "synthetic_classification": {"d": 3, "per_agent": 4, "seed": 1},
+    "ridge_csv": {"path": "data.csv"},
+    "logistic_csv": {"path": "data.csv"},
+    "quartic": {},
 }
 
 
-def test_every_family_has_a_direct_builder_call():
-    assert set(_INSTANCE_BUILDERS) == set(FAMILIES)
+def _build(tmp_path, family, params):
+    """FAMILIES' build of `family` for 3 agents from the config keys `params`;
+    a `path` names a CSV of _ROWS and _SIGNS written to `tmp_path`."""
+    if "path" in params:
+        data = tmp_path / params["path"]
+        np.savetxt(data, np.column_stack([_ROWS, _SIGNS]), delimiter=",")
+        params = {**params, "path": str(data)}
+    return FAMILIES[family][0](n=3, **params)
+
+
+def test_every_family_has_required_values():
+    assert set(_REQUIRED) == set(FAMILIES)
+    for family, required in _REQUIRED.items():
+        assert set(required) == set(FAMILIES[family][1])
 
 
 def _bad_values(kind):
@@ -195,14 +194,13 @@ def test_topology_parse_and_build_name_the_same_keys(spec, keys):
 
 
 @pytest.mark.parametrize("family, key, value", _cases(_INSTANCE_SCHEMAS))
-def test_instance_parse_and_build_reject_the_same_values(family, key, value):
-    required, build = _INSTANCE_BUILDERS[family]
-    params = {**required, key: value}
+def test_instance_parse_and_build_reject_the_same_values(tmp_path, family, key, value):
+    params = {**_REQUIRED[family], key: value}
     with pytest.raises(ConfigurationError, match=rf"^instance\.{key} must be"):
         ExperimentConfig(_config({"name": "ring", "n": 3}, {"family": family, **params}))
-    params = {"lam" if k == "lambda" else k: v for k, v in params.items() if k != "path"}
-    with pytest.raises(ConfigurationError, match=f"^{'lam' if key == 'lambda' else key} must be"):
-        build(**params)
+    name = next((name for name, config_key in CONFIG_KEYS.items() if config_key == key), key)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        _build(tmp_path, family, params)
 
 
 _BAD_FLAGS = [0, 1, "no", None, np.bool_(True)]
@@ -216,17 +214,11 @@ _BAD_FLAGS = [0, 1, "no", None, np.bool_(True)]
 ])
 def test_instance_parse_and_build_reject_the_same_flags(tmp_path, family, key, value):
     # a builder once took any truthy value: "no" standardized the data or skipped a row
-    required, build = _INSTANCE_BUILDERS[family]
+    params = {**_REQUIRED[family], key: value}
     with pytest.raises(ConfigurationError, match=rf"^instance\.{key} must be a boolean, got "):
-        ExperimentConfig(_config({"name": "ring", "n": 3},
-                                 {"family": family, **required, key: value}))
+        ExperimentConfig(_config({"name": "ring", "n": 3}, {"family": family, **params}))
     with pytest.raises(ConfigurationError, match=f"^{key} must be a boolean, got {value!r}$"):
-        if key == "has_header":
-            data = tmp_path / "data.csv"
-            data.write_text("x,t\n1,2\n3,4\n", encoding="utf-8")
-            load_csv(str(data), has_header=value)
-        else:
-            build(**{k: v for k, v in required.items() if k != "path"}, **{key: value})
+        _build(tmp_path, family, params)
 
 
 @pytest.mark.parametrize("name, key, value", _cases(_ALGORITHM_SCHEMAS))

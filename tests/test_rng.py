@@ -161,13 +161,16 @@ def test_a_draw_of_200_lanes_equals_the_scalar_stream():
     assert gen.next_u64() == ref.next_u64()
 
 
-@pytest.mark.parametrize("numpy_cos", [True, False])
-def test_both_cosine_paths_equal_the_scalar_normals(monkeypatch, numpy_cos):
-    if numpy_cos and not rng._numpy_cos_is_libm():
-        pytest.skip("numpy's float64 cosine is not libm's on this host")
-    monkeypatch.setattr(rng, "_numpy_cos_is_libm", lambda: numpy_cos)
+@pytest.mark.parametrize("name", ["log", "cos"])
+@pytest.mark.parametrize("label", ["numpy", "backward", "map"])
+def test_every_libm_path_the_probe_passes_gives_the_scalar_normals(monkeypatch, name, label):
+    path = rng._libm_paths(name)[label]
+    if not rng._agrees_with_libm(path, name):
+        pytest.skip(f"the probe rejects the {label} {name} on this host")
+    chosen = rng._libm_path
+    monkeypatch.setattr(rng, "_libm_path", lambda f: (label, path) if f == name else chosen(f))
     gen, ref = Xoshiro256(6), Xoshiro256(6)
-    out = gen.normals(_CUTOFF + 3)  # 32 lanes and a tail
+    out = gen.normals(64 * _K // 2 + 3)  # 64 lanes and a tail
     assert out.tobytes() == np.array([ref.normal() for _ in range(out.size)]).tobytes()
 
 
@@ -178,7 +181,7 @@ def test_the_libm_probe_sees_a_kernel_that_differs_in_the_last_bit():
         c = np.cos(x)
         return np.where(x.view(np.uint64) % 1024 == 0, np.nextafter(c, 2.0), c)
 
-    assert not rng._agrees_with_libm(cos_off, math.cos, 2.0 * math.pi)
+    assert not rng._agrees_with_libm(cos_off, "cos")
 
 
 def test_the_libm_probe_sees_numpys_simd_log():
@@ -187,26 +190,28 @@ def test_the_libm_probe_sees_numpys_simd_log():
     u = Xoshiro256(12).uniforms(2**16)
     if np.log(u).tobytes() == rng._libm(math.log, u).tobytes():
         pytest.skip("numpy's float64 log is libm's on this host")
-    assert not rng._agrees_with_libm(np.log, math.log)
+    assert not rng._agrees_with_libm(np.log, "log")
+    assert rng._libm_path("log")[0] != "numpy"
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="numpy's X86_V3 and X86_V4 targets exist on x86-64 only")
 def test_a_draw_under_numpys_x86_v3_dispatch_equals_the_in_process_draw():
     # numpy's AVX2 kernels in place of its AVX-512 ones: the normals keep their
-    # bytes whichever cosine path the probe picks there
+    # bytes whichever log and cosine paths the probe picks there
     script = (
         "import hashlib, json; from zojade import Xoshiro256, rng; "
         "out = Xoshiro256(5).normals(40, 25, 9); "
-        "print(json.dumps([hashlib.sha256(out.tobytes()).hexdigest(), rng._numpy_cos_is_libm()]))"
+        "print(json.dumps([hashlib.sha256(out.tobytes()).hexdigest(), "
+        "rng._libm_path('log')[0], rng._libm_path('cos')[0]]))"
     )
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
                PYTHONPATH=str(Path(rng.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    digest, numpy_cos = json.loads(done.stdout)
-    print(f"X86_V3 dispatch: the cosine is {'numpy' if numpy_cos else 'libm'}'s")
-    # 9,000 normals: 35 lanes and a tail of 40
+    digest, log, cos = json.loads(done.stdout)
+    print(f"X86_V3 dispatch: the log takes the {log} path, the cosine the {cos} path")
+    # 9,000 normals: 70 lanes and a tail of 40
     assert digest == hashlib.sha256(Xoshiro256(5).normals(40, 25, 9).tobytes()).hexdigest()
 
 
