@@ -24,9 +24,9 @@ the power ``_K``, applied through a table of that matrix's images of every
 4-bit chunk of the state.  Box-Muller's log and cosine must be libm's, the
 functions ``math.log`` and ``math.cos`` call, bit for bit; numpy's SIMD log
 differs from it in the last bit on a few uniforms in a thousand.  So each
-takes the first of three paths that equals libm on a one-time probe:
-numpy's ufunc, the ufunc over the array read back to front (numpy then calls
-libm once per element, in C), or ``math`` mapped over the array.
+runs as numpy's ufunc over the array read back to front, where numpy calls
+libm once per element, in C, if a one-time probe finds that equal to libm,
+and as ``math`` mapped over the array otherwise.
 The spec does not depend on any of this.
 """
 
@@ -131,7 +131,9 @@ _BLOCK = 4096
 #: outputs per lane; even, so that a normal's two uniforms come from one lane.
 #: A lane fill takes _K numpy steps whatever the lane count, so shorter lanes
 #: fill a mid-sized array in fewer steps (10,000 outputs: 2.1 ms at 256, 3.9 ms
-#: at 512, on a 2-vCPU AVX-512 host)
+#: at 512, on a 2-vCPU AVX-512 host).  In a fill of many lanes the jump per
+#: lane costs more than the halved steps save: 250,000 normals took 23-26 ms
+#: at 256 against 20-22 ms at 512
 _K = 256
 #: arrays that consume at least this many outputs are drawn on lanes; the
 #: scalar loop is faster below about 2,300 (normals) to 2,600 (uniforms)
@@ -231,13 +233,14 @@ def _lane_fill(state: list[int], out: np.ndarray, per: int) -> list[int]:
 
 def _gauss_array(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """`_gauss` elementwise on two arrays of one shape.  The log and the cosine
-    are libm's, each through the path that `_libm_path` picks, applied to 1-D
+    are libm's, each through the path that `_libm_choice` picks, applied to 1-D
     contiguous arrays as in its probe; sqrt and the products are correctly
     rounded in numpy as in math, so numpy's are used."""
     shape = u1.shape
     u1, u2 = u1.ravel(), u2.ravel()
     u1[u1 == 0.0] = _UNIT
-    log, cos = _libm_path("log")[1], _libm_path("cos")[1]
+    choice = _libm_choice()
+    log, cos = choice["log"][1], choice["cos"][1]
     return (np.sqrt(-2.0 * log(u1)) * cos(_TAU * u2)).reshape(shape)
 
 
@@ -246,36 +249,42 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
 
 
-def _agrees_with_libm(path, name: str) -> bool:
-    """Whether `path`, applied to a 1-D float64 array, equals the math module's
-    function `name` bit for bit at the _PROBE arguments _PROBE_SCALE[name] * u,
-    for u the first _PROBE doubles of seed 0's stream (compared 512 at a time,
-    so the probe allocates little)."""
-    fn, scale = getattr(math, name), _PROBE_SCALE[name]
-    gen = Xoshiro256(0)
-    for _ in range(_PROBE // 512):
-        x = scale * gen.uniforms(512)
-        if path(x).tobytes() != _libm(fn, x).tobytes():
-            return False
-    return True
-
-
 def _libm_paths(name: str) -> dict:
     """label -> a way to apply the math module's function `name` to a 1-D
-    float64 array, fastest first: numpy's ufunc; the ufunc over the array read
-    back to front, where numpy (2.4) runs no SIMD kernel and calls the C
-    library's function per element, the one the math module calls; and the
-    math function mapped over the array, which is libm by construction."""
+    float64 array, the faster first: numpy's ufunc over the array read back
+    to front, where numpy (2.4) runs no SIMD kernel and calls the C library's
+    function per element, the one the math module calls; and the math
+    function mapped over the array, which is libm by construction."""
     ufunc = getattr(np, name)
-    return {"numpy": ufunc, "backward": lambda x: ufunc(x[::-1])[::-1],
+    return {"backward": lambda x: ufunc(x[::-1])[::-1],
             "map": functools.partial(_libm, getattr(math, name))}
 
 
+def _agrees_with_libm(paths: dict) -> dict:
+    """name -> whether `paths[name]`, applied to a 1-D float64 array, equals
+    the math module's function `name` bit for bit at the _PROBE arguments
+    _PROBE_SCALE[name] * u, for u the first _PROBE doubles of seed 0's stream.
+    The uniforms are drawn 512 at a time, once for all the paths, so the
+    probe allocates little."""
+    agree = dict.fromkeys(paths, True)
+    gen = Xoshiro256(0)
+    for _ in range(_PROBE // 512):
+        u = gen.uniforms(512)
+        for name in [name for name in paths if agree[name]]:
+            x = _PROBE_SCALE[name] * u
+            agree[name] = paths[name](x).tobytes() == _libm(getattr(math, name), x).tobytes()
+    return agree
+
+
 @functools.cache
-def _libm_path(name: str) -> tuple:
-    """(label, path) of the first of `_libm_paths(name)` that equals the math
-    function on the probe arguments, checked once per process.  A kernel that
-    differs from libm on a share p of the arguments passes with probability
+def _libm_choice() -> dict:
+    """name -> (label, path) for Box-Muller's log and cos: "backward" where
+    it equals the math function on the probe arguments, else "map", checked
+    once per process for both functions at once.  A kernel that differs from
+    libm on a share p of the arguments passes with probability
     (1 - p)**4096: about 4e-8 for numpy's AVX-512 log (17 of the 4,096
     uniforms), 2% for p = 0.1%."""
-    return next(item for item in _libm_paths(name).items() if _agrees_with_libm(item[1], name))
+    paths = {name: _libm_paths(name) for name in _PROBE_SCALE}
+    agree = _agrees_with_libm({name: p["backward"] for name, p in paths.items()})
+    labels = {name: "backward" if agree[name] else "map" for name in paths}
+    return {name: (label, paths[name][label]) for name, label in labels.items()}

@@ -162,13 +162,13 @@ def test_a_draw_of_200_lanes_equals_the_scalar_stream():
 
 
 @pytest.mark.parametrize("name", ["log", "cos"])
-@pytest.mark.parametrize("label", ["numpy", "backward", "map"])
+@pytest.mark.parametrize("label", ["backward", "map"])
 def test_every_libm_path_the_probe_passes_gives_the_scalar_normals(monkeypatch, name, label):
     path = rng._libm_paths(name)[label]
-    if not rng._agrees_with_libm(path, name):
+    if not rng._agrees_with_libm({name: path})[name]:
         pytest.skip(f"the probe rejects the {label} {name} on this host")
-    chosen = rng._libm_path
-    monkeypatch.setattr(rng, "_libm_path", lambda f: (label, path) if f == name else chosen(f))
+    chosen = rng._libm_choice()
+    monkeypatch.setattr(rng, "_libm_choice", lambda: {**chosen, name: (label, path)})
     gen, ref = Xoshiro256(6), Xoshiro256(6)
     out = gen.normals(64 * _K // 2 + 3)  # 64 lanes and a tail
     assert out.tobytes() == np.array([ref.normal() for _ in range(out.size)]).tobytes()
@@ -181,17 +181,18 @@ def test_the_libm_probe_sees_a_kernel_that_differs_in_the_last_bit():
         c = np.cos(x)
         return np.where(x.view(np.uint64) % 1024 == 0, np.nextafter(c, 2.0), c)
 
-    assert not rng._agrees_with_libm(cos_off, "cos")
+    assert rng._agrees_with_libm({"cos": cos_off}) == {"cos": False}
 
 
 def test_the_libm_probe_sees_numpys_simd_log():
     # positive control: numpy's AVX-512 log differs from libm on about 0.4% of
-    # uniforms; under a dispatch whose log is libm's there is nothing to see
+    # uniforms; under a dispatch whose log is libm's there is nothing to see.
+    # The cosine, probed on the same uniforms, is judged on its own
     u = Xoshiro256(12).uniforms(2**16)
     if np.log(u).tobytes() == rng._libm(math.log, u).tobytes():
         pytest.skip("numpy's float64 log is libm's on this host")
-    assert not rng._agrees_with_libm(np.log, "log")
-    assert rng._libm_path("log")[0] != "numpy"
+    cos = rng._libm_paths("cos")["map"]
+    assert rng._agrees_with_libm({"log": np.log, "cos": cos}) == {"log": False, "cos": True}
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
@@ -201,9 +202,8 @@ def test_a_draw_under_numpys_x86_v3_dispatch_equals_the_in_process_draw():
     # bytes whichever log and cosine paths the probe picks there
     script = (
         "import hashlib, json; from zojade import Xoshiro256, rng; "
-        "out = Xoshiro256(5).normals(40, 25, 9); "
-        "print(json.dumps([hashlib.sha256(out.tobytes()).hexdigest(), "
-        "rng._libm_path('log')[0], rng._libm_path('cos')[0]]))"
+        "out = Xoshiro256(5).normals(40, 25, 9); c = rng._libm_choice(); "
+        "print(json.dumps([hashlib.sha256(out.tobytes()).hexdigest(), c['log'][0], c['cos'][0]]))"
     )
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
                PYTHONPATH=str(Path(rng.__file__).parents[1]))
