@@ -96,11 +96,14 @@ def _check(**params) -> None:
 
 
 def _check_finite(name: str, array: np.ndarray) -> None:
-    """Raise a ConfigurationError naming `array` and its first row holding a nan or inf."""
-    bad = ~np.isfinite(array)
-    if bad.any():
-        row = int(np.argwhere(bad)[0, 0])
-        raise ConfigurationError(f"{name}[{row}] is not finite: {array[row].tolist()}")
+    """Raise a ConfigurationError naming `array` and its first row holding a nan
+    or inf.  The rows of an array of three axes are its (i, j, :) slices,
+    numbered i * shape[1] + j."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        first = tuple(np.argwhere(~finite)[0, : max(1, array.ndim - 1)])
+        row = int(np.ravel_multi_index(first, array.shape[: len(first)]))
+        raise ConfigurationError(f"{name}[{row}] is not finite: {array[first].tolist()}")
 
 
 class QuadraticObjective:
@@ -557,17 +560,22 @@ def logistic_instance(
         samples = standardize_features(samples)
 
     # shard by shard into the zero-padded stack, so the samples are not copied twice
-    d = samples.shape[1] + 1
     shards = shard_round_robin(count, n)
     counts = np.array([len(idx) for idx in shards])
-    U = np.zeros((n, int(counts.max()), d))
+    U = np.zeros((n, int(counts.max()), samples.shape[1] + 1))
     for i, idx in enumerate(shards):
         rows = U[i, : len(idx)]
         np.multiply(samples[idx], labels[idx, None], out=rows[:, :-1])
         rows[:, -1] = labels[idx]
+    return _logistic_from_stack(U, w, counts, name)
+
+
+def _logistic_from_stack(U: np.ndarray, w: float, counts, name: str) -> ProblemInstance:
+    """The instance of the family `LogisticObjective(U, w, counts)`: its
+    constants, then x* by damped Newton on the analytic averaged cost."""
     family = LogisticObjective(U, w, counts)
     constants = _logistic_constants(family)
-
+    d = U.shape[2]
     # the averaged cost's value, gradient and Hessian, before x* is known
     averaged = ProblemInstance(family, d, np.zeros(d), 0.0, constants, name)
     x_star = _damped_newton(
@@ -592,24 +600,41 @@ def synthetic_classification(
     in R^(d-1) so the logistic variable (with intercept) has dimension d.
     `scale_spread` > 1 gives the sample coordinates geometrically decaying
     scales, like the component variances of spectrally reduced data.
+
+    Agent i's k-th sample is label_k center + g * scales, with g the normals
+    of its own block of the draw, and it is row k n + i of the samples that
+    round-robin sharding would hand back to agent i.  The agent stack U is
+    built in the array the normals are drawn into, so set-up holds one copy
+    of it: the draw has n per_agent normals to spare, which nothing reads.
     """
-    _check(d=d, per_agent=per_agent, n=n, separation=separation, scale_spread=scale_spread)
+    _check(d=d, per_agent=per_agent, n=n, separation=separation, scale_spread=scale_spread,
+           standardize=standardize)
     if d < 2:
         raise ConfigurationError(f"synthetic classification needs d >= 2, got {d}")
     rng = Xoshiro256(seed)
     dim = d - 1
-    scales = _column_scales(dim, scale_spread)
-    center = separation / 2.0 * np.full(dim, 1.0 / math.sqrt(dim)) * scales
     # the first half of each agent's rows (rounded up) carries label +1
-    label = np.where(np.arange(per_agent) < (per_agent + 1) // 2, 1.0, -1.0)
-    samples_by_agent = label[:, None] * center + rng.normals(n, per_agent, dim) * scales
-    # Interleave so that round-robin sharding hands agent i exactly its
-    # own generated block: flat row j*n + i belongs to agent i.
-    samples = samples_by_agent.transpose(1, 0, 2).reshape(n * per_agent, dim)
-    labels = np.repeat(label, n)
-    return logistic_instance(
-        samples, labels, n, w, standardize=standardize, name="synthetic-logistic"
-    )
+    label = np.where(np.arange(per_agent) < (per_agent + 1) // 2, 1.0, -1.0)[:, None]
+    U = rng.normals(n, per_agent, d)
+    packed = U.reshape(-1)[: n * per_agent * dim].reshape(n, per_agent, dim)
+    # An agent's rows move to a later place than they were drawn at, past the
+    # packed rows of the agents before it; numpy copies an overlapping source
+    # first, so blocks of agents move, the last first, through a small buffer.
+    agents = max(1, 2**14 // (per_agent * dim))
+    for lo in reversed(range(0, n, agents)):
+        U[lo:lo + agents, :, :-1] = packed[lo:lo + agents]
+    samples = U[..., :-1]
+    scales = _column_scales(dim, scale_spread)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check names an overflow
+        samples *= scales
+        samples += label * (separation / 2.0 * np.full(dim, 1.0 / math.sqrt(dim)) * scales)
+    sharded = samples.transpose(1, 0, 2)  # row k n + i is agent i's k-th
+    _check_finite("samples", sharded)
+    if standardize:  # over a copy in sharded order, so the sums add up as for any data
+        sharded[...] = standardize_features(sharded.reshape(-1, dim)).reshape(sharded.shape)
+    samples *= label
+    U[..., -1:] = label
+    return _logistic_from_stack(U, w, None, "synthetic-logistic")
 
 
 def ridge_synthetic(
@@ -632,8 +657,10 @@ def ridge_synthetic(
     rng = Xoshiro256(seed)
     count = n * per_agent
     theta = rng.normals(d)
-    features = rng.normals(count, d) * _column_scales(d, scale_spread)
-    targets = features @ theta + noise * rng.normals(count)
+    features = rng.normals(count, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks name an overflow
+        features *= _column_scales(d, scale_spread)
+        targets = features @ theta + noise * rng.normals(count)
     return ridge_instance_from_shards(
         features, targets, n, lam, standardize=standardize, name="synthetic-ridge"
     )

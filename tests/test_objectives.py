@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -34,6 +36,7 @@ from zojade import (
 )
 from zojade import harness, oracle
 from zojade.objectives import _damped_newton
+from zojade.rng import _libm_choice
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -183,6 +186,72 @@ def test_synthetic_classification_balanced_per_agent():
         assert int(np.sum(labels > 0)) == 5
 
 
+def _sha256(value) -> str:
+    return hashlib.sha256(np.ascontiguousarray(value, dtype=float).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("build, digests", [
+    (lambda: synthetic_classification(50, 25, 200, seed=5, w=0.1, scale_spread=8.0), [
+        "28a974ab44b48b0832802104388c764b7f7aaebdc4710dff547de9b45f61779a",
+        "3fa75aa09541412b1c9471a4d0bc489ad1a00161bf73f13315de7797b1fd565b",
+        "99883974f3b94695141479268899b01c2fab75998baec8be0c9a8332ba053556"]),
+    (lambda: synthetic_classification(10, 25, 20, seed=5, w=0.1, separation=2.0,
+                                      scale_spread=8.0), [
+        "59aaf40702da13d97f3282bd44e8d24013d55a1f7f0ef2b27bfa28c502109c9b",
+        "90c5ecde72f5c15d6de328aa5f88a3c055a4c7ca26fb3d1202fb313262943dbd",
+        "f720a79fe6a2aeb1f01b15486d6b7a39e67d763654d58cfff2b975c6ab02dc5e"]),
+    (lambda: synthetic_classification(2, 7, 3, seed=1, standardize=True), [
+        "c50933530064213666360383d7fd86749dd1e9b61c383c41b33de9a7f1e866c9",
+        "7b99f2ff5980f1b6fc7ba59fc17abf61b10a6514cb242f5fbe8ceb3441473536",
+        "c7935d3a7beaf32e6d342d4ddf2019cd637823d53f51a793b9b846718f00d35f"]),
+    (lambda: ridge_synthetic(10, 25, 20, seed=3, lam=0.1), [
+        "dd5463cf9cda6a0ef1b79b55a1b8a6ce679b8bf0f97b0f9de80f1033a0d10d5f",
+        "8efc1756977e2a290764b70b268cc798c0f70362dd9e8aa7c6228594ff968236",
+        "851231708fe0e1e1a7514633e27b04ca502051a9d8ecd610667677cf8fb9a04a",
+        "337a6bfbdb2904a60aaff28121a2795623d7bdfcf8c56ed8ccafebe53d95bec4",
+        "6d6ebd042002cd9a06429293d000df4af0bdd1b914f9cdcf0a3ad3c73ae036ae"]),
+], ids=["scale_n200", "logistic_config", "standardized_4_3_split", "quickstart_ridge"])
+def test_synthetic_builds_are_pinned_bit_for_bit(build, digests):
+    # the shipped and benchmark instances: the family's arrays, x* and f*
+    inst = build()
+    family = inst.family
+    arrays = [family.U] if isinstance(family, LogisticObjective) else [family.A, family.b, family.c]
+    assert [_sha256(a) for a in [*arrays, inst.x_star, inst.f_star]] == digests
+
+
+def test_synthetic_classification_names_a_non_finite_sample_by_its_sharded_row():
+    # agent 1's third sample is row 2 n + 1 of the samples that sharding hands out;
+    # separation 0 and unit scales leave each coordinate its drawn normal
+    n, per_agent, dim = 3, 4, 2
+    drawn = Xoshiro256(9).normals(n * per_agent * (dim + 1))
+    real = Xoshiro256.normals
+
+    def planted(self, *shape):
+        out = real(self, *shape)
+        out.reshape(-1)[(1 * per_agent + 2) * dim] = math.nan
+        return out
+
+    expected = re.escape(f"samples[{2 * n + 1}] is not finite: "
+                         f"{[math.nan, float(drawn[(1 * per_agent + 2) * dim + 1])]}")
+    with mock.patch.object(Xoshiro256, "normals", planted), pytest.raises(
+        ConfigurationError, match=f"^{expected}$"
+    ):
+        synthetic_classification(dim + 1, per_agent, n, seed=9, separation=0.0)
+
+
+def test_a_synthetic_build_holds_about_one_agent_stack():
+    # scale_n200's instance: U is built in the array its normals are drawn into,
+    # so the normals, their scaled copy and an interleaved copy are not all live
+    _libm_choice.cache_clear()  # the one-time libm probe is measured in every order
+    tracemalloc.start()
+    try:
+        inst = synthetic_classification(50, 25, 200, seed=5, scale_spread=8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= inst.family.U.nbytes + 2**19
+
+
 # --- quartic and separable quadratic -------------------------------------------
 
 
@@ -299,6 +368,18 @@ def test_finite_inputs_that_overflow_fail_the_ground_truth_check(build):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         InstanceConstructionError, match="non-finite ground truth"
     ):
+        build()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: synthetic_classification(3, 2, 2, seed=1, separation=1e200, scale_spread=1e300),
+     r"^samples\[0\] is not finite: \[3\.535533905932737e\+49, inf\]$"),
+    (lambda: ridge_synthetic(3, 2, 2, seed=1, noise=1e308, scale_spread=1e300),
+     r"^targets\[0\] is not finite: inf$"),
+], ids=["classification", "ridge"])
+def test_synthetic_data_that_overflows_is_a_configuration_error(build, match):
+    # numpy's overflow warning, an error under this suite's filter, came first
+    with pytest.raises(ConfigurationError, match=match):
         build()
 
 
