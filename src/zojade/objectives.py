@@ -481,17 +481,26 @@ def ridge_instance_from_shards(
     return _instance(family, d, x_star, constants, name)
 
 
-def _logistic_constants(family: LogisticObjective) -> SmoothnessConstants:
-    """Constants of the averaged log-loss, taken over all rows at once."""
+def _logistic_constants(family: LogisticObjective, name: str = "logistic") -> SmoothnessConstants:
+    """Constants of the averaged log-loss, taken over all rows at once.  Rows
+    too large for their gram or their norms' powers overflow silently, and the
+    constant that overflows fails here, before the eigensolver and Newton."""
     rows, wt, _ = family._rows(slice(None))
     wt = wt / family.n  # each row's weight in the averaged cost
-    gram = _weighted_gram(rows, wt)
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))  # no squared copy of U
-    s3 = float(wt @ norms**3)
-    s4 = float(wt @ norms**4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _weighted_gram(rows, wt)
+        if not np.isfinite(gram).all():
+            raise InstanceConstructionError(f"{name}: L1 is not finite: the rows' gram overflows")
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))  # no squared copy of U
+        s3 = float(wt @ norms**3)
+        s4 = float(wt @ norms**4)
     w = family.w
     L1 = w + _SIG2 * float(np.linalg.eigvalsh(gram)[-1]) if gram.any() else w
-    return SmoothnessConstants(m=w, L1=L1, L2=_SIG3 * s3, L3=_SIG4 * s4)
+    constants = SmoothnessConstants(m=w, L1=L1, L2=_SIG3 * s3, L3=_SIG4 * s4)
+    for key, value in vars(constants).items():
+        if not math.isfinite(value):
+            raise InstanceConstructionError(f"{name}: {key} is not finite: {value}")
+    return constants
 
 
 def _damped_newton(value, gradient, hessian, x0, name: str):
@@ -574,7 +583,7 @@ def _logistic_from_stack(U: np.ndarray, w: float, counts, name: str) -> ProblemI
     """The instance of the family `LogisticObjective(U, w, counts)`: its
     constants, then x* by damped Newton on the analytic averaged cost."""
     family = LogisticObjective(U, w, counts)
-    constants = _logistic_constants(family)
+    constants = _logistic_constants(family, name)
     d = U.shape[2]
     # the averaged cost's value, gradient and Hessian, before x* is known
     averaged = ProblemInstance(family, d, np.zeros(d), 0.0, constants, name)

@@ -19,9 +19,13 @@ time.  The transition is linear over GF(2), so lane j can start at the
 state ``_K * j`` steps ahead and all lanes can step together as numpy
 ``uint64`` arrays; laid end to end, the lanes give exactly the stream the
 spec above defines, and the generator is left in the state the scalar path
-would reach.  Each lane start is the previous one times the transition to
-the power ``_K``, applied through a table of that matrix's images of every
-4-bit chunk of the state.  Box-Muller's log and cosine must be libm's, the
+would reach.  The first 64 lane starts are each the previous one times the
+transition to the power ``_K``, applied through a table of that matrix's
+images of every 4-bit chunk of the state.  In a fill of at least 128 lanes,
+the starts of lanes 2**m to 2**(m + 1) - 1 are then those of lanes 0 to
+2**m - 1 times the transition to the power ``_K * 2**m``, all in one numpy
+pass (jump-ahead as a matrix power over GF(2), as in Haramoto et al., INFORMS
+J. Computing 20(3), 2008).  Box-Muller's log and cosine must be libm's, the
 functions ``math.log`` and ``math.cos`` call, bit for bit; numpy's SIMD log
 differs from it in the last bit on a few uniforms in a thousand.  So each
 runs as numpy's ufunc over the array read back to front, where numpy calls
@@ -130,11 +134,14 @@ class Xoshiro256:
 _BLOCK = 4096
 #: outputs per lane; even, so that a normal's two uniforms come from one lane.
 #: A lane fill takes _K numpy steps whatever the lane count, so shorter lanes
-#: fill a mid-sized array in fewer steps (10,000 outputs: 2.1 ms at 256, 3.9 ms
-#: at 512, on a 2-vCPU AVX-512 host).  In a fill of many lanes the jump per
-#: lane costs more than the halved steps save: 250,000 normals took 23-26 ms
-#: at 256 against 20-22 ms at 512
+#: fill an array in fewer steps, and with the lane starts doubled past 64 lanes
+#: their count costs little: on a 2-vCPU AVX-512 Xeon, 10,000 uniforms took
+#: 2.0-2.1 ms at 256 against 4.0-7.0 ms at 512, and 250,000 normals 17.5-18.4 ms
+#: against 19.0-19.7 ms (medians of 30 draws, 3 processes each)
 _K = 256
+#: lane starts that a fill takes by serial `_jump`s, a power of two; a fill
+#: of at least twice as many lanes doubles its starts from these
+_SERIAL = 64
 #: arrays that consume at least this many outputs are drawn on lanes; the
 #: scalar loop is faster below about 2,300 (normals) to 2,600 (uniforms)
 #: outputs, 9 to 10 lanes here
@@ -201,18 +208,70 @@ def _jump(state: int) -> int:
     return out
 
 
+@functools.cache
+def _power_images(m: int) -> np.ndarray:
+    """(256, 4) uint64 whose row b is the state that _K * 2**m steps reach
+    from the state whose only set bit is bit b, word i in column i: the
+    columns of the transition to that power.  A power above the first
+    doubling level is the square of the one below, its images mapped by it;
+    a lower one is squared m times from the columns in `_jump_table`."""
+    if m > _SERIAL.bit_length() - 1:
+        below = _power_images(m - 1)
+        return _apply(below, below)
+    columns = [pair[j // 4][1 << j % 4] for pair in _jump_table() for j in range(8)]
+    images = np.frombuffer(b"".join(c.to_bytes(32, "little") for c in columns), "<u8")
+    images = images.reshape(256, 4).astype(np.uint64)
+    for _ in range(m):
+        images = _apply(images, images)
+    return images
+
+
+def _apply(images: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The (count, 4) states, word i in column i, mapped by the matrix whose
+    unit-bit images are `images`: the XOR of the images of each state's 64
+    nibbles, one gather over all the states per nibble."""
+    # table[p, v]: the image of nibble value v in bits 4p to 4p + 3
+    table = np.zeros((64, 16, 4), np.uint64)
+    bits = images.reshape(64, 4, 4)
+    for b in range(4):
+        table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ bits[:, b, None]
+    # byte k of a state in little-endian order holds nibbles 2k (low) and 2k + 1 (high)
+    data = states.astype("<u8", copy=False).view(np.uint8).T.copy()
+    out = np.zeros(states.shape, np.uint64)
+    for k, byte in enumerate(data):
+        out ^= table[2 * k].take(byte & 15, axis=0)
+        out ^= table[2 * k + 1].take(byte >> 4, axis=0)
+    return out
+
+
+def _lane_starts(state: list[int], lanes: int) -> np.ndarray:
+    """(lanes, 4) little-endian uint64 whose row j is the state _K * j steps
+    after `state`, word i in column i.  The first _SERIAL rows, or all of a
+    fill of fewer than 2 * _SERIAL lanes, are serial `_jump`s; then rows 2**m
+    to 2**(m + 1) - 1 are rows 0 to 2**m - 1 mapped by `_power_images(m)`."""
+    serial = lanes if lanes < 2 * _SERIAL else _SERIAL
+    start = _pack(state)
+    head = bytearray(start.to_bytes(32, "little"))
+    for _ in range(serial - 1):
+        start = _jump(start)
+        head += start.to_bytes(32, "little")
+    starts = np.empty((lanes, 4), "<u8")
+    # word i of lane j's start is in little-endian bytes 32j + 8i to 32j + 8i + 7
+    starts[:serial] = np.frombuffer(head, "<u8").reshape(serial, 4)
+    done = serial
+    while done < lanes:
+        count = min(done, lanes - done)
+        starts[done : done + count] = _apply(_power_images(done.bit_length() - 1), starts[:count])
+        done += count
+    return starts
+
+
 def _lane_fill(state: list[int], out: np.ndarray, per: int) -> list[int]:
     """Fill `out`, of shape (lanes, _K // per), with the stream after `state`:
     row j with outputs j*_K to (j+1)*_K - 1, each element from `per` outputs
     (a double, or a normal from two).  Returns the state after the last row."""
     lanes = out.shape[0]
-    start = _pack(state)
-    starts = bytearray(start.to_bytes(32, "little"))
-    for _ in range(lanes - 1):
-        start = _jump(start)
-        starts += start.to_bytes(32, "little")
-    # word i of lane j's start is in little-endian bytes 32j + 8i to 32j + 8i + 7
-    s = np.frombuffer(starts, "<u8").reshape(lanes, 4).T.astype(np.uint64, order="C")
+    s = _lane_starts(state, lanes).T.astype(np.uint64, order="C")
     t = np.empty(lanes, np.uint64)
     # steps per chunk: even, and about _BLOCK outputs over all lanes
     chunk = max(2, _BLOCK // lanes) & ~1

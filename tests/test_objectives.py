@@ -36,7 +36,7 @@ from zojade import (
 )
 from zojade import harness, oracle
 from zojade.objectives import _damped_newton
-from zojade.rng import _libm_choice
+from zojade.rng import _libm_choice, _power_images
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -243,6 +243,7 @@ def test_a_synthetic_build_holds_about_one_agent_stack():
     # scale_n200's instance: U is built in the array its normals are drawn into,
     # so the normals, their scaled copy and an interleaved copy are not all live
     _libm_choice.cache_clear()  # the one-time libm probe is measured in every order
+    _power_images.cache_clear()  # and so are the lane fill's doubling powers
     tracemalloc.start()
     try:
         inst = synthetic_classification(50, 25, 200, seed=5, scale_spread=8.0)
@@ -381,6 +382,20 @@ def test_synthetic_data_that_overflows_is_a_configuration_error(build, match):
     # numpy's overflow warning, an error under this suite's filter, came first
     with pytest.raises(ConfigurationError, match=match):
         build()
+
+
+@pytest.mark.parametrize("shape, spread, match", [
+    ((2, 2), dict(scale_spread=1e300), r"^synthetic-logistic: L2 is not finite: inf$"),
+    ((5, 3), dict(separation=1e308, scale_spread=2.0),
+     r"^synthetic-logistic: L1 is not finite: the rows' gram overflows$"),
+], ids=["norms", "gram"])
+def test_logistic_constants_that_overflow_are_named(shape, spread, match):
+    # finite samples whose norms' cubes (L2) or gram (L1) overflow, with no
+    # errstate around the build: numpy's overflow warning, an error under this
+    # suite's filter, came first; inside an errstate, Newton failed after 500
+    # iterations or the eigensolver did not converge
+    with pytest.raises(InstanceConstructionError, match=match):
+        synthetic_classification(3, *shape, seed=1, **spread)
 
 
 def test_ridge_shards_name_the_first_non_finite_row_before_any_arithmetic():

@@ -113,6 +113,46 @@ def test_jump_columns_equal_k_scalar_steps():
         assert rng._jump(rng._pack(state)) == rng._pack(gen._s)
 
 
+def _words(packed: int) -> list[int]:
+    return [packed >> 64 * i & 2**64 - 1 for i in range(4)]
+
+
+def test_each_doubling_power_maps_states_as_its_serial_jumps_do():
+    # T^(_K 2^m) from seeded states for every m up to 10, and for m = 6, the
+    # first doubling level, from every unit state too
+    for seed in (1, -5, 2**64 + 3):
+        state = rng._pack(splitmix64_stream(seed, 4))
+        jumped = state
+        for jumps in range(1, 2**10 + 1):
+            jumped = rng._jump(jumped)
+            if jumps & jumps - 1 == 0:
+                images = rng._power_images(jumps.bit_length() - 1)
+                mapped = rng._apply(images, np.array([_words(state)], np.uint64))
+                assert rng._pack(mapped[0].tolist()) == jumped
+    jumped = []
+    for b in range(256):
+        state = 1 << b
+        for _ in range(2**6):
+            state = rng._jump(state)
+        jumped.append(state)
+    units = np.array([_words(1 << b) for b in range(256)], np.uint64)
+    assert list(map(rng._pack, rng._apply(rng._power_images(6), units).tolist())) == jumped
+
+
+@pytest.mark.parametrize("per", [1, 2])
+def test_draws_across_the_doubling_levels_equal_the_scalar_stream(per):
+    # the serial starts alone below 128 lanes, then one doubling level more at
+    # each power of two; 1,953 lanes is scale_n200's instance draw
+    for lanes in (63, 64, 65, 127, 128, 129, 255, 256, 257, 1953):
+        gen, ref = Xoshiro256(lanes), Xoshiro256(lanes)
+        out = (gen.uniforms if per == 1 else gen.normals)(lanes * rng._K // per)
+        doubles = [(x >> 11) * 2.0**-53 for x in ref._u64s(lanes * rng._K)]
+        if per == 2:
+            doubles = list(map(rng._gauss, doubles[::2], doubles[1::2]))
+        assert out.tobytes() == np.array(doubles).tobytes(), lanes
+        assert gen.next_u64() == ref.next_u64()
+
+
 _CUTOFF, _K = rng._LANE_CUTOFF, rng._K
 
 
@@ -202,7 +242,7 @@ def test_a_draw_under_numpys_x86_v3_dispatch_equals_the_in_process_draw():
     # bytes whichever log and cosine paths the probe picks there
     script = (
         "import hashlib, json; from zojade import Xoshiro256, rng; "
-        "out = Xoshiro256(5).normals(40, 25, 9); c = rng._libm_choice(); "
+        "out = Xoshiro256(5).normals(40, 25, 33); c = rng._libm_choice(); "
         "print(json.dumps([hashlib.sha256(out.tobytes()).hexdigest(), c['log'][0], c['cos'][0]]))"
     )
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
@@ -211,8 +251,8 @@ def test_a_draw_under_numpys_x86_v3_dispatch_equals_the_in_process_draw():
                           capture_output=True, text=True, check=True)
     digest, log, cos = json.loads(done.stdout)
     print(f"X86_V3 dispatch: the log takes the {log} path, the cosine the {cos} path")
-    # 9,000 normals: 70 lanes and a tail of 40
-    assert digest == hashlib.sha256(Xoshiro256(5).normals(40, 25, 9).tobytes()).hexdigest()
+    # 33,000 normals: 257 lanes, three doubling levels, and a tail of 104
+    assert digest == hashlib.sha256(Xoshiro256(5).normals(40, 25, 33).tobytes()).hexdigest()
 
 
 def test_lane_box_muller_replaces_a_zero_u1_like_the_scalar_one():
@@ -225,6 +265,7 @@ def test_lane_box_muller_replaces_a_zero_u1_like_the_scalar_one():
 def test_a_large_draw_allocates_little_beyond_its_output():
     # scale_n200's instance draw: the lanes' temporaries stay near one block
     rng._libm_choice.cache_clear()  # the one-time libm probe is measured in every order
+    rng._power_images.cache_clear()  # and so are the doubling powers
     tracemalloc.start()
     try:
         out = Xoshiro256(5).normals(200, 25, 50)
