@@ -50,7 +50,6 @@ from .harness import (
 )
 from .metrics import (
     RunTrace,
-    TraceRow,
     aggregate_traces,
     ef_mode,
     fit_exponential_rate,

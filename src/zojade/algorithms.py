@@ -45,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, check_entry
-from .metrics import RunTrace, TraceRow, ef_mode, loss_metric, per_replica, squares
+from .metrics import TRACE_DTYPE, RunTrace, ef_mode, loss_metric, per_replica, squares
 from .objectives import ProblemInstance
 from .oracle import BlackBoxObjective, estimate_both, estimate_gradient
 from .rng import Xoshiro256
@@ -259,9 +259,10 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
     order, each bitwise the one a run of its replica alone gives.
 
     A trace row is recorded at step 0, every `record_every` iterations, and
-    at the final iteration.  A non-finite probe value or iterate stops its
-    replica at the step before and marks its trace as failed with the
-    diagnostic (agent indices within the replica); the other replicas run on.
+    at the final iteration; a trace's rows are one array of TRACE_DTYPE.
+    A non-finite probe value or iterate stops its replica at the step before
+    and marks its trace as failed with the diagnostic (agent indices within
+    the replica); the other replicas run on.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(
@@ -281,17 +282,21 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
     traces = [RunTrace(algorithm=algorithm, seed=s, label=label or algorithm, ef_mode=mode)
               for _, s in replicas]
     live = list(range(len(replicas)))  # the trace of each replica row of the state
+    owners, recorded = [], bytearray()  # the trace and the bytes of each row, in record order
 
     def record(batch: NetworkState, ids: list) -> None:
-        """Append the row of `batch` to the traces `ids` of its replicas."""
-        columns = (loss_metric(instance, batch.x), batch.consensus_error(),
-                   *batch.tracking_residuals(), batch.clamps)
-        for t, *values in zip(ids, *(c.tolist() for c in columns)):
-            traces[t].rows.append(TraceRow(batch.iteration, batch.iteration * per_step, *values))
+        """Record the row of `batch` for the traces `ids` of its replicas."""
+        rows = np.empty(len(ids), TRACE_DTYPE)
+        columns = (batch.iteration, batch.iteration * per_step, loss_metric(instance, batch.x),
+                   batch.consensus_error(), *batch.tracking_residuals(), batch.clamps)
+        for name, values in zip(rows.dtype.names, columns):
+            rows[name] = values
+        owners.extend(ids)
+        recorded.extend(rows.tobytes())
 
     def finish(batch: NetworkState, ids: list) -> None:
         """Record `batch` unless its step is recorded, and keep each replica's iterates."""
-        if traces[ids[0]].rows[-1].iteration != batch.iteration:
+        if batch.iteration % record_every:
             record(batch, ids)
         for t, x in zip(ids, batch.x):
             traces[t].final_x = x.copy()
@@ -325,4 +330,9 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
             record(state, live)
     if live:
         finish(state, live)
+    # rows are kept as bytes: np.concatenate copies many small record arrays
+    # field by field, at more than the cost of recording them
+    rows, owner = np.frombuffer(recorded, TRACE_DTYPE), np.array(owners)
+    for t, trace in enumerate(traces):
+        trace.rows = rows[owner == t]
     return traces

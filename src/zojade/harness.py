@@ -192,16 +192,11 @@ def algorithm_config(cfg: ExperimentConfig, entry: dict):
 # CSV output
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path: str, meta: str, columns, rows) -> None:
-    """One `# meta` comment line, the column header, then one line per row."""
+    """One `# meta` comment line, the column header, then one line per row
+    of Python ints and floats, each written as its repr."""
     lines = [f"# {meta}", ",".join(columns)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines += [",".join(map(repr, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -212,14 +207,13 @@ def write_trace_csv(path: str, trace: RunTrace) -> None:
         f"config_hash={trace.config_hash} ef_mode={trace.ef_mode} "
         f"failed={trace.failed} diagnostic={trace.diagnostic!r}"
     )
-    rows = ([getattr(r, c) for c in TRACE_COLUMNS] for r in trace.rows)
-    _write_csv(path, meta, TRACE_COLUMNS, rows)
+    _write_csv(path, meta, trace.rows.dtype.names, trace.rows.tolist())
 
 
 def write_aggregate_csv(path: str, curve: AggregateCurve) -> None:
     seeds = "|".join(str(s) for s in curve.seeds)
     meta = f"label={curve.label} config_hash={curve.config_hash} seeds={seeds}"
-    rows = zip(curve.queries.astype(int), curve.ef_mean, curve.ef_std)
+    rows = zip(curve.queries.astype(int).tolist(), curve.ef_mean.tolist(), curve.ef_std.tolist())
     _write_csv(path, meta, ("queries", "ef_mean", "ef_std"), rows)
 
 
@@ -322,10 +316,8 @@ def run_experiment(
 
 def queries_to_threshold(trace: RunTrace, threshold: float) -> float:
     """First recorded per-agent query count at which e_f <= threshold (inf if never)."""
-    for row in trace.rows:
-        if row.e_f <= threshold:
-            return float(row.queries_per_agent)
-    return math.inf
+    reached = np.flatnonzero(trace.rows["e_f"] <= threshold)
+    return float(trace.rows["queries_per_agent"][reached[0]]) if reached.size else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +637,7 @@ def check_quadratic_exactness(
             g_true, h_true = A @ x + b, np.diag(A)
             g_err = np.linalg.norm(grad - g_true) / np.linalg.norm(g_true)
             h_err = np.linalg.norm(hdiag - h_true) / np.linalg.norm(h_true)
-            worst = max(worst, g_err, h_err)
+            worst = np.max([worst, g_err, h_err])
     report.add("quadratic_exactness", worst <= 1e-9, f"worst relative error {worst:.2e}")
 
 
@@ -662,7 +654,7 @@ def check_error_bounds(report: VerifyReport) -> None:
             (g_err, gradient_error_bound(6.0, mu, 1)),
             (h_err, hessian_error_bound(24.0, mu)),
         ):
-            worst = max(worst, abs(err - bound) / bound)
+            worst = np.max([worst, abs(err - bound) / bound])
     report.add("error_bound_tightness", worst <= 1e-12, f"worst relative deviation {worst:.2e}")
 
 
@@ -671,8 +663,8 @@ def check_tracking_conservation(
 ) -> None:
     """A tracking run spends its whole budget and conserves the tracked sums (1e-9 relative)."""
     (trace,) = run("zo_jade", instance, P, [(cfg, seed)])
-    rounds = trace.rows[-1].iteration
-    res = max(max(r.tracking_residual_y, r.tracking_residual_z) for r in trace.rows)
+    rounds = trace.rows["iteration"][-1]
+    res = np.max([trace.rows["tracking_residual_y"], trace.rows["tracking_residual_z"]])
     ok = not trace.failed and rounds == cfg.budget // (2 * instance.d + 1) and res <= 1e-9
     report.add("tracking_conservation", ok, f"{rounds} rounds, max residual {res:.2e}")
 
@@ -688,7 +680,7 @@ def check_fixed_point_and_mu_independence(
     cfg = JadeConfig(mu=1e-1, epsilon=epsilon, budget=budget, record_every=50)
     traces = run("zo_jade", instance, P, [(replace(cfg, mu=mu), seed) for mu in (1e-1, 1e-4)])
     star_gap = float(np.max(np.abs(closed_form - instance.x_star)))
-    gap = max(float(np.max(np.abs(t.final_x - closed_form))) for t in traces)
+    gap = np.max([np.abs(t.final_x - closed_form) for t in traces])
     ok = not any(t.failed for t in traces) and star_gap <= 1e-12 and gap <= 1e-8
     report.add("separable_fixed_point", ok, f"|x* - x_cf| = {star_gap:.2e}, |x - x_cf| = {gap:.2e}")
     mu_gap = float(np.max(np.abs(traces[0].final_x - traces[1].final_x)))
@@ -701,8 +693,8 @@ def _check_baseline_sanity(report: VerifyReport) -> None:
     cfg = BaselineConfig(mu=0.05, eta=0.15, budget=6 * 500, record_every=10)
     (t1,) = run("gradient_tracking", instance, P, [(cfg, 3)])
     (t2,) = run("consensus_gd", instance, P, [(cfg, 3)])
-    ok = not t1.failed and not t2.failed and t1.rows[-1].e_f < t1.rows[0].e_f
-    detail = f"gt final e_f {t1.rows[-1].e_f:.2e}, cgd final e_f {t2.rows[-1].e_f:.2e}"
+    ok = not t1.failed and not t2.failed and t1.rows["e_f"][-1] < t1.rows["e_f"][0]
+    detail = f"gt final e_f {t1.rows['e_f'][-1]:.2e}, cgd final e_f {t2.rows['e_f'][-1]:.2e}"
     report.add("baseline_runs", ok, detail)
     # Conservation for the tracking baseline, measured against the summand
     # magnitude: the node sum of the tracked gradients itself vanishes at
@@ -715,7 +707,7 @@ def _check_baseline_sanity(report: VerifyReport) -> None:
         state = gradient_tracking_step(state, objective, cfg)
         gap = float(np.max(np.abs(state.y.sum(axis=0) - state.g.sum(axis=0))))
         scale = max(float(np.max(np.abs(state.g))), 1.0)
-        worst = max(worst, gap / scale)
+        worst = np.max([worst, gap / scale])
     report.add("baseline_tracking_conservation", worst <= 1e-12, f"residual {worst:.2e}")
 
 
@@ -724,7 +716,7 @@ def _check_clamp_neutrality(report: VerifyReport) -> None:
     P = metropolis_hastings(topology_from_spec("complete", 6))
     cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=7 * 200)
     (trace,) = run("zo_jade", instance, P, [(cfg, 2)])
-    clamps = trace.rows[-1].clamp_count
+    clamps = trace.rows["clamp_count"][-1]
     report.add("division_clamp_neutral", clamps == 0, f"{clamps} activations")
 
 

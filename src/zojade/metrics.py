@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,18 +45,13 @@ def squares(f: np.ndarray) -> np.ndarray:
     return (f[..., None, :] @ f[..., :, None])[..., 0, 0]
 
 
-@dataclass
-class TraceRow:
-    iteration: int
-    queries_per_agent: int
-    e_f: float
-    consensus_error: float
-    tracking_residual_y: float
-    tracking_residual_z: float
-    clamp_count: int
+#: The columns of a trace and their types, in CSV order: a trace's rows are
+#: one array of this dtype, whose elements are numpy records.
+TRACE_DTYPE = np.dtype((np.record, [
+    ("iteration", "i8"), ("queries_per_agent", "i8"), ("e_f", "f8"), ("consensus_error", "f8"),
+    ("tracking_residual_y", "f8"), ("tracking_residual_z", "f8"), ("clamp_count", "i8")]))
 
-
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+TRACE_COLUMNS = TRACE_DTYPE.names
 
 
 @dataclass
@@ -65,7 +60,7 @@ class RunTrace:
 
     algorithm: str
     seed: int
-    rows: list = field(default_factory=list)
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, TRACE_DTYPE))
     config_hash: str = ""
     label: str = ""
     ef_mode: str = "relative"
@@ -74,13 +69,13 @@ class RunTrace:
     final_x: np.ndarray | None = None
 
     def queries(self) -> np.ndarray:
-        return np.array([r.queries_per_agent for r in self.rows], dtype=float)
+        return self.rows["queries_per_agent"].astype(float)
 
     def iterations(self) -> np.ndarray:
-        return np.array([r.iteration for r in self.rows], dtype=float)
+        return self.rows["iteration"].astype(float)
 
     def ef_values(self) -> np.ndarray:
-        return np.array([r.e_f for r in self.rows], dtype=float)
+        return self.rows["e_f"].astype(float)
 
 
 @dataclass

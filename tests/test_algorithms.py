@@ -22,6 +22,7 @@ from zojade import (
     spectral_gap,
     topology_from_spec,
 )
+from zojade.metrics import TRACE_DTYPE
 
 
 def single_agent_quadratic(a: float, b: float) -> ProblemInstance:
@@ -272,10 +273,21 @@ def test_run_is_deterministic_per_seed():
     cfg = JadeConfig(mu=0.05, epsilon=0.2, budget=7 * 40, record_every=3)
     (a,) = run("zo_jade", inst, P, [(cfg, 9)])
     (b,) = run("zo_jade", inst, P, [(cfg, 9)])
-    assert [r.__dict__ for r in a.rows] == [r.__dict__ for r in b.rows]
+    assert a.rows.dtype == b.rows.dtype and a.rows.tobytes() == b.rows.tobytes()
     assert np.array_equal(a.final_x, b.final_x)
     (c,) = run("zo_jade", inst, P, [(cfg, 10)])
     assert not np.array_equal(a.final_x, c.final_x)
+
+
+def test_each_trace_holds_its_rows_as_one_record_array():
+    inst = separable_quadratic_instance(4, 3, seed=7)
+    P = metropolis_hastings(topology_from_spec("ring", 4))
+    cfg = JadeConfig(mu=0.05, epsilon=0.2, budget=7 * 40, record_every=3)
+    traces = run("zo_jade", inst, P, [(cfg, 9), (cfg, 10)])
+    for trace in traces:
+        assert type(trace.rows) is np.ndarray and trace.rows.dtype == TRACE_DTYPE
+        assert isinstance(trace.rows[-1], np.record)
+        assert trace.rows["iteration"].tolist() == [*range(0, 40, 3), 40]
 
 
 def test_trajectories_independent_of_mu_on_quadratics():

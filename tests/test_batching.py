@@ -320,7 +320,7 @@ def _suite(family, n, d, seed):
 
 def _same_trace(a, b):
     assert (a.algorithm, a.seed, a.label, a.ef_mode) == (b.algorithm, b.seed, b.label, b.ef_mode)
-    assert [r.__dict__ for r in a.rows] == [r.__dict__ for r in b.rows]
+    assert a.rows.dtype == b.rows.dtype and a.rows.tobytes() == b.rows.tobytes()
     assert a.final_x.shape == b.final_x.shape and a.final_x.tobytes() == b.final_x.tobytes()
     assert (a.failed, a.diagnostic) == (b.failed, b.diagnostic)
 
@@ -404,6 +404,20 @@ def test_batched_run_equals_the_separate_runs(
         _same_trace(trace, alone)
         assert counters[0].agent_queries[r].tolist() == counters[-1].agent_queries[0].tolist()
     assert counters[0].agent_queries.shape == (len(replicas), n)
+
+
+def test_same_trace_fails_on_one_flipped_bit_of_one_e_f():
+    # a trace's rows are numpy records, which hold no per-row __dict__, so the
+    # comparison reads their bytes; one bit of one e_f must fail it
+    inst = separable_quadratic_instance(3, 2, seed=5)
+    P = metropolis_hastings(topology_from_spec("ring", 3))
+    cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=5 * 6, record_every=2)
+    (a,) = run("zo_jade", inst, P, [(cfg, 1)])
+    (b,) = run("zo_jade", inst, P, [(cfg, 1)])
+    _same_trace(a, b)
+    b.rows["e_f"].view(np.uint64)[-1] ^= np.uint64(1)
+    with pytest.raises(AssertionError):
+        _same_trace(a, b)
 
 
 class Cliff:

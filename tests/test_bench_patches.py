@@ -2,12 +2,14 @@
 
 bench/workloads.py and bench/spans.py swap package functions, methods and
 table entries by name while a rep runs.  Applying their patches here makes
-a rename in src fail this suite, not only a traced benchmark run.
+a rename in src fail this suite, not only a traced benchmark run.  The
+tiny run reps read the traces as the benchmark reads them.
 """
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from zojade import ExperimentConfig, harness
 from zojade.objectives import FAMILIES
@@ -132,3 +134,23 @@ def test_the_lyapunov_battery_counts_each_query_once_under_the_span_patches(monk
     metrics = spans.layer_metrics(tracer.arrays())
     assert metrics["oracle.queries"] == hooks.queries() == 9118
     assert metrics["oracle.calls"] == 3 * 5 + 10
+
+
+@pytest.mark.parametrize("name", ["paper_n20", "scale_n200"])
+def test_a_tiny_run_rep_reads_every_trace_without_a_problem(tmp_path, monkeypatch, name):
+    # a rep checks each trace's last row by attribute, and reports a row at
+    # the wrong step or query count as a problem
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import spans
+    import workloads
+
+    patches = spans.Patches()
+    try:
+        hooks = workloads.Hooks(patches)
+        workload = workloads.make_workload(name, workloads.DEFAULT_SEED, tmp_path, tiny=True)
+        rep = workload.rep(hooks)
+    finally:
+        patches.restore()
+    assert rep.problems == [] and rep.failed_units == 0
+    runs = sum(len(c.raw["seeds"]) * len(c.raw["algorithms"]) for c in workload.configs)
+    assert rep.units == runs

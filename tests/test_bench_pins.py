@@ -45,7 +45,8 @@ def _rows(path, out_dir):
     """(queries per agent, e_f) of every recorded row, by label and seed."""
     result = harness.run_experiment(ExperimentConfig.from_file(str(path)), out_dir=str(out_dir),
                                     quiet=True)
-    return {label: {str(seed): [(row.queries_per_agent, row.e_f) for row in trace.rows]
+    return {label: {str(seed): list(zip(trace.rows["queries_per_agent"].tolist(),
+                                        trace.rows["e_f"].tolist()))
                     for seed, trace in runs.items()}
             for label, runs in result.traces.items()}
 

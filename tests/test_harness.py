@@ -24,21 +24,26 @@ from zojade import (
     estimate_gradient,
     fit_exponential_rate,
     gamma_mu_scaling_check,
+    gradient_tracking_step,
     loss_metric,
     lyapunov_bounds_check,
+    metropolis_hastings,
     quartic_instance,
     read_trace_csv,
     ridge_instance_from_shards,
+    run,
     run_experiment,
     separable_quadratic_instance,
     solve_estimator_zero,
     synthetic_classification,
+    topology_from_spec,
 )
 from zojade import harness
+from zojade.algorithms import NetworkState
 from zojade.cli import main as cli_main
-from zojade.metrics import ef_mode, squares
+from zojade.metrics import TRACE_DTYPE, RunTrace, ef_mode, squares
 from zojade.objectives import FAMILIES
-from zojade.oracle import gradient_lipschitz_bound
+from zojade.oracle import gradient_lipschitz_bound, hessian_error_bound
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -139,13 +144,10 @@ def test_single_trace_aggregate_equals_trace(tmp_path):
 
 
 def test_aggregate_rejects_mismatched_query_grids():
-    from zojade.metrics import RunTrace, TraceRow
-
     def mk(qs, efs, seed):
         t = RunTrace(algorithm="a", seed=seed)
-        t.rows = [
-            TraceRow(i, q, e, 0.0, 0.0, 0.0, 0) for i, (q, e) in enumerate(zip(qs, efs))
-        ]
+        t.rows = np.zeros(len(qs), TRACE_DTYPE)
+        t.rows["iteration"], t.rows["queries_per_agent"], t.rows["e_f"] = range(len(qs)), qs, efs
         return t
 
     a = mk([0, 10, 20], [1.0, 0.5, 0.25], 1)
@@ -161,6 +163,16 @@ def test_aggregate_rejects_mismatched_query_grids():
 
 
 # --- gamma scaling ----------------------------------------------------------------
+
+
+def test_queries_to_threshold_reads_the_first_row_at_or_below_it():
+    rows = np.zeros(5, TRACE_DTYPE)
+    rows["queries_per_agent"] = [0, 21, 42, 63, 84]
+    rows["e_f"] = [1.0, np.nan, 1e-6, 1e-7, 1e-9]
+    trace = RunTrace("zo_jade", 1, rows)
+    assert harness.queries_to_threshold(trace, 1e-6) == 42.0
+    assert harness.queries_to_threshold(trace, 1e-8) == 84.0
+    assert harness.queries_to_threshold(trace, 1e-12) == math.inf
 
 
 def test_gamma_scaling_rejects_short_or_irregular_lists():
@@ -728,6 +740,25 @@ def test_trace_csv_roundtrip(tmp_path):
     assert np.array_equal(efs, trace.ef_values())
 
 
+def test_trace_csv_writes_each_field_as_its_python_repr(tmp_path):
+    # the rows' fields are numpy scalars; the file holds the text that
+    # Python's int and float repr give them
+    rows = np.array([(0, 0, 0.1, 1e-300, -0.0, 0.0, 0),
+                     (7, 63, np.inf, np.nan, 2.5e-17, -np.inf, 2**40)], TRACE_DTYPE)
+    trace = RunTrace("zo_jade", 3, rows, config_hash="abc", label="ring", failed=True,
+                     diagnostic="agent 0's probe")
+    path = tmp_path / "trace.csv"
+    harness.write_trace_csv(str(path), trace)
+    assert path.read_bytes() == (
+        b"# algorithm=zo_jade label=ring seed=3 config_hash=abc ef_mode=relative failed=True "
+        b"diagnostic=\"agent 0's probe\"\n"
+        b"iteration,queries_per_agent,e_f,consensus_error,tracking_residual_y,"
+        b"tracking_residual_z,clamp_count\n"
+        b"0,0,0.1,1e-300,-0.0,0.0,0\n"
+        b"7,63,inf,nan,2.5e-17,-inf,1099511627776\n"
+    )
+
+
 def test_verify_suite_default_battery_all_green(monkeypatch):
     from zojade import verify_suite
 
@@ -776,6 +807,79 @@ def test_verify_suite_default_battery_all_green(monkeypatch):
         "descent_coefficient_sign_flip",
         "byte_for_byte_determinism",
     ]
+
+
+# A Python max keeps its current value against a NaN that comes after it, so
+# each verify row below reduces with np.max, and a NaN injected after a finite
+# value fails the row.
+
+
+def test_quadratic_exactness_fails_on_a_nan_error_after_a_finite_one(monkeypatch):
+    calls = []
+
+    def estimate(objective, x, mu):
+        grads, hdiags = estimate_both(objective, x, mu)
+        calls.append(mu)
+        return grads, hdiags * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(harness, "estimate_both", estimate)
+    report = harness.VerifyReport()
+    harness.check_quadratic_exactness(report, seed=11, trials=2, d_max=4, mus=(0.1,))
+    assert report.checks == [
+        {"name": "quadratic_exactness", "passed": False, "detail": "worst relative error nan"}]
+
+
+def test_error_bound_tightness_fails_on_a_nan_deviation_after_a_finite_one(monkeypatch):
+    monkeypatch.setattr(harness, "hessian_error_bound",
+                        lambda L3, mu: np.nan if mu < 0.2 else hessian_error_bound(L3, mu))
+    report = harness.VerifyReport()
+    harness.check_error_bounds(report)
+    assert report.checks == [{"name": "error_bound_tightness", "passed": False,
+                              "detail": "worst relative deviation nan"}]
+
+
+def test_tracking_conservation_fails_on_a_nan_residual_after_a_finite_one(monkeypatch):
+    residuals = NetworkState.tracking_residuals
+    monkeypatch.setattr(NetworkState, "tracking_residuals", lambda state: (
+        residuals(state)[0] * (np.nan if state.iteration else 1.0), residuals(state)[1]))
+    report = harness.VerifyReport()
+    harness.check_tracking_conservation(
+        report, separable_quadratic_instance(4, 2, seed=5),
+        metropolis_hastings(topology_from_spec("ring", 4)),
+        JadeConfig(mu=0.05, epsilon=0.2, budget=5 * 10, record_every=5), seed=1)
+    assert report.checks == [{"name": "tracking_conservation", "passed": False,
+                              "detail": "10 rounds, max residual nan"}]
+
+
+def test_separable_fixed_point_fails_on_a_nan_gap_after_a_finite_one(monkeypatch):
+    def second_ends_nan(*args):
+        traces = run(*args)
+        traces[1].final_x = traces[1].final_x * np.nan
+        return traces
+
+    monkeypatch.setattr(harness, "run", second_ends_nan)
+    report = harness.VerifyReport()
+    harness.check_fixed_point_and_mu_independence(
+        report, separable_quadratic_instance(5, 3, seed=9),
+        metropolis_hastings(topology_from_spec("complete", 5)), epsilon=0.3, iterations=300,
+        seed=4)
+    row = report.checks[0]
+    assert row["name"] == "separable_fixed_point" and not row["passed"]
+    assert row["detail"].endswith("|x - x_cf| = nan")
+
+
+def test_baseline_tracking_conservation_fails_on_a_nan_residual_after_a_finite_one(monkeypatch):
+    def step(state, objective, cfg):
+        new = gradient_tracking_step(state, objective, cfg)
+        if new.iteration == 50:  # the last step of the check
+            new.y = new.y * np.nan
+        return new
+
+    monkeypatch.setattr(harness, "gradient_tracking_step", step)
+    report = harness.VerifyReport()
+    harness._check_baseline_sanity(report)
+    assert report.checks[1] == {"name": "baseline_tracking_conservation", "passed": False,
+                                "detail": "residual nan"}
 
 
 def test_all_algorithms_share_initial_iterates_per_seed(tmp_path):
