@@ -335,4 +335,5 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
     rows, owner = np.frombuffer(recorded, TRACE_DTYPE), np.array(owners)
     for t, trace in enumerate(traces):
         trace.rows = rows[owner == t]
+    objective.answers.clear()  # a counter kept after its run holds no estimates
     return traces

@@ -15,6 +15,11 @@ from its index.  The estimators work on all agents at once: x holds one
 row per agent, and a single cost is the one-agent case; a batched run adds
 a leading replica axis, one network copy per seed.
 
+The gradient and joint estimators go through :meth:`BlackBoxObjective.answer`,
+which keeps a counter's last two finite probe sets with their estimates: a
+bitwise repeat, as a run in a float cycle makes every round, is counted as
+an evaluation and answered from the store without a call to the family.
+
 The closed-form error, Lipschitz and admissible-step bounds for these
 estimators live here as plain functions of the smoothness constants
 (m, L1, L2, L3); the constants are the ground truth a problem instance
@@ -83,6 +88,12 @@ class BlackBoxObjective:
     x:(R, n, d), `agent_queries` is (R, n), `live` indexes the replicas the
     rows of x belong to, and a replica's non-finite probe value is reported
     in `failures` (row of x -> diagnostic) instead of raising.
+
+    Repeats: `answers` holds the last two finite probe sets answered through
+    :meth:`answer`, newest first, each keyed by its estimator and the bytes
+    of x, mu, k and `live`, with the read-only estimate formed from it.  A
+    bitwise repeat of one counts its k queries per live agent and returns
+    that estimate; `algorithms.run` empties `answers` when it returns.
     """
 
     def __init__(self, batch_fn, dim: int, *, agents: int = 1, replicas: int | None = None,
@@ -96,11 +107,32 @@ class BlackBoxObjective:
         self._row_elements = max(dim, row_elements or 0)
         self.live = slice(None)
         self.failures = None if replicas is None else {}
+        self.answers = []
 
     @property
     def query_count(self) -> int:
         """Queries of all agents (and replicas) together."""
         return int(self.agent_queries.sum())
+
+    def answer(self, form, x: np.ndarray, mu, k: int):
+        """`form(values, 2 mu, mu^2)`, read-only, of the values (..., n, k) that
+        :meth:`evaluate_probes` gives at (x, mu, k), or the estimate stored
+        for a bitwise equal set answered with the same `form`, counted as
+        its evaluation.  A set is stored unless a replica failed on it."""
+        x = np.asarray(x, dtype=float)
+        live = self.live if isinstance(self.live, slice) else np.asarray(self.live).tobytes()
+        key = (form, k, mu, live, x.shape, x.tobytes())
+        for stored, estimate in self.answers:
+            if stored == key:
+                self.agent_queries[self.live] += k
+                return estimate
+        _, twice, squared, _ = _probes(self.dim, mu)
+        estimate = form(self.evaluate_probes(x, mu, k), twice, squared)
+        for array in estimate if isinstance(estimate, tuple) else (estimate,):
+            array.flags.writeable = False
+        if not self.failures:  # a failed replica's values were zeroed, not evaluated
+            self.answers = [(key, estimate)] + self.answers[:1]
+        return estimate
 
     def evaluate_probes(self, x: np.ndarray, mu, k: int) -> np.ndarray:
         """Values (..., n, k) of every agent i at the first k probes of
@@ -170,12 +202,22 @@ def _probes(d: int, mu) -> tuple:
     return mu, 2.0 * mu, mu * mu, offsets
 
 
+def _gradient(values, twice, squared):
+    return (values[..., 0::2] - values[..., 1::2]) / twice
+
+
+def _both(values, twice, squared):
+    plus = values[..., 0:-1:2]
+    minus = values[..., 1:-1:2]
+    center = values[..., -1:]
+    return (plus - minus) / twice, (plus - 2.0 * center + minus) / squared
+
+
 def estimate_gradient(f: BlackBoxObjective, x: np.ndarray, mu) -> np.ndarray:
     """Central-difference gradient estimates (..., n, d) at every agent's row of
-    x:(n, d), or (R, n, d) with a step mu or a tuple of each replica's; 2d queries per agent."""
-    twice = _probes(f.dim, mu)[1]
-    values = f.evaluate_probes(x, mu, 2 * f.dim)
-    return (values[..., 0::2] - values[..., 1::2]) / twice
+    x:(n, d), or (R, n, d) with a step mu or a tuple of each replica's; 2d queries
+    per agent.  Read-only: a repeated probe set gets the same array back."""
+    return f.answer(_gradient, x, mu, 2 * f.dim)
 
 
 def estimate_hessian_diag(
@@ -183,7 +225,8 @@ def estimate_hessian_diag(
 ) -> np.ndarray:
     """Hessian-diagonal estimates (..., n, d) at x:(n, d), or (R, n, d) with a step
     mu or a tuple of each replica's, around the known center values f_i(x[i]),
-    one per agent; 2d queries per agent."""
+    one per agent; 2d queries per agent.  The center comes from outside the
+    probe set, so this estimator always evaluates and stores nothing."""
     squared = _probes(f.dim, mu)[2]
     values = f.evaluate_probes(x, mu, 2 * f.dim)
     center = np.asarray(center, dtype=float)[..., None]
@@ -197,14 +240,9 @@ def estimate_both(f: BlackBoxObjective, x: np.ndarray, mu) -> tuple:
 
     The 2d coordinate probes are reused for both estimates and a single
     extra center evaluation completes the second difference, 2d + 1
-    queries per agent in total.
+    queries per agent in total.  Read-only, as the gradient estimate.
     """
-    _, twice, squared, _ = _probes(f.dim, mu)
-    values = f.evaluate_probes(x, mu, 2 * f.dim + 1)
-    plus = values[..., 0:-1:2]
-    minus = values[..., 1:-1:2]
-    center = values[..., -1:]
-    return (plus - minus) / twice, (plus - 2.0 * center + minus) / squared
+    return f.answer(_both, x, mu, 2 * f.dim + 1)
 
 
 def gradient_error_bound(L2: float, mu: float, d: int) -> float:

@@ -36,7 +36,7 @@ from zojade import (
     synthetic_classification,
     topology_from_spec,
 )
-from zojade import oracle
+from zojade import harness, oracle
 from zojade.errors import EvaluationError
 from zojade.harness import (
     VerifyReport, build_instance, build_topology, check_quadratic_exactness,
@@ -404,6 +404,75 @@ def test_batched_run_equals_the_separate_runs(
         _same_trace(trace, alone)
         assert counters[0].agent_queries[r].tolist() == counters[-1].agent_queries[0].tolist()
     assert counters[0].agent_queries.shape == (len(replicas), n)
+
+
+def _check_runs(monkeypatch) -> tuple:
+    """The runs of the gamma ladder and of the verify suite's two-mu separable
+    fixed point, each as (traces, its counter's per-agent queries), and the
+    number of probe sets the checks evaluated."""
+    runs, evaluations = [], []
+
+    def recorded(algorithm, instance, P, replicas, label=""):
+        counters = _counted(instance)
+        traces = run(algorithm, instance, P, replicas, label)
+        runs.append((traces, counters[0].agent_queries))
+        return traces
+
+    evaluate = BlackBoxObjective.evaluate_probes
+
+    def counted(self, *args):
+        evaluations.append(args)
+        return evaluate(self, *args)
+
+    report = VerifyReport()
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "run", recorded)
+        patch.setattr(BlackBoxObjective, "evaluate_probes", counted)
+        harness.check_gamma_scaling(report)
+        harness.check_fixed_point_and_mu_independence(
+            report, separable_quadratic_instance(5, 3, seed=9),
+            metropolis_hastings(topology_from_spec("complete", 5)), epsilon=0.3, iterations=300,
+            seed=4)
+    assert report.all_passed, report.checks
+    return runs, len(evaluations)
+
+
+def test_repeated_probe_sets_answered_from_the_store_change_no_trace_or_count(monkeypatch):
+    stored, evaluated = _check_runs(monkeypatch)
+    answer = BlackBoxObjective.answer
+
+    def without_store(self, *args):
+        self.answers.clear()
+        return answer(self, *args)
+
+    monkeypatch.setattr(BlackBoxObjective, "answer", without_store)
+    fresh, fresh_evaluated = _check_runs(monkeypatch)
+    assert len(stored) == len(fresh) == 2
+    for (traces, queries), (alone, alone_queries) in zip(stored, fresh):
+        for trace, twin in zip(traces, alone, strict=True):
+            _same_trace(trace, twin)
+        assert queries.tobytes() == alone_queries.tobytes()
+    # 4,000 ladder rounds and 3 stationarity estimates, then 300 rounds of the
+    # fixed point; the ladder's replicas reach float cycles within 100 rounds,
+    # the fixed point's repeat no probe set
+    assert fresh_evaluated == 4000 + 3 + 300 and evaluated <= 100 + 300
+
+
+def test_a_finished_run_leaves_its_counter_without_stored_estimates(monkeypatch):
+    inst = quartic_instance(4)
+    counters = _counted(inst)
+    kept = []
+    answer = BlackBoxObjective.answer
+
+    def watched(self, *args):
+        out = answer(self, *args)
+        kept.append(len(self.answers))
+        return out
+
+    monkeypatch.setattr(BlackBoxObjective, "answer", watched)
+    cfg = JadeConfig(mu=0.2, epsilon=0.5, budget=3 * 200, record_every=100)
+    run("zo_jade", inst, metropolis_hastings(topology_from_spec("complete", 4)), [(cfg, 1)])
+    assert max(kept) == 2 and counters[0].answers == []
 
 
 def test_same_trace_fails_on_one_flipped_bit_of_one_e_f():

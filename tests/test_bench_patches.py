@@ -111,6 +111,11 @@ def test_the_gamma_ladder_runs_as_one_batch_under_the_span_patches(monkeypatch):
     # 3 replicas x 4 agents x (2d + 1 = 3) x 4,000 steps, then one 2d-query
     # stationarity estimate per mu on the global cost
     assert metrics["oracle.queries"] == hooks.queries() == 3 * 4 * 3 * 4000 + 3 * 2
+    # every round still runs and counts, but the replicas reach float cycles
+    # of period 2, 1 and 2 by round 55 and the counter answers the repeated
+    # probe sets: 59 family calls, where each of the 4,003 oracle calls made
+    # one without the store
+    assert metrics["objectives.eval_calls"] <= 100
 
 
 def test_the_lyapunov_battery_counts_each_query_once_under_the_span_patches(monkeypatch):

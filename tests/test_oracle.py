@@ -183,6 +183,108 @@ def test_probe_evaluation_error_names_the_point():
         estimate_gradient(obj, np.array([[0.05]]), 0.1)
 
 
+# --- repeated probe sets ------------------------------------------------------
+
+
+def recording(d, agents=2, replicas=None):
+    """A counter over agents' costs sum(x^4 - x) that logs each family call."""
+    calls = []
+
+    def fn(X, block):
+        calls.append(block)
+        return np.sum(X**4 - X, axis=-1)
+
+    return BlackBoxObjective(fn, d, agents=agents, replicas=replicas), calls
+
+
+def arrays(estimate):
+    return estimate if isinstance(estimate, tuple) else (estimate,)
+
+
+@pytest.mark.parametrize("estimator", [estimate_gradient, estimate_both])
+def test_a_repeated_probe_set_is_counted_and_answered_without_a_family_call(estimator):
+    # sets A, B, A, B: the last two sets answered are kept, so a period-2
+    # cycle repeats from its third round on
+    a, b = Xoshiro256(3).normals(2, 2, 3)
+    obj, calls = recording(3)
+    answers = [estimator(obj, x, 0.05) for x in (a, b, a.copy(), b.copy())]
+    assert len(calls) == 2
+    k = 2 * 3 + (estimator is estimate_both)
+    assert obj.agent_queries.tolist() == [4 * k, 4 * k]
+    for x, estimate in zip((a, b, a, b), answers):
+        fresh = estimator(recording(3)[0], x, 0.05)
+        assert [e.tobytes() for e in arrays(estimate)] == [e.tobytes() for e in arrays(fresh)]
+
+
+def test_only_the_last_two_probe_sets_are_kept():
+    a, b, c = Xoshiro256(4).normals(3, 1, 2)
+    obj, calls = recording(2, agents=1)
+    for x in (a, b, c, a):
+        estimate_gradient(obj, x, 0.1)
+    assert len(calls) == 4 and obj.query_count == 4 * 4
+
+
+def hessian_after_gradient(obj, x, signed):
+    # the Hessian diagonal takes its center from outside: it never reads the
+    # store, not even the gradient's set of the same x, mu and k
+    estimate_gradient(obj, x, 0.1)
+    estimate_hessian_diag(obj, x, 0.1, np.zeros(2))
+
+
+@pytest.mark.parametrize("repeat, calls_made", [
+    (lambda obj, x, signed: estimate_both(obj, x, 0.2), 1),  # other mu
+    (lambda obj, x, signed: estimate_gradient(obj, x, 0.1), 1),  # other k and estimator
+    (lambda obj, x, signed: estimate_both(obj, signed, 0.1), 1),
+    (hessian_after_gradient, 2),
+], ids=["mu", "estimator", "signed-zero", "hessian-diagonal"])
+def test_a_probe_set_that_differs_in_anything_else_is_evaluated(repeat, calls_made):
+    x = np.array([[0.0, 1.5], [-2.0, 0.25]])
+    signed = x.copy()
+    signed[0, 0] = -0.0  # equal as numbers, not bit for bit
+    obj, calls = recording(2)
+    estimate_both(obj, x, 0.1)
+    repeat(obj, x, signed)
+    assert len(calls) == 1 + calls_made
+
+
+def test_a_probe_set_of_other_live_replicas_is_evaluated_and_counted_for_them():
+    obj, calls = recording(2, replicas=3)
+    x = Xoshiro256(6).normals(2, 2, 2)
+    obj.live = np.array([0, 1])
+    estimate_gradient(obj, x, 0.1)
+    obj.live = np.array([1, 2])
+    estimate_gradient(obj, x, 0.1)
+    assert len(calls) == 2
+    assert obj.agent_queries.tolist() == [[4, 4], [8, 8], [4, 4]]
+
+
+def test_a_probe_set_with_a_non_finite_value_is_never_stored():
+    def box(replicas):
+        return BlackBoxObjective(lambda X, block: np.where(X[..., 0] > 10.0, np.inf, 1.0), 1,
+                                 replicas=replicas)
+
+    x = np.array([[[0.0]], [[20.0]]])
+    obj = box(2)
+    for _ in range(2):
+        estimate_both(obj, x, 0.1)
+        assert obj.failures.keys() == {1} and obj.answers == []
+        obj.failures.clear()
+    obj = box(None)
+    with pytest.raises(EvaluationError):
+        estimate_gradient(obj, x[1], 0.1)
+    assert obj.answers == []
+
+
+@pytest.mark.parametrize("estimator", [estimate_gradient, estimate_both])
+def test_an_estimate_is_read_only(estimator):
+    obj, _ = recording(2)
+    x = np.ones((2, 2))
+    for estimate in (estimator(obj, x, 0.1), estimator(obj, x, 0.1)):
+        for array in arrays(estimate):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+
 # --- closed-form bounds -------------------------------------------------------
 
 
