@@ -44,6 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import oracle
 from .errors import NONNEG, NUM, POS_INT, POS_NUM, PROB, ConfigurationError, check_entry
 from .metrics import TRACE_DTYPE, RunTrace, ef_mode, loss_metric, per_replica, squares
 from .objectives import ProblemInstance
@@ -260,6 +261,11 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
 
     A trace row is recorded at step 0, every `record_every` iterations, and
     at the final iteration; a trace's rows are one array of TRACE_DTYPE.
+    Records are measured in batches: the recorded states are held (no step
+    writes into a state) and measured in one pass over their stack, when
+    the run ends or before one more record would take the stack's five
+    arrays, or one agent's e_f block, past oracle._BLOCK_ELEMENTS.  A record
+    that fills the budget alone is measured at once, on its own arrays.
     A non-finite probe value or iterate stops its replica at the step before
     and marks its trace as failed with the diagnostic (agent indices within
     the replica); the other replicas run on.
@@ -283,16 +289,36 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
               for _, s in replicas]
     live = list(range(len(replicas)))  # the trace of each replica row of the state
     owners, recorded = [], bytearray()  # the trace and the bytes of each row, in record order
+    pending = []  # the recorded states whose rows are not yet measured
+    # replica rows a batch may hold: a row's five state arrays, or its agents'
+    # points in one agent's e_f block, take n * max(5 d, row_elements) elements
+    limit = oracle._BLOCK_ELEMENTS // (instance.n * max(5 * instance.d,
+                                                        instance.family.row_elements))
 
-    def record(batch: NetworkState, ids: list) -> None:
-        """Record the row of `batch` for the traces `ids` of its replicas."""
-        rows = np.empty(len(ids), TRACE_DTYPE)
+    def measure() -> None:
+        """Write the rows of the pending states, measured on their stack."""
+        batch = pending[0] if len(pending) == 1 else NetworkState(
+            *(np.concatenate([vars(s)[f] for s in pending]) for f in "xghyz"), P,
+            np.repeat([s.iteration for s in pending], [len(s.x) for s in pending]),
+            np.concatenate([s.clamps for s in pending]))
+        pending.clear()
+        rows = np.empty(len(batch.x), TRACE_DTYPE)
         columns = (batch.iteration, batch.iteration * per_step, loss_metric(instance, batch.x),
                    batch.consensus_error(), *batch.tracking_residuals(), batch.clamps)
         for name, values in zip(rows.dtype.names, columns):
             rows[name] = values
-        owners.extend(ids)
         recorded.extend(rows.tobytes())
+
+    def record(batch: NetworkState, ids: list) -> None:
+        """Hold the row of `batch` for the traces `ids` of its replicas."""
+        held = len(owners) - len(recorded) // TRACE_DTYPE.itemsize  # rows not yet measured
+        if held and held + len(ids) > limit:
+            measure()
+            held = 0
+        pending.append(batch)
+        owners.extend(ids)
+        if held + len(ids) >= limit:
+            measure()
 
     def finish(batch: NetworkState, ids: list) -> None:
         """Record `batch` unless its step is recorded, and keep each replica's iterates."""
@@ -330,6 +356,8 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
             record(state, live)
     if live:
         finish(state, live)
+    if pending:
+        measure()
     # rows are kept as bytes: np.concatenate copies many small record arrays
     # field by field, at more than the cost of recording them
     rows, owner = np.frombuffer(recorded, TRACE_DTYPE), np.array(owners)

@@ -36,11 +36,12 @@ from zojade import (
     synthetic_classification,
     topology_from_spec,
 )
-from zojade import harness, oracle
+from zojade import algorithms, harness, oracle
 from zojade.errors import EvaluationError
 from zojade.harness import (
     VerifyReport, build_instance, build_topology, check_quadratic_exactness,
 )
+from zojade.metrics import TRACE_COLUMNS, TRACE_DTYPE
 from zojade.objectives import _LOGISTIC_STEP_MIN_D, _QUADRATIC_STEP_MIN_D
 
 from test_algorithms import Explosive
@@ -977,3 +978,211 @@ def test_an_iterate_that_overflows_from_the_centers_fails_as_on_points(make, x0_
     assert f"agent 0 returned {returned} at probe point" in blown.diagnostic
     assert fine.rows[-1].iteration == fine_points.rows[-1].iteration == 20
     assert fine.rows[-1].e_f == pytest.approx(fine_points.rows[-1].e_f, rel=1e-6)
+
+
+# Trace rows are measured in batches: a run holds its recorded states and
+# measures them in one pass over their stack, bitwise one record at a time.
+
+def _watched_states(monkeypatch, algorithm):
+    """Patch the step of `algorithm` to keep, by (trace, iteration), the (n, d)
+    state of each replica at every step its run reaches; a replica whose
+    round failed keeps the state of the step before."""
+    seen = {}
+    step, cost = ALGORITHMS[algorithm]
+
+    def keep(state, rows, ids):
+        for r, t in zip(rows, ids):
+            seen[int(t), state.iteration] = state.take(r)
+
+    def watched(state, objective, params):
+        ids = np.arange(len(state.x)) if isinstance(objective.live, slice) else objective.live
+        keep(state, range(len(ids)), ids)
+        new = step(state, objective, params)
+        ok = [r for r in range(len(ids))
+              if r not in objective.failures and np.isfinite(new.x[r]).all()]
+        keep(new, ok, ids[ok])
+        return new
+
+    monkeypatch.setitem(ALGORITHMS, algorithm, (watched, cost))
+    return seen
+
+
+def _measured_passes(monkeypatch):
+    """Patch `run`'s e_f to keep the stack of iterates of each measurement pass."""
+    stacks = []
+
+    def spied(instance, x):
+        stacks.append(x)
+        return loss_metric(instance, x)
+
+    monkeypatch.setattr(algorithms, "loss_metric", spied)
+    return stacks
+
+
+def _assert_rows_measured_one_record_at_a_time(inst, traces, seen, per_step, record_every):
+    """Each trace holds a row at step 0, on the record grid and at its last
+    step, measured alone on the replica's state there, and its final_x."""
+    for t, trace in enumerate(traces):
+        last = max(it for owner, it in seen if owner == t)
+        grid = list(range(0, last + 1, record_every)) + [last] * bool(last % record_every)
+        want = np.empty(len(grid), TRACE_DTYPE)
+        for row, it in zip(want, grid):
+            s = seen[t, it]
+            columns = (it, it * per_step, loss_metric(inst, s.x), s.consensus_error(),
+                       *s.tracking_residuals(), s.clamps)
+            for name, value in zip(TRACE_COLUMNS, columns):
+                row[name] = value
+        assert trace.rows.dtype == want.dtype and trace.rows.tobytes() == want.tobytes(), t
+        assert trace.final_x.tobytes() == seen[t, last].x.tobytes()
+
+
+@pytest.mark.parametrize("small_blocks", [False, True], ids=["one_pass", "passes"])
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("family, d, algorithm", [
+    ("quadratic", 2, "zo_jade"),
+    ("quadratic", _QUADRATIC_STEP_MIN_D, "gradient_tracking"),  # from the centers
+    ("logistic", 3, "zo_jade"),
+    ("quartic", 2, "consensus_gd"),
+])
+def test_rows_measured_in_batches_are_the_rows_measured_one_record_at_a_time(
+    monkeypatch, family, d, algorithm, R, small_blocks
+):
+    # 23 steps recorded every 3: a final row off the grid.  A small element
+    # budget splits the run's 9 records into several passes
+    inst = _suite(family, 4, d, seed=3)
+    P = metropolis_hastings(topology_from_spec("ring", 4))
+    per_step = ALGORITHMS[algorithm][1](inst.d)
+    if algorithm == "zo_jade":
+        cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=23 * per_step, record_every=3)
+    else:
+        cfg = BaselineConfig(mu=0.05, eta=0.5 / inst.constants.L1, budget=23 * per_step,
+                             record_every=3)
+    if small_blocks:
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 2**7)
+    seen = _watched_states(monkeypatch, algorithm)
+    stacks = _measured_passes(monkeypatch)
+    traces = run(algorithm, inst, P, [(cfg, seed) for seed in range(1, R + 1)])
+    assert [trace.rows[-1].iteration for trace in traces] == [23] * R
+    assert (len(stacks) > 1) == small_blocks
+    _assert_rows_measured_one_record_at_a_time(inst, traces, seen, per_step, 3)
+
+
+@pytest.mark.parametrize("small_blocks", [False, True], ids=["one_pass", "passes"])
+def test_rows_of_a_replica_that_fails_mid_run_are_measured_as_one_record_at_a_time(
+    monkeypatch, small_blocks
+):
+    # seed 1 overflows a probe at step 3 and seed 4 at step 2, off the grid
+    # of 7; seeds 2 and 3 run their 60 steps, 60 also off the grid
+    inst = ProblemInstance(Explosive([0.2, 0.3, 0.25]), 2, np.zeros(2), 1.0,
+                           SmoothnessConstants())
+    P = metropolis_hastings(topology_from_spec("complete", 3))
+    cfg = BaselineConfig(mu=0.1, eta=0.5, budget=4 * 60, x0_scale=1.5, record_every=7)
+    if small_blocks:
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 2**8)
+    seen = _watched_states(monkeypatch, "consensus_gd")
+    stacks = _measured_passes(monkeypatch)
+    replicas = [(replace(cfg, mu=mu), s) for mu, s in zip([0.1, 0.2, 0.05, 0.15], [2, 1, 3, 4])]
+    traces = run("consensus_gd", inst, P, replicas)
+    assert [t.failed for t in traces] == [False, True, False, True]
+    assert [t.rows[-1].iteration for t in traces] == [60, 2, 60, 1]
+    assert (len(stacks) > 1) == small_blocks
+    _assert_rows_measured_one_record_at_a_time(inst, traces, seen, 4, 7)
+
+
+def test_a_desk_run_is_measured_in_one_pass(monkeypatch):
+    # 800 steps of 8 agents in d = 4 recorded every 5: 161 records, whose
+    # stacked states hold 5 * 161 * 32 elements, under the 2^15 budget
+    inst = separable_quadratic_instance(8, 4, seed=2)
+    P = metropolis_hastings(topology_from_spec("ring", 8))
+    cfg = JadeConfig(mu=0.05, epsilon=0.2, budget=9 * 800, record_every=5)
+    stacks = _measured_passes(monkeypatch)
+    (trace,) = run("zo_jade", inst, P, [(cfg, 1)])
+    assert len(trace.rows) == 161
+    assert [x.shape for x in stacks] == [(161, 8, 4)]
+
+
+def test_a_scale_shaped_record_is_measured_at_once_on_its_own_iterates(monkeypatch):
+    # one replica of 200 agents in d = 50 holds 5 * 10,000 state elements,
+    # past the budget alone: each record is measured before the next step,
+    # on the state's own x, with no stacking copy
+    inst = separable_quadratic_instance(200, 50, seed=1)
+    P = metropolis_hastings(topology_from_spec("ring", 200))
+    cfg = BaselineConfig(mu=0.05, eta=0.1, budget=3 * 100, record_every=1)
+    events = []
+    step, cost = ALGORITHMS["consensus_gd"]
+
+    def watched(state, objective, params):
+        events.append(("step", state))
+        new = step(state, objective, params)
+        events.append(("state", new))
+        return new
+
+    def spied(instance, x):
+        events.append(("measure", x))
+        return loss_metric(instance, x)
+
+    monkeypatch.setitem(ALGORITHMS, "consensus_gd", (watched, cost))
+    monkeypatch.setattr(algorithms, "loss_metric", spied)
+    (trace,) = run("consensus_gd", inst, P, [(cfg, 1)])
+    assert len(trace.rows) == 4
+    kinds = [kind for kind, _ in events if kind != "state"]
+    assert kinds == ["measure", "step"] * 3 + ["measure"]
+    states = [events[1][1]] + [s for kind, s in events if kind == "state"]
+    measured = [x for kind, x in events if kind == "measure"]
+    for x, state in zip(measured, states, strict=True):
+        assert x.shape == (1, 200, 50) and np.shares_memory(x, state.x)
+
+
+@pytest.mark.parametrize("make, R, record_every, binds", [
+    # 50 samples per agent: one agent's e_f block, 2 * 50 elements per point, binds
+    (lambda: synthetic_classification(10, 50, 20, seed=1), 5, 1, "e_f"),
+    (lambda: separable_quadratic_instance(20, 10, seed=1), 3, 1, "state"),
+    (lambda: quartic_instance(10, 8), 4, 2, "state"),
+], ids=["logistic", "quadratic", "quartic"])
+def test_no_batch_passes_the_budget_by_more_than_one_record(monkeypatch, make, R, record_every,
+                                                            binds):
+    # a batch of several records stays within the budget, and every batch
+    # but the run's last is measured only when one more record would take
+    # it past
+    inst = make()
+    n = inst.n
+    assert (inst.family.row_elements > 5 * inst.d) == (binds == "e_f")
+    P = metropolis_hastings(topology_from_spec("ring", n))
+    per_step = ALGORITHMS["zo_jade"][1](inst.d)
+    cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=40 * per_step, record_every=record_every)
+    stacks = _measured_passes(monkeypatch)
+    run("zo_jade", inst, P, [(cfg, seed) for seed in range(R)])
+    per_row = n * max(5 * inst.d, inst.family.row_elements)
+    sizes = [len(x) * per_row for x in stacks]
+    assert len(sizes) > 1 and sum(len(x) for x in stacks) == R * (40 // record_every + 1)
+    for size in sizes[:-1]:
+        assert size <= oracle._BLOCK_ELEMENTS < size + R * per_row
+    assert sizes[-1] <= oracle._BLOCK_ELEMENTS
+
+
+def test_steps_write_into_no_state(monkeypatch):
+    # a run holds its recorded states until it measures them, with no copy;
+    # so every step must leave its input state's arrays as they are.  Every
+    # state a step takes or gives here is read-only, and the traces are the same
+    inst = separable_quadratic_instance(4, 2, seed=6)
+    P = metropolis_hastings(topology_from_spec("ring", 4))
+    for algorithm, (step, cost) in ALGORITHMS.items():
+        if algorithm == "zo_jade":
+            cfg = JadeConfig(mu=0.05, epsilon=0.3, budget=30 * 5, record_every=4)
+        else:
+            cfg = BaselineConfig(mu=0.05, eta=0.2, budget=30 * 4, record_every=4)
+        replicas = [(cfg, seed) for seed in (1, 2, 3)]
+        free = run(algorithm, inst, P, replicas)
+
+        def read_only(state, objective, params, step=step):
+            new = step(state, objective, params)
+            for s in (state, new):
+                for name in "xghyz":
+                    getattr(s, name).flags.writeable = False
+            return new
+
+        with monkeypatch.context() as patch:
+            patch.setitem(ALGORITHMS, algorithm, (read_only, cost))
+            frozen = run(algorithm, inst, P, replicas)
+        for a, b in zip(free, frozen, strict=True):
+            _same_trace(a, b)

@@ -47,6 +47,11 @@ def test_benchmark_patches_apply_and_record_every_layer(tmp_path, monkeypatch):
     assert metrics["oracle.queries"] == hooks.queries() == 5 * 2 * (20 * 5 + 25 * 4)
     assert metrics["graphs.spectral_gap_calls"] == 1
     assert metrics["harness.csv_files"] == 2 * 3
+    # a run measures its trace rows in passes over its held records: each
+    # run here holds 3 or 4 records of 2 replicas, far under the element
+    # budget, so one pass per run, where every record was one call before
+    runs = np.count_nonzero(tracer.arrays()["name"] == spans.SPAN_NAMES.index("algorithms.run"))
+    assert runs == 2 and metrics["metrics.record_calls"] == runs
 
 
 def test_every_family_builds_inside_a_recorded_build_span(tmp_path, monkeypatch):
