@@ -288,7 +288,7 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
     traces = [RunTrace(algorithm=algorithm, seed=s, label=label or algorithm, ef_mode=mode)
               for _, s in replicas]
     live = list(range(len(replicas)))  # the trace of each replica row of the state
-    owners, recorded = [], bytearray()  # the trace and the bytes of each row, in record order
+    owners, recorded = [], []  # the trace of each row, and the measured rows, in record order
     pending = []  # the recorded states whose rows are not yet measured
     # replica rows a batch may hold: a row's five state arrays, or its agents'
     # points in one agent's e_f block, take n * max(5 d, row_elements) elements
@@ -307,11 +307,11 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
                    batch.consensus_error(), *batch.tracking_residuals(), batch.clamps)
         for name, values in zip(rows.dtype.names, columns):
             rows[name] = values
-        recorded.extend(rows.tobytes())
+        recorded.append(rows)
 
     def record(batch: NetworkState, ids: list) -> None:
         """Hold the row of `batch` for the traces `ids` of its replicas."""
-        held = len(owners) - len(recorded) // TRACE_DTYPE.itemsize  # rows not yet measured
+        held = sum(len(s.x) for s in pending)  # rows not yet measured
         if held and held + len(ids) > limit:
             measure()
             held = 0
@@ -358,9 +358,7 @@ def run(algorithm: str, instance: ProblemInstance, P: np.ndarray, replicas: list
         finish(state, live)
     if pending:
         measure()
-    # rows are kept as bytes: np.concatenate copies many small record arrays
-    # field by field, at more than the cost of recording them
-    rows, owner = np.frombuffer(recorded, TRACE_DTYPE), np.array(owners)
+    rows, owner = np.concatenate(recorded), np.array(owners)
     for t, trace in enumerate(traces):
         trace.rows = rows[owner == t]
     objective.answers.clear()  # a counter kept after its run holds no estimates

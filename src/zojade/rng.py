@@ -19,19 +19,17 @@ time.  The transition is linear over GF(2), so lane j can start at the
 state ``_K * j`` steps ahead and all lanes can step together as numpy
 ``uint64`` arrays; laid end to end, the lanes give exactly the stream the
 spec above defines, and the generator is left in the state the scalar path
-would reach.  The first 64 lane starts are each the previous one times the
-transition to the power ``_K``, applied through a table of that matrix's
-images of every 4-bit chunk of the state.  In a fill of at least 128 lanes,
-the starts of lanes 2**m to 2**(m + 1) - 1 are then those of lanes 0 to
-2**m - 1 times the transition to the power ``_K * 2**m``, all in one numpy
-pass (jump-ahead as a matrix power over GF(2), as in Haramoto et al., INFORMS
-J. Computing 20(3), 2008).  Box-Muller's log and cosine must be libm's, the
-functions ``math.log`` and ``math.cos`` call, bit for bit; numpy's SIMD log
-differs from it in the last bit on a few uniforms in a thousand.  So each
-runs as numpy's ufunc over the array read back to front, where numpy calls
-libm once per element, in C, if a one-time probe finds that equal to libm,
-and as ``math`` mapped over the array otherwise.
-The spec does not depend on any of this.
+would reach.  Lane 0 starts at the state, and the starts of lanes 2**m to
+2**(m + 1) - 1 are those of lanes 0 to 2**m - 1 times the transition to the
+power ``_K * 2**m``, all in one numpy pass through a table of that matrix's
+images of every 4-bit chunk of a state (jump-ahead as a matrix power over
+GF(2), as in Haramoto et al., INFORMS J. Computing 20(3), 2008).
+Box-Muller's log and cosine must be libm's, the functions ``math.log`` and
+``math.cos`` call, bit for bit; numpy's SIMD log differs from it in the last
+bit on a few uniforms in a thousand.  So each runs as numpy's ufunc over the
+array read back to front, where numpy calls libm once per element, in C, if
+a one-time probe finds that equal to libm, and as ``math`` mapped over the
+array otherwise.  The spec does not depend on any of this.
 """
 
 from __future__ import annotations
@@ -134,17 +132,18 @@ class Xoshiro256:
 _BLOCK = 4096
 #: outputs per lane; even, so that a normal's two uniforms come from one lane.
 #: A lane fill takes _K numpy steps whatever the lane count, so shorter lanes
-#: fill an array in fewer steps, and with the lane starts doubled past 64 lanes
-#: their count costs little: on a 2-vCPU AVX-512 Xeon, 10,000 uniforms took
-#: 2.0-2.1 ms at 256 against 4.0-7.0 ms at 512, and 250,000 normals 17.5-18.4 ms
-#: against 19.0-19.7 ms (medians of 30 draws, 3 processes each)
+#: fill an array in fewer steps, and with the lane starts doubled from lane 0
+#: their count costs little: on a shared 2-vCPU AVX-512 Xeon, 10,000 uniforms
+#: took 2.1-3.5 ms at 256 against 3.7-7.4 ms at 512, and 250,000 normals
+#: 16.2-22.7 ms against 19.2-25.0 ms (medians of 30 draws, 6 in 3 processes)
 _K = 256
-#: lane starts that a fill takes by serial `_jump`s, a power of two; a fill
-#: of at least twice as many lanes doubles its starts from these
-_SERIAL = 64
+#: nibble positions, one a row: nibble p of value v is row 64 v + p of the
+#: flat table in `_apply`
+_NIBBLES = np.arange(64)[:, None]
 #: arrays that consume at least this many outputs are drawn on lanes; the
 #: scalar loop is faster below about 2,300 (normals) to 2,600 (uniforms)
-#: outputs, 9 to 10 lanes here
+#: outputs, 9 to 10 lanes here (the least of 60 alternating draws of each
+#: path at each multiple of 256 outputs, 2 processes, the same Xeon)
 _LANE_CUTOFF = 2560
 #: arguments of the one-time check of a path to libm's log or cosine
 _PROBE = 4096
@@ -165,100 +164,57 @@ def _step(s: np.ndarray, t: np.ndarray) -> None:
     s[3] |= t
 
 
-def _pack(words) -> int:
-    """The four state words as one int, word i in bits 64i to 64i + 63."""
-    return words[0] | words[1] << 64 | words[2] << 128 | words[3] << 192
-
-
-def _jump_columns() -> tuple[int, ...]:
-    """Column b of the transition to the power _K: the state that _K steps
-    reach from the state whose only set bit is bit b, packed by `_pack`."""
+@functools.cache
+def _power_images(m: int) -> np.ndarray:
+    """(256, 4) uint64 whose row b is the state that _K * 2**m steps reach
+    from the state whose only set bit is bit b, word i in column i: the
+    columns of the transition to that power.  Level 0 steps the 256 unit
+    states _K times; a higher power is the square of the one below, its
+    images mapped by it."""
+    if m:
+        below = _power_images(m - 1)
+        return _apply(below, below)
     s = np.zeros((4, 256), np.uint64)
     bit = np.arange(256, dtype=np.uint64)
     s[bit // 64, bit] = 1 << bit % 64
     t = np.empty(256, np.uint64)
     for _ in range(_K):
         _step(s, t)
-    return tuple(map(_pack, zip(*s.tolist())))
-
-
-@functools.cache
-def _jump_table() -> tuple:
-    """Entry i holds, for byte i of a packed state in little-endian order, the
-    images under the transition to the power _K of its 16 possible low
-    nibbles and of its 16 possible high nibbles: each image is the XOR of the
-    `_jump_columns` of the nibble's set bits.  1,024 ints, about 70 KB; a
-    table over whole bytes would hold 8,192 ints, 0.55 MB."""
-    columns = _jump_columns()
-    nibbles = []
-    for bit in range(0, 256, 4):
-        images = [0]
-        for column in columns[bit : bit + 4]:
-            images += [image ^ column for image in images]
-        nibbles.append(images)
-    return tuple(zip(nibbles[::2], nibbles[1::2]))
-
-
-def _jump(state: int) -> int:
-    """The packed state _K steps after the packed `state`: the XOR of the
-    images of its 64 nibbles, which is the XOR of the columns of its set bits."""
-    out = 0
-    for (low, high), byte in zip(_jump_table(), state.to_bytes(32, "little")):
-        out ^= low[byte & 15] ^ high[byte >> 4]
-    return out
-
-
-@functools.cache
-def _power_images(m: int) -> np.ndarray:
-    """(256, 4) uint64 whose row b is the state that _K * 2**m steps reach
-    from the state whose only set bit is bit b, word i in column i: the
-    columns of the transition to that power.  A power above the first
-    doubling level is the square of the one below, its images mapped by it;
-    a lower one is squared m times from the columns in `_jump_table`."""
-    if m > _SERIAL.bit_length() - 1:
-        below = _power_images(m - 1)
-        return _apply(below, below)
-    columns = [pair[j // 4][1 << j % 4] for pair in _jump_table() for j in range(8)]
-    images = np.frombuffer(b"".join(c.to_bytes(32, "little") for c in columns), "<u8")
-    images = images.reshape(256, 4).astype(np.uint64)
-    for _ in range(m):
-        images = _apply(images, images)
-    return images
+    return s.T.copy()
 
 
 def _apply(images: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The (count, 4) states, word i in column i, mapped by the matrix whose
     unit-bit images are `images`: the XOR of the images of each state's 64
-    nibbles, one gather over all the states per nibble."""
-    # table[p, v]: the image of nibble value v in bits 4p to 4p + 3
-    table = np.zeros((64, 16, 4), np.uint64)
+    nibbles, gathered for up to 64 states at a time by one `take`, so that a
+    gather holds 128 KiB whatever the count."""
+    # table[v, p]: the image of nibble value v in bits 4p to 4p + 3
+    table = np.zeros((16, 64, 4), np.uint64)
     bits = images.reshape(64, 4, 4)
     for b in range(4):
-        table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ bits[:, b, None]
+        np.bitwise_xor(table[: 1 << b], bits[:, b], out=table[1 << b : 2 << b])
+    flat = table.reshape(1024, 4)
     # byte k of a state in little-endian order holds nibbles 2k (low) and 2k + 1 (high)
-    data = states.astype("<u8", copy=False).view(np.uint8).T.copy()
-    out = np.zeros(states.shape, np.uint64)
-    for k, byte in enumerate(data):
-        out ^= table[2 * k].take(byte & 15, axis=0)
-        out ^= table[2 * k + 1].take(byte >> 4, axis=0)
+    data = states.astype("<u8", copy=False).view(np.uint8)
+    out = np.empty(states.shape, np.uint64)
+    for first in range(0, len(states), 64):
+        byte = data[first : first + 64].T
+        index = np.empty((64, byte.shape[1]), np.intp)  # row p: nibble p's table rows
+        index[0::2] = byte & 15
+        index[1::2] = byte >> 4
+        index <<= 6
+        index += _NIBBLES
+        np.bitwise_xor.reduce(flat.take(index, axis=0), axis=0, out=out[first : first + 64])
     return out
 
 
 def _lane_starts(state: list[int], lanes: int) -> np.ndarray:
     """(lanes, 4) little-endian uint64 whose row j is the state _K * j steps
-    after `state`, word i in column i.  The first _SERIAL rows, or all of a
-    fill of fewer than 2 * _SERIAL lanes, are serial `_jump`s; then rows 2**m
-    to 2**(m + 1) - 1 are rows 0 to 2**m - 1 mapped by `_power_images(m)`."""
-    serial = lanes if lanes < 2 * _SERIAL else _SERIAL
-    start = _pack(state)
-    head = bytearray(start.to_bytes(32, "little"))
-    for _ in range(serial - 1):
-        start = _jump(start)
-        head += start.to_bytes(32, "little")
+    after `state`, word i in column i: row 0 is `state`, and rows 2**m to
+    2**(m + 1) - 1 are rows 0 to 2**m - 1 mapped by `_power_images(m)`."""
     starts = np.empty((lanes, 4), "<u8")
-    # word i of lane j's start is in little-endian bytes 32j + 8i to 32j + 8i + 7
-    starts[:serial] = np.frombuffer(head, "<u8").reshape(serial, 4)
-    done = serial
+    starts[0] = state
+    done = 1
     while done < lanes:
         count = min(done, lanes - done)
         starts[done : done + count] = _apply(_power_images(done.bit_length() - 1), starts[:count])

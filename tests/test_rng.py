@@ -98,52 +98,60 @@ def test_outputs_match_the_reference_implementation(seed):
     assert doubles[[0, 1, 2, 8190, 8191, 8192, 8193]].tolist() == expected
 
 
-def test_jump_columns_equal_k_scalar_steps():
-    # each column from its unit state, and whole jumps through the table from
-    # seeded states
-    columns = rng._jump_columns()
-    assert [rng._jump(1 << b) for b in range(256)] == list(columns)
-    states = [[1 << b % 64 if i == b // 64 else 0 for i in range(4)] for b in range(256)]
-    states += [splitmix64_stream(seed, 4) for seed in (1, -5, 2**64 + 3)]
-    for state in states:
-        gen = Xoshiro256(0)
-        gen._s = list(state)
-        for _ in range(rng._K):
-            gen.next_u64()
-        assert rng._jump(rng._pack(state)) == rng._pack(gen._s)
+# the 256 states with one set bit, bit b in word b // 64
+_UNITS = [[1 << b % 64 if i == b // 64 else 0 for i in range(4)] for b in range(256)]
+_SEEDED = [splitmix64_stream(seed, 4) for seed in (1, -5, 2**64 + 3)]
 
 
-def _words(packed: int) -> list[int]:
-    return [packed >> 64 * i & 2**64 - 1 for i in range(4)]
+def _stepped(state: list[int]) -> list[int]:
+    """The state _K scalar steps after `state`."""
+    gen = Xoshiro256(0)
+    gen._s = list(state)
+    gen._u64s(rng._K)
+    return gen._s
 
 
-def test_each_doubling_power_maps_states_as_its_serial_jumps_do():
-    # T^(_K 2^m) from seeded states for every m up to 10, and for m = 6, the
-    # first doubling level, from every unit state too
-    for seed in (1, -5, 2**64 + 3):
-        state = rng._pack(splitmix64_stream(seed, 4))
-        jumped = state
-        for jumps in range(1, 2**10 + 1):
-            jumped = rng._jump(jumped)
-            if jumps & jumps - 1 == 0:
-                images = rng._power_images(jumps.bit_length() - 1)
-                mapped = rng._apply(images, np.array([_words(state)], np.uint64))
-                assert rng._pack(mapped[0].tolist()) == jumped
-    jumped = []
-    for b in range(256):
-        state = 1 << b
-        for _ in range(2**6):
-            state = rng._jump(state)
-        jumped.append(state)
-    units = np.array([_words(1 << b) for b in range(256)], np.uint64)
-    assert list(map(rng._pack, rng._apply(rng._power_images(6), units).tolist())) == jumped
+def test_the_lowest_power_maps_states_as_k_scalar_steps_do():
+    # its images are the unit states stepped, and it maps seeded states as
+    # their steps do
+    lowest = rng._power_images(0)
+    assert lowest.tolist() == list(map(_stepped, _UNITS))
+    states = _UNITS + _SEEDED
+    assert rng._apply(lowest, np.array(states, np.uint64)).tolist() == list(map(_stepped, states))
+
+
+def test_each_doubling_power_maps_states_as_its_maps_by_the_lowest_do():
+    # T^(_K 2^m) from seeded states for every m up to 10, and for m = 6 from
+    # every unit state too, against 2^m maps by T^_K
+    lowest = rng._power_images(0)
+    seeded = mapped = np.array(_SEEDED, np.uint64)
+    for maps in range(1, 2**10 + 1):
+        mapped = rng._apply(lowest, mapped)
+        if maps & maps - 1 == 0:
+            m = maps.bit_length() - 1
+            assert rng._apply(rng._power_images(m), seeded).tolist() == mapped.tolist(), m
+    units = mapped = np.array(_UNITS, np.uint64)
+    for _ in range(2**6):
+        mapped = rng._apply(lowest, mapped)
+    assert rng._apply(rng._power_images(6), units).tolist() == mapped.tolist()
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 129])
+def test_a_map_of_many_states_is_each_state_mapped_alone(count):
+    # the states are mapped 64 at a time: no row at a chunk's edge is dropped
+    # or repeated
+    states = [splitmix64_stream(seed, 4) for seed in range(count)]
+    mapped = rng._apply(rng._power_images(0), np.array(states, np.uint64))
+    alone = [rng._apply(rng._power_images(0), np.array([state], np.uint64))[0] for state in states]
+    assert mapped.tolist() == np.array(alone).tolist() == list(map(_stepped, states))
 
 
 @pytest.mark.parametrize("per", [1, 2])
 def test_draws_across_the_doubling_levels_equal_the_scalar_stream(per):
-    # the serial starts alone below 128 lanes, then one doubling level more at
-    # each power of two; 1,953 lanes is scale_n200's instance draw
-    for lanes in (63, 64, 65, 127, 128, 129, 255, 256, 257, 1953):
+    # one doubling level more at each power of two, from the smallest lane fill,
+    # 10 lanes; 39 lanes is each shipped config's instance draw, 77 lanes
+    # scale_n200's topology draw and 1,953 lanes its instance draw
+    for lanes in (10, 11, 16, 17, 33, 39, 63, 64, 65, 77, 127, 128, 129, 255, 256, 257, 1953):
         gen, ref = Xoshiro256(lanes), Xoshiro256(lanes)
         out = (gen.uniforms if per == 1 else gen.normals)(lanes * rng._K // per)
         doubles = [(x >> 11) * 2.0**-53 for x in ref._u64s(lanes * rng._K)]
